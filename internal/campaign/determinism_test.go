@@ -8,9 +8,11 @@ import (
 )
 
 // determinismScenarios is a mixed workload: fleets, single cells, both
-// delivery modes, derived and pinned seeds, a build failure, and a
-// mitigation posture — everything whose ordering could conceivably
-// depend on scheduling.
+// delivery modes, derived and pinned seeds, a build failure, and the
+// mitigation postures — everything whose ordering could conceivably
+// depend on scheduling. Every layout the daemon pool recycles between is
+// here (fixed, ASLR, PIE, canary builds, diversity links), so a pooled
+// daemon re-laid out for the wrong device would show.
 func determinismScenarios() []Scenario {
 	return []Scenario{
 		{Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy, Protection: LevelWXASLR,
@@ -21,6 +23,14 @@ func determinismScenarios() []Scenario {
 		{Arch: isa.ArchX86S, Kind: exploit.KindRet2Libc, Protection: LevelWX, TargetSeed: 2002},
 		{Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy,
 			Protection: Protection{WX: true, ASLR: true, CFI: true}, Devices: 2},
+		{Arch: isa.ArchX86S, Kind: exploit.KindRopMemcpy,
+			Protection: Protection{WX: true, ASLR: true, PIE: true}, Devices: 3},
+		{Arch: isa.ArchARMS, Kind: exploit.KindRopExeclp,
+			Protection: Protection{WX: true, Canary: true}, Devices: 2},
+		{Arch: isa.ArchX86S, Kind: exploit.KindRet2Libc,
+			Protection: Protection{WX: true, DiversitySeed: 99}, Devices: 3},
+		{Arch: isa.ArchARMS, Kind: exploit.KindCodeInjection,
+			Protection: Protection{DiversitySeed: 7}, Devices: 2},
 	}
 }
 

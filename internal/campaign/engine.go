@@ -124,25 +124,17 @@ type Engine struct {
 	// linkOptions caches the §IV diversity permutations.
 	linkOptions *Cache[linkKey, image.Options]
 
-	// pool holds idle daemons for fixed-layout configurations (no
-	// ASLR/PIE/diversity), recycled between devices instead of relinking
-	// and remapping per trial. Recycling replays the per-device seed's
-	// random stream, so a pooled daemon is byte-identical to a fresh load
-	// and the report stays deterministic for any worker count.
-	pool   map[poolKey][]*victim.Daemon
+	// pool holds idle daemons per program unit, recycled between devices
+	// instead of loading a fresh address space per trial. Recycling
+	// replays the per-device seed's layout and canary draws and re-lays
+	// the process out for the device's protections, so a pooled daemon is
+	// byte-identical to a fresh load and the report stays deterministic
+	// for any worker count.
+	pool   map[unitKey][]*victim.Daemon
 	poolMu sync.Mutex
 
 	// Per-stage wall time, accumulated across workers (nanoseconds).
 	nsRecon, nsPayload, nsVictimBuild, nsAttack atomic.Int64
-}
-
-// poolKey identifies daemons that are interchangeable under recycling: same
-// program/libc units and the same fixed memory layout.
-type poolKey struct {
-	arch    isa.Arch
-	opts    victim.BuildOpts
-	wx      bool
-	entropy int
 }
 
 type reconKey struct {
@@ -189,7 +181,7 @@ func New(cfg Config) *Engine {
 		libcs: NewCache[isa.Arch, *image.Unit]().
 			Instrument(telemetry.CtrUnitBuild, telemetry.CtrUnitHit),
 		linkOptions: NewCache[linkKey, image.Options](),
-		pool:        make(map[poolKey][]*victim.Daemon),
+		pool:        make(map[unitKey][]*victim.Daemon),
 	}
 }
 
@@ -318,40 +310,32 @@ func (e *Engine) newDaemon(arch isa.Arch, opts victim.BuildOpts, cfg kernel.Conf
 	return victim.NewDaemonWith(prog, libc, cfg)
 }
 
-// poolable reports whether a daemon loaded under cfg has a seed-independent
-// memory layout and can therefore be recycled for another device's seed.
-func poolable(cfg kernel.Config) bool {
-	return !cfg.ASLR && !cfg.PIE && cfg.LinkOpts.Order == nil && cfg.LinkOpts.Pad == nil
-}
-
 // acquireDaemon returns a device daemon for cfg, recycling an idle pooled
-// one when the layout allows it and loading fresh otherwise.
+// one loaded from the same units and loading fresh only when none is idle.
 func (e *Engine) acquireDaemon(arch isa.Arch, opts victim.BuildOpts, cfg kernel.Config) (*victim.Daemon, error) {
-	if poolable(cfg) {
-		k := poolKey{arch: arch, opts: opts, wx: cfg.WX, entropy: cfg.ASLREntropyPages}
-		e.poolMu.Lock()
-		list := e.pool[k]
-		var d *victim.Daemon
-		if n := len(list); n > 0 {
-			d, e.pool[k] = list[n-1], list[:n-1]
-		}
-		e.poolMu.Unlock()
-		if d != nil && d.Recycle(cfg) {
-			telemetry.Inc(telemetry.CtrPoolRecycle)
-			return d, nil
-		}
+	k := unitKey{arch: arch, opts: opts}
+	e.poolMu.Lock()
+	list := e.pool[k]
+	var d *victim.Daemon
+	if n := len(list); n > 0 {
+		d, e.pool[k] = list[n-1], list[:n-1]
+	}
+	e.poolMu.Unlock()
+	if d != nil && d.Recycle(cfg) {
+		telemetry.Inc(telemetry.CtrPoolRecycle)
+		return d, nil
 	}
 	telemetry.Inc(telemetry.CtrPoolFresh)
 	return e.newDaemon(arch, opts, cfg)
 }
 
-// releaseDaemon parks a daemon for reuse by a later device of the same
-// configuration class.
-func (e *Engine) releaseDaemon(arch isa.Arch, opts victim.BuildOpts, cfg kernel.Config, d *victim.Daemon) {
-	if d == nil || !poolable(cfg) {
+// releaseDaemon parks a daemon for reuse by a later device built from the
+// same units.
+func (e *Engine) releaseDaemon(arch isa.Arch, opts victim.BuildOpts, d *victim.Daemon) {
+	if d == nil {
 		return
 	}
-	k := poolKey{arch: arch, opts: opts, wx: cfg.WX, entropy: cfg.ASLREntropyPages}
+	k := unitKey{arch: arch, opts: opts}
 	e.poolMu.Lock()
 	e.pool[k] = append(e.pool[k], d)
 	e.poolMu.Unlock()
@@ -583,7 +567,7 @@ func (e *Engine) runDevice(s Scenario, si, di, worker int) (r DeviceResult) {
 		r.Err = err.Error()
 		return r
 	}
-	defer e.releaseDaemon(s.Arch, opts, cfg, d)
+	defer e.releaseDaemon(s.Arch, opts, d)
 	d.Process().SetAttempt(attempt)
 	if ss != nil {
 		ss.Arm(d.Process())

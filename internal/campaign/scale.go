@@ -252,7 +252,7 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			defer e.releaseDaemon(s.Arch, opts, kcfg, d)
+			defer e.releaseDaemon(s.Arch, opts, d)
 			if ss != nil {
 				ss.Arm(d.Process())
 			}

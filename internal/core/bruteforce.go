@@ -61,15 +61,20 @@ func (l *Lab) BruteForceASLR(arch isa.Arch, entropyPages, maxTries int) (*BruteF
 		return nil, err
 	}
 
+	// One daemon serves every try: the respawn after a crash is a recycle
+	// under the next seed, which re-lays libc and the stack out exactly as
+	// a fresh load would.
+	var d *victim.Daemon
 	for try := 1; try <= maxTries; try++ {
 		rep.Tries = try
 		cfg := kernel.Config{
 			WX: true, ASLR: true, ASLREntropyPages: entropyPages,
 			Seed: l.TargetSeed + int64(try),
 		}
-		d, err := victim.NewDaemon(arch, l.Build, cfg)
-		if err != nil {
-			return nil, err
+		if d == nil || !d.Recycle(cfg) {
+			if d, err = victim.NewDaemon(arch, l.Build, cfg); err != nil {
+				return nil, err
+			}
 		}
 		res, err := d.HandleResponse(pkt)
 		if err != nil {

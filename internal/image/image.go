@@ -254,3 +254,10 @@ func (img *Image) MapInto(m *mem.Memory, namePrefix string) error {
 	}
 	return nil
 }
+
+// UnmapFrom removes the sections MapInto mapped under namePrefix.
+func (img *Image) UnmapFrom(m *mem.Memory, namePrefix string) {
+	for _, s := range img.Sections {
+		m.Unmap(namePrefix + s.Name)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"connlab/internal/image"
 	"connlab/internal/isa"
@@ -203,6 +204,10 @@ type Process struct {
 	cpu  isa.CPU
 	m    *mem.Memory
 
+	// progUnit and libcUnit are the units Prog and Libc are linked from;
+	// a Recycle into a different layout relinks them.
+	progUnit, libcUnit *image.Unit
+
 	// Prog is the linked program image; Libc the linked C library.
 	Prog *image.Image
 	Libc *image.Image
@@ -213,6 +218,8 @@ type Process struct {
 
 	stdout bytes.Buffer
 	shells []ShellSpawn
+	// rng is reseeded with each layout's seed: a reseed reuses the
+	// source instead of allocating one per recycle.
 	rng    *rand.Rand
 	budget uint64
 
@@ -231,9 +238,9 @@ type Process struct {
 	// the attempt that drove it. Zero outside campaigns.
 	attempt uint64
 
-	// guardAddr/canary record the seeded stack-protector guard (guardAddr
-	// 0 when the program declares none), letting a same-seed Recycle
-	// rewrite it without reconstructing the random stream.
+	// lay is the current placement; guardAddr/canary record the seeded
+	// stack-protector guard (both 0 when the program declares none).
+	lay       Layout
 	guardAddr uint32
 	canary    uint32
 }
@@ -250,8 +257,9 @@ type Layout struct {
 }
 
 // layoutFor consumes the layout draws from rng in Load's exact order. It is
-// the single source of layout-randomization policy: Load, Recycle's stream
-// replay, and LayoutFor all go through it.
+// the single source of layout-randomization policy: Load, Recycle and
+// LayoutFor all go through it. A cfg without PIE or ASLR draws nothing, so
+// rng may then be nil.
 func layoutFor(arch isa.Arch, cfg Config, rng *rand.Rand) Layout {
 	var l Layout
 	if cfg.PIE {
@@ -291,66 +299,22 @@ func LayoutFor(arch isa.Arch, cfg Config) Layout {
 // Load links the program unit (at its fixed non-PIE layout unless cfg.PIE)
 // and the libc unit (at an ASLR-slid base when cfg.ASLR), maps everything,
 // fills the GOT, maps the stack, and seeds the canary guard if the program
-// declares one.
+// declares one. Placement itself is the shared plan/place pair Recycle
+// also uses; Load only adds the first allocation: the address space, the
+// megabyte stack and heap, and the CPU.
 func Load(prog *image.Unit, libc *image.Unit, cfg Config) (*Process, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	lay := layoutFor(prog.Arch, cfg, rng)
-
-	// Program link.
-	progLayout := image.DefaultProgramLayout(prog.Arch)
-	if cfg.PIE {
-		progLayout.TextBase += lay.ProgSlide
-		progLayout.RODataBase += lay.ProgSlide
-		progLayout.GOTBase += lay.ProgSlide
-		progLayout.DataBase += lay.ProgSlide
-		progLayout.BSSBase += lay.ProgSlide
-	}
-	progImg, err := image.Link(prog, progLayout, cfg.LinkOpts)
-	if err != nil {
-		return nil, fmt.Errorf("link program: %w", err)
-	}
-
-	libcImg, err := image.Link(libc, image.LibraryLayout(lay.LibcBase), image.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("link libc: %w", err)
-	}
-
 	m := mem.New()
-	m.SetWX(cfg.WX)
-	if err := progImg.MapInto(m, ""); err != nil {
-		return nil, fmt.Errorf("map program: %w", err)
-	}
-	if err := libcImg.MapInto(m, "libc"); err != nil {
-		return nil, fmt.Errorf("map libc: %w", err)
-	}
-
-	// GOT population: point every import at its libc definition.
-	for name, got := range progImg.GOT {
-		addr, ok := libcImg.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("load: import %q not provided by libc", name)
-		}
-		if f := m.WriteU32(got, addr); f != nil {
-			return nil, fmt.Errorf("load: write got: %w", f)
-		}
-	}
-
-	// Stack. Without W⊕X the stack is executable, the historical default
-	// the paper's first experiments rely on.
-	stackTop := lay.StackTop
-	perm := mem.PermRWX
-	if cfg.WX {
-		perm = mem.PermRW
-	}
-	if _, err := m.Map("stack", stackTop-StackSize, StackSize, perm); err != nil {
+	// The stack is mapped at its unslid position; place moves it to the
+	// layout's top.
+	top := layoutFor(prog.Arch, Config{}, nil).StackTop
+	if _, err := m.Map("stack", top-StackSize, StackSize, mem.PermRWX); err != nil {
 		return nil, fmt.Errorf("map stack: %w", err)
 	}
-
 	// Scratch heap for packet buffers and daemon state. Like the stack it
 	// is executable unless W⊕X is on: 32-bit Linux of the paper's era made
 	// brk/mmap data executable too, which is what heap-resident shellcode
 	// relies on.
-	if _, err := m.Map("heap", HeapBaseFor(prog.Arch), HeapSize, perm); err != nil {
+	if _, err := m.Map("heap", HeapBaseFor(prog.Arch), HeapSize, mem.PermRWX); err != nil {
 		return nil, fmt.Errorf("map heap: %w", err)
 	}
 
@@ -360,113 +324,190 @@ func Load(prog *image.Unit, libc *image.Unit, cfg Config) (*Process, error) {
 	} else {
 		cpu = x86s.New(m)
 	}
-	if cfg.Hooks != nil {
-		cpu.SetHooks(cfg.Hooks)
-	}
-
 	p := &Process{
-		cfg:      cfg,
 		arch:     prog.Arch,
 		cpu:      cpu,
 		m:        m,
-		Prog:     progImg,
-		Libc:     libcImg,
-		StackTop: stackTop,
-		rng:      rng,
-		budget:   cfg.InstrBudget,
-		tel:      telemetry.Handle(),
+		progUnit: prog,
+		libcUnit: libc,
 	}
-	if p.budget == 0 {
-		p.budget = DefaultInstrBudget
+	pl, err := p.plan(cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	// Seal the canary-free baseline: everything mapped and linked so far is
-	// what Reset restores when the process is recycled. The canary below is
-	// written through the accessors, so a Reset removes it and Recycle
-	// reseeds it from the new configuration's stream.
-	m.Seal()
-
-	// Canary guard: like glibc, a random value with a zero low byte (the
-	// zero byte terminates accidental string copies; the lab's
-	// length-prefixed overflow is unaffected, which is why canaries must
-	// be checked, not just present).
-	if guard, ok := progImg.Lookup("__stack_chk_guard"); ok {
-		v := rng.Uint32()<<8 | 0
-		if f := m.WriteU32(guard, v); f != nil {
-			return nil, fmt.Errorf("load: seed canary: %w", f)
-		}
-		p.guardAddr, p.canary = guard, v
+	if err := p.place(cfg, pl); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-// Recycle rewinds the process to a freshly loaded state for cfg without
-// relinking images or remapping segments: memory resets to the sealed
-// post-load baseline, the CPU returns to power-on state, and the random
-// stream a fresh Load(cfg) would have drawn (layout slides, canary) is
-// replayed, so a recycled process is indistinguishable from a new one. It
-// reports false — leaving the process untouched — when cfg could produce a
-// different memory layout than the one mapped: a changed protection axis,
-// diversity link options, or a different seed while ASLR/PIE slides are in
-// play. Callers fall back to a fresh Load on false.
+// Recycle rewinds the process to the state a fresh Load(cfg) of its own
+// program and libc units would produce, keeping the address space, the
+// megabyte stack and heap, and the CPU: memory resets to the sealed
+// baseline, the CPU to power-on state, and plan and place lay the process
+// out for cfg, relinking only the images that moved.
+//
+// It reports false, leaving the process untouched, when memory cannot be
+// reset (a segment was mapped or unmapped since the last seal) or cfg does
+// not link. A layout that links but cannot be mapped, which a fresh Load
+// rejects too, also reports false and leaves the process unusable.
 func (p *Process) Recycle(cfg Config) bool {
-	if !p.m.Sealed() {
+	pl, err := p.plan(cfg)
+	if err != nil || !p.m.Reset() {
 		return false
 	}
-	old := p.cfg
-	if old.WX != cfg.WX || old.ASLR != cfg.ASLR || old.PIE != cfg.PIE ||
-		old.ASLREntropyPages != cfg.ASLREntropyPages {
-		return false
-	}
-	// Diversity relinks the program; a recycled mapping cannot honor it.
-	if old.LinkOpts.Order != nil || old.LinkOpts.Pad != nil ||
-		cfg.LinkOpts.Order != nil || cfg.LinkOpts.Pad != nil {
-		return false
-	}
-	// With ASLR or PIE the slides are seed-derived, so only the exact same
-	// seed reproduces the mapped layout. Without them the layout is fixed
-	// and any seed works (the canary is reseeded below).
-	if cfg.Seed != old.Seed && (cfg.ASLR || cfg.PIE) {
-		return false
-	}
-	if !p.m.Reset() {
-		return false
-	}
-
 	type stateResetter interface{ ResetState() }
 	p.cpu.(stateResetter).ResetState()
-	p.cpu.SetHooks(cfg.Hooks)
+	p.stdout.Reset()
+	p.shells = nil
+	return p.place(cfg, pl) == nil
+}
 
-	sameSeed := cfg.Seed == old.Seed
+// layoutPlan is everything a configuration's seed and link options decide
+// about a load, computed before the address space is touched.
+type layoutPlan struct {
+	lay        Layout
+	prog, libc *image.Image
+	canary     uint32
+}
+
+// plan replays cfg's seed through layoutFor and links whichever image the
+// layout moves, reusing the current image when its placement and link
+// options are unchanged. It does not touch the address space, so a link
+// error leaves the process as it was.
+func (p *Process) plan(cfg Config) (layoutPlan, error) {
+	pl := layoutPlan{lay: p.lay, canary: p.canary, prog: p.Prog, libc: p.Libc}
+	// The same seed with the same randomized axes replays the same draws,
+	// so the current layout and canary stand; reseeding would cost more
+	// than the rest of a recycle (about 12 µs).
+	if p.rng == nil || cfg.Seed != p.cfg.Seed || cfg.PIE != p.cfg.PIE || cfg.ASLR != p.cfg.ASLR ||
+		cfg.ASLREntropyPages != p.cfg.ASLREntropyPages {
+		if p.rng == nil {
+			p.rng = rand.New(rand.NewSource(cfg.Seed))
+		} else {
+			p.rng.Seed(cfg.Seed)
+		}
+		pl.lay = layoutFor(p.arch, cfg, p.rng)
+		// Canary guard: like glibc, a random value with a zero low byte
+		// (the zero byte terminates accidental string copies; the lab's
+		// length-prefixed overflow is unaffected, which is why canaries
+		// must be checked, not just present). It is drawn after the
+		// layout, from the same stream, and written only if the program
+		// declares a guard.
+		pl.canary = p.rng.Uint32()<<8 | 0
+	}
+	progLayout := image.DefaultProgramLayout(p.arch)
+	progLayout.TextBase += pl.lay.ProgSlide
+	progLayout.RODataBase += pl.lay.ProgSlide
+	progLayout.GOTBase += pl.lay.ProgSlide
+	progLayout.DataBase += pl.lay.ProgSlide
+	progLayout.BSSBase += pl.lay.ProgSlide
+	if pl.prog == nil || pl.prog.Layout != progLayout || !sameLinkOpts(p.cfg.LinkOpts, cfg.LinkOpts) {
+		img, err := image.Link(p.progUnit, progLayout, cfg.LinkOpts)
+		if err != nil {
+			return pl, fmt.Errorf("link program: %w", err)
+		}
+		pl.prog = img
+	}
+	if pl.libc == nil || pl.libc.Layout.TextBase != pl.lay.LibcBase {
+		img, err := image.Link(p.libcUnit, image.LibraryLayout(pl.lay.LibcBase), image.Options{})
+		if err != nil {
+			return pl, fmt.Errorf("link libc: %w", err)
+		}
+		pl.libc = img
+	}
+	for name := range pl.prog.GOT {
+		if _, ok := pl.libc.Lookup(name); !ok {
+			return pl, fmt.Errorf("load: import %q not provided by libc", name)
+		}
+	}
+	return pl, nil
+}
+
+// sameLinkOpts reports whether two link options produce the same program
+// image.
+func sameLinkOpts(a, b image.Options) bool {
+	return (a.Order == nil) == (b.Order == nil) && slices.Equal(a.Order, b.Order) &&
+		slices.Equal(a.Pad, b.Pad)
+}
+
+// place lays the address space out as pl says, from a freshly mapped or
+// freshly reset state: it remaps the images that moved, slides the stack,
+// applies the W⊕X permissions, refills the GOT, seals the canary-free
+// baseline and seeds the canary.
+func (p *Process) place(cfg Config, pl layoutPlan) error {
+	m := p.m
+	remapProg, remapLibc := pl.prog != p.Prog, pl.libc != p.Libc
+	if remapProg && p.Prog != nil {
+		p.Prog.UnmapFrom(m, "")
+	}
+	if remapLibc && p.Libc != nil {
+		p.Libc.UnmapFrom(m, "libc")
+	}
+	if remapProg {
+		if err := pl.prog.MapInto(m, ""); err != nil {
+			return fmt.Errorf("map program: %w", err)
+		}
+	}
+	if remapLibc {
+		if err := pl.libc.MapInto(m, "libc"); err != nil {
+			return fmt.Errorf("map libc: %w", err)
+		}
+	}
+	p.Prog, p.Libc = pl.prog, pl.libc
+
+	if err := m.Move("stack", pl.lay.StackTop-StackSize); err != nil {
+		return fmt.Errorf("map stack: %w", err)
+	}
+	p.lay, p.StackTop = pl.lay, pl.lay.StackTop
+
+	// Without W⊕X the stack and heap are executable, the historical
+	// default the paper's first experiments rely on.
+	m.SetWX(cfg.WX)
+	perm := mem.PermRWX
+	if cfg.WX {
+		perm = mem.PermRW
+	}
+	for _, name := range [...]string{"stack", "heap"} {
+		if err := m.SetPerm(name, perm); err != nil {
+			return err
+		}
+	}
+
+	// GOT population: point every import at its libc definition.
+	if remapProg || remapLibc {
+		for name, got := range p.Prog.GOT {
+			addr, _ := p.Libc.Lookup(name)
+			if f := m.WriteU32(got, addr); f != nil {
+				return fmt.Errorf("load: write got: %w", f)
+			}
+		}
+	}
+
 	p.cfg = cfg
+	p.cpu.SetHooks(cfg.Hooks)
 	p.budget = cfg.InstrBudget
 	if p.budget == 0 {
 		p.budget = DefaultInstrBudget
 	}
-	p.stdout.Reset()
-	p.shells = nil
-	// Re-take the telemetry handle: a recycled daemon may outlive the
+	// Re-take the telemetry handle: a recycled process may outlive the
 	// enablement epoch it was loaded under (Enable doubles as a reset).
 	p.tel = telemetry.Handle()
 
-	if !sameSeed {
-		// Replay the layout draws Load(cfg) would have made before the
-		// canary, so the canary comes from the same point of the stream.
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		_ = layoutFor(p.arch, cfg, rng)
-		p.rng = rng
-		if p.guardAddr != 0 {
-			p.canary = rng.Uint32()<<8 | 0
+	// Seal the canary-free baseline: everything mapped and linked so far is
+	// what Reset restores when the process is recycled. The canary below is
+	// written through the accessors, so a Reset removes it and the next
+	// place reseeds it from the new configuration's stream.
+	m.Seal()
+
+	p.guardAddr, p.canary = 0, 0
+	if guard, ok := p.Prog.Lookup("__stack_chk_guard"); ok {
+		if f := m.WriteU32(guard, pl.canary); f != nil {
+			return fmt.Errorf("load: seed canary: %w", f)
 		}
+		p.guardAddr, p.canary = guard, pl.canary
 	}
-	// With the same seed every draw replays to the value Load produced, so
-	// the recorded canary is rewritten as is — no stream reconstruction.
-	if p.guardAddr != 0 {
-		if f := p.m.WriteU32(p.guardAddr, p.canary); f != nil {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 // Arch returns the process architecture.

@@ -1,121 +1,246 @@
 package kernel
 
 import (
+	"bytes"
 	"testing"
 
+	"connlab/internal/image"
 	"connlab/internal/isa"
+	"connlab/internal/isa/arms"
+	"connlab/internal/isa/x86s"
 )
 
-// TestRecycleMatchesFreshLoad pins the recycle contract: a recycled
-// process must be observationally identical to a fresh Load with the same
-// config — same layout, same canary, same run results, same stdout.
+// recycleUnits returns the hello program extended with a second function
+// (so diversity link options move main) and a stack-protector guard (so
+// the canary draw is exercised), plus libc.
+func recycleUnits(t *testing.T, arch isa.Arch) (prog, libc *image.Unit) {
+	t.Helper()
+	if arch == isa.ArchARMS {
+		prog = buildARMHello(t)
+		prog.AddFuncARM("helper", arms.NewAsm().BX(arms.LR))
+	} else {
+		prog = buildX86Hello(t)
+		prog.AddFuncX86("helper", x86s.NewAsm().Ret())
+	}
+	prog.AddData("__stack_chk_guard", make([]byte, 4))
+	libc, err := image.BuildLibc(arch)
+	if err != nil {
+		t.Fatalf("build libc: %v", err)
+	}
+	return prog, libc
+}
+
+// countHooks is a CFI stand-in that counts the transfers it observes.
+type countHooks struct{ n int }
+
+func (h *countHooks) OnControl(isa.ControlKind, uint32, uint32, uint32) error {
+	h.n++
+	return nil
+}
+
+// TestRecycleMatchesFreshLoad pins the recycle contract: a process
+// recycled from one configuration into another must be observationally
+// identical to a fresh Load of the second — same segments (name, base,
+// permission, every byte), stack top, canary, GOT, run results and
+// stdout — whatever the two configurations' layouts and protections.
 func TestRecycleMatchesFreshLoad(t *testing.T) {
+	diverse := image.Options{Order: []int{1, 0}, Pad: []int{48, 16}}
+	shuffled := image.Options{Order: []int{1, 0}, Pad: []int{0, 224}}
+	cases := []struct {
+		name     string
+		from, to Config
+	}{
+		{"same config", Config{Seed: 1}, Config{Seed: 1}},
+		{"new seed fixed layout", Config{Seed: 1}, Config{Seed: 2}},
+		{"aslr new seed", Config{ASLR: true, Seed: 1}, Config{ASLR: true, Seed: 2}},
+		{"aslr same seed", Config{ASLR: true, Seed: 5}, Config{ASLR: true, Seed: 5}},
+		{"aslr on", Config{Seed: 1}, Config{ASLR: true, Seed: 3}},
+		{"aslr off", Config{ASLR: true, Seed: 3}, Config{Seed: 4}},
+		{"pie on", Config{Seed: 1}, Config{ASLR: true, PIE: true, Seed: 5}},
+		{"pie new seed", Config{ASLR: true, PIE: true, Seed: 5}, Config{ASLR: true, PIE: true, Seed: 6}},
+		{"pie off", Config{ASLR: true, PIE: true, Seed: 5}, Config{Seed: 5}},
+		{"wx on", Config{Seed: 1}, Config{WX: true, Seed: 1}},
+		{"wx off", Config{WX: true, ASLR: true, Seed: 8}, Config{ASLR: true, Seed: 9}},
+		{"entropy changed", Config{ASLR: true, Seed: 7}, Config{ASLR: true, ASLREntropyPages: 64, Seed: 7}},
+		{"diversity on", Config{Seed: 1}, Config{LinkOpts: diverse, Seed: 2}},
+		{"diversity changed", Config{LinkOpts: diverse, Seed: 2}, Config{LinkOpts: shuffled, Seed: 3}},
+		{"diversity off", Config{WX: true, LinkOpts: diverse, Seed: 2}, Config{WX: true, ASLR: true, Seed: 2}},
+		{"cfi hooks on", Config{Seed: 1}, Config{Hooks: &countHooks{}, Seed: 1}},
+		{"cfi hooks off", Config{Hooks: &countHooks{}, Seed: 1}, Config{ASLR: true, PIE: true, Seed: 4}},
+	}
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
 		t.Run(string(arch), func(t *testing.T) {
-			for _, seed := range []int64{1, 2} { // 1 = same-seed fast path, 2 = re-derived layout
-				p := loadHello(t, arch, Config{Seed: 1})
-				if _, err := p.Call("main"); err != nil {
-					t.Fatalf("warmup call: %v", err)
-				}
-				if !p.Recycle(Config{Seed: seed}) {
-					t.Fatalf("Recycle(seed=%d) refused", seed)
-				}
-				fresh := loadHello(t, arch, Config{Seed: seed})
-
-				if p.StackTop != fresh.StackTop {
-					t.Errorf("seed %d: stack top %#x != fresh %#x", seed, p.StackTop, fresh.StackTop)
-				}
-				if p.Libc.Layout.TextBase != fresh.Libc.Layout.TextBase {
-					t.Errorf("seed %d: libc base %#x != fresh %#x",
-						seed, p.Libc.Layout.TextBase, fresh.Libc.Layout.TextBase)
-				}
-				if p.canary != fresh.canary || p.guardAddr != fresh.guardAddr {
-					t.Errorf("seed %d: canary %#x@%#x != fresh %#x@%#x",
-						seed, p.canary, p.guardAddr, fresh.canary, fresh.guardAddr)
-				}
-				if p.guardAddr != 0 {
-					got, f := p.Mem().ReadU32(p.guardAddr)
-					if f != nil || got != fresh.canary {
-						t.Errorf("seed %d: canary in memory = %#x (%v), want %#x", seed, got, f, fresh.canary)
+			prog, libc := recycleUnits(t, arch)
+			for _, c := range cases {
+				t.Run(c.name, func(t *testing.T) {
+					// Every process gets its own hook, so the counts of the
+					// recycled and the fresh process can be compared.
+					from, to, freshCfg := withOwnHooks(c.from), withOwnHooks(c.to), withOwnHooks(c.to)
+					p, err := Load(prog, libc, from)
+					if err != nil {
+						t.Fatalf("load: %v", err)
 					}
-				}
+					if _, err := p.Call("main"); err != nil {
+						t.Fatalf("warmup call: %v", err)
+					}
+					if !p.Recycle(to) {
+						t.Fatal("recycle refused")
+					}
+					// Scribble over the GOT and recycle in place: the
+					// baseline re-sealed for c.to, not the load's, must
+					// come back.
+					for _, slot := range p.Prog.GOT {
+						if f := p.Mem().WriteU32(slot, 0xDEADBEEF); f != nil {
+							t.Fatal(f)
+						}
+					}
+					if !p.Recycle(to) {
+						t.Fatal("same-config recycle refused")
+					}
+					fresh, err := Load(prog, libc, freshCfg)
+					if err != nil {
+						t.Fatalf("fresh load: %v", err)
+					}
+					if p.guardAddr == 0 {
+						t.Error("no canary guard seeded")
+					}
+					compareProcesses(t, p, fresh)
+					if to.Hooks != nil {
+						if got, want := to.Hooks.(*countHooks).n, freshCfg.Hooks.(*countHooks).n; got == 0 || got != want {
+							t.Errorf("hook saw %d transfers, fresh hook %d", got, want)
+						}
+					}
+					if h, ok := from.Hooks.(*countHooks); ok && to.Hooks == nil {
+						if n := h.n; n == 0 {
+							t.Error("warmup hook saw no transfers")
+						} else if _, err := p.Call("main"); err != nil || h.n != n {
+							t.Errorf("removed hook still observes transfers (%d -> %d, %v)", n, h.n, err)
+						}
+					}
 
-				res, err := p.Call("main")
-				if err != nil {
-					t.Fatalf("recycled call: %v", err)
-				}
-				want, err := fresh.Call("main")
-				if err != nil {
-					t.Fatalf("fresh call: %v", err)
-				}
-				if res.Status != want.Status || res.RetVal != want.RetVal {
-					t.Errorf("seed %d: recycled run = %+v, fresh = %+v", seed, res, want)
-				}
-				if p.Stdout() != fresh.Stdout() {
-					t.Errorf("seed %d: recycled stdout %q != fresh %q", seed, p.Stdout(), fresh.Stdout())
-				}
+					// And back: the baseline re-sealed for c.to must rewind
+					// into c.from as cleanly as the load's did.
+					back := withOwnHooks(c.from)
+					if !p.Recycle(back) {
+						t.Fatal("recycle back refused")
+					}
+					fresh, err = Load(prog, libc, withOwnHooks(c.from))
+					if err != nil {
+						t.Fatalf("fresh load: %v", err)
+					}
+					compareProcesses(t, p, fresh)
+				})
 			}
 		})
 	}
 }
 
-// TestRecycleASLRSameSeed: an ASLR process can be recycled only for the
-// same seed (the layout draws are already burned in), and the result must
-// match a fresh ASLR load byte for byte.
+// withOwnHooks gives cfg a new countHooks if it has hooks.
+func withOwnHooks(cfg Config) Config {
+	if cfg.Hooks != nil {
+		cfg.Hooks = &countHooks{}
+	}
+	return cfg
+}
+
+// compareProcesses checks that p is observationally identical to fresh,
+// then runs main on both and compares the results.
+func compareProcesses(t *testing.T, p, fresh *Process) {
+	t.Helper()
+	ps, fs := p.Mem().Segments(), fresh.Mem().Segments()
+	if len(ps) != len(fs) {
+		t.Fatalf("%d segments, fresh has %d", len(ps), len(fs))
+	}
+	for i := range ps {
+		a, b := ps[i], fs[i]
+		if a.Name != b.Name || a.Base != b.Base || a.Perm != b.Perm {
+			t.Errorf("segment %d: %s@%#x %v, fresh %s@%#x %v", i, a.Name, a.Base, a.Perm, b.Name, b.Base, b.Perm)
+		}
+		if !bytes.Equal(a.Data, b.Data) {
+			t.Errorf("segment %s: contents differ from fresh", a.Name)
+		}
+	}
+	if p.Mem().WX() != fresh.Mem().WX() {
+		t.Errorf("W⊕X %v, fresh %v", p.Mem().WX(), fresh.Mem().WX())
+	}
+	if p.StackTop != fresh.StackTop {
+		t.Errorf("stack top %#x, fresh %#x", p.StackTop, fresh.StackTop)
+	}
+	if p.canary != fresh.canary || p.guardAddr != fresh.guardAddr {
+		t.Errorf("canary %#x@%#x, fresh %#x@%#x", p.canary, p.guardAddr, fresh.canary, fresh.guardAddr)
+	}
+	if len(p.Prog.GOT) != len(fresh.Prog.GOT) {
+		t.Errorf("%d GOT slots, fresh %d", len(p.Prog.GOT), len(fresh.Prog.GOT))
+	}
+	for name, slot := range fresh.Prog.GOT {
+		want, _ := fresh.Mem().ReadU32(slot)
+		got, f := p.Mem().ReadU32(p.Prog.GOT[name])
+		if p.Prog.GOT[name] != slot || f != nil || got != want {
+			t.Errorf("GOT %s: %#x@%#x (%v), fresh %#x@%#x", name, got, p.Prog.GOT[name], f, want, slot)
+		}
+	}
+
+	res, err := p.Call("main")
+	if err != nil {
+		t.Fatalf("recycled call: %v", err)
+	}
+	want, err := fresh.Call("main")
+	if err != nil {
+		t.Fatalf("fresh call: %v", err)
+	}
+	if res.Status != StatusReturned || res.Status != want.Status || res.RetVal != want.RetVal ||
+		res.PC != want.PC || res.Instructions != want.Instructions {
+		t.Errorf("recycled run = %+v, fresh = %+v", res, want)
+	}
+	if p.Stdout() != fresh.Stdout() {
+		t.Errorf("recycled stdout %q, fresh %q", p.Stdout(), fresh.Stdout())
+	}
+}
+
+// TestRecycleASLRSameSeed: recycling an ASLR process for its own seed
+// keeps the images it already has, and matches a fresh ASLR load byte for
+// byte.
 func TestRecycleASLRSameSeed(t *testing.T) {
 	cfg := Config{ASLR: true, Seed: 5}
 	p := loadHello(t, isa.ArchX86S, cfg)
 	if _, err := p.Call("main"); err != nil {
 		t.Fatalf("warmup call: %v", err)
 	}
+	prog, libc := p.Prog, p.Libc
 	if !p.Recycle(cfg) {
 		t.Fatal("same-seed ASLR recycle refused")
 	}
-	fresh := loadHello(t, isa.ArchX86S, cfg)
-	if p.Libc.Layout.TextBase != fresh.Libc.Layout.TextBase {
-		t.Errorf("libc base %#x != fresh %#x", p.Libc.Layout.TextBase, fresh.Libc.Layout.TextBase)
+	if p.Prog != prog || p.Libc != libc {
+		t.Error("same-seed recycle relinked an image whose placement did not change")
 	}
-	if p.canary != fresh.canary {
-		t.Errorf("canary %#x != fresh %#x", p.canary, fresh.canary)
-	}
-	res, err := p.Call("main")
-	if err != nil {
-		t.Fatalf("recycled call: %v", err)
-	}
-	if res.Status != StatusReturned {
-		t.Fatalf("recycled ASLR run: %+v", res)
-	}
+	compareProcesses(t, p, loadHello(t, isa.ArchX86S, cfg))
 }
 
-// TestRecycleRefusals: config changes that alter the memory image must
-// force a fresh Load.
+// TestRecycleRefusals: a recycle that cannot reset the address space (a
+// segment mapped since the seal) or cannot link (invalid diversity
+// options) is refused and leaves the process usable.
 func TestRecycleRefusals(t *testing.T) {
-	p := loadHello(t, isa.ArchX86S, Config{Seed: 1})
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"aslr toggled", Config{ASLR: true, Seed: 1}},
-		{"pie toggled", Config{PIE: true, Seed: 1}},
-		{"wx toggled", Config{WX: true, Seed: 1}},
-		{"entropy changed", Config{ASLREntropyPages: 64, Seed: 1}},
+	p := loadHello(t, isa.ArchX86S, Config{ASLR: true, Seed: 1})
+	if _, err := p.Mem().Map("scratch", 0x10000000, Page, 0); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if p.Recycle(c.cfg) {
-			t.Errorf("%s: recycle accepted, want refused", c.name)
-		}
-	}
-	// A refused recycle leaves the process usable.
-	if !p.Recycle(Config{Seed: 1}) {
-		t.Fatal("compatible recycle refused after refusals")
+	if p.Recycle(Config{ASLR: true, Seed: 2}) {
+		t.Fatal("recycle of unsealed memory accepted, want refused")
 	}
 	if res, err := p.Call("main"); err != nil || res.Status != StatusReturned {
-		t.Fatalf("call after refusals: %+v, %v", res, err)
+		t.Fatalf("call after refused recycle: %+v, %v", res, err)
+	}
+	p.Mem().Unmap("scratch")
+
+	if p.Recycle(Config{LinkOpts: image.Options{Order: []int{7}}, Seed: 2}) {
+		t.Fatal("recycle with an invalid permutation accepted, want refused")
+	}
+	if res, err := p.Call("main"); err != nil || res.Status != StatusReturned {
+		t.Fatalf("call after refused recycle: %+v, %v", res, err)
 	}
 
-	// New-seed recycle under ASLR is refused: the old draws are burned in.
-	q := loadHello(t, isa.ArchX86S, Config{ASLR: true, Seed: 1})
-	if q.Recycle(Config{ASLR: true, Seed: 2}) {
-		t.Error("ASLR recycle with a different seed accepted, want refused")
+	if !p.Recycle(Config{ASLR: true, Seed: 2}) {
+		t.Fatal("recycle refused after the extra segment was unmapped")
 	}
+	compareProcesses(t, p, loadHello(t, isa.ArchX86S, Config{ASLR: true, Seed: 2}))
 }

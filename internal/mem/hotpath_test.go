@@ -258,6 +258,76 @@ func TestSealReset(t *testing.T) {
 	}
 }
 
+// TestResealAndMove covers the re-layout path a recycle takes: a Seal
+// after Reset keeps each untouched segment's baseline and folds only the
+// writes since into it, a newly mapped segment gets its own baseline, and
+// Move slides a segment without losing its contents or baseline.
+func TestResealAndMove(t *testing.T) {
+	m := New()
+	got, err := m.Map("got", 0x1000, 0x100, PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Map("stack", 0x8000, 0x1000, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	got.Populate(0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	m.Seal()
+
+	// Re-lay out: rewrite one slot, map a new segment, move the stack,
+	// then re-seal.
+	if !m.Reset() {
+		t.Fatal("Reset failed")
+	}
+	if f := m.WriteU32(0x1004, 0xAABBCCDD); f != nil {
+		t.Fatal(f)
+	}
+	lib, err := m.Map("lib", 0x4000, 0x100, PermRX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib.Populate(0, []byte{0xC3})
+	if err := m.Move("stack", 0x6000); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Move("stack", 0x3F80); err == nil {
+		t.Error("Move onto an overlapping range succeeded")
+	}
+	if err := m.Move("nope", 0x9000); err == nil {
+		t.Error("Move of an unknown segment succeeded")
+	}
+	m.Seal()
+
+	// Scribble everywhere writable and rewind.
+	if err := m.SetPerm("lib", PermRWX); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct{ addr, v uint32 }{{0x1000, 9}, {0x1004, 9}, {0x4000, 9}, {0x6FFC, 9}} {
+		if f := m.WriteU32(w.addr, w.v); f != nil {
+			t.Fatal(f)
+		}
+	}
+	if !m.Reset() {
+		t.Fatal("Reset after re-seal failed")
+	}
+	for _, w := range []struct{ addr, want uint32 }{
+		{0x1000, 0x04030201}, {0x1004, 0xAABBCCDD}, {0x4000, 0xC3}, {0x6FFC, 0},
+	} {
+		if v, f := m.ReadU32(w.addr); f != nil || v != w.want {
+			t.Errorf("after Reset [%#x] = %#x (%v), want %#x", w.addr, v, f, w.want)
+		}
+	}
+	if m.Segment("lib").Perm != PermRX {
+		t.Errorf("lib perm after Reset = %v, want r-x", m.Segment("lib").Perm)
+	}
+	if s := m.Find(0x6000); s == nil || s.Name != "stack" {
+		t.Errorf("moved stack not found at its new base: %v", s)
+	}
+	if s := m.Find(0x8000); s != nil {
+		t.Errorf("old stack range still mapped: %s", s.Name)
+	}
+}
+
 // TestFetch32Truncation pins the arms fetch contract: a word that runs off
 // the end of the segment is short (illegal instruction), not a fault.
 func TestFetch32Truncation(t *testing.T) {

@@ -263,6 +263,36 @@ func (m *Memory) Map(name string, base, size uint32, perm Perm) (*Segment, error
 	return seg, nil
 }
 
+// Move rebases the named segment to base, keeping its contents, its dirty
+// tracking and its sealed baseline (offsets are segment-relative, so none
+// of them changes). The kernel slides a recycled process's stack to its
+// new ASLR position this way instead of mapping, and zero-filling, a fresh
+// megabyte. It fails, leaving the space unchanged, if the segment does not
+// exist or the new range would overlap another segment or wrap.
+func (m *Memory) Move(name string, base uint32) error {
+	s := m.Segment(name)
+	if s == nil {
+		return fmt.Errorf("move: no segment %q", name)
+	}
+	if base == s.Base {
+		return nil
+	}
+	size := s.Size()
+	if base+size < base {
+		return fmt.Errorf("move %s: range %#x+%#x wraps address space", name, base, size)
+	}
+	for _, o := range m.segs {
+		if o != s && base < o.End() && o.Base < base+size {
+			return fmt.Errorf("move %s to %#x+%#x: overlaps segment %s at %#x+%#x",
+				name, base, size, o.Name, o.Base, o.Size())
+		}
+	}
+	s.Base = base
+	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
+	m.gen++
+	return nil
+}
+
 // Unmap removes the named segment. It is a no-op if the segment does not
 // exist.
 func (m *Memory) Unmap(name string) {
@@ -575,23 +605,50 @@ func (m *Memory) ReadCString(addr, max uint32) (string, *Fault) {
 
 // Seal captures the current contents and permissions of every segment as
 // the baseline Reset restores. The kernel seals an address space at the
-// end of a load; campaign fleets and recon probe loops then recycle the
-// space with Reset instead of linking and mapping a fresh one.
-// Seal relies on the dirty tracking to spot still-zero segments: a segment
-// no accessor or Populate call has touched since Map holds exactly the
-// zero fill Map gave it, so the megabyte stack and heap are sealed without
-// being scanned or copied.
+// end of each load or re-layout; campaign fleets and recon probe loops
+// then recycle the space with Reset instead of mapping a fresh one.
+// Seal relies on the dirty tracking instead of scanning: a segment no
+// accessor or Populate call has touched since the last Seal or Reset
+// still equals its previous baseline or, never sealed, the zero fill Map
+// gave it. Only dirty ranges are copied, so the megabyte stack and heap
+// are sealed without being scanned or copied.
 func (m *Memory) Seal() {
-	m.sealed = make([]sealedSeg, len(m.segs))
+	old := m.sealed
+	if !m.sameSegments() {
+		m.sealed = make([]sealedSeg, len(m.segs))
+	}
 	for i, s := range m.segs {
 		ss := sealedSeg{seg: s, perm: s.Perm}
-		if s.dirtyHi > s.dirtyLo {
-			ss.data = make([]byte, len(s.Data))
-			copy(ss.data, s.Data)
+		for _, o := range old {
+			if o.seg == s {
+				ss.data = o.data
+				break
+			}
+		}
+		if lo, hi := s.dirtyLo, s.dirtyHi; hi > lo {
+			if ss.data == nil {
+				ss.data = make([]byte, len(s.Data))
+				lo, hi = 0, s.Size()
+			}
+			copy(ss.data[lo:hi], s.Data[lo:hi])
 		}
 		m.sealed[i] = ss
 		s.clean()
 	}
+}
+
+// sameSegments reports whether the sealed baseline covers exactly the
+// current segments, in order.
+func (m *Memory) sameSegments() bool {
+	if m.sealed == nil || len(m.sealed) != len(m.segs) {
+		return false
+	}
+	for i, ss := range m.sealed {
+		if m.segs[i] != ss.seg {
+			return false
+		}
+	}
+	return true
 }
 
 // Sealed reports whether Seal has captured a baseline.
@@ -610,13 +667,8 @@ func (m *Memory) Sealed() bool { return m.sealed != nil }
 // Segment.Data stores) are invisible to the dirty tracking and survive a
 // Reset; runtime code must not do that (see Segment).
 func (m *Memory) Reset() bool {
-	if m.sealed == nil || len(m.sealed) != len(m.segs) {
+	if !m.sameSegments() {
 		return false
-	}
-	for i, ss := range m.sealed {
-		if m.segs[i] != ss.seg {
-			return false
-		}
 	}
 	for _, ss := range m.sealed {
 		s := ss.seg

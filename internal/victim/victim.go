@@ -329,19 +329,14 @@ func Load(arch isa.Arch, opts BuildOpts, cfg kernel.Config) (*kernel.Process, er
 // the attacker a root shell (RCE).
 type Daemon struct {
 	proc *kernel.Process
-	arch isa.Arch
-	opts BuildOpts
 	cfg  kernel.Config
-	// prog/libc, when set, are the prebuilt units the daemon loads from
-	// (the campaign engine's per-configuration cache).
-	prog, libc *image.Unit
 
 	crashed bool
 	last    kernel.RunResult
 	handled int
 	// parseEntry caches the resolved parse_response entry point for the
-	// current process image: symbol lookup is per-load (PIE moves it), so
-	// Restart resets it. Zero means not yet resolved.
+	// current process image: PIE and diversity move it, so Recycle resets
+	// it. Zero means not yet resolved.
 	parseEntry uint32
 }
 
@@ -351,7 +346,7 @@ func NewDaemon(arch isa.Arch, opts BuildOpts, cfg kernel.Config) (*Daemon, error
 	if err != nil {
 		return nil, err
 	}
-	return &Daemon{proc: proc, arch: arch, opts: opts, cfg: cfg}, nil
+	return &Daemon{proc: proc, cfg: cfg}, nil
 }
 
 // NewDaemonWith loads a daemon from prebuilt program and libc units —
@@ -363,7 +358,7 @@ func NewDaemonWith(prog, libc *image.Unit, cfg kernel.Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Daemon{proc: proc, arch: prog.Arch, cfg: cfg, prog: prog, libc: libc}, nil
+	return &Daemon{proc: proc, cfg: cfg}, nil
 }
 
 // Process exposes the underlying process (for the debugger and tests).
@@ -431,10 +426,11 @@ func (d *Daemon) HandleResponse(pkt []byte) (kernel.RunResult, error) {
 func (d *Daemon) Shells() []kernel.ShellSpawn { return d.proc.Shells() }
 
 // Recycle rewinds the daemon to a freshly started state for cfg without
-// rebuilding or reloading, via kernel.Process.Recycle. It reports false
-// when the existing process cannot reproduce a fresh Load(cfg) (layout
-// config changed, or a new seed while ASLR/PIE is on); callers then build
-// a new daemon instead.
+// rebuilding or reloading, via kernel.Process.Recycle: cfg may change the
+// seed, layout and protections freely, and the result is indistinguishable
+// from a new daemon loaded under cfg from the same units. It reports false
+// only when the process cannot be recycled (see kernel.Process.Recycle);
+// callers then build a new daemon instead.
 func (d *Daemon) Recycle(cfg kernel.Config) bool {
 	if !d.proc.Recycle(cfg) {
 		return false
@@ -443,25 +439,16 @@ func (d *Daemon) Recycle(cfg kernel.Config) bool {
 	d.crashed = false
 	d.last = kernel.RunResult{}
 	d.handled = 0
+	d.parseEntry = 0
 	return true
 }
 
-// Restart replaces the dead process with a fresh load (same config; a new
-// ASLR sample), as an init system respawning the daemon would.
+// Restart brings a dead daemon back as an init system respawning it
+// would: a fresh start under the same config, which — same seed — has
+// the same layout and canary as before.
 func (d *Daemon) Restart() error {
-	var proc *kernel.Process
-	var err error
-	if d.prog != nil && d.libc != nil {
-		proc, err = kernel.Load(d.prog, d.libc, d.cfg)
-	} else {
-		proc, err = Load(d.arch, d.opts, d.cfg)
+	if !d.Recycle(d.cfg) {
+		return fmt.Errorf("victim daemon: restart: process cannot be recycled")
 	}
-	if err != nil {
-		return err
-	}
-	d.proc = proc
-	d.crashed = false
-	d.last = kernel.RunResult{}
-	d.parseEntry = 0
 	return nil
 }

@@ -37,12 +37,10 @@ fuzz:
 	$(GO) test -fuzz FuzzStep -fuzztime $(FUZZTIME) ./internal/isa/arms/
 	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/gadget/
 	$(GO) test -fuzz FuzzZoneTrie -fuzztime $(FUZZTIME) ./internal/dnsserver/
-	$(GO) test -fuzz FuzzLZSSRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/lzss/
-	$(GO) test -fuzz FuzzSnapshotLoad -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/snapshot/
 	$(GO) test -fuzz FuzzScenarioSpec -fuzztime $(FUZZTIME) ./internal/scenario/
 
 # Full benchmark run; writes ns/op and allocs/op per benchmark to
-# BENCH_8.json, then compares against the most recent earlier
+# BENCH_10.json, then compares against the most recent earlier
 # BENCH_*.json and fails on a >10% ns/op regression (see scripts/bench.sh
 # for BENCHTIME/OUT/BASE/COMPARE overrides).
 bench:

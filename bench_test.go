@@ -24,10 +24,8 @@ import (
 	"connlab/internal/isa/arms"
 	"connlab/internal/isa/x86s"
 	"connlab/internal/kernel"
-	"connlab/internal/lzss"
 	"connlab/internal/mem"
 	"connlab/internal/netsim"
-	"connlab/internal/snapshot"
 	"connlab/internal/telemetry"
 	"connlab/internal/victim"
 )
@@ -829,18 +827,14 @@ func BenchmarkVictimBuildLink(b *testing.B) {
 	}
 }
 
-// BenchmarkColdRecon measures what the snapshot store exists to optimize:
-// recon in a fresh process (the global gadget scan cache flushed every
-// iteration, so section indexes cannot be served from memory). "live"
-// probes replicas and rescans sections; "store" rehydrates frame layout,
-// buffer address and gadget indexes from a pre-populated -snapdir.
+// BenchmarkColdRecon measures recon in a fresh process: the global
+// gadget scan cache is flushed every iteration, so section indexes
+// cannot be served from memory and every replica is probed live.
 func BenchmarkColdRecon(b *testing.B) {
 	cfg := kernel.Config{WX: true, ASLR: true, Seed: 1001}
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
 		b.Run(string(arch)+"/live", func(b *testing.B) {
-			gadget.SetSnapshotStore(nil)
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				gadget.FlushScanCache()
 				if _, err := exploit.Recon(arch, victim.BuildOpts{}, cfg); err != nil {
@@ -848,76 +842,5 @@ func BenchmarkColdRecon(b *testing.B) {
 				}
 			}
 		})
-		b.Run(string(arch)+"/store", func(b *testing.B) {
-			store, err := snapshot.Open(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			gadget.SetSnapshotStore(store)
-			defer gadget.SetSnapshotStore(nil)
-			gadget.FlushScanCache()
-			// Populate: one cold pass writes every snapshot warm passes read.
-			if _, err := exploit.ReconWithStore(arch, victim.BuildOpts{}, cfg, store); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				gadget.FlushScanCache()
-				if _, err := exploit.ReconWithStore(arch, victim.BuildOpts{}, cfg, store); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
-}
-
-// lzssCorpus concatenates the linked victim image's sections — the bytes
-// the snapshot store actually compresses (machine code, rodata, memstr
-// tables), not synthetic noise.
-func lzssCorpus(b *testing.B) []byte {
-	b.Helper()
-	var buf []byte
-	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
-		tgt, err := exploit.Recon(arch, victim.BuildOpts{}, kernel.Config{Seed: 1001})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sec := range tgt.Img.Sections {
-			buf = append(buf, sec.Data...)
-		}
-	}
-	return buf
-}
-
-// BenchmarkLZSS measures the codec on representative store payloads:
-// encode and decode throughput (MB/s via B.SetBytes) plus the achieved
-// ratio as a custom metric.
-func BenchmarkLZSS(b *testing.B) {
-	src := lzssCorpus(b)
-	comp, err := lzss.Compress(nil, src, lzss.DefaultWindowBits, lzss.DefaultLookaheadBits)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("encode", func(b *testing.B) {
-		b.SetBytes(int64(len(src)))
-		b.ReportMetric(float64(len(src))/float64(len(comp)), "ratio")
-		for i := 0; i < b.N; i++ {
-			if _, err := lzss.Compress(nil, src, lzss.DefaultWindowBits, lzss.DefaultLookaheadBits); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.SetBytes(int64(len(src)))
-		for i := 0; i < b.N; i++ {
-			out, err := lzss.Decompress(nil, comp, len(src))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(out) != len(src) {
-				b.Fatalf("decode length %d != %d", len(out), len(src))
-			}
-		}
-	})
 }

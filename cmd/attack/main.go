@@ -16,11 +16,9 @@ import (
 
 	"connlab/internal/core"
 	"connlab/internal/exploit"
-	"connlab/internal/gadget"
 	"connlab/internal/isa"
 	"connlab/internal/obs"
 	"connlab/internal/scenario"
-	"connlab/internal/snapshot"
 	"connlab/internal/telemetry"
 	"connlab/internal/victim"
 )
@@ -48,15 +46,12 @@ func run(args []string, stdout io.Writer) (err error) {
 	variant := fs.String("variant", "connman", "victim variant: connman or dnsmasq")
 	seed := fs.Int64("seed", 2002, "target machine seed")
 	scenarioFlag := fs.String("scenario", "", "run a declarative scenario (embedded `name` or .scn file) instead of one attack")
-	snapdir := fs.String("snapdir", "", "recon snapshot store `dir` (content-addressed, verified on load; empty = off)")
-	gadgetCache := fs.Int("gadget-cache", 0, "gadget scan-cache LRU capacity (0 = default)")
 	tf := telemetry.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	gadget.SetScanCacheCap(*gadgetCache)
 
 	// Telemetry must be live before the lab is built: instrumented
 	// components take their metric handles at construction.
@@ -77,14 +72,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	lab := core.NewLab()
 	lab.TargetSeed = *seed
-	if *snapdir != "" {
-		snaps, err := snapshot.Open(*snapdir)
-		if err != nil {
-			return err
-		}
-		gadget.SetSnapshotStore(snaps)
-		lab.Snapshots = snaps
-	}
 	lab.Build.Patched = *patched
 	switch *variant {
 	case "connman":

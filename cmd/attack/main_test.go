@@ -23,6 +23,22 @@ func TestRunCodeInjection(t *testing.T) {
 	}
 }
 
+// TestRunGolden: the W⊕X+ASLR ROP transcript on ARM stays byte-identical
+// to the recorded one (scripts/check.sh compares the CLI output too).
+func TestRunGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "arms_rop-memcpy_wx_aslr.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-arch", "arms", "-kind", "rop-memcpy", "-wx", "-aslr"}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("transcript differs from golden:\n got: %q\nwant: %q", out.String(), want)
+	}
+}
+
 // TestRunAuto: -auto picks a working strategy for the posture.
 func TestRunAuto(t *testing.T) {
 	var out bytes.Buffer

@@ -27,11 +27,9 @@ import (
 
 	"connlab/internal/campaign"
 	"connlab/internal/exploit"
-	"connlab/internal/gadget"
 	"connlab/internal/isa"
 	"connlab/internal/obs"
 	"connlab/internal/scenario"
-	"connlab/internal/snapshot"
 	"connlab/internal/telemetry"
 	"connlab/internal/victim"
 )
@@ -63,8 +61,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	patched := fs.Bool("patched", false, "deploy the patched (1.35) firmware fleet-wide")
 	variant := fs.String("variant", "connman", "victim variant: connman or dnsmasq")
 	scenarioFlag := fs.String("scenario", "", "run a declarative scenario (embedded `name` or .scn file) instead of a preset")
-	snapdir := fs.String("snapdir", "", "recon snapshot store `dir` (content-addressed, verified on load; empty = off)")
-	gadgetCache := fs.Int("gadget-cache", 0, "gadget scan-cache LRU capacity (0 = default)")
 	canonical := fs.Bool("canonical", false, "print the byte-stable canonical report (no timings)")
 	jsonOut := fs.String("json", "", "write the full report (config included) as JSON to `file` (- for stdout)")
 	tf := telemetry.AddFlags(fs)
@@ -89,7 +85,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	gadget.SetScanCacheCap(*gadgetCache)
 	arch := isa.Arch(*archFlag)
 	if arch != isa.ArchX86S && arch != isa.ArchARMS {
 		return fmt.Errorf("unknown arch %q", *archFlag)
@@ -163,16 +158,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}
 
-	var snaps *snapshot.Store
-	if *snapdir != "" {
-		if snaps, err = snapshot.Open(*snapdir); err != nil {
-			return err
-		}
-		gadget.SetSnapshotStore(snaps)
-	}
-	eng := campaign.New(campaign.Config{
-		Workers: *workers, RootSeed: *rootSeed, ReconSeed: *reconSeed, Snapshots: snaps,
-	})
+	eng := campaign.New(campaign.Config{Workers: *workers, RootSeed: *rootSeed, ReconSeed: *reconSeed})
 	rep, err := eng.Run(scenarios)
 	if rep != nil {
 		if *canonical {

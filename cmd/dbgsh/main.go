@@ -24,13 +24,7 @@
 //	dbgsh telemetry metrics.json
 //	dbgsh telemetry -watch 127.0.0.1:8089 [-interval 1s] [-n 10]
 //
-// A second subcommand inspects a recon snapshot store written by the
-// other tools' -snapdir flag — listing entries with sizes and
-// compression ratios, verifying payload hashes, pruning stale versions:
-//
-//	dbgsh snap [-verify] [-prune] /path/to/snapdir
-//
-// A third subcommand inspects declarative scenario programs — listing
+// A second subcommand inspects declarative scenario programs — listing
 // the embedded specs, validating a spec file, and dumping the compiled
 // build options, corruption geometry and protection matrix:
 //
@@ -65,13 +59,6 @@ import (
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "telemetry" {
 		if err := telemetryCmd(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "dbgsh:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "snap" {
-		if err := snapCmd(os.Args[2:], os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "dbgsh:", err)
 			os.Exit(1)
 		}

@@ -13,10 +13,8 @@ import (
 	"os"
 
 	"connlab/internal/core"
-	"connlab/internal/gadget"
 	"connlab/internal/obs"
 	"connlab/internal/scenario"
-	"connlab/internal/snapshot"
 	"connlab/internal/telemetry"
 )
 
@@ -35,8 +33,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	targetSeed := fs.Int64("target-seed", 2002, "target machine seed")
 	workers := fs.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
 	scenarioFlag := fs.String("scenario", "", "run a declarative scenario (embedded `name` or .scn file) instead of a paper experiment")
-	snapdir := fs.String("snapdir", "", "recon snapshot store `dir` (content-addressed, verified on load; empty = off)")
-	gadgetCache := fs.Int("gadget-cache", 0, "gadget scan-cache LRU capacity (0 = default)")
 	tf := telemetry.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,19 +57,10 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}()
 
-	gadget.SetScanCacheCap(*gadgetCache)
 	lab := core.NewLab()
 	lab.ReconSeed = *reconSeed
 	lab.TargetSeed = *targetSeed
 	lab.Workers = *workers
-	if *snapdir != "" {
-		snaps, serr := snapshot.Open(*snapdir)
-		if serr != nil {
-			return serr
-		}
-		gadget.SetSnapshotStore(snaps)
-		lab.Snapshots = snaps
-	}
 
 	if *scenarioFlag != "" {
 		rep, rerr := lab.RunScenario(*scenarioFlag, scenario.CompileOpts{})

@@ -17,42 +17,43 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"connlab/internal/core"
 	"connlab/internal/exploit"
-	"connlab/internal/gadget"
 	"connlab/internal/isa"
 	"connlab/internal/obs"
 	"connlab/internal/scenario"
-	"connlab/internal/snapshot"
 	"connlab/internal/telemetry"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "pineapple:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
-	archFlag := flag.String("arch", "arms", "victim architecture: x86s or arms")
-	kindFlag := flag.String("kind", "rop-memcpy", "exploit kind")
-	wx := flag.Bool("wx", true, "enable W⊕X on the device")
-	aslr := flag.Bool("aslr", true, "enable ASLR on the device")
-	legit := flag.Int("legit-signal", 50, "legitimate AP signal strength")
-	rogue := flag.Int("rogue-signal", 90, "pineapple signal strength")
-	stations := flag.Int("stations", 0, "population size; >0 runs the scale scenario in one shared world")
-	shards := flag.Int("shards", 1, "netsim shard count (scale scenario only)")
-	lookups := flag.Int("lookups", 2, "attack-phase lookups per station (scale scenario only)")
-	victimEvery := flag.Int("victim-every", 0, "every k-th station is a full victim device (scale scenario only)")
-	verbose := flag.Bool("v", false, "print the network event log")
-	scenarioFlag := flag.String("scenario", "", "run a declarative scenario (embedded `name` or .scn file) through the rogue AP")
-	snapdir := flag.String("snapdir", "", "recon snapshot store `dir` (content-addressed, verified on load; empty = off)")
-	gadgetCache := flag.Int("gadget-cache", 0, "gadget scan-cache LRU capacity (0 = default)")
-	tf := telemetry.AddFlags(flag.CommandLine)
-	flag.Parse()
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("pineapple", flag.ContinueOnError)
+	fs.SetOutput(stdout)
+	archFlag := fs.String("arch", "arms", "victim architecture: x86s or arms")
+	kindFlag := fs.String("kind", "rop-memcpy", "exploit kind")
+	wx := fs.Bool("wx", true, "enable W⊕X on the device")
+	aslr := fs.Bool("aslr", true, "enable ASLR on the device")
+	legit := fs.Int("legit-signal", 50, "legitimate AP signal strength")
+	rogue := fs.Int("rogue-signal", 90, "pineapple signal strength")
+	stations := fs.Int("stations", 0, "population size; >0 runs the scale scenario in one shared world")
+	shards := fs.Int("shards", 1, "netsim shard count (scale scenario only)")
+	lookups := fs.Int("lookups", 2, "attack-phase lookups per station (scale scenario only)")
+	victimEvery := fs.Int("victim-every", 0, "every k-th station is a full victim device (scale scenario only)")
+	verbose := fs.Bool("v", false, "print the network event log")
+	scenarioFlag := fs.String("scenario", "", "run a declarative scenario (embedded `name` or .scn file) through the rogue AP")
+	tf := telemetry.AddFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// Telemetry must be live before the lab is built: instrumented
 	// components take their metric handles at construction.
@@ -71,28 +72,19 @@ func run() (err error) {
 		}
 	}()
 
-	gadget.SetScanCacheCap(*gadgetCache)
 	lab := core.NewLab()
-	if *snapdir != "" {
-		snaps, err := snapshot.Open(*snapdir)
-		if err != nil {
-			return err
-		}
-		gadget.SetSnapshotStore(snaps)
-		lab.Snapshots = snaps
-	}
 	if *scenarioFlag != "" {
 		// Every compiled cell delivers through the per-device rogue-AP
 		// world instead of handing the packet straight to the daemon.
 		rep, rerr := lab.RunScenario(*scenarioFlag, scenario.CompileOpts{Pineapple: true})
 		if rep != nil {
-			fmt.Print(rep.Canonical())
-			fmt.Printf("lookups hijacked: %d\n", rep.Hijacked)
+			fmt.Fprint(stdout, rep.Canonical())
+			fmt.Fprintf(stdout, "lookups hijacked: %d\n", rep.Hijacked)
 		}
 		if rerr != nil {
 			return rerr
 		}
-		fmt.Println("all device outcomes within spec predicates")
+		fmt.Fprintln(stdout, "all device outcomes within spec predicates")
 		return nil
 	}
 	if *stations > 0 {
@@ -109,13 +101,13 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		fmt.Print(rep.Transcript())
+		fmt.Fprint(stdout, rep.Transcript())
 		perSec := float64(rep.Delivered) / (float64(rep.WallNs) / 1e9)
-		fmt.Printf("wall: %.3fs (%.0f datagrams/sec)\n", float64(rep.WallNs)/1e9, perSec)
+		fmt.Fprintf(stdout, "wall: %.3fs (%.0f datagrams/sec)\n", float64(rep.WallNs)/1e9, perSec)
 		if *verbose {
-			fmt.Println("--- network events ---")
+			fmt.Fprintln(stdout, "--- network events ---")
 			for _, e := range rep.Events {
-				fmt.Println(" ", e)
+				fmt.Fprintln(stdout, " ", e)
 			}
 		}
 		return nil
@@ -130,15 +122,15 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("baseline lookup worked: %v\n", rep.BaselineWorked)
-	fmt.Printf("re-associated to rogue: %v\n", rep.Reassociated)
-	fmt.Printf("victim resolver:        %s\n", rep.VictimDNS)
-	fmt.Printf("lookups hijacked:       %d\n", rep.Hijacked)
-	fmt.Printf("device outcome:         %s (%s)\n", rep.Outcome, rep.Detail)
+	fmt.Fprintf(stdout, "baseline lookup worked: %v\n", rep.BaselineWorked)
+	fmt.Fprintf(stdout, "re-associated to rogue: %v\n", rep.Reassociated)
+	fmt.Fprintf(stdout, "victim resolver:        %s\n", rep.VictimDNS)
+	fmt.Fprintf(stdout, "lookups hijacked:       %d\n", rep.Hijacked)
+	fmt.Fprintf(stdout, "device outcome:         %s (%s)\n", rep.Outcome, rep.Detail)
 	if *verbose {
-		fmt.Println("--- network events ---")
+		fmt.Fprintln(stdout, "--- network events ---")
 		for _, e := range rep.Events {
-			fmt.Println(" ", e)
+			fmt.Fprintln(stdout, " ", e)
 		}
 	}
 	return nil

@@ -1,0 +1,31 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestRunScaleSmoke: a small shared world where every 20th station is a
+// full victim. The rogue AP must hijack the attack-phase lookups and
+// both victims must end in a shell; the wall-clock line is timing and
+// is not checked.
+func TestRunScaleSmoke(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-stations", "40", "-victim-every", "20"}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	s := out.String()
+	for _, want := range []string{"attack: hijacked=78 ", "victims: shells=2 "} {
+		if !strings.Contains(s, want) {
+			t.Errorf("transcript lacks %q:\n%s", want, s)
+		}
+	}
+}
+
+// TestRunBadFlag: an unknown flag is an error, not an exit.
+func TestRunBadFlag(t *testing.T) {
+	if err := run([]string{"-no-such-flag"}, &bytes.Buffer{}); err == nil {
+		t.Fatal("unknown flag accepted")
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"connlab/internal/image"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
-	"connlab/internal/snapshot"
 	"connlab/internal/telemetry"
 	"connlab/internal/victim"
 )
@@ -90,12 +89,6 @@ type Config struct {
 	RootSeed int64
 	// ReconSeed seeds the attacker's replica (0 = DefaultReconSeed).
 	ReconSeed int64
-	// Snapshots, when non-nil, is an on-disk store consulted before the
-	// emulation-heavy recon probes and populated after live ones. It
-	// never changes results — every entry is byte-verified on load and
-	// cross-checked against live-sampled addresses — so it is excluded
-	// from the serialized report config.
-	Snapshots *snapshot.Store `json:"-"`
 }
 
 // Engine fans campaign scenarios across a worker pool, sharing
@@ -214,7 +207,7 @@ func (e *Engine) recon(s Scenario) (*exploit.Target, error) {
 	k := e.reconKeyFor(s)
 	return e.recons.Get(k, func() (*exploit.Target, error) {
 		defer e.timeStage(&e.nsRecon)()
-		return exploit.ReconWithStore(k.arch, k.build, kernel.Config{WX: k.wx, ASLR: k.aslr, Seed: k.seed}, e.cfg.Snapshots)
+		return exploit.Recon(k.arch, k.build, kernel.Config{WX: k.wx, ASLR: k.aslr, Seed: k.seed})
 	})
 }
 

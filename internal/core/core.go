@@ -17,7 +17,6 @@ import (
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
-	"connlab/internal/snapshot"
 	"connlab/internal/telemetry"
 	"connlab/internal/victim"
 )
@@ -82,10 +81,6 @@ type Lab struct {
 	// 0 means GOMAXPROCS. The count never changes results, only wall
 	// clock.
 	Workers int
-	// Snapshots, when non-nil, lets recon rehydrate verified probe
-	// results from disk instead of re-crashing replicas. Never changes
-	// results, only cold-start cost.
-	Snapshots *snapshot.Store
 
 	reconBuild *victim.BuildOpts
 
@@ -127,7 +122,6 @@ func (l *Lab) engine() *campaign.Engine {
 		Workers:   l.Workers,
 		RootSeed:  l.TargetSeed,
 		ReconSeed: l.ReconSeed,
-		Snapshots: l.Snapshots,
 	}
 	if l.eng == nil || l.engCfg != cfg {
 		l.eng = campaign.New(cfg)

@@ -110,8 +110,8 @@ type scanKey struct {
 
 // DefaultScanCacheCap bounds the shared section-scan cache. Diversified
 // build sweeps see thousands of distinct section contents; beyond the
-// cap the least-recently-used index is dropped (and rebuilt — or
-// rehydrated from the snapshot store — on next sight).
+// cap the least-recently-used index is dropped (and rebuilt on next
+// sight).
 const DefaultScanCacheCap = 4096
 
 // scanEntry pairs a cache key with its index for LRU bookkeeping.
@@ -129,9 +129,9 @@ var (
 	scanBuilds, scanHits atomic.Uint64
 )
 
-// SetScanCacheCap changes the scan-cache bound, evicting immediately if
+// setScanCacheCap changes the scan-cache bound, evicting immediately if
 // the cache is over the new cap. Non-positive restores the default.
-func SetScanCacheCap(n int) {
+func setScanCacheCap(n int) {
 	if n <= 0 {
 		n = DefaultScanCacheCap
 	}
@@ -191,7 +191,9 @@ func sectionIndex(arch isa.Arch, sec image.Section) *secIndex {
 		return el.Value.(scanEntry).idx
 	}
 	scanMu.Unlock()
-	idx := loadOrBuildSecIndex(arch, sec)
+	idx := buildSecIndex(arch, sec)
+	scanBuilds.Add(1)
+	telemetry.Inc(telemetry.CtrGadgetScanBuild)
 	scanMu.Lock()
 	if el, ok := scanCache[key]; ok {
 		idx = el.Value.(scanEntry).idx
@@ -202,25 +204,6 @@ func sectionIndex(arch isa.Arch, sec image.Section) *secIndex {
 		evictOverCapLocked()
 	}
 	scanMu.Unlock()
-	return idx
-}
-
-// loadOrBuildSecIndex rehydrates a section index from the snapshot
-// store when one is configured and holds a verified entry, and scans
-// the section live otherwise (persisting the result for next time).
-func loadOrBuildSecIndex(arch isa.Arch, sec image.Section) *secIndex {
-	s := snapStore.Load()
-	if s != nil {
-		if idx, err := loadSecIndex(s, arch, sec); err == nil {
-			return idx
-		}
-	}
-	idx := buildSecIndex(arch, sec)
-	scanBuilds.Add(1)
-	telemetry.Inc(telemetry.CtrGadgetScanBuild)
-	if s != nil {
-		saveSecIndex(s, arch, sec, idx)
-	}
 	return idx
 }
 

@@ -110,6 +110,10 @@ func TestSnapshotV1BackCompat(t *testing.T) {
 	if got := snap.Counters["emu_runs"]; got != 4 {
 		t.Errorf("v1 emu_runs = %d, want 4", got)
 	}
+	// Counters retired since v1 still decode: old files keep loading.
+	if _, ok := snap.Counters["snap_hit"]; !ok {
+		t.Error("v1 retired counter snap_hit was dropped on decode")
+	}
 	h, ok := snap.Histograms["emu_run_instructions"]
 	if !ok || h.Count != 5 {
 		t.Errorf("v1 emu_run_instructions = %+v (present=%v), want count 5", h, ok)

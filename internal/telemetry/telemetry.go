@@ -107,14 +107,6 @@ const (
 	// of the determinism contract.
 	CtrGadgetScanInsert
 	CtrGadgetScanEvict
-	// Snapshot store: recon artifacts rehydrated from disk, store lookups
-	// that fell through to live recon, compressed bytes written, and
-	// entries rejected by hash/version/truncation verification. All
-	// topology diagnostics — the store's presence never changes verdicts.
-	CtrSnapHit
-	CtrSnapMiss
-	CtrSnapStoreBytes
-	CtrSnapVerifyFail
 	// Scenario compiler: declarative specs compiled into campaign
 	// scenario lists, and compilations served from the per-process cache.
 	// Topology diagnostics — compilation happens outside the per-device
@@ -143,7 +135,6 @@ var counterNames = [numCounters]string{
 	"net_cross_shard", "net_epochs", "net_epoch_stalls",
 	"dns_resolved", "dns_hijacked",
 	"gadget_scan_entries", "gadget_scan_evict",
-	"snap_hit", "snap_miss", "snap_store_bytes", "snap_verify_fail",
 	"scenario_compile", "scenario_cache_hit",
 }
 

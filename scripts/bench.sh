@@ -16,7 +16,8 @@
 # After writing OUT the script compares against the most recent other
 # BENCH_*.json (or an explicit BASE=file): it prints a per-benchmark
 # ns/op delta table and exits non-zero if any benchmark regressed more
-# than 10%. COMPARE=0 skips the comparison.
+# than 10%. Benchmarks only in the baseline are listed as removed (not a
+# failure). COMPARE=0 skips the comparison.
 #
 #   BENCHTIME=5s OUT=/tmp/bench.json sh scripts/bench.sh
 #   BASE=BENCH_2.json sh scripts/bench.sh
@@ -88,7 +89,7 @@ function parse(line, f,   name, ns) {
     if (line !~ /"ns_per_op"/) return
     name = line; sub(/^[ \t]*"/, "", name); sub(/".*/, "", name)
     ns = line; sub(/.*"ns_per_op": /, "", ns); sub(/[,}].*/, "", ns)
-    if (f == 1) { base_ns[name] = ns + 0 }
+    if (f == 1) { if (!(name in base_ns)) base_order[m++] = name; base_ns[name] = ns + 0 }
     else if (!(name in cur_ns)) { cur_ns[name] = ns + 0; order[n++] = name }
 }
 NR == FNR { parse($0, 1); next }
@@ -105,6 +106,11 @@ END {
         d = 100 * (cur_ns[name] - base_ns[name]) / base_ns[name]
         printf "  %-45s %12.0f %12.0f %+7.1f%%\n", name, base_ns[name], cur_ns[name], d
         if (d > worst) { worst = d; worstname = name }
+    }
+    for (i = 0; i < m; i++) {
+        name = base_order[i]
+        if (!(name in cur_ns))
+            printf "  %-45s %12.0f %12s %8s\n", name, base_ns[name], "-", "removed"
     }
     if (worst > fail) {
         printf "FAIL: %s regressed %.1f%% (limit %d%%)\n", worstname, worst, fail

@@ -673,7 +673,7 @@ func BenchmarkLabelEncode(b *testing.B) {
 	}
 }
 
-// --- sharded netsim + zone-trie benchmarks ---
+// --- netsim + zone-trie benchmarks ---
 
 // benchPumpStation re-sends its ping to the sink until its round budget
 // is spent, so one Run call drives the whole population through every
@@ -699,18 +699,13 @@ func (st *benchPumpStation) onReply(netsim.Datagram) {
 
 // BenchmarkNetsimPump measures shared-world delivery throughput: every
 // station ping-pongs with a central sink for a fixed number of rounds
-// per op. Shard-count variants run the identical workload (transcripts
-// are byte-equal by the determinism contract), so the ratio between
-// them is purely pump overhead. datagrams/sec is the headline metric;
-// on a single-core host the sharded variants measure coordination
-// overhead, not parallel speedup.
+// per op. datagrams/sec is the headline metric.
 func BenchmarkNetsimPump(b *testing.B) {
-	for _, cfg := range []struct{ stations, shards, rounds int }{
-		{10000, 1, 2}, {10000, 4, 2}, {100000, 1, 1}, {100000, 8, 1},
+	for _, cfg := range []struct{ stations, rounds int }{
+		{10000, 2}, {100000, 1},
 	} {
-		name := fmt.Sprintf("st%d-shards%d", cfg.stations, cfg.shards)
-		b.Run(name, func(b *testing.B) {
-			n := netsim.NewSharded(cfg.shards)
+		b.Run(fmt.Sprintf("st%d", cfg.stations), func(b *testing.B) {
+			n := netsim.New()
 			sinkHost, err := n.AddHost("sink", netsim.IP{10, 0, 0, 1})
 			if err != nil {
 				b.Fatal(err)

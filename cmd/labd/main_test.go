@@ -138,7 +138,7 @@ func TestServeWhileRunning(t *testing.T) {
 }
 
 // TestTraceLanes runs an 8-worker Pineapple fleet and checks the Chrome
-// trace shows distinct per-worker stage lanes and netsim shard lanes,
+// trace shows distinct per-worker stage lanes and a netsim epoch lane,
 // all keyed by attempt IDs.
 func TestTraceLanes(t *testing.T) {
 	t.Cleanup(telemetry.Disable)
@@ -170,7 +170,7 @@ waitDone:
 		t.Fatal(err)
 	}
 	stageTids := map[float64]bool{}  // pid 1: campaign workers
-	netsimTids := map[float64]bool{} // pid 3: netsim shards
+	netsimTids := map[float64]bool{} // pid 3: netsim epochs
 	attempts := map[string]bool{}
 	for _, ev := range trace {
 		if ev["ph"] != "X" {
@@ -201,7 +201,7 @@ waitDone:
 		t.Errorf("want multiple worker lanes, got tids %v", stageTids)
 	}
 	if len(netsimTids) == 0 {
-		t.Error("no netsim shard lanes in trace")
+		t.Error("no netsim epoch lane in trace")
 	}
 	// 16 devices → 16 distinct splitmix64 attempt IDs.
 	if len(attempts) < 16 {

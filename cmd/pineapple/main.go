@@ -8,10 +8,10 @@
 //	pineapple -arch arms -kind rop-memcpy -wx -aslr -v
 //
 // With -stations N it switches to the population-scale variant: one
-// shared sharded world where a single rogue AP out-shouts the home
-// router for the entire station fleet at once:
+// shared world where a single rogue AP out-shouts the home router for
+// the entire station fleet at once:
 //
-//	pineapple -stations 100000 -shards 8 -victim-every 25000
+//	pineapple -stations 100000 -victim-every 25000
 package main
 
 import (
@@ -45,7 +45,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	legit := fs.Int("legit-signal", 50, "legitimate AP signal strength")
 	rogue := fs.Int("rogue-signal", 90, "pineapple signal strength")
 	stations := fs.Int("stations", 0, "population size; >0 runs the scale scenario in one shared world")
-	shards := fs.Int("shards", 1, "netsim shard count (scale scenario only)")
 	lookups := fs.Int("lookups", 2, "attack-phase lookups per station (scale scenario only)")
 	victimEvery := fs.Int("victim-every", 0, "every k-th station is a full victim device (scale scenario only)")
 	verbose := fs.Bool("v", false, "print the network event log")
@@ -93,7 +92,6 @@ func run(args []string, stdout io.Writer) (err error) {
 			Kind:        exploit.Kind(*kindFlag),
 			Protection:  core.Protection{WX: *wx, ASLR: *aslr},
 			Stations:    *stations,
-			Shards:      *shards,
 			Lookups:     *lookups,
 			VictimEvery: *victimEvery,
 			Verbose:     *verbose,

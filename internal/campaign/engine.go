@@ -512,7 +512,7 @@ func (e *Engine) runDevice(s Scenario, si, di, worker int) (r DeviceResult) {
 	// The splitmix64-derived device seed doubles as the attempt ID that
 	// correlates this trial's spans, events and kernel accounting across
 	// every layer — campaign worker, exploit stages, emulated kernel,
-	// netsim shards.
+	// netsim epochs.
 	attempt := uint64(seed)
 	patched := s.PatchedEvery > 0 && di%s.PatchedEvery == 0
 	r = DeviceResult{

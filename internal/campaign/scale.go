@@ -19,10 +19,6 @@ import (
 // and the rest are lightweight clients that self-clock their lookups
 // and verify the answers, generating the "heavy traffic from millions
 // of users" the roadmap's north star asks the simulator to serve.
-//
-// The world runs on the sharded netsim: the report is byte-identical
-// at any shard count (scale_test pins shards=1,2,8), so shard count is
-// purely a throughput knob.
 
 var scaleRoguePool = netsim.IP{172, 17, 0, 0}
 
@@ -35,8 +31,6 @@ var scaleLegitPool = netsim.IP{10, 1, 0, 0}
 type ScaleConfig struct {
 	// Stations is the population size (light clients + victims).
 	Stations int
-	// Shards is the netsim shard count (1 = sequential pump).
-	Shards int
 	// Lookups is how many DNS lookups each light station performs
 	// during the attack phase (the baseline phase always does one).
 	Lookups int
@@ -57,9 +51,6 @@ func (c *ScaleConfig) normalize() {
 	if c.Stations < 1 {
 		c.Stations = 1
 	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
 	if c.Lookups < 1 {
 		c.Lookups = 1
 	}
@@ -70,8 +61,8 @@ func (c *ScaleConfig) normalize() {
 
 // ScaleReport aggregates one population-scale run. Every field except
 // WallNs is a deterministic function of the configuration and seeds —
-// independent of shard count and of wall-clock — and Transcript
-// renders exactly those fields.
+// independent of wall-clock — and Transcript renders exactly those
+// fields.
 type ScaleReport struct {
 	Stations int
 	Victims  int
@@ -110,8 +101,7 @@ type ScaleReport struct {
 }
 
 // Transcript renders the deterministic portion of the report; runs of
-// the same configuration must produce identical transcripts at any
-// shard count.
+// the same configuration must produce identical transcripts.
 func (r *ScaleReport) Transcript() string {
 	return fmt.Sprintf(
 		"pineapple-scale stations=%d victims=%d lookups=%d\n"+
@@ -197,7 +187,7 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 		return nil, fmt.Errorf("payload: %w", err)
 	}
 
-	world := netsim.NewSharded(cfg.Shards)
+	world := netsim.New()
 	world.Verbose = cfg.Verbose
 	// The shared world serves the whole population; its epoch spans are
 	// tagged with the engine's root seed rather than any one device.

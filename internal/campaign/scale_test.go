@@ -1,6 +1,10 @@
 package campaign
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,54 +19,41 @@ func scaleScenario() Scenario {
 	}
 }
 
-// TestPineappleScaleDeterministicAcrossShards is the golden
-// shard-count test of the PR: the same population-scale Pineapple
-// scenario at shards=1,2,8 must produce byte-identical transcripts —
-// and, Verbose, byte-identical netsim event logs.
-func TestPineappleScaleDeterministicAcrossShards(t *testing.T) {
-	cfg := ScaleConfig{
+// TestPineappleScaleGolden pins the population-scale Pineapple
+// scenario: the 300-station Verbose run's transcript and a digest of
+// its netsim event log must match testdata/scale300.golden.
+func TestPineappleScaleGolden(t *testing.T) {
+	e := New(Config{Workers: 1})
+	rep, err := e.RunPineappleScale(ScaleConfig{
 		Stations:    300,
 		Lookups:     2,
 		VictimEvery: 100, // stations 0, 100, 200 are full devices
 		Scenario:    scaleScenario(),
 		Verbose:     true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(shards int) *ScaleReport {
-		e := New(Config{Workers: 1})
-		c := cfg
-		c.Shards = shards
-		rep, err := e.RunPineappleScale(c)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return rep
+	if rep.Victims != 3 {
+		t.Fatalf("victims = %d, want 3", rep.Victims)
 	}
-	want := run(1)
-	if want.Victims != 3 {
-		t.Fatalf("victims = %d, want 3", want.Victims)
+	if rep.Shells+rep.Crashes == 0 {
+		t.Fatalf("attack had no effect on any victim:\n%s", rep.Transcript())
 	}
-	if want.Shells+want.Crashes == 0 {
-		t.Fatalf("attack had no effect on any victim:\n%s", want.Transcript())
+	if rep.BaselineOK == 0 || rep.AttackTainted == 0 || rep.Hijacked == 0 {
+		t.Fatalf("degenerate run:\n%s", rep.Transcript())
 	}
-	if want.BaselineOK == 0 || want.AttackTainted == 0 || want.Hijacked == 0 {
-		t.Fatalf("degenerate run:\n%s", want.Transcript())
+	if rep.BaselineTainted != 0 {
+		t.Fatalf("legit resolver handed out wrong answers:\n%s", rep.Transcript())
 	}
-	if want.BaselineTainted != 0 {
-		t.Fatalf("legit resolver handed out wrong answers:\n%s", want.Transcript())
+	sum := sha256.Sum256([]byte(strings.Join(rep.Events, "\n")))
+	got := rep.Transcript() + fmt.Sprintf("events=%d sha256=%x\n", len(rep.Events), sum)
+	want, err := os.ReadFile(filepath.Join("testdata", "scale300.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, shards := range []int{2, 8} {
-		got := run(shards)
-		if got.Transcript() != want.Transcript() {
-			t.Errorf("shards=%d transcript diverged:\n got:\n%s\nwant:\n%s", shards, got.Transcript(), want.Transcript())
-		}
-		if len(got.Events) != len(want.Events) {
-			t.Fatalf("shards=%d: %d events, want %d", shards, len(got.Events), len(want.Events))
-		}
-		for i := range got.Events {
-			if got.Events[i] != want.Events[i] {
-				t.Fatalf("shards=%d: event %d:\n got %q\nwant %q", shards, i, got.Events[i], want.Events[i])
-			}
-		}
+	if got != string(want) {
+		t.Errorf("scale transcript diverged from golden:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -74,7 +65,6 @@ func TestPineappleScaleBaselineVsAttack(t *testing.T) {
 	e := New(Config{Workers: 1})
 	cfg := ScaleConfig{
 		Stations:    120,
-		Shards:      4,
 		Lookups:     3,
 		VictimEvery: 60,
 		Scenario:    scaleScenario(),
@@ -113,7 +103,6 @@ func TestPineappleScaleNoVictims(t *testing.T) {
 	e := New(Config{Workers: 1})
 	rep, err := e.RunPineappleScale(ScaleConfig{
 		Stations: 50,
-		Shards:   2,
 		Scenario: scaleScenario(),
 	})
 	if err != nil {

@@ -55,14 +55,14 @@ var (
 )
 
 // PineappleScaleConfig parameterizes the population-scale variant of
-// the remote scenario: one shared sharded world serving an entire
+// the remote scenario: one shared world serving an entire
 // station fleet instead of one toy world per device.
 type PineappleScaleConfig struct {
 	Arch       isa.Arch
 	Kind       exploit.Kind
 	Protection Protection
-	// Stations is the population size; Shards the netsim shard count.
-	Stations, Shards int
+	// Stations is the population size.
+	Stations int
 	// Lookups is the per-station attack-phase lookup count.
 	Lookups int
 	// VictimEvery makes every k-th station a full victim device
@@ -73,12 +73,10 @@ type PineappleScaleConfig struct {
 }
 
 // RunPineappleScale runs the §III-D scenario against a whole station
-// population in one shared world (see campaign.RunPineappleScale). The
-// report's Transcript is byte-identical at any shard count.
+// population in one shared world (see campaign.RunPineappleScale).
 func (l *Lab) RunPineappleScale(cfg PineappleScaleConfig) (*campaign.ScaleReport, error) {
 	return l.engine().RunPineappleScale(campaign.ScaleConfig{
 		Stations:    cfg.Stations,
-		Shards:      cfg.Shards,
 		Lookups:     cfg.Lookups,
 		VictimEvery: cfg.VictimEvery,
 		MaxVictims:  cfg.MaxVictims,

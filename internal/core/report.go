@@ -164,28 +164,25 @@ func (l *Lab) reportE9() (string, error) {
 }
 
 // reportE9Scale runs the population-scale Pineapple scenario: one
-// shared sharded world serving the whole station fleet. Wall-clock and
+// shared world serving the whole station fleet. Wall-clock and
 // datagrams/sec are host-dependent; every other column is
-// deterministic and shard-count independent.
+// deterministic.
 func (l *Lab) reportE9Scale() (string, error) {
 	var sb strings.Builder
-	sb.WriteString(header("E9-scale: population-scale Pineapple — one shared world, sharded netsim"))
-	fmt.Fprintf(&sb, "  %-9s %-7s %-8s %-9s %-9s %-8s %-11s %-9s\n",
-		"stations", "shards", "victims", "hijacked", "shells", "epochs", "delivered", "dgrams/s")
-	for _, row := range []struct{ stations, shards int }{
-		{1000, 1}, {10000, 4}, {100000, 8},
-	} {
+	sb.WriteString(header("E9-scale: population-scale Pineapple — one shared world"))
+	fmt.Fprintf(&sb, "  %-9s %-8s %-9s %-9s %-8s %-11s %-9s\n",
+		"stations", "victims", "hijacked", "shells", "epochs", "delivered", "dgrams/s")
+	for _, stations := range []int{1000, 10000, 100000} {
 		rep, err := l.RunPineappleScale(PineappleScaleConfig{
 			Arch: isa.ArchX86S, Kind: exploit.KindCodeInjection,
-			Stations: row.stations, Shards: row.shards,
-			Lookups: 2, VictimEvery: row.stations / 4,
+			Stations: stations, Lookups: 2, VictimEvery: stations / 4,
 		})
 		if err != nil {
 			return "", err
 		}
 		perSec := float64(rep.Delivered) / (float64(rep.WallNs) / 1e9)
-		fmt.Fprintf(&sb, "  %-9d %-7d %-8d %-9d %-9d %-8d %-11d %-9.0f\n",
-			rep.Stations, row.shards, rep.Victims, rep.Hijacked, rep.Shells,
+		fmt.Fprintf(&sb, "  %-9d %-8d %-9d %-9d %-8d %-11d %-9.0f\n",
+			rep.Stations, rep.Victims, rep.Hijacked, rep.Shells,
 			rep.Epochs, rep.Delivered, perSec)
 	}
 	return sb.String(), nil

@@ -8,13 +8,8 @@
 // AP clones the trusted SSID at a stronger signal; the victim station
 // re-associates; the rogue DHCP hands it a resolver the attacker runs.
 //
-// Delivery is deterministic. A network built with New (one shard) pumps
-// a single FIFO on the calling goroutine, exactly as every recorded
-// experiment expects. A network built with NewSharded(k) partitions its
-// hosts across k worker-owned regions and delivers in bulk-synchronous
-// epochs (see shard.go); the observable event order is byte-identical
-// to the single-shard FIFO for any k, so shard count is a pure
-// throughput knob, never a semantic one.
+// Delivery is deterministic: Run and Step pump a single FIFO on the
+// calling goroutine, exactly as every recorded experiment expects.
 package netsim
 
 import (
@@ -52,8 +47,7 @@ type Datagram struct {
 }
 
 // Handler consumes a datagram delivered to a socket. It runs synchronously
-// inside Network.Run, on the goroutine that owns the receiving host's
-// shard.
+// inside Network.Run or Network.Step, on the calling goroutine.
 //
 // The payload-recycling contract: the payload buffer is recycled the
 // moment the handler returns. Handlers that retain payload bytes —
@@ -62,11 +56,6 @@ type Datagram struct {
 // buffer with 0xAA bytes, so a handler that breaks the contract sees
 // its retained alias turn to garbage instead of silently reading
 // whatever datagram reused the buffer next.
-//
-// On a sharded network a handler may only send from sockets whose host
-// lives on the same shard as the receiving host (in practice: its own
-// host's sockets). Association, binds and topology changes belong
-// outside Run.
 type Handler func(dg Datagram)
 
 // UDPSocket is a bound port on a host.
@@ -81,15 +70,8 @@ type UDPSocket struct {
 // buffer, so the caller's slice is free for reuse immediately.
 func (s *UDPSocket) SendTo(dst Addr, payload []byte) {
 	n := s.host.net
-	src := Addr{IP: s.host.IP, Port: s.port}
-	if n.inEpoch {
-		sh := n.shards[s.host.shard]
-		p := append(sh.getBuf(len(payload)), payload...)
-		sh.emit(Datagram{Src: src, Dst: dst, Payload: p})
-		return
-	}
-	p := append(n.shards[0].getBuf(len(payload)), payload...)
-	n.enqueue(Datagram{Src: src, Dst: dst, Payload: p}, -1)
+	p := append(n.getBuf(len(payload)), payload...)
+	n.enqueue(Datagram{Src: Addr{IP: s.host.IP, Port: s.port}, Dst: dst, Payload: p})
 }
 
 // Recv pops one queued datagram for sockets without a handler.
@@ -116,9 +98,6 @@ type Host struct {
 	sockets map[uint16]*UDPSocket
 	station *Station
 
-	// shard is the worker-owned region this host belongs to (always 0
-	// on single-shard networks), fixed at AddHost time.
-	shard int
 	// ephemeral is the next-port cursor for BindEphemeral: instead of
 	// re-probing from the bottom of the range on every bind (O(n²) over
 	// n sockets), each bind starts where the previous one left off.
@@ -196,30 +175,29 @@ type Station struct {
 	AP        *AccessPoint
 }
 
-// qitem is one queued datagram plus the shard that sent it (-1 when the
-// send happened outside an epoch), which is all the cross-shard
-// accounting needs: delivery order is the queue position itself.
-type qitem struct {
-	dg  Datagram
-	src int
-}
-
 // Network is the simulated world.
 type Network struct {
-	hosts   map[string]*Host
-	aps     []*AccessPoint
-	byIP    map[IP]*Host
-	hostSeq int
+	hosts map[string]*Host
+	aps   []*AccessPoint
+	byIP  map[IP]*Host
 
 	// pending is the delivery queue; head indexes the next undelivered
 	// item so popping never reslices-and-reallocs the way queue[1:] +
 	// append churn did.
-	pending []qitem
+	pending []Datagram
 	head    int
 
-	shards  []*shard
-	inEpoch bool
-	epochs  int
+	// free is the payload buffer free-list SendTo draws from and
+	// delivery refills once a handler returns.
+	free [][]byte
+
+	// Epoch accounting: the current BFS generation opened at genStart
+	// with genSize datagrams, genLeft of them still undelivered. It
+	// lives here rather than in Run so any mix of Step and budgeted Run
+	// calls closes exactly the generations one unbounded Run does.
+	genLeft, genSize int
+	genStart         int64
+	epochs           int
 
 	// Delivered counts datagrams handed to sockets, for reporting.
 	Delivered int
@@ -228,12 +206,6 @@ type Network struct {
 	// Log collects human-readable events when Verbose is set.
 	Verbose bool
 	Events  []string
-
-	// evSlots is the rank-indexed event staging area for parallel
-	// epochs: each delivery writes its line into its own slot, the
-	// barrier appends them in rank order, and the transcript comes out
-	// byte-identical to the sequential pump.
-	evSlots []string
 
 	// tel is the network's telemetry shard (nil while disabled), taken at
 	// construction like every instrumented component.
@@ -246,41 +218,25 @@ type Network struct {
 	attempt uint64
 }
 
-// New returns an empty single-shard network: the exact deterministic
-// FIFO every recorded experiment was captured against.
-func New() *Network { return NewSharded(1) }
-
-// NewSharded returns an empty network whose hosts are partitioned
-// across nShards worker-owned regions (clamped to at least 1). Run
-// pumps the shards in parallel epochs; the observable event order is
-// identical to New() regardless of nShards.
-func NewSharded(nShards int) *Network {
-	if nShards < 1 {
-		nShards = 1
+// New returns an empty network.
+func New() *Network {
+	return &Network{
+		hosts: make(map[string]*Host),
+		byIP:  make(map[IP]*Host),
+		tel:   telemetry.Handle(),
 	}
-	n := &Network{
-		hosts:  make(map[string]*Host),
-		byIP:   make(map[IP]*Host),
-		shards: make([]*shard, nShards),
-		tel:    telemetry.Handle(),
-	}
-	for i := range n.shards {
-		n.shards[i] = &shard{id: i}
-	}
-	return n
 }
-
-// Shards reports the shard count the network was built with.
-func (n *Network) Shards() int { return len(n.shards) }
 
 // SetAttempt tags subsequent epoch spans with the campaign attempt ID
 // (the per-device splitmix64 seed) so netsim trace lanes correlate with
 // the campaign stage spans of the attempt that drove the traffic.
 func (n *Network) SetAttempt(id uint64) { n.attempt = id }
 
-// Epochs reports how many delivery generations Run has completed. The
-// count depends only on the traffic pattern — one epoch per BFS
-// generation of the datagram lineage tree — never on the shard count.
+// Epochs reports how many delivery generations have completed. A
+// generation is everything queued when its first datagram is delivered,
+// so the count depends only on the traffic pattern — one epoch per BFS
+// generation of the datagram lineage tree — never on how the pump was
+// split into Step and Run calls.
 func (n *Network) Epochs() int { return n.epochs }
 
 func (n *Network) logf(format string, args ...any) {
@@ -290,8 +246,6 @@ func (n *Network) logf(format string, args ...any) {
 }
 
 // AddHost creates a host; ip may be zero for DHCP-configured hosts.
-// Hosts are assigned to shards round-robin in creation order, so the
-// partition is a pure function of the build sequence.
 func (n *Network) AddHost(name string, ip IP) (*Host, error) {
 	if _, dup := n.hosts[name]; dup {
 		return nil, fmt.Errorf("netsim: duplicate host %q", name)
@@ -301,9 +255,7 @@ func (n *Network) AddHost(name string, ip IP) (*Host, error) {
 		net:     n,
 		IP:      ip,
 		sockets: make(map[uint16]*UDPSocket),
-		shard:   n.hostSeq % len(n.shards),
 	}
-	n.hostSeq++
 	n.hosts[name] = h
 	if !ip.IsZero() {
 		if _, taken := n.byIP[ip]; taken {
@@ -346,10 +298,13 @@ var ErrNoAP = errors.New("netsim: no access point with preferred SSID in range")
 // behaviour the Pineapple abuses: "The Wi-Fi Pineapple is able to
 // broadcast a stronger signal than the legitimate access point, causing
 // our targeted machine to switch its connection") and then runs the DHCP
-// exchange, reconfiguring the host's address, gateway and DNS.
+// exchange, reconfiguring the host's address, gateway and DNS. A lease
+// that collides with an address in use fails before anything changes:
+// the station stays on its old AP at its old, still-routable address.
 func (s *Station) Associate() (*AccessPoint, error) {
+	n := s.host.net
 	var best *AccessPoint
-	for _, ap := range s.host.net.Scan() {
+	for _, ap := range n.Scan() {
 		if ap.SSID == s.Preferred {
 			best = ap
 			break
@@ -361,42 +316,68 @@ func (s *Station) Associate() (*AccessPoint, error) {
 	if s.AP == best {
 		return best, nil
 	}
-	if s.AP != nil {
-		delete(s.AP.clients, s)
-	}
-	s.AP = best
-	best.clients[s] = true
-	s.host.net.logf("%s associated to %q (ap %s, signal %d)",
-		s.host.Name, best.SSID, best.Name, best.Signal)
 
 	// DHCP: DISCOVER/OFFER/REQUEST/ACK collapsed into the lease grant.
 	// The lease counter carries across the last three octets so one AP
 	// can serve far more than the 255 clients a single octet holds; for
 	// pools that never overflow octet 3 the addresses are identical to
 	// the historical single-octet arithmetic.
-	old := s.host.IP
-	best.nextLease++
 	lease := best.PoolBase
 	v := uint32(lease[1])<<16 | uint32(lease[2])<<8 | uint32(lease[3])
-	v += best.nextLease
+	v += best.nextLease + 1
 	lease[1], lease[2], lease[3] = byte(v>>16), byte(v>>8), byte(v)
-	if !old.IsZero() {
-		delete(s.host.net.byIP, old)
-	}
-	if _, taken := s.host.net.byIP[lease]; taken {
+	if owner, taken := n.byIP[lease]; taken && owner != s.host {
 		return nil, fmt.Errorf("netsim: dhcp pool collision at %s", lease)
+	}
+
+	if s.AP != nil {
+		delete(s.AP.clients, s)
+	}
+	s.AP = best
+	best.clients[s] = true
+	n.logf("%s associated to %q (ap %s, signal %d)",
+		s.host.Name, best.SSID, best.Name, best.Signal)
+
+	best.nextLease++
+	if !s.host.IP.IsZero() {
+		delete(n.byIP, s.host.IP)
 	}
 	s.host.IP = lease
 	s.host.Gateway = best.Gateway
 	s.host.DNS = best.DNS
-	s.host.net.byIP[lease] = s.host
-	s.host.net.logf("%s dhcp lease %s gw %s dns %s", s.host.Name, lease, best.Gateway, best.DNS)
+	n.byIP[lease] = s.host
+	n.logf("%s dhcp lease %s gw %s dns %s", s.host.Name, lease, best.Gateway, best.DNS)
 	return best, nil
 }
 
+// getBuf pops a recycled payload buffer with at least the given
+// capacity from the free-list, or returns a fresh one.
+func (n *Network) getBuf(size int) []byte {
+	for i := len(n.free) - 1; i >= 0; i-- {
+		if b := n.free[i]; cap(b) >= size {
+			n.free[i] = n.free[len(n.free)-1]
+			n.free = n.free[:len(n.free)-1]
+			return b[:0]
+		}
+	}
+	return make([]byte, 0, size)
+}
+
+// putBuf recycles a payload buffer (bounded so a burst of giants does
+// not pin memory forever). Under -tags netsimdebug the buffer is
+// poisoned first, so handler code that retained an alias reads 0xAA
+// instead of the next datagram that reuses the backing array.
+func (n *Network) putBuf(b []byte) {
+	poisonBuf(b)
+	if cap(b) == 0 || len(n.free) >= 64 {
+		return
+	}
+	n.free = append(n.free, b[:0])
+}
+
 // enqueue appends to the delivery queue, sampling the depth it grew to.
-func (n *Network) enqueue(dg Datagram, src int) {
-	n.pending = append(n.pending, qitem{dg: dg, src: src})
+func (n *Network) enqueue(dg Datagram) {
+	n.pending = append(n.pending, dg)
 	if n.tel != nil {
 		n.tel.Inc(telemetry.CtrNetEnqueued)
 		n.tel.Observe(telemetry.HistNetQueueDepth, uint64(len(n.pending)-n.head))
@@ -404,47 +385,75 @@ func (n *Network) enqueue(dg Datagram, src int) {
 }
 
 // Step delivers one queued datagram on the calling goroutine, in exact
-// legacy FIFO order. It reports false when the queue is empty.
+// FIFO order. It reports false when the queue is empty.
 func (n *Network) Step() bool {
 	if n.head >= len(n.pending) {
 		return false
 	}
-	it := n.pending[n.head]
-	n.pending[n.head] = qitem{}
+	n.step(telemetry.Enabled())
+	return true
+}
+
+// Run pumps the queue until empty or maxSteps deliveries and reports
+// how many it made.
+func (n *Network) Run(maxSteps int) int {
+	spanOn := telemetry.Enabled()
+	steps := 0
+	for steps < maxSteps && n.head < len(n.pending) {
+		n.step(spanOn)
+		steps++
+	}
+	return steps
+}
+
+// step delivers the queue head. The first delivery of a generation
+// opens it over everything queued at that moment; the last closes it as
+// one epoch, timed into a netsim-track span when spans are on.
+func (n *Network) step(spanOn bool) {
+	if n.genLeft == 0 {
+		n.genLeft = n.Pending()
+		n.genSize = n.genLeft
+		if spanOn {
+			n.genStart = telemetry.SpanNow()
+		}
+	}
+	dg := n.pending[n.head]
+	n.pending[n.head] = Datagram{}
 	n.head++
 	if n.head == len(n.pending) {
 		n.pending = n.pending[:0]
 		n.head = 0
 	}
-	n.deliverSeq(it.dg)
-	return true
+	n.deliver(dg)
+	n.genLeft--
+	if n.genLeft > 0 {
+		return
+	}
+	if spanOn {
+		telemetry.RecordSpan(telemetry.Span{
+			Track: telemetry.TrackNetsim, Scenario: "netsim", Stage: "epoch",
+			Attempt: n.attempt, Start: n.genStart,
+			Dur: telemetry.SpanNow() - n.genStart, Instr: uint64(n.genSize),
+		})
+	}
+	n.epochs++
+	if n.tel != nil {
+		n.tel.Inc(telemetry.CtrNetEpochs)
+		n.tel.Observe(telemetry.HistNetEpochBatch, uint64(n.genSize))
+	}
 }
 
-// deliverSeq routes one datagram sequentially: byIP, then the port map,
-// then the handler, recycling the payload when the handler returns.
-func (n *Network) deliverSeq(dg Datagram) {
+// deliver routes one datagram: byIP, then the port map, then the
+// handler, recycling the payload when the handler returns.
+func (n *Network) deliver(dg Datagram) {
 	host, ok := n.byIP[dg.Dst.IP]
 	if !ok {
-		n.Dropped++
-		if n.tel != nil {
-			n.tel.Inc(telemetry.CtrNetDropped)
-		}
-		if n.Verbose {
-			n.Events = append(n.Events, dropEvent(dg, "no route"))
-		}
-		n.shards[0].putBuf(dg.Payload)
+		n.drop(dg, "no route")
 		return
 	}
 	sock, ok := host.sockets[dg.Dst.Port]
 	if !ok {
-		n.Dropped++
-		if n.tel != nil {
-			n.tel.Inc(telemetry.CtrNetDropped)
-		}
-		if n.Verbose {
-			n.Events = append(n.Events, dropEvent(dg, "port closed"))
-		}
-		n.shards[0].putBuf(dg.Payload)
+		n.drop(dg, "port closed")
 		return
 	}
 	n.Delivered++
@@ -457,7 +466,7 @@ func (n *Network) deliverSeq(dg Datagram) {
 	if sock.handler != nil {
 		sock.handler(dg)
 		// The handler contract says payloads do not outlive the call.
-		n.shards[0].putBuf(dg.Payload)
+		n.putBuf(dg.Payload)
 	} else {
 		// Handler-less sockets retain the datagram until Recv; those
 		// buffers stay owned by the receiver and are never recycled.
@@ -465,60 +474,43 @@ func (n *Network) deliverSeq(dg Datagram) {
 	}
 }
 
-// Run pumps the queue until empty or maxSteps deliveries. Multi-shard
-// networks deliver whole generations in parallel epochs (shard.go);
-// single-shard networks pump sequentially. Either way the event order,
-// counters and queue-depth samples are identical.
-func (n *Network) Run(maxSteps int) int {
-	if len(n.shards) == 1 {
-		return n.runSeq(maxSteps)
-	}
-	return n.runEpochs(maxSteps)
-}
-
-// runSeq is the single-shard pump: the legacy FIFO loop plus epoch
-// accounting at each BFS generation boundary, so Epochs() and the
-// epoch-batch histogram agree with the parallel engine sample for
-// sample.
-func (n *Network) runSeq(maxSteps int) int {
-	steps := 0
-	gen := n.Pending()
-	genSize := gen
-	spanOn := telemetry.Enabled()
-	var s0 int64
-	if spanOn {
-		s0 = telemetry.SpanNow()
-	}
-	for steps < maxSteps && n.Step() {
-		steps++
-		gen--
-		if gen == 0 {
-			if spanOn {
-				now := telemetry.SpanNow()
-				telemetry.RecordSpan(telemetry.Span{
-					Track: telemetry.TrackNetsim, Scenario: "netsim", Stage: "epoch",
-					Worker: 0, Attempt: n.attempt,
-					Start: s0, Dur: now - s0, Instr: uint64(genSize),
-				})
-				s0 = now
-			}
-			n.noteEpoch(genSize)
-			gen = n.Pending()
-			genSize = gen
-		}
-	}
-	return steps
-}
-
-// noteEpoch records one completed delivery generation of the given
-// batch size.
-func (n *Network) noteEpoch(batch int) {
-	n.epochs++
+// drop counts and logs an undeliverable datagram and recycles its
+// payload.
+func (n *Network) drop(dg Datagram, why string) {
+	n.Dropped++
 	if n.tel != nil {
-		n.tel.Inc(telemetry.CtrNetEpochs)
-		n.tel.Observe(telemetry.HistNetEpochBatch, uint64(batch))
+		n.tel.Inc(telemetry.CtrNetDropped)
 	}
+	if n.Verbose {
+		n.Events = append(n.Events, dropEvent(dg, why))
+	}
+	n.putBuf(dg.Payload)
 }
 
 // Pending returns the number of queued datagrams.
 func (n *Network) Pending() int { return len(n.pending) - n.head }
+
+// deliverEvent and dropEvent format the transcript lines.
+func deliverEvent(dg Datagram) string {
+	return "deliver " + dg.Src.String() + " -> " + dg.Dst.String() + " (" + itoa(len(dg.Payload)) + " bytes)"
+}
+
+func dropEvent(dg Datagram, why string) string {
+	return "drop " + dg.Src.String() + " -> " + dg.Dst.String() + " (" + itoa(len(dg.Payload)) + " bytes): " + why
+}
+
+// itoa is a tiny strconv.Itoa for the event formatters (non-negative
+// operands only), keeping them free of fmt's interface boxing.
+func itoa(v int) string {
+	if v == 0 {
+		return "0"
+	}
+	var buf [20]byte
+	i := len(buf)
+	for v > 0 {
+		i--
+		buf[i] = byte('0' + v%10)
+		v /= 10
+	}
+	return string(buf[i:])
+}

@@ -41,24 +41,3 @@ func TestPoisonCatchesRetainedAlias(t *testing.T) {
 		t.Fatal("impossible")
 	}
 }
-
-// TestPoisonSharded: the shard-local pools poison too.
-func TestPoisonSharded(t *testing.T) {
-	n := NewSharded(4)
-	a, _ := n.AddHost("a", IP{10, 0, 0, 1})
-	b, _ := n.AddHost("b", IP{10, 0, 0, 2})
-	var retained []byte
-	if _, err := b.Bind(7, func(dg Datagram) {
-		retained = dg.Payload
-	}); err != nil {
-		t.Fatal(err)
-	}
-	src, _ := a.Bind(9, nil)
-	src.SendTo(Addr{IP: IP{10, 0, 0, 2}, Port: 7}, []byte("xyzzy"))
-	n.Run(10)
-	for i, c := range retained {
-		if c != PoisonByte {
-			t.Fatalf("byte %d = %#x, want poison", i, c)
-		}
-	}
-}

@@ -16,7 +16,7 @@
 //	              ?since=, ?once=1)
 //	/spans        SSE stream of stage/epoch spans as they land
 //	/trace        Chrome trace_event download of the span ring, with
-//	              per-worker and per-shard lanes keyed by attempt ID
+//	              per-worker and netsim epoch lanes keyed by attempt ID
 //	/debug/pprof  the standard pprof family
 //
 // The surface is strictly read-only over telemetry state and is off by

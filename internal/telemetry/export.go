@@ -226,7 +226,7 @@ type traceEvent struct {
 // WriteChromeTrace renders stage spans and control-transfer events as a
 // Chrome trace_event JSON array. Campaign stage spans become duration
 // ("X") events on pid 1 with one lane per worker; netsim epoch spans
-// (Track == TrackNetsim) land on pid 3 with one lane per shard; control
+// (Track == TrackNetsim) land on pid 3 with one lane per Worker; control
 // events become instant ("i") events on pid 2 with the emulated
 // instruction count as the timestamp, so the gadget chain reads left to
 // right in execution order. Spans carry their attempt ID (the per-device

@@ -111,8 +111,10 @@ func TestSnapshotV1BackCompat(t *testing.T) {
 		t.Errorf("v1 emu_runs = %d, want 4", got)
 	}
 	// Counters retired since v1 still decode: old files keep loading.
-	if _, ok := snap.Counters["snap_hit"]; !ok {
-		t.Error("v1 retired counter snap_hit was dropped on decode")
+	for _, retired := range []string{"snap_hit", "net_cross_shard"} {
+		if _, ok := snap.Counters[retired]; !ok {
+			t.Errorf("v1 retired counter %s was dropped on decode", retired)
+		}
 	}
 	h, ok := snap.Histograms["emu_run_instructions"]
 	if !ok || h.Count != 5 {
@@ -161,7 +163,7 @@ func TestWriteChromeTrace(t *testing.T) {
 				}
 			case float64(3):
 				if ev["tid"] != float64(5) {
-					t.Errorf("netsim span tid = %v, want shard 5", ev["tid"])
+					t.Errorf("netsim span tid = %v, want worker 5", ev["tid"])
 				}
 			default:
 				t.Errorf("span on unexpected pid %v", ev["pid"])
@@ -178,7 +180,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Errorf("trace has %d duration / %d instant events, want 2/2:\n%s", durs, instants, buf.String())
 	}
 	if threadNames != 2 {
-		t.Errorf("trace has %d thread_name lanes, want 2 (worker 2, shard 5)", threadNames)
+		t.Errorf("trace has %d thread_name lanes, want 2 (worker 2, netsim worker 5)", threadNames)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // first Enable), so spans from different workers share a timeline.
 // Attempt is the splitmix64-derived per-device seed, threaded from the
 // campaign worker through the exploit stages, the kernel and the netsim
-// shards so one attempt's spans correlate across layers. Track names
+// epochs so one attempt's spans correlate across layers. Track names
 // the producing subsystem ("" = campaign stage, TrackNetsim = netsim
 // epoch) and selects the trace lane group on export.
 type Span struct {
@@ -27,8 +27,7 @@ type Span struct {
 }
 
 // TrackNetsim marks spans recorded by the network simulator: one span
-// per delivery epoch, Worker carrying the shard id (0 when sequential)
-// and Instr the epoch's batch size.
+// per delivery epoch, Worker 0 and Instr the epoch's batch size.
 const TrackNetsim = "netsim"
 
 // spanRingCap bounds the span ring: a 64-device × 12-scenario sweep at

@@ -87,15 +87,9 @@ const (
 	CtrNetEnqueued
 	CtrNetDelivered
 	CtrNetDropped
-	// Sharded netsim: datagrams that crossed a shard boundary, delivery
-	// epochs completed, and shard-epoch pairs that sat idle for want of
-	// work. Cross-shard and stall counts depend on the host→shard
-	// partition — a topology knob — and are excluded from the
-	// shard-count determinism contract; epochs are BFS generations of
-	// the traffic and identical at any shard count.
-	CtrNetCrossShard
+	// Delivery epochs completed: BFS generations of the traffic, part of
+	// the determinism contract.
 	CtrNetEpochs
-	CtrNetEpochStalls
 	// DNS plane: lookups the legitimate resolver answered, and lookups
 	// the attacker's MITM hijacked with a crafted response.
 	CtrDNSResolved
@@ -132,7 +126,7 @@ var counterNames = [numCounters]string{
 	"pool_recycle", "pool_fresh",
 	"emu_runs", "emu_instructions", "emu_faults",
 	"net_enqueued", "net_delivered", "net_dropped",
-	"net_cross_shard", "net_epochs", "net_epoch_stalls",
+	"net_epochs",
 	"dns_resolved", "dns_hijacked",
 	"gadget_scan_entries", "gadget_scan_evict",
 	"scenario_compile", "scenario_cache_hit",

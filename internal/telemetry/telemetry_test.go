@@ -4,8 +4,9 @@ import (
 	"testing"
 )
 
-// TestCounterMergeAcrossShards: increments spread over many handles sum
-// to the same totals at snapshot time — sharding is invisible to readers.
+// TestCounterMergeAcrossShards checks that increments spread over many
+// metric handles sum to the same totals at snapshot time — the handle
+// pool is invisible to readers.
 func TestCounterMergeAcrossShards(t *testing.T) {
 	Enable()
 	t.Cleanup(Disable)

@@ -18,7 +18,7 @@ go build ./...
 go test ./...
 go test -race ./internal/telemetry/... ./internal/campaign/... ./internal/core/... \
     ./internal/netsim/... ./internal/dnsserver/...
-# The sharded netsim with the recycled-buffer poison armed: handlers
+# The netsim with the recycled-buffer poison armed: handlers
 # that retain payload aliases fail deterministically under this tag.
 go test -tags netsimdebug ./internal/netsim/
 # The differential lockstep harness under the race detector: block

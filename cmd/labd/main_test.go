@@ -81,16 +81,19 @@ func TestServeWhileRunning(t *testing.T) {
 		"-repeat", "0", "-max-runtime", "60s",
 	}, stop)
 
-	// The campaign loop is live; poll until telemetry shows movement.
+	// The campaign loop is live; poll until telemetry shows movement and
+	// a stage span has landed (recon alone moves connlab_emu_runs before
+	// any span is recorded).
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		body := get(t, base+"/metrics")
 		if strings.Contains(body, "# TYPE connlab_emu_runs counter") &&
-			!strings.Contains(body, "connlab_emu_runs 0\n") {
+			!strings.Contains(body, "connlab_emu_runs 0\n") &&
+			strings.Contains(get(t, base+"/spans?once=1"), "event: span") {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no emulator activity visible in /metrics:\n%.500s", body)
+			t.Fatalf("no emulator activity or span visible:\n%.500s", body)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

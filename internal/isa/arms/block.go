@@ -5,6 +5,7 @@ import (
 
 	"connlab/internal/isa"
 	"connlab/internal/mem"
+	"connlab/internal/telemetry"
 )
 
 // Basic-block translation for the fixed-width ISA: straight-line runs of
@@ -14,6 +15,8 @@ import (
 // generation (stores to non-writable segments fault; layout changes only
 // happen between dispatches). Writable code is never translated, so
 // self-modifying shellcode always single-steps and sees its own stores.
+// Hooks and the flight recorder are notified from the block terminators
+// exactly where Step notifies them (see the x86s twin).
 //
 // The executor duplicates Step's per-op semantics deliberately (see the
 // x86s twin for the rationale); the differential lockstep harness in
@@ -100,12 +103,6 @@ func (c *CPU) translate(slot *bcEntry, pc uint32, gen uint64) bool {
 // interpreter reproduces the exact fault/illegal event; otherwise it
 // returns EventRetired and the caller's next dispatch takes that path.
 func (c *CPU) StepBlock(max uint64) isa.Event {
-	if c.hooks != nil || c.rec != nil {
-		// Hooked and recorded runs stay on the single-step path: the
-		// shadow-stack and flight-recorder contracts observe every
-		// control transfer in per-instruction order.
-		return c.Step()
-	}
 	if max == 0 {
 		max = 1
 	}
@@ -160,9 +157,10 @@ func (c *CPU) StepBlock(max uint64) isa.Event {
 // BlockStats implements isa.CPU.
 func (c *CPU) BlockStats() isa.BlockStats { return c.bcStats }
 
-// execBlock runs a translated block. StepBlock guarantees hooks and
-// recorder are nil, so the control notifications Step makes are dead
-// here and elided. The PC-register invariant matches single-step: at
+// execBlock runs a translated block. Control transfers notify the
+// recorder and hooks through control at the same point Step does, so a
+// veto surfaces as the same CFI event with the same instruction count.
+// The PC-register invariant matches single-step: at
 // instruction i, c.regs[PC] already equals its pc (each retirement sets
 // it to next), so read(PC) and fault PCs behave exactly as under Step.
 func (c *CPU) execBlock(ins []blockInstr) isa.Event {
@@ -175,6 +173,9 @@ func (c *CPU) execBlock(ins []blockInstr) isa.Event {
 		case OpMovR:
 			v := c.read(in.Rn)
 			if in.Rd == PC {
+				if ev := c.control(isa.ControlJump, pc, v, 0); ev != nil {
+					return *ev
+				}
 				next = v
 			} else {
 				c.regs[in.Rd] = v
@@ -206,6 +207,9 @@ func (c *CPU) execBlock(ins []blockInstr) isa.Event {
 				return isa.FaultEvent(pc, f)
 			}
 			if in.Rd == PC {
+				if ev := c.control(isa.ControlJump, pc, v, 0); ev != nil {
+					return *ev
+				}
 				next = v
 			} else {
 				c.regs[in.Rd] = v
@@ -240,14 +244,30 @@ func (c *CPU) execBlock(ins []blockInstr) isa.Event {
 			}
 		case OpBL:
 			tgt := pc + InstrSize + uint32(in.Rel)*InstrSize
-			c.regs[LR] = pc + InstrSize
+			ret := pc + InstrSize
+			if ev := c.control(isa.ControlCall, pc, tgt, ret); ev != nil {
+				return *ev
+			}
+			c.regs[LR] = ret
 			next = tgt
 		case OpBLX:
 			tgt := c.read(in.Rd)
-			c.regs[LR] = pc + InstrSize
+			ret := pc + InstrSize
+			if ev := c.control(isa.ControlCall, pc, tgt, ret); ev != nil {
+				return *ev
+			}
+			c.regs[LR] = ret
 			next = tgt
 		case OpBX:
-			next = c.read(in.Rd)
+			tgt := c.read(in.Rd)
+			kind := isa.ControlJump
+			if in.Rd == LR {
+				kind = isa.ControlReturn
+			}
+			if ev := c.control(kind, pc, tgt, 0); ev != nil {
+				return *ev
+			}
+			next = tgt
 
 		case OpPush:
 			count := uint32(bits.OnesCount16(in.RegList))
@@ -284,10 +304,16 @@ func (c *CPU) execBlock(ins []blockInstr) isa.Event {
 			}
 			c.regs[SP] = addr
 			if hasPC {
+				if ev := c.control(isa.ControlReturn, pc, newPC, 0); ev != nil {
+					return *ev
+				}
 				next = newPC
 			}
 
 		case OpSvc:
+			if c.rec != nil {
+				c.rec.Record(telemetry.CtlSyscall, pc, c.regs[R7], c.icount)
+			}
 			c.regs[PC] = next
 			c.icount++
 			return isa.Event{Kind: isa.EventSyscall, PC: next}

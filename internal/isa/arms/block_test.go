@@ -1,12 +1,33 @@
 package arms
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"connlab/internal/isa"
 	"connlab/internal/mem"
 	"connlab/internal/telemetry"
 )
+
+// movR0 assembles movw r0, #v — the probe instruction of the
+// cache-safety tests.
+func movR0(t *testing.T, v uint16) []byte {
+	t.Helper()
+	code, err := NewAsm().MovW(R0, v).Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code.Bytes
+}
+
+// stepRetired single-steps and fails the test on any non-retired event.
+func stepRetired(t *testing.T, c *CPU) {
+	t.Helper()
+	if ev := c.Step(); ev.Kind != isa.EventRetired {
+		t.Fatalf("step: %+v", ev)
+	}
+}
 
 // blockRetired dispatches one block and fails the test on any non-retired
 // event, returning the number of instructions it retired.
@@ -19,10 +40,45 @@ func blockRetired(t *testing.T, c *CPU, max uint64) uint64 {
 	return c.InstrCount() - before
 }
 
+// The cache-safety tests run under both executors, as in the x86s twin:
+// StepBlock, whose translations must die with the memory generation, and
+// Step, the reference interpreter. The Step entry points keep their
+// TestDecodeCache* names, which predate the removal of the
+// per-instruction decode cache, so the suite's test names stay stable.
+
+// exec runs n instructions from the current PC through one StepBlock
+// dispatch (block) or n Steps, stopping at the first non-retired event,
+// and returns the last event.
+func exec(c *CPU, block bool, n uint64) isa.Event {
+	if block {
+		return c.StepBlock(n)
+	}
+	var ev isa.Event
+	for i := uint64(0); i < n; i++ {
+		if ev = c.Step(); ev.Kind != isa.EventRetired {
+			break
+		}
+	}
+	return ev
+}
+
+// execRetired is exec that fails the test on any non-retired event.
+func execRetired(t *testing.T, c *CPU, block bool, n uint64) {
+	t.Helper()
+	if ev := exec(c, block, n); ev.Kind != isa.EventRetired {
+		t.Fatalf("exec (block=%v): %+v", block, ev)
+	}
+}
+
 // TestBlockCacheInvalidatedBySetPerm: after the RW→write→RX patch cycle,
 // block dispatch must execute the new word, not replay the cached
 // translation.
-func TestBlockCacheInvalidatedBySetPerm(t *testing.T) {
+func TestBlockCacheInvalidatedBySetPerm(t *testing.T) { checkInvalidatedBySetPerm(t, true) }
+
+// TestDecodeCacheInvalidatedBySetPerm is the Step input of the twin above.
+func TestDecodeCacheInvalidatedBySetPerm(t *testing.T) { checkInvalidatedBySetPerm(t, false) }
+
+func checkInvalidatedBySetPerm(t *testing.T, block bool) {
 	m := mem.New()
 	text, err := m.Map("text", 0x1000, 0x1000, mem.PermRX)
 	if err != nil {
@@ -37,12 +93,12 @@ func TestBlockCacheInvalidatedBySetPerm(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		c.SetPC(0x1000)
-		blockRetired(t, c, 2)
+		execRetired(t, c, block, 2)
 		if got := c.Reg(R0); got != 1 {
 			t.Fatalf("r0 = %d, want 1 (iteration %d)", got, i)
 		}
 	}
-	if bs := c.BlockStats(); bs.Translated == 0 || bs.Hits == 0 {
+	if bs := c.BlockStats(); block && (bs.Translated == 0 || bs.Hits == 0) {
 		t.Fatalf("block cache never engaged: %+v", bs)
 	}
 
@@ -57,18 +113,23 @@ func TestBlockCacheInvalidatedBySetPerm(t *testing.T) {
 	}
 
 	c.SetPC(0x1000)
-	blockRetired(t, c, 2)
+	execRetired(t, c, block, 2)
 	if got := c.Reg(R0); got != 2 {
 		t.Errorf("r0 after patch = %d, want 2 (stale block translation)", got)
 	}
-	if bs := c.BlockStats(); bs.Invalidated == 0 {
+	if bs := c.BlockStats(); block && bs.Invalidated == 0 {
 		t.Errorf("no invalidation recorded across the patch: %+v", bs)
 	}
 }
 
 // TestBlockCacheInvalidatedByUnmap: a cached block must not execute from
 // a segment that has since been unmapped.
-func TestBlockCacheInvalidatedByUnmap(t *testing.T) {
+func TestBlockCacheInvalidatedByUnmap(t *testing.T) { checkInvalidatedByUnmap(t, true) }
+
+// TestDecodeCacheInvalidatedByUnmap is the Step input of the twin above.
+func TestDecodeCacheInvalidatedByUnmap(t *testing.T) { checkInvalidatedByUnmap(t, false) }
+
+func checkInvalidatedByUnmap(t *testing.T, block bool) {
 	m := mem.New()
 	text, err := m.Map("text", 0x1000, 0x1000, mem.PermRX)
 	if err != nil {
@@ -77,20 +138,25 @@ func TestBlockCacheInvalidatedByUnmap(t *testing.T) {
 	copy(text.Data, movR0(t, 1))
 	c := New(m)
 	c.SetPC(0x1000)
-	blockRetired(t, c, 1)
+	execRetired(t, c, block, 1)
 
 	m.Unmap("text")
 	c.SetPC(0x1000)
-	ev := c.StepBlock(1)
+	ev := exec(c, block, 1)
 	if ev.Kind != isa.EventFault || ev.Fault == nil || ev.Fault.Kind != mem.FaultUnmapped {
-		t.Errorf("block dispatch after unmap = %+v, want unmapped fault", ev)
+		t.Errorf("exec after unmap = %+v, want unmapped fault", ev)
 	}
 }
 
 // TestBlockSkipsWritableSegments: writable code is never translated, so
 // RWX self-modifying code runs through the single-step fallback and sees
 // every store immediately.
-func TestBlockSkipsWritableSegments(t *testing.T) {
+func TestBlockSkipsWritableSegments(t *testing.T) { checkSkipsWritableSegments(t, true) }
+
+// TestDecodeCacheSkipsWritableSegments is the Step input of the twin above.
+func TestDecodeCacheSkipsWritableSegments(t *testing.T) { checkSkipsWritableSegments(t, false) }
+
+func checkSkipsWritableSegments(t *testing.T, block bool) {
 	m := mem.New()
 	text, err := m.Map("text", 0x1000, 0x1000, mem.PermRWX)
 	if err != nil {
@@ -99,7 +165,7 @@ func TestBlockSkipsWritableSegments(t *testing.T) {
 	copy(text.Data, movR0(t, 1))
 	c := New(m)
 	c.SetPC(0x1000)
-	blockRetired(t, c, 1)
+	execRetired(t, c, block, 1)
 	if got := c.Reg(R0); got != 1 {
 		t.Fatalf("r0 = %d, want 1", got)
 	}
@@ -107,12 +173,56 @@ func TestBlockSkipsWritableSegments(t *testing.T) {
 		t.Fatal(f)
 	}
 	c.SetPC(0x1000)
-	blockRetired(t, c, 1)
+	execRetired(t, c, block, 1)
 	if got := c.Reg(R0); got != 2 {
 		t.Errorf("r0 after self-modify = %d, want 2 (writable segment was translated)", got)
 	}
 	if bs := c.BlockStats(); bs.Translated != 0 {
 		t.Errorf("translated %d blocks from a writable segment, want 0", bs.Translated)
+	}
+}
+
+// TestStepZeroAllocs asserts the arms hot loop allocates nothing per
+// instruction.
+func TestStepZeroAllocs(t *testing.T) {
+	m := mem.New()
+	text, err := m.Map("text", 0x1000, 0x1000, mem.PermRX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Map("data", 0x4000, 0x1000, mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Map("stack", 0x8000, 0x1000, mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	a := NewAsm()
+	a.Label("loop").
+		Ldr(R0, R4, 0).
+		AddI(R0, R0, 1).
+		Str(R0, R4, 0).
+		Push(R0, R1).
+		Pop(R0, R1).
+		BAlways("loop")
+	code, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(text.Data, code.Bytes)
+	c := New(m)
+	c.SetPC(0x1000)
+	c.SetSP(0x8F00)
+	c.SetReg(R4, 0x4000)
+	for i := 0; i < 64; i++ {
+		stepRetired(t, c)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if ev := c.Step(); ev.Kind != isa.EventRetired {
+			t.Fatalf("step: %+v", ev)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Step allocates %.1f objects per instruction, want 0", allocs)
 	}
 }
 
@@ -229,7 +339,7 @@ func TestBlockCrossSegmentPatch(t *testing.T) {
 	}
 
 	if got := run("step after patch", viaStep); got != 3 {
-		t.Errorf("r0 = %d, want 3 (stale decode cache across segments)", got)
+		t.Errorf("r0 = %d, want 3 (stale decode across segments)", got)
 	}
 	if got := run("block after patch", viaBlock); got != 3 {
 		t.Errorf("r0 = %d, want 3 (stale block translation across segments)", got)
@@ -237,9 +347,8 @@ func TestBlockCrossSegmentPatch(t *testing.T) {
 }
 
 // TestBlockExecZeroAllocs asserts block dispatch allocates nothing once
-// the translation is cached, with and without a flight recorder (the
-// recorder path falls back to single-step to keep per-instruction
-// recording order).
+// the translation is cached, with and without a flight recorder (which
+// block dispatch notifies from the block terminators).
 func TestBlockExecZeroAllocs(t *testing.T) {
 	build := func() *CPU {
 		m := mem.New()
@@ -301,27 +410,65 @@ func TestBlockExecZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("StepBlock with recorder allocates %.1f objects per dispatch, want 0", allocs)
 	}
-	if bs := c.BlockStats(); bs.Instrs != 0 {
-		t.Errorf("recorder-on dispatch retired %d instructions in blocks, want 0 (single-step fallback)", bs.Instrs)
+	if bs := c.BlockStats(); bs.Instrs == 0 {
+		t.Errorf("recorder-on dispatch retired no instructions in blocks, want > 0")
 	}
+}
+
+// vetoHook is the fuzzers' deterministic stand-in for the CFI shadow
+// stack: calls push their return address, a return to anything but the
+// top entry is vetoed (an empty stack lets it through, so fuzzed code
+// keeps running), and an indirect jump is vetoed when bit 2 of its
+// target is set. Each executor gets its own instance.
+type vetoHook struct{ stack []uint32 }
+
+func (h *vetoHook) OnControl(kind isa.ControlKind, from, to, ret uint32) error {
+	switch kind {
+	case isa.ControlCall:
+		h.stack = append(h.stack, ret)
+	case isa.ControlReturn:
+		n := len(h.stack)
+		if n == 0 {
+			return nil
+		}
+		if h.stack[n-1] != to {
+			return fmt.Errorf("veto return %#x -> %#x, want %#x", from, to, h.stack[n-1])
+		}
+		h.stack = h.stack[:n-1]
+	case isa.ControlJump:
+		if to&4 != 0 {
+			return fmt.Errorf("veto jump %#x -> %#x", from, to)
+		}
+	}
+	return nil
 }
 
 // FuzzBlockStep is the arms differential fuzz target: arbitrary code
 // words and entry registers run in lockstep under block dispatch and
 // single-step; a second phase patches the code through the RW→write→RX
 // cycle and reruns to catch stale translations on fuzzer-found inputs.
+// In hooked mode both sides carry a vetoHook and a flight recorder, so
+// CFI events raised inside execBlock are fuzzed against Step as well.
 func FuzzBlockStep(f *testing.F) {
-	add := func(build func(a *Asm) *Asm, patch []byte, r0, r1 uint32) {
+	add := func(build func(a *Asm) *Asm, patch []byte, r0, r1 uint32, hooked bool) {
 		code, err := build(NewAsm()).Assemble()
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(code.Bytes, patch, r0, r1)
+		f.Add(code.Bytes, patch, r0, r1, hooked)
 	}
-	add(func(a *Asm) *Asm { return a.MovW(R0, 7).BX(LR) }, []byte{}, 0, 0)
-	add(func(a *Asm) *Asm { return a.Push(R0, R1).Pop(R2, R3).Svc(1) }, []byte{1, 2, 3, 4}, 1, 2)
-	add(func(a *Asm) *Asm { return a.Label("l").AddI(R0, R0, 1).BAlways("l") }, []byte{}, 3, 4)
-	f.Fuzz(func(t *testing.T, code, patch []byte, r0, r1 uint32) {
+	add(func(a *Asm) *Asm { return a.MovW(R0, 7).BX(LR) }, []byte{}, 0, 0, false)
+	add(func(a *Asm) *Asm { return a.Push(R0, R1).Pop(R2, R3).Svc(1) }, []byte{1, 2, 3, 4}, 1, 2, false)
+	add(func(a *Asm) *Asm { return a.Label("l").AddI(R0, R0, 1).BAlways("l") }, []byte{}, 3, 4, false)
+	// Hooked: a bl into a function returning through pop {pc}, a bx lr
+	// to a clobbered link register (vetoed), and blx/mov pc targets with
+	// bit 2 set (vetoed jumps) around an svc.
+	add(func(a *Asm) *Asm {
+		return a.BL("fn").Svc(0).Label("fn").Push(LR).Pop(PC)
+	}, []byte{}, 0, 0, true)
+	add(func(a *Asm) *Asm { return a.BL("fn").Label("fn").MovW(LR, 4).BX(LR) }, []byte{}, 1, 2, true)
+	add(func(a *Asm) *Asm { return a.Svc(1).MovR(PC, R0) }, []byte{}, 0x10004, 0, true)
+	f.Fuzz(func(t *testing.T, code, patch []byte, r0, r1 uint32, hooked bool) {
 		if len(code) == 0 {
 			return
 		}
@@ -350,6 +497,14 @@ func FuzzBlockStep(f *testing.F) {
 			return c
 		}
 		ref, blk := build(), build()
+		var refRec, blkRec *telemetry.ControlRecorder
+		if hooked {
+			refRec, blkRec = telemetry.NewControlRecorder(64), telemetry.NewControlRecorder(64)
+			ref.SetHooks(&vetoHook{})
+			blk.SetHooks(&vetoHook{})
+			ref.SetRecorder(refRec)
+			blk.SetRecorder(blkRec)
+		}
 		lockstep := func(dispatches int) {
 			// Finite caps: dispatch chains blocks up to the cap, so an
 			// unbounded cap on a fuzzer-found infinite loop would spin.
@@ -366,8 +521,12 @@ func FuzzBlockStep(f *testing.F) {
 				for j := uint64(0); j < steps; j++ {
 					evR = ref.Step()
 				}
-				if evR.Kind != evB.Kind || evR.PC != evB.PC || evR.Illegal != evB.Illegal {
+				if evR.Kind != evB.Kind || evR.PC != evB.PC || evR.Illegal != evB.Illegal || evR.Reason != evB.Reason {
 					t.Fatalf("event mismatch: single-step %+v, block %+v", evR, evB)
+				}
+				if refRec.Total() != blkRec.Total() || !reflect.DeepEqual(refRec.Events(), blkRec.Events()) {
+					t.Fatalf("recorder mismatch: single-step %d %+v, block %d %+v",
+						refRec.Total(), refRec.Events(), blkRec.Total(), blkRec.Events())
 				}
 				if ref.PC() != blk.PC() || ref.FlagWord() != blk.FlagWord() || ref.InstrCount() != blk.InstrCount() {
 					t.Fatalf("state mismatch at pc %#x: flags %x/%x icount %d/%d",

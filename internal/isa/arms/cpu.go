@@ -13,19 +13,6 @@ type flags struct {
 	n, z, c, v bool
 }
 
-// dcSize is the number of slots in the decoded-instruction cache
-// (direct-mapped on the word-aligned PC).
-const dcSize = 1024
-
-// dcEntry is one decode-cache slot: the instruction decoded at pc while the
-// memory layout generation was gen. gen 0 (the zero value) never matches a
-// live Memory, whose generations start at 1.
-type dcEntry struct {
-	pc  uint32
-	gen uint64
-	in  Instr
-}
-
 // CPU is a simulated arms hardware thread.
 type CPU struct {
 	regs   [numRegs]uint32 // r15 (pc) lives here too
@@ -35,22 +22,8 @@ type CPU struct {
 	rec    *telemetry.ControlRecorder
 	icount uint64
 
-	// dcMisses counts decode-cache misses: a plain (non-atomic) field —
-	// a CPU is stepped by one goroutine — bumped only on the miss path,
-	// which already pays a full fetch+decode. Hits are derived by the
-	// kernel (instructions retired minus misses), keeping the cache-hit
-	// fast path free of bookkeeping.
-	dcMisses uint64
-
-	// dc caches decode results for instructions in non-writable segments,
-	// keyed to mem.Memory.Gen() exactly like the x86s cache: while the
-	// generation is unchanged a non-writable segment's bytes cannot
-	// change, so a matching entry replays both the decode and the
-	// execute-permission check. Writable (RWX) mappings are never cached.
-	dc [dcSize]dcEntry
-
 	// bc is the basic-block translation cache (see block.go), keyed to
-	// the memory generation like dc; bcStats its monotonic counters.
+	// the memory generation; bcStats its monotonic counters.
 	bc      [bcSize]bcEntry
 	bcStats isa.BlockStats
 }
@@ -108,9 +81,6 @@ func (c *CPU) SetRecorder(r *telemetry.ControlRecorder) { c.rec = r }
 
 // InstrCount implements isa.CPU.
 func (c *CPU) InstrCount() uint64 { return c.icount }
-
-// DecodeCacheMisses implements isa.CPU.
-func (c *CPU) DecodeCacheMisses() uint64 { return c.dcMisses }
 
 // ResetState returns registers (pc included) and flags to their power-on
 // (all zero) values, as if the CPU were freshly constructed. The
@@ -197,9 +167,19 @@ func (c *CPU) setFlagsSub(a, b uint32) {
 }
 
 // control records a control transfer in the flight recorder and runs the
-// installed hook. telemetry.Ctl* values mirror isa.ControlKind, so the
-// kind byte passes straight through.
+// installed hook; a hook veto surfaces as a CFI-violation event. It is
+// small enough to inline, so an unobserved transfer costs two nil-checks
+// and no call on either executor.
 func (c *CPU) control(kind isa.ControlKind, from, to, ret uint32) *isa.Event {
+	if c.rec == nil && c.hooks == nil {
+		return nil
+	}
+	return c.observe(kind, from, to, ret)
+}
+
+// observe is control's out-of-line slow path. telemetry.Ctl* values
+// mirror isa.ControlKind, so the kind byte passes straight through.
+func (c *CPU) observe(kind isa.ControlKind, from, to, ret uint32) *isa.Event {
 	if c.rec != nil {
 		c.rec.Record(uint8(kind), from, to, c.icount)
 	}
@@ -215,31 +195,19 @@ func (c *CPU) control(kind isa.ControlKind, from, to, ret uint32) *isa.Event {
 // Step implements isa.CPU.
 func (c *CPU) Step() isa.Event {
 	pc := c.regs[PC]
-	gen := c.m.Gen()
-	slot := &c.dc[(pc>>2)&(dcSize-1)]
-	var in Instr
-	if slot.pc == pc && slot.gen == gen {
-		in = slot.in
-	} else {
-		c.dcMisses++
-		// Fixed-width fast path: one combined segment/permission/bounds
-		// check, no window slice. A short fetch (segment ends mid-word) is
-		// an illegal instruction, exactly like a truncated Fetch window.
-		word, perm, short, f := c.m.Fetch32(pc)
-		if f != nil {
-			return isa.FaultEvent(pc, f)
-		}
-		if short {
-			return isa.IllegalEvent(pc)
-		}
-		var err error
-		in, err = Decode(word)
-		if err != nil {
-			return isa.IllegalEvent(pc)
-		}
-		if perm&mem.PermWrite == 0 {
-			*slot = dcEntry{pc: pc, gen: gen, in: in}
-		}
+	// Fixed-width fast path: one combined segment/permission/bounds
+	// check, no window slice. A short fetch (segment ends mid-word) is
+	// an illegal instruction, exactly like a truncated Fetch window.
+	word, _, short, f := c.m.Fetch32(pc)
+	if f != nil {
+		return isa.FaultEvent(pc, f)
+	}
+	if short {
+		return isa.IllegalEvent(pc)
+	}
+	in, err := Decode(word)
+	if err != nil {
+		return isa.IllegalEvent(pc)
 	}
 	next := pc + InstrSize
 	fault := func(f *mem.Fault) isa.Event { return isa.FaultEvent(pc, f) }

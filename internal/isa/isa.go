@@ -123,7 +123,7 @@ type Hooks interface {
 
 // BlockStats are the monotonic basic-block translation counters a CPU
 // accumulates across its lifetime. Consumers (the kernel's per-run
-// telemetry flush) take deltas, exactly as with DecodeCacheMisses.
+// telemetry flush) take deltas.
 type BlockStats struct {
 	// Translated counts blocks decoded into the block cache.
 	Translated uint64
@@ -177,21 +177,18 @@ type CPU interface {
 	// fault/syscall/illegal event that ended it early. Blocks are decoded
 	// from non-writable code only and keyed to Mem().Gen(), so W⊕X,
 	// SetPerm/Unmap invalidation and self-modifying-code semantics are
-	// identical to Step's. When the entry is not block-eligible — writable
-	// code, an unfetchable or undecodable entry instruction, or attached
-	// Hooks/Recorder (whose per-instruction observation contract is pinned
-	// to the single-step path) — StepBlock falls back to exactly one Step.
+	// identical to Step's. Hooks and the recorder observe every control
+	// transfer and syscall entry in the same order, with the same
+	// instruction counts, as under Step; a hook veto ends the dispatch
+	// with the EventCFIViolation Step would report. When the entry is not
+	// block-eligible — writable code, or an unfetchable or undecodable
+	// entry instruction — StepBlock falls back to exactly one Step.
 	StepBlock(max uint64) Event
 	// BlockStats returns the monotonic block-translation counters.
 	BlockStats() BlockStats
 	// InstrCount returns the number of instructions retired since reset,
 	// used for run budgets and performance reporting.
 	InstrCount() uint64
-	// DecodeCacheMisses returns the cumulative decode-cache miss count
-	// since construction. It is monotonic; consumers (the kernel's
-	// per-run telemetry flush) take deltas and derive hits as
-	// instructions retired minus misses.
-	DecodeCacheMisses() uint64
 }
 
 // Disassembler renders the instruction at an address, primarily for the

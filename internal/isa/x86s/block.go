@@ -3,18 +3,22 @@ package x86s
 import (
 	"connlab/internal/isa"
 	"connlab/internal/mem"
+	"connlab/internal/telemetry"
 )
 
 // Basic-block translation: straight-line runs of non-writable code are
 // pre-decoded once into a flat []blockInstr and executed by a tight loop
-// that skips the per-instruction decode-cache probe, generation load and
-// event construction Step pays. Validity is keyed to mem.Memory.Gen()
-// exactly like the decode cache — the generation is checked once per
-// block entry, which is sufficient because nothing inside a block can
-// move it: stores into non-writable segments fault, and Map/Unmap/
-// SetPerm/Reset only happen between Step/StepBlock calls. Writable (RWX)
-// code is never translated, so self-modifying shellcode always takes the
-// single-step path and sees its own stores immediately.
+// that skips the per-instruction fetch, decode and event construction
+// Step pays. Validity is keyed to mem.Memory.Gen(): the generation is
+// checked once per block entry, which is sufficient because nothing
+// inside a block can move it: stores into non-writable segments fault,
+// and Map/Unmap/SetPerm/Reset only happen between Step/StepBlock calls.
+// Writable (RWX) code is never translated, so self-modifying shellcode
+// always takes the single-step path and sees its own stores immediately.
+// Control-flow hooks and the flight recorder are notified from the block
+// terminators exactly where Step notifies them; every notifying op ends
+// its block, so the per-instruction event order is the same on both
+// paths.
 //
 // The executor duplicates Step's per-op semantics on purpose: folding
 // both paths over one shared switch would put a non-inlinable call on
@@ -105,12 +109,6 @@ func (c *CPU) translate(slot *bcEntry, pc uint32, gen uint64) bool {
 // reproduces the exact fault/illegal event; otherwise the caller re-
 // enters and takes that path on its next dispatch.
 func (c *CPU) StepBlock(max uint64) isa.Event {
-	if c.hooks != nil || c.rec != nil {
-		// Hooked and recorded runs stay on the single-step path: the
-		// shadow-stack and flight-recorder contracts observe every
-		// control transfer in per-instruction order.
-		return c.Step()
-	}
 	if max == 0 {
 		max = 1
 	}
@@ -165,13 +163,13 @@ func (c *CPU) StepBlock(max uint64) isa.Event {
 // BlockStats implements isa.CPU.
 func (c *CPU) BlockStats() isa.BlockStats { return c.bcStats }
 
-// execBlock runs a translated block. StepBlock guarantees hooks and
-// recorder are nil, so the control-transfer notification calls Step
-// makes are dead here and elided. The PC-register invariant matches
-// single-step exactly: entering instruction i, c.eip already equals its
-// pc (each retirement below sets eip to the next PC, and dispatch only
-// starts a block at the current eip), so fault events carry the same PC
-// a faulting Step would report.
+// execBlock runs a translated block. Control transfers notify the
+// recorder and hooks through control at the same point Step does, so a
+// veto surfaces as the same CFI event with the same instruction count.
+// The PC-register invariant matches single-step exactly: entering
+// instruction i, c.eip already equals its pc (each retirement below sets
+// eip to the next PC, and dispatch only starts a block at the current
+// eip), so fault events carry the same PC a faulting Step would report.
 func (c *CPU) execBlock(ins []blockInstr) isa.Event {
 	for i := range ins {
 		bi := &ins[i]
@@ -188,6 +186,9 @@ func (c *CPU) execBlock(ins []blockInstr) isa.Event {
 			tgt, f := c.pop()
 			if f != nil {
 				return isa.FaultEvent(pc, f)
+			}
+			if ev := c.control(isa.ControlReturn, pc, tgt, 0); ev != nil {
+				return *ev
 			}
 			next = tgt
 
@@ -310,6 +311,9 @@ func (c *CPU) execBlock(ins []blockInstr) isa.Event {
 
 		case OpCallRel:
 			tgt := next + uint32(in.Disp)
+			if ev := c.control(isa.ControlCall, pc, tgt, next); ev != nil {
+				return *ev
+			}
 			if f := c.push(next); f != nil {
 				return isa.FaultEvent(pc, f)
 			}
@@ -319,6 +323,9 @@ func (c *CPU) execBlock(ins []blockInstr) isa.Event {
 			if f != nil {
 				return isa.FaultEvent(pc, f)
 			}
+			if ev := c.control(isa.ControlCall, pc, tgt, next); ev != nil {
+				return *ev
+			}
 			if f := c.push(next); f != nil {
 				return isa.FaultEvent(pc, f)
 			}
@@ -327,6 +334,9 @@ func (c *CPU) execBlock(ins []blockInstr) isa.Event {
 			tgt, f := c.indirectTarget(*in)
 			if f != nil {
 				return isa.FaultEvent(pc, f)
+			}
+			if ev := c.control(isa.ControlJump, pc, tgt, 0); ev != nil {
+				return *ev
 			}
 			next = tgt
 
@@ -349,6 +359,9 @@ func (c *CPU) execBlock(ins []blockInstr) isa.Event {
 			c.setFlagsLogic(c.regs[in.R1])
 
 		case OpInt:
+			if c.rec != nil {
+				c.rec.Record(telemetry.CtlSyscall, pc, c.regs[EAX], c.icount)
+			}
 			c.eip = next
 			c.icount++
 			return isa.Event{Kind: isa.EventSyscall, PC: next}

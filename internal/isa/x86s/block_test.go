@@ -1,12 +1,28 @@
 package x86s
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"connlab/internal/isa"
 	"connlab/internal/mem"
 	"connlab/internal/telemetry"
 )
+
+// movEAX encodes mov eax, imm32 (5 bytes), the probe instruction of the
+// cache-safety tests: its immediate makes stale decodes observable.
+func movEAX(v uint32) []byte {
+	return []byte{0xB8, byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
+}
+
+// stepRetired single-steps and fails the test on any non-retired event.
+func stepRetired(t *testing.T, c *CPU) {
+	t.Helper()
+	if ev := c.Step(); ev.Kind != isa.EventRetired {
+		t.Fatalf("step: %+v", ev)
+	}
+}
 
 // blockRetired dispatches one block and fails the test on any non-retired
 // event, returning the number of instructions it retired.
@@ -19,11 +35,47 @@ func blockRetired(t *testing.T, c *CPU, max uint64) uint64 {
 	return c.InstrCount() - before
 }
 
+// The cache-safety tests run under both executors: StepBlock, whose
+// translations must die with the memory generation, and Step, the
+// reference interpreter, which must see the same bytes and faults. The
+// Step entry points keep their TestDecodeCache* names, which predate the
+// removal of the per-instruction decode cache, so the suite's test names
+// stay stable.
+
+// exec runs n instructions from the current PC through one StepBlock
+// dispatch (block) or n Steps, stopping at the first non-retired event,
+// and returns the last event.
+func exec(c *CPU, block bool, n uint64) isa.Event {
+	if block {
+		return c.StepBlock(n)
+	}
+	var ev isa.Event
+	for i := uint64(0); i < n; i++ {
+		if ev = c.Step(); ev.Kind != isa.EventRetired {
+			break
+		}
+	}
+	return ev
+}
+
+// execRetired is exec that fails the test on any non-retired event.
+func execRetired(t *testing.T, c *CPU, block bool, n uint64) {
+	t.Helper()
+	if ev := exec(c, block, n); ev.Kind != isa.EventRetired {
+		t.Fatalf("exec (block=%v): %+v", block, ev)
+	}
+}
+
 // TestBlockCacheInvalidatedBySetPerm pins the translation-cache safety
 // contract: after the legitimate patch sequence (SetPerm RW, write,
 // SetPerm RX) block dispatch must execute the new bytes, not replay the
 // cached translation.
-func TestBlockCacheInvalidatedBySetPerm(t *testing.T) {
+func TestBlockCacheInvalidatedBySetPerm(t *testing.T) { checkInvalidatedBySetPerm(t, true) }
+
+// TestDecodeCacheInvalidatedBySetPerm is the Step input of the twin above.
+func TestDecodeCacheInvalidatedBySetPerm(t *testing.T) { checkInvalidatedBySetPerm(t, false) }
+
+func checkInvalidatedBySetPerm(t *testing.T, block bool) {
 	m := mem.New()
 	text, err := m.Map("text", 0x1000, 0x1000, mem.PermRX)
 	if err != nil {
@@ -32,15 +84,15 @@ func TestBlockCacheInvalidatedBySetPerm(t *testing.T) {
 	copy(text.Data, append(movEAX(1), 0x90)) // mov eax,1; nop
 	c := New(m)
 
-	// Dispatch twice so the second run hits the block cache.
+	// Execute twice so the second block dispatch hits the cache.
 	for i := 0; i < 2; i++ {
 		c.SetPC(0x1000)
-		blockRetired(t, c, 2)
+		execRetired(t, c, block, 2)
 		if got := c.Reg(EAX); got != 1 {
 			t.Fatalf("eax = %d, want 1 (iteration %d)", got, i)
 		}
 	}
-	if bs := c.BlockStats(); bs.Translated == 0 || bs.Hits == 0 {
+	if bs := c.BlockStats(); block && (bs.Translated == 0 || bs.Hits == 0) {
 		t.Fatalf("block cache never engaged: %+v", bs)
 	}
 
@@ -55,18 +107,23 @@ func TestBlockCacheInvalidatedBySetPerm(t *testing.T) {
 	}
 
 	c.SetPC(0x1000)
-	blockRetired(t, c, 2)
+	execRetired(t, c, block, 2)
 	if got := c.Reg(EAX); got != 2 {
 		t.Errorf("eax after patch = %d, want 2 (stale block translation)", got)
 	}
-	if bs := c.BlockStats(); bs.Invalidated == 0 {
+	if bs := c.BlockStats(); block && bs.Invalidated == 0 {
 		t.Errorf("no invalidation recorded across the patch: %+v", bs)
 	}
 }
 
 // TestBlockCacheInvalidatedByUnmap: a cached block must not execute from
 // a segment that has since been unmapped.
-func TestBlockCacheInvalidatedByUnmap(t *testing.T) {
+func TestBlockCacheInvalidatedByUnmap(t *testing.T) { checkInvalidatedByUnmap(t, true) }
+
+// TestDecodeCacheInvalidatedByUnmap is the Step input of the twin above.
+func TestDecodeCacheInvalidatedByUnmap(t *testing.T) { checkInvalidatedByUnmap(t, false) }
+
+func checkInvalidatedByUnmap(t *testing.T, block bool) {
 	m := mem.New()
 	text, err := m.Map("text", 0x1000, 0x1000, mem.PermRX)
 	if err != nil {
@@ -75,20 +132,25 @@ func TestBlockCacheInvalidatedByUnmap(t *testing.T) {
 	copy(text.Data, movEAX(1))
 	c := New(m)
 	c.SetPC(0x1000)
-	blockRetired(t, c, 1)
+	execRetired(t, c, block, 1)
 
 	m.Unmap("text")
 	c.SetPC(0x1000)
-	ev := c.StepBlock(1)
+	ev := exec(c, block, 1)
 	if ev.Kind != isa.EventFault || ev.Fault == nil || ev.Fault.Kind != mem.FaultUnmapped {
-		t.Errorf("block dispatch after unmap = %+v, want unmapped fault", ev)
+		t.Errorf("exec after unmap = %+v, want unmapped fault", ev)
 	}
 }
 
 // TestBlockSkipsWritableSegments: writable code is never translated (its
 // bytes can change without a generation bump), so RWX self-modifying
 // code runs through the single-step fallback and sees every write.
-func TestBlockSkipsWritableSegments(t *testing.T) {
+func TestBlockSkipsWritableSegments(t *testing.T) { checkSkipsWritableSegments(t, true) }
+
+// TestDecodeCacheSkipsWritableSegments is the Step input of the twin above.
+func TestDecodeCacheSkipsWritableSegments(t *testing.T) { checkSkipsWritableSegments(t, false) }
+
+func checkSkipsWritableSegments(t *testing.T, block bool) {
 	m := mem.New()
 	text, err := m.Map("text", 0x1000, 0x1000, mem.PermRWX)
 	if err != nil {
@@ -97,15 +159,17 @@ func TestBlockSkipsWritableSegments(t *testing.T) {
 	copy(text.Data, movEAX(1))
 	c := New(m)
 	c.SetPC(0x1000)
-	blockRetired(t, c, 1)
+	execRetired(t, c, block, 1)
 	if got := c.Reg(EAX); got != 1 {
 		t.Fatalf("eax = %d, want 1", got)
 	}
+	// Plain store, no SetPerm, no generation bump: the new bytes must
+	// still be decoded.
 	if f := m.WriteBytes(0x1000, movEAX(2)); f != nil {
 		t.Fatal(f)
 	}
 	c.SetPC(0x1000)
-	blockRetired(t, c, 1)
+	execRetired(t, c, block, 1)
 	if got := c.Reg(EAX); got != 2 {
 		t.Errorf("eax after self-modify = %d, want 2 (writable segment was translated)", got)
 	}
@@ -117,7 +181,12 @@ func TestBlockSkipsWritableSegments(t *testing.T) {
 // TestBlockRespectsWX: under W^X an RWX mapping is not executable; block
 // dispatch must fault rather than run a translation, and must succeed
 // once the mapping is flipped to RX.
-func TestBlockRespectsWX(t *testing.T) {
+func TestBlockRespectsWX(t *testing.T) { checkRespectsWX(t, true) }
+
+// TestDecodeCacheRespectsWX is the Step input of the twin above.
+func TestDecodeCacheRespectsWX(t *testing.T) { checkRespectsWX(t, false) }
+
+func checkRespectsWX(t *testing.T, block bool) {
 	m := mem.New()
 	m.SetWX(true)
 	text, err := m.Map("text", 0x1000, 0x1000, mem.PermRWX)
@@ -127,18 +196,63 @@ func TestBlockRespectsWX(t *testing.T) {
 	copy(text.Data, movEAX(1))
 	c := New(m)
 	c.SetPC(0x1000)
-	ev := c.StepBlock(1)
+	ev := exec(c, block, 1)
 	if ev.Kind != isa.EventFault || ev.Fault == nil || ev.Fault.Kind != mem.FaultProtection {
-		t.Fatalf("block dispatch from RWX under W^X = %+v, want protection fault", ev)
+		t.Fatalf("exec from RWX under W^X = %+v, want protection fault", ev)
 	}
 
 	if err := m.SetPerm("text", mem.PermRX); err != nil {
 		t.Fatal(err)
 	}
 	c.SetPC(0x1000)
-	blockRetired(t, c, 1)
+	execRetired(t, c, block, 1)
 	if got := c.Reg(EAX); got != 1 {
 		t.Errorf("eax = %d, want 1", got)
+	}
+}
+
+// TestStepZeroAllocs asserts the interpreter hot loop allocates nothing
+// per instruction.
+func TestStepZeroAllocs(t *testing.T) {
+	m := mem.New()
+	text, err := m.Map("text", 0x1000, 0x1000, mem.PermRX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Map("data", 0x4000, 0x1000, mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Map("stack", 0x8000, 0x1000, mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	a := NewAsm()
+	a.Label("loop").
+		MovRM(EAX, EBX, 0).
+		AddRI(EAX, 1).
+		MovMR(EBX, 0, EAX).
+		PushR(EAX).
+		PopR(EDX).
+		Jmp("loop")
+	code, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(text.Data, code.Bytes)
+	c := New(m)
+	c.SetPC(0x1000)
+	c.SetSP(0x8F00)
+	c.SetReg(EBX, 0x4000)
+	// Warm the segment hints.
+	for i := 0; i < 64; i++ {
+		stepRetired(t, c)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if ev := c.Step(); ev.Kind != isa.EventRetired {
+			t.Fatalf("step: %+v", ev)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Step allocates %.1f objects per instruction, want 0", allocs)
 	}
 }
 
@@ -194,10 +308,10 @@ func TestBlockTruncatedByMax(t *testing.T) {
 
 // TestBlockCrossSegmentPatch is the cross-page invalidation case: an
 // instruction whose fetch window spans the boundary into a second
-// executable segment, cached by both the decode cache and the block
-// translator, must be re-read after that second segment goes through a
-// patch cycle — and while the second segment is writable, translation
-// must stop at the boundary and execution must fault on entering it.
+// executable segment, run by Step and cached by the block translator,
+// must be re-read after that second segment goes through a patch cycle —
+// and while the second segment is writable, translation must stop at the
+// boundary and execution must fault on entering it.
 func TestBlockCrossSegmentPatch(t *testing.T) {
 	m := mem.New()
 	t1, err := m.Map("text1", 0x1000, 0x10, mem.PermRX)
@@ -229,7 +343,7 @@ func TestBlockCrossSegmentPatch(t *testing.T) {
 	}
 	viaBlock := func() uint64 { return blockRetired(t, c, 2) }
 
-	// Warm both caches across the boundary.
+	// Run both executors across the boundary, warming the block cache.
 	if got := run("step", viaStep); got != 2 {
 		t.Fatalf("eax = %d, want 2", got)
 	}
@@ -259,7 +373,7 @@ func TestBlockCrossSegmentPatch(t *testing.T) {
 
 	// Both paths must observe the patched second segment.
 	if got := run("step after patch", viaStep); got != 3 {
-		t.Errorf("eax = %d, want 3 (stale decode cache across segments)", got)
+		t.Errorf("eax = %d, want 3 (stale decode across segments)", got)
 	}
 	if got := run("block after patch", viaBlock); got != 3 {
 		t.Errorf("eax = %d, want 3 (stale block translation across segments)", got)
@@ -267,9 +381,8 @@ func TestBlockCrossSegmentPatch(t *testing.T) {
 }
 
 // TestBlockExecZeroAllocs asserts the block dispatch hot loop allocates
-// nothing once the translation is cached, and that the recorder-on
-// fallback (which must preserve per-instruction recording order by
-// single-stepping) stays allocation-free too.
+// nothing once the translation is cached, with and without a flight
+// recorder (which block dispatch notifies from the block terminators).
 func TestBlockExecZeroAllocs(t *testing.T) {
 	build := func() *CPU {
 		m := mem.New()
@@ -331,9 +444,37 @@ func TestBlockExecZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("StepBlock with recorder allocates %.1f objects per dispatch, want 0", allocs)
 	}
-	if bs := c.BlockStats(); bs.Instrs != 0 {
-		t.Errorf("recorder-on dispatch retired %d instructions in blocks, want 0 (single-step fallback)", bs.Instrs)
+	if bs := c.BlockStats(); bs.Instrs == 0 {
+		t.Errorf("recorder-on dispatch retired no instructions in blocks, want > 0")
 	}
+}
+
+// vetoHook is the fuzzers' deterministic stand-in for the CFI shadow
+// stack: calls push their return address, a return to anything but the
+// top entry is vetoed (an empty stack lets it through, so fuzzed code
+// keeps running), and an indirect jump is vetoed when bit 2 of its
+// target is set. Each executor gets its own instance.
+type vetoHook struct{ stack []uint32 }
+
+func (h *vetoHook) OnControl(kind isa.ControlKind, from, to, ret uint32) error {
+	switch kind {
+	case isa.ControlCall:
+		h.stack = append(h.stack, ret)
+	case isa.ControlReturn:
+		n := len(h.stack)
+		if n == 0 {
+			return nil
+		}
+		if h.stack[n-1] != to {
+			return fmt.Errorf("veto return %#x -> %#x, want %#x", from, to, h.stack[n-1])
+		}
+		h.stack = h.stack[:n-1]
+	case isa.ControlJump:
+		if to&4 != 0 {
+			return fmt.Errorf("veto jump %#x -> %#x", from, to)
+		}
+	}
+	return nil
 }
 
 // FuzzBlockStep is the differential fuzz target: arbitrary code bytes and
@@ -341,13 +482,20 @@ func TestBlockExecZeroAllocs(t *testing.T) {
 // and every divergence in events, registers, flags or retirement counts
 // is a failure. A second phase patches the code through the RW→write→RX
 // cycle and reruns, so stale translations surviving a generation bump are
-// caught on fuzzer-found inputs too.
+// caught on fuzzer-found inputs too. In hooked mode both sides carry a
+// vetoHook and a flight recorder, so CFI events raised inside execBlock
+// and the recorded control streams are fuzzed against Step as well.
 func FuzzBlockStep(f *testing.F) {
-	f.Add([]byte{0xC3}, []byte{0x90}, uint32(0), uint32(0))
-	f.Add([]byte{0x58, 0x5B, 0xC3}, []byte{0x40}, uint32(1), uint32(2))
-	f.Add([]byte{0x90, 0x90, 0xCD, 0x80}, []byte{0xB8, 7, 0, 0, 0}, uint32(3), uint32(4))
-	f.Add([]byte{0xE8, 0x00, 0x00, 0x00, 0x00, 0xC3}, []byte{0xE9, 0xFB, 0xFF, 0xFF, 0xFF}, uint32(5), uint32(6))
-	f.Fuzz(func(t *testing.T, code, patch []byte, r0, r1 uint32) {
+	f.Add([]byte{0xC3}, []byte{0x90}, uint32(0), uint32(0), false)
+	f.Add([]byte{0x58, 0x5B, 0xC3}, []byte{0x40}, uint32(1), uint32(2), false)
+	f.Add([]byte{0x90, 0x90, 0xCD, 0x80}, []byte{0xB8, 7, 0, 0, 0}, uint32(3), uint32(4), false)
+	f.Add([]byte{0xE8, 0x00, 0x00, 0x00, 0x00, 0xC3}, []byte{0xE9, 0xFB, 0xFF, 0xFF, 0xFF}, uint32(5), uint32(6), false)
+	// Hooked: call/ret pairs that return cleanly, a ret popping a
+	// mismatched address (vetoed), jmp eax to a vetoed target, and int.
+	f.Add([]byte{0xE8, 0x01, 0x00, 0x00, 0x00, 0xC3, 0x58, 0x50, 0xC3}, []byte{0xC3}, uint32(0), uint32(0), true)
+	f.Add([]byte{0xE8, 0x00, 0x00, 0x00, 0x00, 0x58, 0x40, 0x50, 0xC3}, []byte{}, uint32(1), uint32(2), true)
+	f.Add([]byte{0x90, 0xCD, 0x80, 0xFF, 0xE0}, []byte{0x90}, uint32(0x08048004), uint32(0), true)
+	f.Fuzz(func(t *testing.T, code, patch []byte, r0, r1 uint32, hooked bool) {
 		if len(code) == 0 {
 			return
 		}
@@ -376,6 +524,14 @@ func FuzzBlockStep(f *testing.F) {
 			return c
 		}
 		ref, blk := build(), build()
+		var refRec, blkRec *telemetry.ControlRecorder
+		if hooked {
+			refRec, blkRec = telemetry.NewControlRecorder(64), telemetry.NewControlRecorder(64)
+			ref.SetHooks(&vetoHook{})
+			blk.SetHooks(&vetoHook{})
+			ref.SetRecorder(refRec)
+			blk.SetRecorder(blkRec)
+		}
 		lockstep := func(dispatches int) {
 			// Finite caps: dispatch chains blocks up to the cap, so an
 			// unbounded cap on a fuzzer-found infinite loop would spin.
@@ -392,8 +548,12 @@ func FuzzBlockStep(f *testing.F) {
 				for j := uint64(0); j < steps; j++ {
 					evR = ref.Step()
 				}
-				if evR.Kind != evB.Kind || evR.PC != evB.PC || evR.Illegal != evB.Illegal {
+				if evR.Kind != evB.Kind || evR.PC != evB.PC || evR.Illegal != evB.Illegal || evR.Reason != evB.Reason {
 					t.Fatalf("event mismatch: single-step %+v, block %+v", evR, evB)
+				}
+				if refRec.Total() != blkRec.Total() || !reflect.DeepEqual(refRec.Events(), blkRec.Events()) {
+					t.Fatalf("recorder mismatch: single-step %d %+v, block %d %+v",
+						refRec.Total(), refRec.Events(), blkRec.Total(), blkRec.Events())
 				}
 				if ref.PC() != blk.PC() || ref.FlagWord() != blk.FlagWord() || ref.InstrCount() != blk.InstrCount() {
 					t.Fatalf("state mismatch at pc %#x: flags %x/%x icount %d/%d",

@@ -11,19 +11,6 @@ type flags struct {
 	zf, sf, cf, of bool
 }
 
-// dcSize is the number of slots in the decoded-instruction cache
-// (direct-mapped on the low bits of the PC).
-const dcSize = 1024
-
-// dcEntry is one decode-cache slot: the instruction decoded at pc while the
-// memory layout generation was gen. gen 0 (the zero value) never matches a
-// live Memory, whose generations start at 1.
-type dcEntry struct {
-	pc  uint32
-	gen uint64
-	in  Instr
-}
-
 // CPU is a simulated x86s hardware thread.
 type CPU struct {
 	regs   [numRegs]uint32
@@ -34,24 +21,8 @@ type CPU struct {
 	rec    *telemetry.ControlRecorder
 	icount uint64
 
-	// dcMisses counts decode-cache misses: a plain (non-atomic) field —
-	// a CPU is stepped by one goroutine — bumped only on the miss path,
-	// which already pays a full fetch+decode. Hits are derived by the
-	// kernel (instructions retired minus misses), keeping the cache-hit
-	// fast path free of bookkeeping.
-	dcMisses uint64
-
-	// dc caches decode results for instructions in non-writable segments.
-	// Validity is keyed to mem.Memory.Gen(): while the generation is
-	// unchanged, a non-writable segment's bytes cannot change (every store
-	// needs PermWrite, and SetPerm/Map/Unmap/Reset all bump the
-	// generation), so a matching entry replays both the decode and the
-	// execute-permission check that produced it. Writable (RWX) mappings
-	// are never cached — self-modifying shellcode always re-decodes.
-	dc [dcSize]dcEntry
-
 	// bc is the basic-block translation cache (see block.go), keyed to
-	// the memory generation like dc; bcStats its monotonic counters.
+	// the memory generation; bcStats its monotonic counters.
 	bc      [bcSize]bcEntry
 	bcStats isa.BlockStats
 }
@@ -110,14 +81,10 @@ func (c *CPU) SetRecorder(r *telemetry.ControlRecorder) { c.rec = r }
 // InstrCount implements isa.CPU.
 func (c *CPU) InstrCount() uint64 { return c.icount }
 
-// DecodeCacheMisses implements isa.CPU.
-func (c *CPU) DecodeCacheMisses() uint64 { return c.dcMisses }
-
 // ResetState returns registers, PC and flags to their power-on (all zero)
 // values, as if the CPU were freshly constructed. The instruction counter
-// keeps running (it is monotonic; callers consume deltas) and the decode
-// cache is kept — a memory-generation bump already invalidates it. The
-// block cache is emptied (keeping the translated-instruction storage):
+// keeps running (it is monotonic; callers consume deltas). The block
+// cache is emptied (keeping the translated-instruction storage):
 // a recycle bumps the generation anyway, and starting cold keeps the
 // block counters a pure function of each run instead of depending on
 // which previous image the CPU happened to execute.
@@ -254,10 +221,19 @@ func (c *CPU) cond(cc Cond) bool {
 }
 
 // control records a control transfer in the flight recorder and runs the
-// installed hook; a hook veto surfaces as a CFI-violation event.
-// telemetry.Ctl* values mirror isa.ControlKind, so the kind byte passes
-// straight through.
+// installed hook; a hook veto surfaces as a CFI-violation event. It is
+// small enough to inline, so an unobserved transfer costs two nil-checks
+// and no call on either executor.
 func (c *CPU) control(kind isa.ControlKind, from, to, ret uint32) *isa.Event {
+	if c.rec == nil && c.hooks == nil {
+		return nil
+	}
+	return c.observe(kind, from, to, ret)
+}
+
+// observe is control's out-of-line slow path. telemetry.Ctl* values
+// mirror isa.ControlKind, so the kind byte passes straight through.
+func (c *CPU) observe(kind isa.ControlKind, from, to, ret uint32) *isa.Event {
 	if c.rec != nil {
 		c.rec.Record(uint8(kind), from, to, c.icount)
 	}
@@ -277,25 +253,13 @@ const maxInstrLen = 12
 // instruction, reporting the outcome.
 func (c *CPU) Step() isa.Event {
 	pc := c.eip
-	gen := c.m.Gen()
-	slot := &c.dc[pc&(dcSize-1)]
-	var in Instr
-	if slot.pc == pc && slot.gen == gen {
-		in = slot.in
-	} else {
-		c.dcMisses++
-		window, perm, f := c.m.FetchWindow(pc, maxInstrLen)
-		if f != nil {
-			return isa.FaultEvent(pc, f)
-		}
-		var err error
-		in, err = Decode(window)
-		if err != nil {
-			return isa.IllegalEvent(pc)
-		}
-		if perm&mem.PermWrite == 0 {
-			*slot = dcEntry{pc: pc, gen: gen, in: in}
-		}
+	window, _, f := c.m.FetchWindow(pc, maxInstrLen)
+	if f != nil {
+		return isa.FaultEvent(pc, f)
+	}
+	in, err := Decode(window)
+	if err != nil {
+		return isa.IllegalEvent(pc)
 	}
 	next := pc + in.Size
 

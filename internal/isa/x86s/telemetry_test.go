@@ -46,9 +46,7 @@ func loopCPU(t *testing.T) *CPU {
 // TestStepZeroAllocsTelemetryOff pins the observability contract: with
 // telemetry disabled — including after an enable/disable cycle, the
 // worst case for leftover instrumentation — the hot loop still allocates
-// nothing per instruction. The decode-cache miss counter is a plain
-// integer bumped only on the (already slow) miss path and the flight
-// recorder costs one nil-check.
+// nothing per instruction. The flight recorder costs one nil-check.
 func TestStepZeroAllocsTelemetryOff(t *testing.T) {
 	telemetry.Enable()
 	telemetry.Disable()
@@ -64,11 +62,6 @@ func TestStepZeroAllocsTelemetryOff(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Step allocates %.1f objects per instruction with telemetry off, want 0", allocs)
-	}
-	misses := c.DecodeCacheMisses()
-	if misses == 0 || c.InstrCount() <= misses {
-		t.Errorf("decode cache: %d misses over %d instructions, want 0 < misses < instructions",
-			misses, c.InstrCount())
 	}
 }
 

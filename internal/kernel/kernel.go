@@ -224,13 +224,10 @@ type Process struct {
 	budget uint64
 
 	// tel is the process's telemetry shard (nil while telemetry is
-	// disabled); lastDCMisses remembers the CPU's monotonic
-	// decode-cache totals at the previous flush so each Run contributes
-	// only its own delta.
-	tel          *telemetry.Shard
-	lastDCMisses uint64
-	// lastBlock remembers the CPU's monotonic block-translation totals at
-	// the previous flush, mirroring lastDCMisses.
+	// disabled); lastBlock remembers the CPU's monotonic
+	// block-translation totals at the previous flush so each Run
+	// contributes only its own delta.
+	tel       *telemetry.Shard
 	lastBlock isa.BlockStats
 	// attempt tags this process's telemetry (run accounting, fault
 	// events) with the campaign attempt ID — the per-device splitmix64

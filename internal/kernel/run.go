@@ -100,13 +100,8 @@ func (p *Process) Run() RunResult {
 }
 
 // accountRun flushes one run's worth of telemetry: run/instruction/fault
-// counters, the per-run instruction histogram, and the decode-cache
-// deltas accumulated inside the CPU since the previous flush. The CPUs
-// count only decode-cache misses (the miss path already pays a full
-// fetch+decode, so the bump is free); the hit delta is derived as
-// instructions minus new misses, clamped at zero for the off-by-one a
-// faulting fetch introduces (its Step consults the cache but retires no
-// instruction).
+// counters, the per-run instruction histogram, and the block-translation
+// deltas accumulated inside the CPU since the previous flush.
 func (p *Process) accountRun(res RunResult) {
 	t := p.tel
 	t.Inc(telemetry.CtrEmuRuns)
@@ -123,30 +118,18 @@ func (p *Process) accountRun(res RunResult) {
 		telemetry.LogEvent(telemetry.EvWarn, "kernel", "run fault", string(p.arch),
 			p.attempt, uint64(res.PC), res.Instructions)
 	}
-	misses := p.cpu.DecodeCacheMisses()
-	hitCtr, missCtr := telemetry.CtrX86DecodeHit, telemetry.CtrX86DecodeMiss
 	trCtr, bhCtr, invCtr, biCtr := telemetry.CtrX86BlockTranslate, telemetry.CtrX86BlockHit,
 		telemetry.CtrX86BlockInvalidate, telemetry.CtrX86BlockInstr
 	if p.arch == isa.ArchARMS {
-		hitCtr, missCtr = telemetry.CtrARMSDecodeHit, telemetry.CtrARMSDecodeMiss
 		trCtr, bhCtr, invCtr, biCtr = telemetry.CtrARMSBlockTranslate, telemetry.CtrARMSBlockHit,
 			telemetry.CtrARMSBlockInvalidate, telemetry.CtrARMSBlockInstr
 	}
 	bs := p.cpu.BlockStats()
-	blockInstrDelta := bs.Instrs - p.lastBlock.Instrs
 	t.Add(trCtr, bs.Translated-p.lastBlock.Translated)
 	t.Add(bhCtr, bs.Hits-p.lastBlock.Hits)
 	t.Add(invCtr, bs.Invalidated-p.lastBlock.Invalidated)
-	t.Add(biCtr, blockInstrDelta)
+	t.Add(biCtr, bs.Instrs-p.lastBlock.Instrs)
 	p.lastBlock = bs
-	missDelta := misses - p.lastDCMisses
-	p.lastDCMisses = misses
-	t.Add(missCtr, missDelta)
-	// Instructions retired inside blocks never probe the decode cache, so
-	// they are excluded from the derived hit count.
-	if res.Instructions > missDelta+blockInstrDelta {
-		t.Add(hitCtr, res.Instructions-missDelta-blockInstrDelta)
-	}
 }
 
 // finish routes a terminal RunResult through the telemetry flush. It is

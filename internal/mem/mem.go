@@ -235,9 +235,9 @@ func (m *Memory) SetWX(on bool) { m.wx = on }
 // WX reports whether the W⊕X policy is enabled.
 func (m *Memory) WX() bool { return m.wx }
 
-// Gen returns the current layout/permission generation. Decode caches
-// (see isa/x86s) compare it to decide whether previously decoded
-// instruction bytes can still be trusted.
+// Gen returns the current layout/permission generation. The block
+// translation caches (see isa/x86s) compare it to decide whether
+// previously decoded instruction bytes can still be trusted.
 func (m *Memory) Gen() uint64 { return m.gen }
 
 // Map creates a segment. It fails if the range overlaps an existing segment
@@ -541,7 +541,7 @@ func (m *Memory) Fetch(addr, n uint32) ([]byte, *Fault) {
 }
 
 // FetchWindow is Fetch plus the containing segment's permissions, which
-// decode caches use to decide whether the returned bytes are immutable
+// block translators use to decide whether the returned bytes are immutable
 // while Gen() is unchanged (they are exactly when the segment is not
 // writable).
 func (m *Memory) FetchWindow(addr, n uint32) ([]byte, Perm, *Fault) {
@@ -561,7 +561,7 @@ func (m *Memory) FetchWindow(addr, n uint32) ([]byte, Perm, *Fault) {
 // short=true (with no fault) means the segment ended within the
 // instruction word, which callers report as an illegal instruction — the
 // same outcome a truncated Fetch window produces. perm is the containing
-// segment's permissions, for decode caches (see FetchWindow).
+// segment's permissions, for block translators (see FetchWindow).
 func (m *Memory) Fetch32(addr uint32) (word uint32, perm Perm, short bool, f *Fault) {
 	s, off, f := m.check(addr, 1, AccessExec)
 	if f != nil {
@@ -662,7 +662,7 @@ func (m *Memory) Sealed() bool { return m.sealed != nil }
 // the space untouched — if Seal was never called or the segment set has
 // changed since (a mapped or unmapped segment cannot be reconciled).
 //
-// Reset bumps Gen: decode caches revalidate, and stale hints are
+// Reset bumps Gen: block translations revalidate, and stale hints are
 // harmless by construction. Writes that bypassed the accessors (direct
 // Segment.Data stores) are invisible to the dirty tracking and survive a
 // Reset; runtime code must not do that (see Segment).

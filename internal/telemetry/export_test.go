@@ -20,8 +20,6 @@ func goldenSnapshot() Snapshot {
 	h := Handle()
 	h.Add(CtrEmuRuns, 4)
 	h.Add(CtrEmuInstr, 1234)
-	Inc(CtrX86DecodeHit)
-	Add(CtrX86DecodeMiss, 2)
 	Inc(CtrReconBuild)
 	Add(CtrReconHit, 3)
 	Inc(CtrPoolRecycle)
@@ -111,7 +109,7 @@ func TestSnapshotV1BackCompat(t *testing.T) {
 		t.Errorf("v1 emu_runs = %d, want 4", got)
 	}
 	// Counters retired since v1 still decode: old files keep loading.
-	for _, retired := range []string{"snap_hit", "net_cross_shard"} {
+	for _, retired := range []string{"snap_hit", "net_cross_shard", "x86s_decode_hit"} {
 		if _, ok := snap.Counters[retired]; !ok {
 			t.Errorf("v1 retired counter %s was dropped on decode", retired)
 		}

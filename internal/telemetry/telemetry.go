@@ -37,23 +37,18 @@ import (
 )
 
 // Counter identifies one global metric. The set covers every cache and
-// pool the engine layers: decode caches in both ISAs, the gadget scan
+// pool the engine layers: block translation in both ISAs, the gadget scan
 // index, the campaign recon/payload/packet/unit caches, the daemon pool,
 // the emulated kernel, and the network simulator.
 type Counter uint8
 
 // Global counters.
 const (
-	// Decode-cache effectiveness per ISA (flushed per emulated run).
-	CtrX86DecodeHit Counter = iota
-	CtrX86DecodeMiss
-	CtrARMSDecodeHit
-	CtrARMSDecodeMiss
 	// Basic-block translation per ISA (flushed per emulated run):
 	// blocks translated, dispatches served from the cache, cached blocks
 	// discarded for a stale memory generation, and instructions retired
 	// inside block dispatch (the rest went through single-step).
-	CtrX86BlockTranslate
+	CtrX86BlockTranslate Counter = iota
 	CtrX86BlockHit
 	CtrX86BlockInvalidate
 	CtrX86BlockInstr
@@ -114,8 +109,6 @@ const (
 // counterNames are the JSON snapshot keys, index-aligned with the
 // Counter constants. The schema golden test pins them.
 var counterNames = [numCounters]string{
-	"x86s_decode_hit", "x86s_decode_miss",
-	"arms_decode_hit", "arms_decode_miss",
 	"x86s_block_translate", "x86s_block_hit", "x86s_block_invalidate", "x86s_block_instructions",
 	"arms_block_translate", "arms_block_hit", "arms_block_invalidate", "arms_block_instructions",
 	"gadget_scan_build", "gadget_scan_hit",

@@ -19,8 +19,16 @@
 # than 10%. Benchmarks only in the baseline are listed as removed (not a
 # failure). COMPARE=0 skips the comparison.
 #
+# Paired mode: when BASE names a git revision instead of a file, the
+# script builds that revision's test binary from `git archive` and runs
+# every benchmark COUNT times on each side, alternating which side goes
+# first in each pair. The 10% guard is applied to the median of the
+# per-pair ns/op deltas, so host drift between pairs cancels out; the
+# table also shows each side's median. Paired mode writes no JSON.
+#
 #   BENCHTIME=5s OUT=/tmp/bench.json sh scripts/bench.sh
 #   BASE=BENCH_2.json sh scripts/bench.sh
+#   BASE=HEAD~1 COUNT=5 BENCHTIME=1s sh scripts/bench.sh
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,6 +42,75 @@ BIN="$(mktemp)"
 trap 'rm -f "$TMP" "$BIN"' EXIT
 
 go test -c -o "$BIN" .
+
+if [ -n "${BASE:-}" ] && [ ! -f "$BASE" ] && git rev-parse -q --verify "$BASE^{commit}" > /dev/null; then
+    BASEDIR="$(mktemp -d)"
+    BASEBIN="$(mktemp)"
+    trap 'rm -rf "$TMP" "$BIN" "$BASEDIR" "$BASEBIN"' EXIT
+    git archive "$BASE" | tar -x -C "$BASEDIR"
+    (cd "$BASEDIR" && go test -c -o "$BASEBIN" .)
+    echo "paired: $BASE (base) vs working tree (now), $COUNT pairs of $BENCHTIME runs"
+    for name in $("$BIN" -test.list 'Benchmark.*'); do
+        pair=1
+        while [ "$pair" -le "$COUNT" ]; do
+            if [ $((pair % 2)) = 1 ]; then order="base now"; else order="now base"; fi
+            for side in $order; do
+                # Each binary runs from its own source tree.
+                if [ "$side" = base ]; then b="$BASEBIN" dir="$BASEDIR"; else b="$BIN" dir=.; fi
+                (cd "$dir" && "$b" -test.run '^$' -test.bench "^${name}\$" -test.benchmem \
+                    -test.benchtime "$BENCHTIME" -test.count 1) |
+                    sed -n "s/^Benchmark/$side $pair Benchmark/p" | tee -a "$TMP"
+            done
+            pair=$((pair + 1))
+        done
+    done
+    echo
+    echo "paired ns/op, median over $COUNT pairs (>10% median pair delta fails):"
+    awk -v fail=10 '
+    function median(a, k,   i, j, t) {
+        for (i = 1; i < k; i++)
+            for (j = i; j > 0 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+        return k % 2 ? a[int(k / 2)] : (a[k / 2 - 1] + a[k / 2]) / 2
+    }
+    {
+        ns = ""
+        for (i = 4; i <= NF; i++) if ($i == "ns/op") ns = $(i - 1)
+        if (ns == "") next
+        name = $3
+        if (!(name in seen)) { seen[name] = 1; order[n++] = name }
+        v[$1, name, $2] = ns + 0
+        pairs[name, $2] = 1
+        if ($2 > maxpair) maxpair = $2
+    }
+    END {
+        printf "  %-45s %12s %12s %8s\n", "benchmark", "base", "now", "delta"
+        worst = 0
+        for (i = 0; i < n; i++) {
+            name = order[i]; kb = kn = kd = 0
+            split("", b); split("", c); split("", d)
+            for (p = 1; p <= maxpair; p++) {
+                hb = (("base", name, p) in v); hn = (("now", name, p) in v)
+                if (hb) b[kb++] = v["base", name, p]
+                if (hn) c[kn++] = v["now", name, p]
+                if (hb && hn) d[kd++] = 100 * (v["now", name, p] - v["base", name, p]) / v["base", name, p]
+            }
+            if (kd == 0) {
+                printf "  %-45s %12s %12s %8s\n", name, (kb ? median(b, kb) : "-"), (kn ? median(c, kn) : "-"), (kb ? "removed" : "new")
+                continue
+            }
+            delta = median(d, kd)
+            printf "  %-45s %12.1f %12.1f %+7.1f%%\n", name, median(b, kb), median(c, kn), delta
+            if (delta > worst) { worst = delta; worstname = name }
+        }
+        if (worst > fail) {
+            printf "FAIL: %s regressed %.1f%% (median pair delta, limit %d%%)\n", worstname, worst, fail
+            exit 1
+        }
+        printf "ok: no benchmark regressed more than %d%%\n", fail
+    }
+    ' "$TMP"
+    exit
+fi
 
 for name in $("$BIN" -test.list 'Benchmark.*'); do
     "$BIN" -test.run '^$' -test.bench "^${name}\$" -test.benchmem \

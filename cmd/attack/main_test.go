@@ -23,19 +23,29 @@ func TestRunCodeInjection(t *testing.T) {
 	}
 }
 
-// TestRunGolden: the W⊕X+ASLR ROP transcript on ARM stays byte-identical
-// to the recorded one (scripts/check.sh compares the CLI output too).
+// TestRunGolden: recorded CLI transcripts stay byte-identical
+// (scripts/check.sh compares the CLI output too): the W⊕X+ASLR ROP
+// shell on ARM, and the diversity-broken execlp chain whose hang is
+// proven and fast-forwarded to the same budget-exhausted verdict.
 func TestRunGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "arms_rop-memcpy_wx_aslr.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := run([]string{"-arch", "arms", "-kind", "rop-memcpy", "-wx", "-aslr"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("transcript differs from golden:\n got: %q\nwant: %q", out.String(), want)
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"arms_rop-memcpy_wx_aslr.golden", []string{"-arch", "arms", "-kind", "rop-memcpy", "-wx", "-aslr"}},
+		{"arms_rop-execlp_wx_div30.golden", []string{"-arch", "arms", "-kind", "rop-execlp", "-wx", "-diversity", "30"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run(c.args, &out); err != nil {
+			t.Fatalf("%s: run: %v", c.golden, err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s: transcript differs from golden:\n got: %q\nwant: %q", c.golden, out.String(), want)
+		}
 	}
 }
 

@@ -20,7 +20,9 @@ import (
 //
 // The executor duplicates Step's per-op semantics deliberately (see the
 // x86s twin for the rationale); the differential lockstep harness in
-// internal/isa/isatest pins the two paths against each other.
+// internal/isa/isatest pins the two paths against each other. The chain
+// loop proves hangs and fast-forwards them exactly (see the x86s twin and
+// isa.CPU.StepBlock).
 
 // bcSize is the number of block-cache slots (direct-mapped on the
 // word-aligned entry PC).
@@ -40,8 +42,49 @@ type blockInstr struct {
 // untranslatable for this generation.
 type bcEntry struct {
 	pc  uint32
+	fx  uint8
 	gen uint64
 	ins []blockInstr
+}
+
+// Block effect bits (bcEntry.fx), consulted by the cycle detector; see
+// the x86s twin.
+const (
+	fxStore uint8 = 1 << iota // writes memory or enters the kernel
+	fxCtl                     // notifies hooks and the recorder
+)
+
+// effects classifies in for bcEntry.fx.
+func effects(in *Instr) uint8 {
+	switch in.Op {
+	case OpStr, OpStrb, OpPush, OpSvc:
+		return fxStore
+	case OpBL, OpBLX, OpBX:
+		return fxCtl
+	case OpPop:
+		if in.RegList&(1<<PC) != 0 {
+			return fxCtl
+		}
+	case OpLdr, OpMovR:
+		if in.Rd == PC {
+			return fxCtl
+		}
+	}
+	return 0
+}
+
+// cycleWatch is the number of instructions a dispatch retires before
+// its cycle detector wakes (see the x86s twin).
+const cycleWatch = 1 << 14
+
+// cycle is watchChain's Brent cycle detector (see the x86s twin): the
+// architectural state saved at a pure block entry, the instruction count
+// there, and Brent's step counter and power.
+type cycle struct {
+	regs       [numRegs]uint32
+	fl         flags
+	at         uint64
+	lam, power uint64 // power 0: nothing saved
 }
 
 // blockEnder reports whether in terminates a basic block. Besides the
@@ -70,6 +113,7 @@ func blockEnder(in *Instr) bool {
 func (c *CPU) translate(slot *bcEntry, pc uint32, gen uint64) bool {
 	ins := slot.ins[:0]
 	p := pc
+	var fx uint8
 	for len(ins) < maxBlockInstrs {
 		word, perm, short, f := c.m.Fetch32(p)
 		if f != nil || short || perm&mem.PermWrite != 0 {
@@ -80,12 +124,13 @@ func (c *CPU) translate(slot *bcEntry, pc uint32, gen uint64) bool {
 			break
 		}
 		ins = append(ins, blockInstr{pc: p, in: in})
+		fx |= effects(&in)
 		if blockEnder(&in) {
 			break
 		}
 		p += InstrSize
 	}
-	*slot = bcEntry{pc: pc, gen: gen, ins: ins}
+	*slot = bcEntry{pc: pc, gen: gen, fx: fx, ins: ins}
 	if len(ins) == 0 {
 		return false
 	}
@@ -102,6 +147,9 @@ func (c *CPU) translate(slot *bcEntry, pc uint32, gen uint64) bool {
 // nothing retired yet, the call degenerates to a single Step so the
 // interpreter reproduces the exact fault/illegal event; otherwise it
 // returns EventRetired and the caller's next dispatch takes that path.
+// A chain that runs past cycleWatch instructions (or half of max)
+// continues in watchChain, which fast-forwards a proven hang (see the
+// x86s twin).
 func (c *CPU) StepBlock(max uint64) isa.Event {
 	if max == 0 {
 		max = 1
@@ -111,6 +159,12 @@ func (c *CPU) StepBlock(max uint64) isa.Event {
 	limit := c.icount + max
 	if limit < c.icount { // saturate on wraparound
 		limit = ^uint64(0)
+	}
+	// A dispatch that runs past stop continues in watchChain, with the
+	// cycle detector awake.
+	stop := limit
+	if max > 1 {
+		stop = start + min(max/2, cycleWatch)
 	}
 	for {
 		pc := c.regs[PC]
@@ -147,6 +201,48 @@ func (c *CPU) StepBlock(max uint64) isa.Event {
 			ins = ins[:rem]
 		}
 		ev := c.execBlock(ins)
+		if ev.Kind != isa.EventRetired || c.icount >= stop {
+			if ev.Kind == isa.EventRetired && c.icount < limit {
+				return c.watchChain(start, limit, gen)
+			}
+			c.bcStats.Instrs += c.icount - start
+			return ev
+		}
+	}
+}
+
+// watchChain continues StepBlock's chain past its stop with the cycle
+// detector awake: every block is already translated (a cold PC ends the
+// dispatch), each pure entry feeds the detector, and a proof
+// fast-forwards the dispatch once.
+func (c *CPU) watchChain(start, limit, gen uint64) isa.Event {
+	impure := fxStore
+	if c.hooks != nil || c.rec != nil {
+		impure |= fxCtl
+	}
+	var d cycle
+	for {
+		pc := c.regs[PC]
+		slot := &c.bc[(pc>>2)&(bcSize-1)]
+		if slot.pc != pc || slot.gen != gen || len(slot.ins) == 0 {
+			c.bcStats.Instrs += c.icount - start
+			return isa.Event{Kind: isa.EventRetired, PC: pc}
+		}
+		c.bcStats.Hits++
+		if slot.fx&impure != 0 {
+			d.power = 0 // disarm
+		} else if d.power != 0 && pc == d.regs[PC] && c.regs == d.regs && c.fl == d.fl {
+			c.fastForward(limit, d.at)
+			impure = ^uint8(0) // one proof per dispatch
+		} else if d.lam++; d.lam >= d.power {
+			d.regs, d.fl, d.at = c.regs, c.fl, c.icount
+			d.lam, d.power = 0, d.power<<1|1 // windows of 1, 3, 7, ... entries
+		}
+		ins := slot.ins
+		if rem := limit - c.icount; rem < uint64(len(ins)) {
+			ins = ins[:rem]
+		}
+		ev := c.execBlock(ins)
 		if ev.Kind != isa.EventRetired || c.icount >= limit {
 			c.bcStats.Instrs += c.icount - start
 			return ev
@@ -154,8 +250,23 @@ func (c *CPU) StepBlock(max uint64) isa.Event {
 	}
 }
 
+// fastForward records the cycle the detector just closed — the current
+// state, first seen at instruction count at — and skips its whole periods
+// that fit before limit.
+func (c *CPU) fastForward(limit, at uint64) {
+	period := c.icount - at
+	skip := (limit - c.icount) / period * period
+	c.icount += skip
+	c.bcStats.Hangs++
+	c.bcStats.Skipped += skip
+	c.hang = isa.Hang{PC: c.regs[PC], Period: period, At: at}
+}
+
 // BlockStats implements isa.CPU.
 func (c *CPU) BlockStats() isa.BlockStats { return c.bcStats }
+
+// LastHang implements isa.CPU.
+func (c *CPU) LastHang() isa.Hang { return c.hang }
 
 // execBlock runs a translated block. Control transfers notify the
 // recorder and hooks through control at the same point Step does, so a

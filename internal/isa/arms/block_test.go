@@ -468,6 +468,17 @@ func FuzzBlockStep(f *testing.F) {
 	}, []byte{}, 0, 0, true)
 	add(func(a *Asm) *Asm { return a.BL("fn").Label("fn").MovW(LR, 4).BX(LR) }, []byte{}, 1, 2, true)
 	add(func(a *Asm) *Asm { return a.Svc(1).MovR(PC, R0) }, []byte{}, 0x10004, 0, true)
+	// Store-free backward branches, so dispatch proves the hang and
+	// fast-forwards: b ., a two-block loop, a loop that only reads, and
+	// a bl/bx lr loop (pure unhooked, impure hooked).
+	add(func(a *Asm) *Asm { return a.Label("l").BAlways("l") }, []byte{}, 0, 0, false)
+	add(func(a *Asm) *Asm {
+		return a.Label("l").MovW(R0, 5).BAlways("m").Label("m").CmpI(R0, 5).B(CondEQ, "l")
+	}, []byte{}, 0, 0, false)
+	add(func(a *Asm) *Asm { return a.Label("l").Ldr(R2, SP, 0).AddI(R3, R2, 1).BAlways("l") }, []byte{}, 0, 0, false)
+	callLoop := func(a *Asm) *Asm { return a.Label("l").BLLabel("f").BAlways("l").Label("f").BX(LR) }
+	add(callLoop, []byte{}, 0, 0, false)
+	add(callLoop, []byte{}, 0, 0, true)
 	f.Fuzz(func(t *testing.T, code, patch []byte, r0, r1 uint32, hooked bool) {
 		if len(code) == 0 {
 			return

@@ -133,8 +133,27 @@ type BlockStats struct {
 	// generation moved under them (SetPerm/Unmap/Map/Reset).
 	Invalidated uint64
 	// Instrs counts instructions retired inside block dispatch (the
-	// remainder of InstrCount went through single-step paths).
+	// remainder of InstrCount went through single-step paths), including
+	// those fast-forwarded past a proven cycle.
 	Instrs uint64
+	// Hangs counts cycles block dispatch proved (see CPU.StepBlock).
+	Hangs uint64
+	// Skipped counts the instructions fast-forwarded past proven cycles
+	// instead of executed; they are part of Instrs and InstrCount.
+	Skipped uint64
+}
+
+// Hang is block dispatch's proof that execution cannot terminate: the
+// architectural state at a pure block entry repeated, so the loop it
+// closes runs forever (see CPU.StepBlock).
+type Hang struct {
+	// PC is the block entry at which the state repeated.
+	PC uint32
+	// Period is the loop's length in instructions.
+	Period uint64
+	// At is the instruction count at which the detector first saw the
+	// repeating state.
+	At uint64
 }
 
 // CPU is a single simulated hardware thread. Implementations own their
@@ -183,9 +202,26 @@ type CPU interface {
 	// with the EventCFIViolation Step would report. When the entry is not
 	// block-eligible — writable code, or an unfetchable or undecodable
 	// entry instruction — StepBlock falls back to exactly one Step.
+	//
+	// StepBlock also proves hangs. A translated block is pure when it
+	// stores nothing (no store, push or syscall) and, while a hook or the
+	// recorder is attached, notifies no control transfer. Once a
+	// dispatch has run long (a fixed count, or half of max if that is
+	// less), a Brent cycle detector watches the registers, PC and flags
+	// across consecutive pure block entries; entering an impure block
+	// resets it. A repeated state is a proof: the machine is
+	// deterministic, the memory generation is fixed for the dispatch, and
+	// no memory changed, so the loop repeats forever. StepBlock then
+	// advances the instruction count by whole periods toward max and
+	// executes the last partial period normally, so the event, registers,
+	// flags, memory and InstrCount are exactly those of brute force. Only
+	// StepBlock fast-forwards; Step never does.
 	StepBlock(max uint64) Event
 	// BlockStats returns the monotonic block-translation counters.
 	BlockStats() BlockStats
+	// LastHang returns the most recent cycle StepBlock proved (zero
+	// Period if none).
+	LastHang() Hang
 	// InstrCount returns the number of instructions retired since reset,
 	// used for run budgets and performance reporting.
 	InstrCount() uint64

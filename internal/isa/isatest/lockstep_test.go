@@ -185,6 +185,47 @@ func TestLockstepCapOne(t *testing.T) {
 	Lockstep(t, aref, ablk, 5_000, []uint64{1})
 }
 
+// TestLockstepFastForward runs store-free backward-branch programs — a
+// counted loop that exits, then a two-block loop that never does — so
+// block dispatch proves the hang and fast-forwards it, dispatch after
+// dispatch, under caps that make each skip land at a different offset
+// into the period. The reference single-steps every skipped instruction
+// and the harness compares as usual.
+func TestLockstepFastForward(t *testing.T) {
+	caps := []uint64{500, 1, 77, 3, 1000}
+	a := x86s.NewAsm()
+	a.MovRI(x86s.ECX, 50).
+		Label("count").DecR(x86s.ECX).Jcc(x86s.CondNE, "count").
+		Label("a").MovRM(x86s.EAX, x86s.EBX, 0).AddRI(x86s.EAX, 3).Jmp("b").
+		Label("b").CmpRR(x86s.EAX, x86s.ECX).Jcc(x86s.CondNE, "a").
+		Ret()
+	code, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, blk := buildX86(t, code.Bytes, nil), buildX86(t, code.Bytes, nil)
+	Lockstep(t, ref, blk, 20_000, caps)
+	if bs := blk.BlockStats(); bs.Hangs < 2 || bs.Skipped == 0 {
+		t.Errorf("x86s: %d hangs proven, %d instructions skipped; want several and > 0", bs.Hangs, bs.Skipped)
+	}
+
+	b := arms.NewAsm()
+	b.MovW(arms.R0, 50).
+		Label("count").SubI(arms.R0, arms.R0, 1).CmpI(arms.R0, 0).B(arms.CondNE, "count").
+		Label("a").Ldr(arms.R2, arms.R10, 0).AddI(arms.R1, arms.R2, 3).BAlways("b").
+		Label("b").CmpR(arms.R1, arms.R0).B(arms.CondNE, "a").
+		BX(arms.LR)
+	acode, err := b.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	aref, ablk := buildARMS(t, acode.Bytes, nil), buildARMS(t, acode.Bytes, nil)
+	Lockstep(t, aref, ablk, 20_000, caps)
+	if bs := ablk.BlockStats(); bs.Hangs < 2 || bs.Skipped == 0 {
+		t.Errorf("arms: %d hangs proven, %d instructions skipped; want several and > 0", bs.Hangs, bs.Skipped)
+	}
+}
+
 // TestLockstepSelfModifyInvalidation pins the W⊕X invalidation path at
 // the harness level: run a loop hot under block dispatch, flip the text
 // segment writable, patch an instruction, flip it back, and require both

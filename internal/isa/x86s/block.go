@@ -25,6 +25,24 @@ import (
 // Step's hot path, and the whole point of the block loop is shedding
 // per-instruction overhead. The differential lockstep harness
 // (internal/isa/isatest) pins the two paths against each other.
+//
+// The chain also proves hangs. translate records each block's effects:
+// fxStore when it writes memory or enters the kernel, fxCtl when its
+// terminator notifies hooks and the recorder (which keep state of their
+// own, so such a block counts as impure only while one is attached). A
+// dispatch that runs past cycleWatch instructions (or half its cap, if
+// that is less) continues in watchChain, where across consecutive pure
+// block entries a Brent cycle detector keeps one saved state —
+// registers, PC, flags — and moves it forward after windows of 1, 3, 7,
+// … entries; an impure entry disarms it. Shorter dispatches never pay
+// for the detector. When the state at a pure entry equals the saved one,
+// the loop
+// between them provably never ends: execution is deterministic, the
+// generation is fixed for the dispatch, and no memory changed, so every
+// read returns the same bytes. fastForward then adds the largest
+// multiple of the period that fits before the dispatch limit to the
+// instruction count; the rest runs normally, so the limit lands on the
+// state brute force reaches.
 
 // bcSize is the number of block-cache slots (direct-mapped on the entry
 // PC's low bits).
@@ -48,8 +66,53 @@ type blockInstr struct {
 // dispatch to the single-step fallback without re-probing memory.
 type bcEntry struct {
 	pc  uint32
+	fx  uint8
 	gen uint64
 	ins []blockInstr
+}
+
+// Block effect bits (bcEntry.fx), consulted by the cycle detector.
+const (
+	fxStore uint8 = 1 << iota // writes memory or enters the kernel
+	fxCtl                     // notifies hooks and the recorder
+)
+
+// effects classifies in for bcEntry.fx.
+func effects(in *Instr) uint8 {
+	switch in.Op {
+	case OpPushR, OpPushI, OpPushM, OpMovMR, OpMovMI, OpMovMI8, OpMovMR8, OpMovsb, OpInt:
+		return fxStore
+	case OpCallRel, OpCallInd:
+		return fxStore | fxCtl
+	case OpRet, OpJmpInd:
+		return fxCtl
+	case OpAluRR, OpAluRI:
+		if in.MemOperand && in.Alu != AluCmp {
+			return fxStore
+		}
+	}
+	return 0
+}
+
+// cycleWatch is the number of instructions a dispatch retires before
+// its cycle detector wakes. A hang runs the whole budget in one dispatch
+// and pays this many instructions before the proof; code that is not
+// hung rarely dispatches this long (the victim's longest parses, on
+// arms, run about 9k), so its hot path pays nothing for the detector. A
+// dispatch capped below 2·cycleWatch wakes it at half the cap instead,
+// so short dispatches (the differential harness and fuzzers cap them at
+// tens to hundreds of instructions) still reach the proof path.
+const cycleWatch = 1 << 14
+
+// cycle is watchChain's Brent cycle detector: the architectural state
+// saved at a pure block entry, the instruction count there, and Brent's
+// step counter and power.
+type cycle struct {
+	regs       [numRegs]uint32
+	eip        uint32
+	fl         flags
+	at         uint64
+	lam, power uint64 // power 0: nothing saved
 }
 
 // blockEnder reports whether op terminates a basic block: every control
@@ -74,6 +137,7 @@ func blockEnder(op Op) bool {
 func (c *CPU) translate(slot *bcEntry, pc uint32, gen uint64) bool {
 	ins := slot.ins[:0]
 	p := pc
+	var fx uint8
 	for len(ins) < maxBlockInstrs {
 		window, perm, f := c.m.FetchWindow(p, maxInstrLen)
 		if f != nil || perm&mem.PermWrite != 0 {
@@ -84,12 +148,13 @@ func (c *CPU) translate(slot *bcEntry, pc uint32, gen uint64) bool {
 			break
 		}
 		ins = append(ins, blockInstr{pc: p, in: in})
+		fx |= effects(&in)
 		if blockEnder(in.Op) {
 			break
 		}
 		p += in.Size
 	}
-	*slot = bcEntry{pc: pc, gen: gen, ins: ins}
+	*slot = bcEntry{pc: pc, gen: gen, fx: fx, ins: ins}
 	if len(ins) == 0 {
 		return false
 	}
@@ -107,7 +172,9 @@ func (c *CPU) translate(slot *bcEntry, pc uint32, gen uint64) bool {
 // (writable code, unmapped, undecodable) end the chain: with nothing
 // retired yet the call degenerates to a single Step so the interpreter
 // reproduces the exact fault/illegal event; otherwise the caller re-
-// enters and takes that path on its next dispatch.
+// enters and takes that path on its next dispatch. A chain that runs
+// past cycleWatch instructions (or half of max) continues in watchChain,
+// which fast-forwards a proven hang.
 func (c *CPU) StepBlock(max uint64) isa.Event {
 	if max == 0 {
 		max = 1
@@ -117,6 +184,12 @@ func (c *CPU) StepBlock(max uint64) isa.Event {
 	limit := c.icount + max
 	if limit < c.icount { // saturate on wraparound
 		limit = ^uint64(0)
+	}
+	// A dispatch that runs past stop continues in watchChain, with the
+	// cycle detector awake.
+	stop := limit
+	if max > 1 {
+		stop = start + min(max/2, cycleWatch)
 	}
 	for {
 		pc := c.eip
@@ -153,6 +226,48 @@ func (c *CPU) StepBlock(max uint64) isa.Event {
 			ins = ins[:rem]
 		}
 		ev := c.execBlock(ins)
+		if ev.Kind != isa.EventRetired || c.icount >= stop {
+			if ev.Kind == isa.EventRetired && c.icount < limit {
+				return c.watchChain(start, limit, gen)
+			}
+			c.bcStats.Instrs += c.icount - start
+			return ev
+		}
+	}
+}
+
+// watchChain continues StepBlock's chain past its stop with the cycle
+// detector awake: every block is already translated (a cold PC ends the
+// dispatch), each pure entry feeds the detector, and a proof
+// fast-forwards the dispatch once.
+func (c *CPU) watchChain(start, limit, gen uint64) isa.Event {
+	impure := fxStore
+	if c.hooks != nil || c.rec != nil {
+		impure |= fxCtl
+	}
+	var d cycle
+	for {
+		pc := c.eip
+		slot := &c.bc[pc&(bcSize-1)]
+		if slot.pc != pc || slot.gen != gen || len(slot.ins) == 0 {
+			c.bcStats.Instrs += c.icount - start
+			return isa.Event{Kind: isa.EventRetired, PC: pc}
+		}
+		c.bcStats.Hits++
+		if slot.fx&impure != 0 {
+			d.power = 0 // disarm
+		} else if d.power != 0 && pc == d.eip && c.regs == d.regs && c.fl == d.fl {
+			c.fastForward(limit, d.at)
+			impure = ^uint8(0) // one proof per dispatch
+		} else if d.lam++; d.lam >= d.power {
+			d.regs, d.eip, d.fl, d.at = c.regs, pc, c.fl, c.icount
+			d.lam, d.power = 0, d.power<<1|1 // windows of 1, 3, 7, ... entries
+		}
+		ins := slot.ins
+		if rem := limit - c.icount; rem < uint64(len(ins)) {
+			ins = ins[:rem]
+		}
+		ev := c.execBlock(ins)
 		if ev.Kind != isa.EventRetired || c.icount >= limit {
 			c.bcStats.Instrs += c.icount - start
 			return ev
@@ -160,8 +275,23 @@ func (c *CPU) StepBlock(max uint64) isa.Event {
 	}
 }
 
+// fastForward records the cycle the detector just closed — the current
+// state, first seen at instruction count at — and skips its whole periods
+// that fit before limit.
+func (c *CPU) fastForward(limit, at uint64) {
+	period := c.icount - at
+	skip := (limit - c.icount) / period * period
+	c.icount += skip
+	c.bcStats.Hangs++
+	c.bcStats.Skipped += skip
+	c.hang = isa.Hang{PC: c.eip, Period: period, At: at}
+}
+
 // BlockStats implements isa.CPU.
 func (c *CPU) BlockStats() isa.BlockStats { return c.bcStats }
+
+// LastHang implements isa.CPU.
+func (c *CPU) LastHang() isa.Hang { return c.hang }
 
 // execBlock runs a translated block. Control transfers notify the
 // recorder and hooks through control at the same point Step does, so a

@@ -495,6 +495,26 @@ func FuzzBlockStep(f *testing.F) {
 	f.Add([]byte{0xE8, 0x01, 0x00, 0x00, 0x00, 0xC3, 0x58, 0x50, 0xC3}, []byte{0xC3}, uint32(0), uint32(0), true)
 	f.Add([]byte{0xE8, 0x00, 0x00, 0x00, 0x00, 0x58, 0x40, 0x50, 0xC3}, []byte{}, uint32(1), uint32(2), true)
 	f.Add([]byte{0x90, 0xCD, 0x80, 0xFF, 0xE0}, []byte{0x90}, uint32(0x08048004), uint32(0), true)
+	// Store-free backward branches, so dispatch proves the hang and
+	// fast-forwards: jmp ., a two-block loop, a loop that only reads, and
+	// jmp eax to itself (pure unhooked, impure hooked).
+	f.Add([]byte{0xEB, 0xFE}, []byte{}, uint32(0), uint32(0), false)
+	for _, build := range []func(a *Asm){
+		func(a *Asm) {
+			a.Label("a").MovRI(EAX, 1).Jmp("b").Label("b").CmpRR(EAX, ECX).Jcc(CondNE, "a")
+		},
+		func(a *Asm) { a.Label("l").MovRM(EDX, ESP, 0).AddRI(EDX, 1).Jmp("l") },
+	} {
+		a := NewAsm()
+		build(a)
+		code, err := a.Assemble()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(code.Bytes, []byte{}, uint32(0), uint32(0), false)
+	}
+	f.Add([]byte{0xFF, 0xE0}, []byte{}, uint32(0x08048000), uint32(0), false)
+	f.Add([]byte{0xFF, 0xE0}, []byte{}, uint32(0x08048000), uint32(0), true)
 	f.Fuzz(func(t *testing.T, code, patch []byte, r0, r1 uint32, hooked bool) {
 		if len(code) == 0 {
 			return

@@ -25,6 +25,8 @@ type CPU struct {
 	// the memory generation; bcStats its monotonic counters.
 	bc      [bcSize]bcEntry
 	bcStats isa.BlockStats
+	// hang is StepBlock's last cycle proof.
+	hang isa.Hang
 }
 
 var _ isa.CPU = (*CPU)(nil)

@@ -73,9 +73,11 @@ type Config struct {
 	// InstrBudget bounds each Call; 0 means DefaultInstrBudget.
 	InstrBudget uint64
 	// SingleStep forces the pure per-instruction interpreter path,
-	// disabling basic-block dispatch. The differential lockstep harness
-	// (internal/isa/isatest) uses it as the reference executor; it is
-	// also the switch to flip when bisecting a suspected translator bug.
+	// disabling basic-block dispatch and with it hang proofs: every
+	// instruction of a hung run executes. The differential lockstep
+	// harness (internal/isa/isatest) uses it as the brute-force reference
+	// executor; it is also the switch to flip when bisecting a suspected
+	// translator bug.
 	SingleStep bool
 	// LinkOpts tunes program linking (used by the diversity mitigation).
 	LinkOpts image.Options
@@ -159,6 +161,11 @@ type RunResult struct {
 	ExitStatus uint32
 	// Instructions is the number of instructions retired during the call.
 	Instructions uint64
+	// Hang is set for a StatusTimeout that block dispatch proved: the
+	// loop's PC and period, and At, the instruction count into the call
+	// at which the repeating state was first seen. Nil when the budget
+	// simply ran out (always so under Config.SingleStep).
+	Hang *isa.Hang `json:",omitempty"`
 }
 
 // Crashed reports whether the run ended in any abnormal termination

@@ -118,6 +118,10 @@ func (p *Process) accountRun(res RunResult) {
 		telemetry.LogEvent(telemetry.EvWarn, "kernel", "run fault", string(p.arch),
 			p.attempt, uint64(res.PC), res.Instructions)
 	}
+	if res.Hang != nil {
+		telemetry.LogEvent(telemetry.EvWarn, "kernel", "run hang", string(p.arch),
+			p.attempt, uint64(res.Hang.PC), res.Hang.Period)
+	}
 	trCtr, bhCtr, invCtr, biCtr := telemetry.CtrX86BlockTranslate, telemetry.CtrX86BlockHit,
 		telemetry.CtrX86BlockInvalidate, telemetry.CtrX86BlockInstr
 	if p.arch == isa.ArchARMS {
@@ -129,6 +133,8 @@ func (p *Process) accountRun(res RunResult) {
 	t.Add(bhCtr, bs.Hits-p.lastBlock.Hits)
 	t.Add(invCtr, bs.Invalidated-p.lastBlock.Invalidated)
 	t.Add(biCtr, bs.Instrs-p.lastBlock.Instrs)
+	t.Add(telemetry.CtrEmuHangProven, bs.Hangs-p.lastBlock.Hangs)
+	t.Add(telemetry.CtrEmuInstrSkipped, bs.Skipped-p.lastBlock.Skipped)
 	p.lastBlock = bs
 }
 
@@ -143,19 +149,18 @@ func (p *Process) finish(res RunResult) RunResult {
 }
 
 // runLoop is the interpreter's outermost hot path, separated from Run so
-// the telemetry flush stays out of the loop. Accounting happens via the
-// inlined finish at each terminal return rather than in Run or a defer:
-// a p.tel branch in Run makes Run non-inlinable and a defer here pins
-// the result to the stack, both of which measurably slow the
-// interpreter even with telemetry disabled.
-// runLoop dispatches through the CPU's basic-block cache: each iteration
+// the telemetry flush stays out of the loop; accounting happens via the
+// inlined finish at each terminal return, because a p.tel branch in Run
+// makes Run non-inlinable and a defer here pins the result to the stack,
+// both measurably slow even with telemetry disabled. Each iteration
 // executes a chain of translated blocks (or one single-stepped
-// instruction when the entry is not block-eligible), with the remaining
-// budget as the per-dispatch cap so a timeout lands on exactly the same
-// instruction count single-stepping would report. The sentinel check on
-// retired events stays sound under chained blocks: the sentinel is never
-// mapped, so a chain reaching it cannot translate further and returns a
-// retired event whose PC is the sentinel — the PC single-step would have
+// instruction when the entry is not block-eligible) with the remaining
+// budget as the per-dispatch cap, so a timeout — including a hang the
+// CPU proved and fast-forwarded — lands on exactly the instruction count
+// and state single-stepping would report. The sentinel check on retired
+// events stays sound under chained blocks: the sentinel is never mapped,
+// so a chain reaching it cannot translate further and returns a retired
+// event whose PC is the sentinel — the PC single-step would have
 // reported there.
 func (p *Process) runLoop() RunResult {
 	cpu := p.cpu
@@ -200,9 +205,21 @@ func (p *Process) runLoop() RunResult {
 			return p.finish(RunResult{
 				Status: StatusTimeout, PC: cpu.PC(),
 				Instructions: cpu.InstrCount() - start,
+				Hang:         p.hangSince(start),
 			})
 		}
 	}
+}
+
+// hangSince returns the CPU's last cycle proof, rebased to the call, if
+// it was made during the run that started at instruction count start.
+func (p *Process) hangSince(start uint64) *isa.Hang {
+	h := p.cpu.LastHang()
+	if h.Period == 0 || h.At < start {
+		return nil
+	}
+	h.At -= start
+	return &h
 }
 
 // StepHandled advances the process by one instruction, servicing syscalls

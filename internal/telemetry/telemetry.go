@@ -78,6 +78,10 @@ const (
 	CtrEmuRuns
 	CtrEmuInstr
 	CtrEmuFaults
+	// Hangs block dispatch proved, and the instructions it fast-forwarded
+	// past them instead of executing (counted in emu_instructions too).
+	CtrEmuHangProven
+	CtrEmuInstrSkipped
 	// Network simulator: datagrams enqueued, delivered, dropped.
 	CtrNetEnqueued
 	CtrNetDelivered
@@ -118,6 +122,7 @@ var counterNames = [numCounters]string{
 	"unit_build", "unit_hit",
 	"pool_recycle", "pool_fresh",
 	"emu_runs", "emu_instructions", "emu_faults",
+	"emu_hang_proven", "emu_instr_skipped",
 	"net_enqueued", "net_delivered", "net_dropped",
 	"net_epochs",
 	"dns_resolved", "dns_hijacked",

@@ -46,6 +46,9 @@ go run ./cmd/campaign -preset matrix -canonical | cmp - internal/scenario/testda
 # A real CLI transcript: the W⊕X+ASLR ROP attack on ARM must stay
 # byte-identical to the recorded one.
 go run ./cmd/attack -arch arms -kind rop-memcpy -wx -aslr | cmp - cmd/attack/testdata/arms_rop-memcpy_wx_aslr.golden
+# The diversity-broken execlp chain hangs; block dispatch proves the loop
+# and fast-forwards it to the same budget-exhausted verdict.
+go run ./cmd/attack -arch arms -kind rop-execlp -wx -diversity 30 | cmp - cmd/attack/testdata/arms_rop-execlp_wx_div30.golden
 # Live observability surface: labd must serve /metrics and /snapshot
 # (schema v2) while a campaign loop runs on an ephemeral port, and the
 # off-by-default contract must hold — a campaign's canonical transcript

@@ -24,7 +24,7 @@ test:
 race:
 	$(GO) test -race ./internal/telemetry/... ./internal/campaign/... ./internal/core/... \
 		./internal/netsim/... ./internal/dnsserver/...
-	$(GO) test -tags netsimdebug ./internal/netsim/
+	$(GO) test -tags netsimdebug ./internal/netsim/ ./internal/campaign/ ./internal/dnsserver/
 
 # Short budgeted runs of every native fuzz target (seed corpora already
 # run as part of `make test`).
@@ -33,6 +33,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/dns/
 	$(GO) test -fuzz FuzzSkipName -fuzztime $(FUZZTIME) ./internal/dns/
 	$(GO) test -fuzz FuzzEncodeDecodeRoundTrip -fuzztime $(FUZZTIME) ./internal/dns/
+	$(GO) test -fuzz FuzzCheckQuestion -fuzztime $(FUZZTIME) ./internal/dns/
 	$(GO) test -fuzz FuzzStep -fuzztime $(FUZZTIME) ./internal/isa/x86s/
 	$(GO) test -fuzz FuzzStep -fuzztime $(FUZZTIME) ./internal/isa/arms/
 	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/gadget/

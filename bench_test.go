@@ -699,12 +699,18 @@ func (st *benchPumpStation) onReply(netsim.Datagram) {
 
 // BenchmarkNetsimPump measures shared-world delivery throughput: every
 // station ping-pongs with a central sink for a fixed number of rounds
-// per op. datagrams/sec is the headline metric.
+// per op. datagrams/sec is the headline metric. Rows with a reply size
+// answer each ping with that many bytes, the size of a MITM exploit
+// answer, instead of echoing it.
 func BenchmarkNetsimPump(b *testing.B) {
-	for _, cfg := range []struct{ stations, rounds int }{
-		{10000, 2}, {100000, 1},
+	for _, cfg := range []struct{ stations, rounds, reply int }{
+		{10000, 2, 0}, {100000, 1, 0}, {10000, 2, 1300},
 	} {
-		b.Run(fmt.Sprintf("st%d", cfg.stations), func(b *testing.B) {
+		name := fmt.Sprintf("st%d", cfg.stations)
+		if cfg.reply > 0 {
+			name += fmt.Sprintf("-reply%d", cfg.reply)
+		}
+		b.Run(name, func(b *testing.B) {
 			n := netsim.New()
 			sinkHost, err := n.AddHost("sink", netsim.IP{10, 0, 0, 1})
 			if err != nil {
@@ -714,7 +720,14 @@ func BenchmarkNetsimPump(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			echo := func(dg netsim.Datagram) { sinkSock.SendTo(dg.Src, dg.Payload) }
+			reply := make([]byte, cfg.reply)
+			echo := func(dg netsim.Datagram) {
+				if cfg.reply > 0 {
+					sinkSock.SendTo(dg.Src, reply)
+				} else {
+					sinkSock.SendTo(dg.Src, dg.Payload)
+				}
+			}
 			if _, err := sinkHost.Bind(8, echo); err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"connlab/internal/dns"
@@ -163,10 +164,14 @@ type scaleVictim struct {
 	name   string
 }
 
-// stationName is the zone name station i phones home to.
-func stationName(i int) string {
-	return fmt.Sprintf("st%06d.iot-vendor.example", i)
+// stationHost is station i's host name, fmt's "st%06d" without fmt.
+func stationHost(i int) string {
+	digits := strconv.Itoa(i)
+	return "st" + "000000"[min(len(digits), 6):] + digits
 }
+
+// stationName is the zone name station i phones home to.
+func stationName(host string) string { return host + ".iot-vendor.example" }
 
 // stationIP is the legitimate answer for station i.
 func stationIP(i int) [4]byte {
@@ -201,12 +206,8 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The zone fills in as the population is built below.
 	zone := dnsserver.NewZoneTrie()
-	for i := 0; i < cfg.Stations; i++ {
-		if err := zone.Add(stationName(i), stationIP(i)); err != nil {
-			return nil, err
-		}
-	}
 	resolver, err := dnsserver.RunResolverTrie(resolverHost, zone)
 	if err != nil {
 		return nil, err
@@ -226,11 +227,18 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 	rep := &ScaleReport{Stations: cfg.Stations, Lookups: cfg.Lookups}
 	lights := make([]*lightStation, 0, cfg.Stations)
 	var victims []*scaleVictim
-	for i := 0; i < cfg.Stations; i++ {
-		h, err := world.AddHost(fmt.Sprintf("st%06d", i), netsim.IP{})
+	hosts := make([]*netsim.Host, cfg.Stations)
+	for i := range hosts {
+		hostName := stationHost(i)
+		name := stationName(hostName)
+		if err := zone.Add(name, stationIP(i)); err != nil {
+			return nil, err
+		}
+		h, err := world.AddHost(hostName, netsim.IP{})
 		if err != nil {
 			return nil, err
 		}
+		hosts[i] = h
 		isVictim := cfg.VictimEvery > 0 && i%cfg.VictimEvery == 0 && len(victims) < cfg.MaxVictims
 		if isVictim {
 			vi := len(victims)
@@ -253,11 +261,11 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			victims = append(victims, &scaleVictim{host: h, daemon: d, client: client, name: stationName(i)})
+			victims = append(victims, &scaleVictim{host: h, daemon: d, client: client, name: name})
 			continue
 		}
 		st := &lightStation{host: h, expect: stationIP(i)}
-		q := dns.NewQuery(uint16(i), stationName(i), dns.TypeA)
+		q := dns.NewQuery(uint16(i), name, dns.TypeA)
 		if st.query, err = q.Encode(); err != nil {
 			return nil, err
 		}
@@ -273,8 +281,7 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 	// Phase 1 — baseline: everyone joins the home router and resolves
 	// through the legitimate resolver.
 	assocAll := func() error {
-		for i := 0; i < cfg.Stations; i++ {
-			h := world.Host(fmt.Sprintf("st%06d", i))
+		for _, h := range hosts {
 			if _, err := h.Station(campaignSSID).Associate(); err != nil {
 				return fmt.Errorf("associate %s: %w", h.Name, err)
 			}

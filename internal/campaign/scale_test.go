@@ -118,3 +118,44 @@ func TestPineappleScaleNoVictims(t *testing.T) {
 		t.Fatalf("hijacked = %d, want 50", rep.Hijacked)
 	}
 }
+
+// TestStationNames: the fmt-free name helpers render exactly what
+// "st%06d" did, including past six digits (cmd/pineapple -stations
+// takes any population size).
+func TestStationNames(t *testing.T) {
+	for _, i := range []int{0, 9, 999_999, 1_000_000, 12_345_678} {
+		host := stationHost(i)
+		if want := fmt.Sprintf("st%06d", i); host != want {
+			t.Errorf("stationHost(%d) = %q, want %q", i, host, want)
+		}
+		if got, want := stationName(host), fmt.Sprintf("st%06d.iot-vendor.example", i); got != want {
+			t.Errorf("stationName(%q) = %q, want %q", host, got, want)
+		}
+	}
+}
+
+// BenchmarkPineappleScaleWorld builds and pumps one connbench
+// pineapple-pop world per op (20 000 stations, 2 lookups, a victim every
+// 2 500 stations). Recon and payload are cached after the first op, so
+// B/op and allocs/op are the world's own: netsim, DNS and the victims.
+func BenchmarkPineappleScaleWorld(b *testing.B) {
+	e := New(Config{Workers: 1})
+	cfg := ScaleConfig{
+		Stations: 20000, Lookups: 2, VictimEvery: 2500,
+		Scenario: Scenario{Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy, Protection: LevelWXASLR},
+	}
+	if _, err := e.RunPineappleScale(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := e.RunPineappleScale(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Shells != rep.Victims || rep.Dropped != 0 {
+			b.Fatalf("degenerate world:\n%s", rep.Transcript())
+		}
+	}
+}

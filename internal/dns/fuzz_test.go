@@ -114,3 +114,65 @@ func FuzzSkipName(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckQuestion: the interning-free validator accepts exactly the
+// packets whose first question View.Question decodes, and locates the
+// same question end.
+func FuzzCheckQuestion(f *testing.F) {
+	for _, s := range fuzzSeeds(f) {
+		f.Add(s)
+	}
+	q := NewQuery(7, "st000042.iot-vendor.example", TypeA)
+	wire, err := q.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for cut := 1; cut <= 5; cut++ { // qclass/qtype truncation, then the name's terminator
+		f.Add(wire[:len(wire)-cut])
+	}
+	// A backward pointer into the header, a forward pointer, a 64-byte
+	// label, and a name one byte over the 255-byte limit.
+	hdr := []byte{0, 7, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0}
+	f.Add(append(append([]byte(nil), hdr...), 0xC0, 0x02, 0, 1, 0, 1))
+	f.Add(append(append([]byte(nil), hdr...), 0xC0, 0x20, 0, 1, 0, 1))
+	f.Add(append(append(append([]byte(nil), hdr...), 64), append(bytes.Repeat([]byte{'a'}, 64), 0, 0, 1, 0, 1)...))
+	long := append([]byte(nil), hdr...)
+	for i := 0; i < 4; i++ {
+		long = append(long, 63)
+		long = append(long, bytes.Repeat([]byte{'b'}, 63)...)
+	}
+	f.Add(append(long, 0, 0, 1, 0, 1))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v1, err := ParseView(b)
+		if err != nil {
+			return
+		}
+		v2 := v1
+		_, qerr := v1.Question()
+		cerr := v2.CheckQuestion()
+		if (qerr == nil) != (cerr == nil) {
+			t.Fatalf("Question err %v, CheckQuestion err %v\n% x", qerr, cerr, b)
+		}
+		if v1.qEnd != v2.qEnd {
+			t.Fatalf("question end %d vs %d\n% x", v1.qEnd, v2.qEnd, b)
+		}
+	})
+}
+
+// TestCheckQuestionZeroAllocs: validating a well-formed question
+// builds no name string.
+func TestCheckQuestionZeroAllocs(t *testing.T) {
+	wire, err := NewQuery(7, "st000042.iot-vendor.example", TypeA).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		v, err := ParseView(wire)
+		if err != nil || v.CheckQuestion() != nil {
+			t.Fatal("valid question rejected")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("CheckQuestion allocated %.1f times per call", allocs)
+	}
+}

@@ -71,19 +71,42 @@ func (v *View) QuestionBytes() (qb []byte, ok bool, err error) {
 	return v.b[HeaderSize:end], true, nil
 }
 
+// CheckQuestion runs Question's full validation of the first question
+// without building or interning the name: it fails exactly when
+// Question does.
+func (v *View) CheckQuestion() error {
+	var scratch [maxNameLen]byte
+	_, err := v.question(scratch[:0])
+	return err
+}
+
 // Question decodes the first question with full validation, interning
 // the name exactly like Decode.
 func (v *View) Question() (Question, error) {
-	if v.Hdr.QDCount == 0 {
-		return Question{}, fmt.Errorf("%w: no question", ErrBadFormat)
-	}
-	d := decoder{b: v.b, pos: HeaderSize}
-	q, err := d.question()
+	var scratch [maxNameLen]byte
+	name, err := v.question(scratch[:0])
 	if err != nil {
 		return Question{}, err
 	}
-	if v.qEnd == 0 {
-		v.qEnd = d.pos
+	tc := v.b[v.qEnd-4:]
+	return Question{Name: intern(name), Type: Type(tc[0])<<8 | Type(tc[1]),
+		Class: Class(tc[2])<<8 | Class(tc[3])}, nil
+}
+
+// question validates the first question, appending its dotted name to
+// out and recording where the question ends.
+func (v *View) question(out []byte) ([]byte, error) {
+	if v.Hdr.QDCount == 0 {
+		return nil, fmt.Errorf("%w: no question", ErrBadFormat)
 	}
-	return q, nil
+	d := decoder{b: v.b, pos: HeaderSize}
+	out, err := d.nameBytes(out)
+	if err != nil {
+		return nil, err
+	}
+	if d.pos+4 > len(v.b) {
+		return nil, ErrTruncatedMsg
+	}
+	v.qEnd = d.pos + 4
+	return out, nil
 }

@@ -133,22 +133,17 @@ func (r *Resolver) handleSlow(dg netsim.Datagram) {
 	r.sock.SendTo(dg.Src, out)
 }
 
-// Crafter turns a decoded query into a malicious response. The exploit
-// package's payloads plug in here.
-type Crafter func(q *dns.Message) ([]byte, error)
-
 // WireCrafter crafts a malicious response directly from the query's wire
-// bytes, appending to dst (a reusable buffer) — the zero-copy form of
-// Crafter that exploit.Exploit.AppendResponse satisfies.
+// bytes, appending to dst (a reusable buffer). The exploit package's
+// payloads plug in here through exploit.Exploit.AppendResponse.
 type WireCrafter func(dst, query []byte) ([]byte, error)
 
 // MITM is the attacker's server: it answers every query it sees with a
 // crafted response that mirrors the query (ID, question, flags) and
 // carries the exploit in the answer record.
 type MITM struct {
-	Craft Crafter
-	// CraftWire, when set, takes precedence over Craft: responses are
-	// spliced straight from the query packet into a reusable buffer.
+	// CraftWire splices each response straight from the query packet
+	// into a reusable buffer.
 	CraftWire WireCrafter
 	// Queries counts hijacked lookups; Errors counts craft failures.
 	Queries int
@@ -157,17 +152,9 @@ type MITM struct {
 	scratch []byte
 }
 
-// RunMITM binds the malicious server on the host's port 53.
-func RunMITM(h *netsim.Host, craft Crafter) (*MITM, error) {
-	return runMITM(h, &MITM{Craft: craft})
-}
-
-// RunMITMWire binds the malicious server with a wire-level crafter.
+// RunMITMWire binds the malicious server on the host's port 53.
 func RunMITMWire(h *netsim.Host, craft WireCrafter) (*MITM, error) {
-	return runMITM(h, &MITM{CraftWire: craft})
-}
-
-func runMITM(h *netsim.Host, m *MITM) (*MITM, error) {
+	m := &MITM{CraftWire: craft}
 	sock, err := h.Bind(DNSPort, m.handle)
 	if err != nil {
 		return nil, fmt.Errorf("mitm on %s: %w", h.Name, err)
@@ -176,34 +163,15 @@ func runMITM(h *netsim.Host, m *MITM) (*MITM, error) {
 	return m, nil
 }
 
+// handle parses the header, validates the question without decoding
+// it, then lets CraftWire splice the response into the scratch buffer.
 func (m *MITM) handle(dg netsim.Datagram) {
-	if m.CraftWire != nil {
-		m.handleWire(dg)
-		return
-	}
-	q, err := dns.Decode(dg.Payload)
-	if err != nil || q.Response || len(q.Questions) != 1 {
-		return
-	}
-	m.Queries++
-	telemetry.Inc(telemetry.CtrDNSHijacked)
-	out, err := m.Craft(q)
-	if err != nil {
-		m.Errors++
-		return
-	}
-	m.sock.SendTo(dg.Src, out)
-}
-
-// handleWire is the fast path: header parse, question validation, then
-// CraftWire splices the response into the reusable scratch buffer.
-func (m *MITM) handleWire(dg netsim.Datagram) {
 	v, err := dns.ParseView(dg.Payload)
 	if err != nil || v.Hdr.Response || v.Hdr.QDCount != 1 {
 		return
 	}
-	if _, err := v.Question(); err != nil {
-		return // malformed question: drop, like the decode path would
+	if v.CheckQuestion() != nil {
+		return // malformed question: drop, like a full decode would
 	}
 	m.Queries++
 	telemetry.Inc(telemetry.CtrDNSHijacked)

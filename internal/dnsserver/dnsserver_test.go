@@ -109,7 +109,7 @@ func TestMITMDeliversExploitThroughProxy(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := exploit.BuildDoS(isa.ArchX86S)
-	mitm, err := RunMITM(attacker, ex.Response)
+	mitm, err := RunMITMWire(attacker, ex.AppendResponse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestCrashedProxyStopsServing(t *testing.T) {
 	if _, err := RunProxy(device, daemon); err != nil {
 		t.Fatal(err)
 	}
-	mitm, err := RunMITM(attacker, exploit.BuildDoS(isa.ArchX86S).Response)
+	mitm, err := RunMITMWire(attacker, exploit.BuildDoS(isa.ArchX86S).AppendResponse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestServersIgnoreGarbage(t *testing.T) {
 func TestMITMCraftErrorCounted(t *testing.T) {
 	n := netsim.New()
 	h, _ := n.AddHost("srv", netsim.IP{10, 0, 0, 5})
-	m, err := RunMITM(h, func(q *dns.Message) ([]byte, error) {
+	m, err := RunMITMWire(h, func(dst, query []byte) ([]byte, error) {
 		return nil, errTest
 	})
 	if err != nil {

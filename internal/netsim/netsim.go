@@ -15,7 +15,9 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strconv"
 
 	"connlab/internal/telemetry"
 )
@@ -95,8 +97,9 @@ type Host struct {
 	Gateway IP
 	DNS     IP
 
-	sockets map[uint16]*UDPSocket
-	station *Station
+	// sockets holds the bound sockets sorted by port.
+	sockets []*UDPSocket
+	station Station
 
 	// ephemeral is the next-port cursor for BindEphemeral: instead of
 	// re-probing from the bottom of the range on every bind (O(n²) over
@@ -106,12 +109,22 @@ type Host struct {
 
 // Bind opens a UDP socket on port with an optional handler.
 func (h *Host) Bind(port uint16, handler Handler) (*UDPSocket, error) {
-	if _, exists := h.sockets[port]; exists {
+	i, exists := h.socket(port)
+	if exists {
 		return nil, fmt.Errorf("netsim: %s: port %d already bound", h.Name, port)
 	}
 	s := &UDPSocket{host: h, port: port, handler: handler}
-	h.sockets[port] = s
+	h.sockets = slices.Insert(h.sockets, i, s)
 	return s, nil
+}
+
+// socket reports where port's socket sits in h.sockets (or would be
+// inserted) and whether it is bound.
+func (h *Host) socket(port uint16) (int, bool) {
+	if k := len(h.sockets); k == 0 || h.sockets[k-1].port < port {
+		return k, false // above every bound port: BindEphemeral's usual case
+	}
+	return slices.BinarySearchFunc(h.sockets, port, func(s *UDPSocket, p uint16) int { return int(s.port) - int(p) })
 }
 
 // Ephemeral port range handed out by BindEphemeral.
@@ -123,7 +136,9 @@ const (
 // BindEphemeral opens a socket on a free high port. Ports are assigned
 // from a per-host cursor over [40000, 50000): a fresh host gets 40000,
 // the next bind 40001, and so on, wrapping and skipping explicitly
-// bound ports. Binding k sockets costs O(k), not O(k²).
+// bound ports. Binding k sockets costs O(k), not O(k²): until the
+// cursor wraps, each port lies above every bound one, so it is known
+// free without a search and appends to the sorted socket list.
 func (h *Host) BindEphemeral(handler Handler) (*UDPSocket, error) {
 	if h.ephemeral < ephemeralLo || h.ephemeral >= ephemeralHi {
 		h.ephemeral = ephemeralLo
@@ -134,7 +149,7 @@ func (h *Host) BindEphemeral(handler Handler) (*UDPSocket, error) {
 		if h.ephemeral >= ephemeralHi {
 			h.ephemeral = ephemeralLo
 		}
-		if _, taken := h.sockets[port]; taken {
+		if _, taken := h.socket(port); taken {
 			continue
 		}
 		return h.Bind(port, handler)
@@ -142,14 +157,11 @@ func (h *Host) BindEphemeral(handler Handler) (*UDPSocket, error) {
 	return nil, fmt.Errorf("netsim: %s: ephemeral ports exhausted", h.Name)
 }
 
-// Station returns the host's Wi-Fi station, creating it on first use.
+// Station returns the host's Wi-Fi station with its preferred SSID set.
 func (h *Host) Station(preferredSSID string) *Station {
-	if h.station == nil {
-		h.station = &Station{host: h, Preferred: preferredSSID}
-	} else {
-		h.station.Preferred = preferredSSID
-	}
-	return h.station
+	h.station.host = h
+	h.station.Preferred = preferredSSID
+	return &h.station
 }
 
 // AccessPoint is a Wi-Fi AP: an SSID broadcast at a signal strength, plus
@@ -165,7 +177,6 @@ type AccessPoint struct {
 	DNS      IP
 
 	nextLease uint32
-	clients   map[*Station]bool
 }
 
 // Station is a Wi-Fi client interface.
@@ -182,14 +193,16 @@ type Network struct {
 	byIP  map[IP]*Host
 
 	// pending is the delivery queue; head indexes the next undelivered
-	// item so popping never reslices-and-reallocs the way queue[1:] +
-	// append churn did.
+	// item. step compacts the live tail to the front once head passes
+	// half the length, so the backing array tracks the datagrams in
+	// flight, not every datagram of the run.
 	pending []Datagram
 	head    int
 
-	// free is the payload buffer free-list SendTo draws from and
-	// delivery refills once a handler returns.
-	free [][]byte
+	// free holds recycled payload buffers by size class: free[c] is a
+	// stack of buffers with capacity classSize(c). SendTo pops, delivery
+	// pushes back once a handler returns.
+	free [numClasses][][]byte
 
 	// Epoch accounting: the current BFS generation opened at genStart
 	// with genSize datagrams, genLeft of them still undelivered. It
@@ -239,23 +252,12 @@ func (n *Network) SetAttempt(id uint64) { n.attempt = id }
 // split into Step and Run calls.
 func (n *Network) Epochs() int { return n.epochs }
 
-func (n *Network) logf(format string, args ...any) {
-	if n.Verbose {
-		n.Events = append(n.Events, fmt.Sprintf(format, args...))
-	}
-}
-
 // AddHost creates a host; ip may be zero for DHCP-configured hosts.
 func (n *Network) AddHost(name string, ip IP) (*Host, error) {
 	if _, dup := n.hosts[name]; dup {
 		return nil, fmt.Errorf("netsim: duplicate host %q", name)
 	}
-	h := &Host{
-		Name:    name,
-		net:     n,
-		IP:      ip,
-		sockets: make(map[uint16]*UDPSocket),
-	}
+	h := &Host{Name: name, net: n, IP: ip}
 	n.hosts[name] = h
 	if !ip.IsZero() {
 		if _, taken := n.byIP[ip]; taken {
@@ -266,28 +268,10 @@ func (n *Network) AddHost(name string, ip IP) (*Host, error) {
 	return h, nil
 }
 
-// Host returns a host by name, or nil.
-func (n *Network) Host(name string) *Host { return n.hosts[name] }
-
 // AddAP registers an access point.
 func (n *Network) AddAP(ap *AccessPoint) *AccessPoint {
-	ap.clients = make(map[*Station]bool)
 	n.aps = append(n.aps, ap)
 	return ap
-}
-
-// Scan lists visible APs sorted by descending signal (ties by name for
-// determinism).
-func (n *Network) Scan() []*AccessPoint {
-	out := make([]*AccessPoint, len(n.aps))
-	copy(out, n.aps)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Signal != out[j].Signal {
-			return out[i].Signal > out[j].Signal
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }
 
 // ErrNoAP is returned when no AP broadcasts the preferred SSID.
@@ -297,17 +281,18 @@ var ErrNoAP = errors.New("netsim: no access point with preferred SSID in range")
 // strongest-signal AP broadcasting its preferred SSID (the physical-layer
 // behaviour the Pineapple abuses: "The Wi-Fi Pineapple is able to
 // broadcast a stronger signal than the legitimate access point, causing
-// our targeted machine to switch its connection") and then runs the DHCP
-// exchange, reconfiguring the host's address, gateway and DNS. A lease
-// that collides with an address in use fails before anything changes:
-// the station stays on its old AP at its old, still-routable address.
+// our targeted machine to switch its connection"; equal signals go to
+// the lower AP name, for determinism) and then runs the DHCP exchange,
+// reconfiguring the host's address, gateway and DNS. A lease that
+// collides with an address in use fails before anything changes: the
+// station stays on its old AP at its old, still-routable address.
 func (s *Station) Associate() (*AccessPoint, error) {
 	n := s.host.net
 	var best *AccessPoint
-	for _, ap := range n.Scan() {
-		if ap.SSID == s.Preferred {
+	for _, ap := range n.aps {
+		if ap.SSID == s.Preferred && (best == nil || ap.Signal > best.Signal ||
+			ap.Signal == best.Signal && ap.Name < best.Name) {
 			best = ap
-			break
 		}
 	}
 	if best == nil {
@@ -330,14 +315,7 @@ func (s *Station) Associate() (*AccessPoint, error) {
 		return nil, fmt.Errorf("netsim: dhcp pool collision at %s", lease)
 	}
 
-	if s.AP != nil {
-		delete(s.AP.clients, s)
-	}
 	s.AP = best
-	best.clients[s] = true
-	n.logf("%s associated to %q (ap %s, signal %d)",
-		s.host.Name, best.SSID, best.Name, best.Signal)
-
 	best.nextLease++
 	if !s.host.IP.IsZero() {
 		delete(n.byIP, s.host.IP)
@@ -346,37 +324,81 @@ func (s *Station) Associate() (*AccessPoint, error) {
 	s.host.Gateway = best.Gateway
 	s.host.DNS = best.DNS
 	n.byIP[lease] = s.host
-	n.logf("%s dhcp lease %s gw %s dns %s", s.host.Name, lease, best.Gateway, best.DNS)
+	if n.Verbose {
+		n.Events = append(n.Events,
+			fmt.Sprintf("%s associated to %q (ap %s, signal %d)", s.host.Name, best.SSID, best.Name, best.Signal),
+			fmt.Sprintf("%s dhcp lease %s gw %s dns %s", s.host.Name, lease, best.Gateway, best.DNS))
+	}
 	return best, nil
 }
 
-// getBuf pops a recycled payload buffer with at least the given
-// capacity from the free-list, or returns a fresh one.
-func (n *Network) getBuf(size int) []byte {
-	for i := len(n.free) - 1; i >= 0; i-- {
-		if b := n.free[i]; cap(b) >= size {
-			n.free[i] = n.free[len(n.free)-1]
-			n.free = n.free[:len(n.free)-1]
-			return b[:0]
-		}
+// Payload size classes: four per power of two from minBuf to maxBuf
+// (64, 80, 96, 112, 128, 160, ...), so a buffer is at most 25 % larger
+// than the payload it was made for. Larger payloads get exact-size
+// buffers that are never kept, so a burst of giants does not pin memory.
+const (
+	minShift   = 6
+	minBuf     = 1 << minShift
+	maxBuf     = 64 << 10
+	numClasses = 41 // classSize(numClasses-1) == maxBuf
+)
+
+// sizeClass returns the smallest class whose buffers hold size bytes.
+func sizeClass(size int) int {
+	if size <= minBuf {
+		return 0
 	}
-	return make([]byte, 0, size)
+	e := bits.Len(uint(size-1)) - 1 // 1<<e < size <= 2<<e
+	// Inside that octave classes step by 1<<(e-2); round up.
+	return (e-minShift)*4 + (size-1-1<<e)>>(e-2) + 1
 }
 
-// putBuf recycles a payload buffer (bounded so a burst of giants does
-// not pin memory forever). Under -tags netsimdebug the buffer is
-// poisoned first, so handler code that retained an alias reads 0xAA
-// instead of the next datagram that reuses the backing array.
+// classSize is the capacity of class c's buffers.
+func classSize(c int) int {
+	if c == 0 {
+		return minBuf
+	}
+	return (5 + (c-1)%4) << (minShift + (c-1)/4 - 2)
+}
+
+// getBuf pops a recycled payload buffer of at least size bytes from
+// its size class, or returns a fresh one.
+func (n *Network) getBuf(size int) []byte {
+	if size > maxBuf {
+		return make([]byte, 0, size)
+	}
+	c := sizeClass(size)
+	if k := len(n.free[c]); k > 0 {
+		b := n.free[c][k-1]
+		n.free[c] = n.free[c][:k-1]
+		return b
+	}
+	return make([]byte, 0, classSize(c))
+}
+
+// putBuf pushes a payload buffer back onto its size class. Every
+// delivered or dropped payload comes back here (handler-less sockets
+// keep theirs), so a class holds at most the world's peak in-flight
+// count of its size. Under -tags netsimdebug the buffer is poisoned
+// first, so handler code that retained an alias reads 0xAA instead of
+// the next datagram that reuses the backing array.
 func (n *Network) putBuf(b []byte) {
 	poisonBuf(b)
-	if cap(b) == 0 || len(n.free) >= 64 {
-		return
+	// Giants are exact-size and not kept; every other buffer came from
+	// getBuf, so its capacity is exactly its class size.
+	if cap(b) <= maxBuf {
+		c := sizeClass(cap(b))
+		n.free[c] = append(n.free[c], b[:0])
 	}
-	n.free = append(n.free, b[:0])
 }
 
 // enqueue appends to the delivery queue, sampling the depth it grew to.
 func (n *Network) enqueue(dg Datagram) {
+	if len(n.pending) == cap(n.pending) {
+		// Double rather than take append's 1.25× steps: a generation
+		// can queue tens of thousands of datagrams at once.
+		n.pending = slices.Grow(n.pending, len(n.pending)+1)
+	}
 	n.pending = append(n.pending, dg)
 	if n.tel != nil {
 		n.tel.Inc(telemetry.CtrNetEnqueued)
@@ -386,13 +408,7 @@ func (n *Network) enqueue(dg Datagram) {
 
 // Step delivers one queued datagram on the calling goroutine, in exact
 // FIFO order. It reports false when the queue is empty.
-func (n *Network) Step() bool {
-	if n.head >= len(n.pending) {
-		return false
-	}
-	n.step(telemetry.Enabled())
-	return true
-}
+func (n *Network) Step() bool { return n.Run(1) == 1 }
 
 // Run pumps the queue until empty or maxSteps deliveries and reports
 // how many it made.
@@ -420,8 +436,12 @@ func (n *Network) step(spanOn bool) {
 	dg := n.pending[n.head]
 	n.pending[n.head] = Datagram{}
 	n.head++
-	if n.head == len(n.pending) {
-		n.pending = n.pending[:0]
+	if n.head*2 >= len(n.pending) {
+		// Compact: moving the live tail (no longer than what was
+		// popped) to the front keeps a pop amortised O(1).
+		live := copy(n.pending, n.pending[n.head:])
+		clear(n.pending[n.head:])
+		n.pending = n.pending[:live]
 		n.head = 0
 	}
 	n.deliver(dg)
@@ -451,17 +471,19 @@ func (n *Network) deliver(dg Datagram) {
 		n.drop(dg, "no route")
 		return
 	}
-	sock, ok := host.sockets[dg.Dst.Port]
+	i, ok := host.socket(dg.Dst.Port)
 	if !ok {
 		n.drop(dg, "port closed")
 		return
 	}
+	sock := host.sockets[i]
 	n.Delivered++
 	if n.tel != nil {
 		n.tel.Inc(telemetry.CtrNetDelivered)
 	}
 	if n.Verbose {
-		n.Events = append(n.Events, deliverEvent(dg))
+		n.Events = append(n.Events, "deliver "+dg.Src.String()+" -> "+dg.Dst.String()+
+			" ("+strconv.Itoa(len(dg.Payload))+" bytes)")
 	}
 	if sock.handler != nil {
 		sock.handler(dg)
@@ -482,35 +504,11 @@ func (n *Network) drop(dg Datagram, why string) {
 		n.tel.Inc(telemetry.CtrNetDropped)
 	}
 	if n.Verbose {
-		n.Events = append(n.Events, dropEvent(dg, why))
+		n.Events = append(n.Events, "drop "+dg.Src.String()+" -> "+dg.Dst.String()+
+			" ("+strconv.Itoa(len(dg.Payload))+" bytes): "+why)
 	}
 	n.putBuf(dg.Payload)
 }
 
 // Pending returns the number of queued datagrams.
 func (n *Network) Pending() int { return len(n.pending) - n.head }
-
-// deliverEvent and dropEvent format the transcript lines.
-func deliverEvent(dg Datagram) string {
-	return "deliver " + dg.Src.String() + " -> " + dg.Dst.String() + " (" + itoa(len(dg.Payload)) + " bytes)"
-}
-
-func dropEvent(dg Datagram, why string) string {
-	return "drop " + dg.Src.String() + " -> " + dg.Dst.String() + " (" + itoa(len(dg.Payload)) + " bytes): " + why
-}
-
-// itoa is a tiny strconv.Itoa for the event formatters (non-negative
-// operands only), keeping them free of fmt's interface boxing.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}

@@ -111,14 +111,44 @@ func TestBindErrors(t *testing.T) {
 	}
 }
 
-func TestScanOrdersBySignal(t *testing.T) {
-	n := New()
-	n.AddAP(&AccessPoint{Name: "weak", SSID: "net", Signal: 10})
-	n.AddAP(&AccessPoint{Name: "strong", SSID: "net", Signal: 90})
-	n.AddAP(&AccessPoint{Name: "other", SSID: "x", Signal: 50})
-	scan := n.Scan()
-	if scan[0].Name != "strong" || scan[1].Name != "other" || scan[2].Name != "weak" {
-		t.Errorf("scan order = %s %s %s", scan[0].Name, scan[1].Name, scan[2].Name)
+// TestAssociatePicksStrongestThenName: a station joins the
+// strongest AP carrying its SSID, and an equal signal goes to the lower
+// AP name whatever order the APs were added in.
+func TestAssociatePicksStrongestThenName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		aps  []AccessPoint
+		want string
+	}{
+		{"strongest", []AccessPoint{
+			{Name: "weak", SSID: "net", Signal: 10},
+			{Name: "strong", SSID: "net", Signal: 90},
+			{Name: "other", SSID: "x", Signal: 99},
+		}, "strong"},
+		{"tie-by-name", []AccessPoint{
+			{Name: "b-ap", SSID: "net", Signal: 50},
+			{Name: "a-ap", SSID: "net", Signal: 50},
+			{Name: "c-ap", SSID: "net", Signal: 50},
+		}, "a-ap"},
+		{"tie-loses-to-stronger", []AccessPoint{
+			{Name: "a-ap", SSID: "net", Signal: 50},
+			{Name: "z-ap", SSID: "net", Signal: 51},
+			{Name: "b-ap", SSID: "net", Signal: 50},
+		}, "z-ap"},
+	} {
+		n := New()
+		for i := range tc.aps {
+			n.AddAP(&tc.aps[i])
+		}
+		h, _ := n.AddHost("dev", IP{})
+		st := h.Station("net")
+		ap, err := st.Associate()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if ap.Name != tc.want || st.AP != ap {
+			t.Errorf("%s: joined %s (st.AP %s), want %s", tc.name, ap.Name, st.AP.Name, tc.want)
+		}
 	}
 }
 
@@ -453,9 +483,8 @@ func TestAssociateCollisionKeepsState(t *testing.T) {
 	if h.IP != (IP{10, 0, 0, 1}) || h.DNS != (IP{10, 0, 0, 53}) {
 		t.Errorf("host reconfigured: ip %s dns %s", h.IP, h.DNS)
 	}
-	if st.AP != home || !home.clients[st] || rogue.clients[st] {
-		t.Errorf("association moved: ap %s, home has it %v, rogue has it %v",
-			st.AP.Name, home.clients[st], rogue.clients[st])
+	if st.AP != home {
+		t.Errorf("association moved: ap %s, want %s", st.AP.Name, home.Name)
 	}
 	if rogue.nextLease != 0 {
 		t.Errorf("rogue lease counter consumed: %d", rogue.nextLease)
@@ -465,5 +494,93 @@ func TestAssociateCollisionKeepsState(t *testing.T) {
 	n.Run(4)
 	if got != 1 || n.Dropped != 0 {
 		t.Errorf("old lease unroutable: delivered %d, dropped %d", got, n.Dropped)
+	}
+}
+
+// TestPumpRecyclesLargeReplies: once a first generation has filled the
+// size classes and sized the delivery queue, a ping-pong round whose
+// answers are 1.3 KiB (a MITM exploit answer) allocates nothing per
+// delivered datagram, however many answers are in flight at once.
+func TestPumpRecyclesLargeReplies(t *testing.T) {
+	const stations = 200
+	n := New()
+	sink, err := n.AddHost("sink", IP{10, 0, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := make([]byte, 1300)
+	var srv *UDPSocket
+	if srv, err = sink.Bind(53, func(dg Datagram) { srv.SendTo(dg.Src, answer) }); err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	clients := make([]*UDPSocket, stations)
+	for i := range clients {
+		h, err := n.AddHost(fmt.Sprintf("st%03d", i), IP{10, 1, 0, byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clients[i], err = h.BindEphemeral(func(dg Datagram) { got += len(dg.Payload) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := []byte("st-query")
+	round := func() {
+		for _, c := range clients {
+			c.SendTo(Addr{IP: sink.IP, Port: 53}, query)
+		}
+		if steps := n.Run(1 << 20); steps != 2*stations {
+			t.Fatalf("round delivered %d datagrams, want %d", steps, 2*stations)
+		}
+	}
+	round()
+	allocs := testing.AllocsPerRun(20, round)
+	if per := allocs / (2 * stations); per > 0.01 {
+		t.Fatalf("%.3f allocations per delivered datagram (%.0f per round), want ~0", per, allocs)
+	}
+	if n.Dropped != 0 || got != 22*stations*len(answer) {
+		t.Fatalf("dropped %d, answer bytes %d", n.Dropped, got)
+	}
+}
+
+// TestSizeClasses: every payload size up to maxBuf maps to the smallest
+// class that holds it, and that class wastes at most a quarter.
+func TestSizeClasses(t *testing.T) {
+	if got := classSize(numClasses - 1); got != maxBuf {
+		t.Fatalf("top class %d, want %d", got, maxBuf)
+	}
+	for size := 0; size <= maxBuf; size++ {
+		c := sizeClass(size)
+		if c < 0 || c >= numClasses {
+			t.Fatalf("size %d: class %d out of range", size, c)
+		}
+		if got := classSize(c); got < size || got > max(minBuf, size+size/4) {
+			t.Fatalf("size %d: class %d holds %d bytes", size, c, got)
+		}
+		if c > 0 && classSize(c-1) >= size {
+			t.Fatalf("size %d: class %d is not the smallest (%d holds %d)", size, c, c-1, classSize(c-1))
+		}
+	}
+}
+
+// TestGiantPayloadsNotKept: a payload past maxBuf is delivered intact
+// in an exact-size buffer, which is dropped rather than kept afterwards.
+func TestGiantPayloadsNotKept(t *testing.T) {
+	n := New()
+	h, _ := n.AddHost("h", IP{10, 0, 0, 1})
+	got := -1
+	if _, err := h.Bind(7, func(dg Datagram) { got = len(dg.Payload) }); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := h.Bind(8, nil)
+	s.SendTo(Addr{IP: h.IP, Port: 7}, make([]byte, maxBuf+1))
+	n.Run(1)
+	if got != maxBuf+1 {
+		t.Fatalf("delivered %d bytes, want %d", got, maxBuf+1)
+	}
+	for c := range n.free {
+		if len(n.free[c]) != 0 {
+			t.Fatalf("class %d kept %d buffers", c, len(n.free[c]))
+		}
 	}
 }

@@ -20,7 +20,9 @@ go test -race ./internal/telemetry/... ./internal/campaign/... ./internal/core/.
     ./internal/netsim/... ./internal/dnsserver/...
 # The netsim with the recycled-buffer poison armed: handlers
 # that retain payload aliases fail deterministically under this tag.
-go test -tags netsimdebug ./internal/netsim/
+# Every payload buffer is reused, so the campaign's light stations and
+# the DNS servers run poisoned too.
+go test -tags netsimdebug ./internal/netsim/ ./internal/campaign/ ./internal/dnsserver/
 # The differential lockstep harness under the race detector: block
 # dispatch and single-step must agree instruction-for-instruction while
 # the race detector watches the translator's cache bookkeeping (-short
@@ -33,6 +35,9 @@ go test -run '^$' -fuzz FuzzBlockStep -fuzztime 5s ./internal/isa/arms
 # The wire-format zone trie against its map oracle: random wire names
 # in, byte-identical hit/miss decisions out.
 go test -run '^$' -fuzz FuzzZoneTrie -fuzztime 5s ./internal/dnsserver
+# The MITM's interning-free question check against View.Question: it
+# must accept exactly the packets the full decode accepts.
+go test -run '^$' -fuzz FuzzCheckQuestion -fuzztime 5s ./internal/dns
 # The scenario spec parser: never panics, and every accepted spec
 # round-trips through its canonical rendering.
 go test -run '^$' -fuzz FuzzScenarioSpec -fuzztime 5s ./internal/scenario

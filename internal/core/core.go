@@ -101,14 +101,6 @@ func NewLab() *Lab { return &Lab{ReconSeed: 1001, TargetSeed: 2002} }
 // real target runs patched 1.35.
 func (l *Lab) SetReconBuild(b victim.BuildOpts) { l.reconBuild = &b }
 
-// reconOpts returns the firmware the attacker's replica runs.
-func (l *Lab) reconOpts() victim.BuildOpts {
-	if l.reconBuild != nil {
-		return *l.reconBuild
-	}
-	return l.Build
-}
-
 // targetConfig renders a Protection into a kernel config plus the hooks
 // that must be armed after load (delegates to the campaign layer).
 func (l *Lab) targetConfig(arch isa.Arch, p Protection) (kernel.Config, victim.BuildOpts, *defense.ShadowStack, error) {

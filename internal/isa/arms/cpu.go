@@ -5,7 +5,6 @@ import (
 
 	"connlab/internal/isa"
 	"connlab/internal/mem"
-	"connlab/internal/telemetry"
 )
 
 // flags is the NZCV condition-flag set, updated by cmp/tst only.
@@ -15,25 +14,30 @@ type flags struct {
 
 // CPU is a simulated arms hardware thread.
 type CPU struct {
-	regs   [numRegs]uint32 // r15 (pc) lives here too
-	fl     flags
-	m      *mem.Memory
-	hooks  isa.Hooks
-	rec    *telemetry.ControlRecorder
-	icount uint64
+	regs [numRegs]uint32 // r15 (pc) lives here too
+	fl   flags
+	m    *mem.Memory
+	isa.Core[Instr, State]
+}
 
-	// bc is the basic-block translation cache (see block.go), keyed to
-	// the memory generation; bcStats its monotonic counters.
-	bc      [bcSize]bcEntry
-	bcStats isa.BlockStats
-	// hang is StepBlock's last cycle proof.
-	hang isa.Hang
+// State is the architectural state block dispatch's cycle detector
+// compares: registers (pc included) and flags.
+type State struct {
+	regs [numRegs]uint32
+	fl   flags
 }
 
 var _ isa.CPU = (*CPU)(nil)
 
 // New returns a CPU executing from m with all registers zero.
-func New(m *mem.Memory) *CPU { return &CPU{m: m} }
+func New(m *mem.Memory) *CPU {
+	c := &CPU{m: m}
+	c.Init(c, 2) // word-aligned instructions
+	return c
+}
+
+// ArchState implements isa.Machine.
+func (c *CPU) ArchState() State { return State{c.regs, c.fl} }
 
 // Arch implements isa.CPU.
 func (c *CPU) Arch() isa.Arch { return isa.ArchARMS }
@@ -75,29 +79,11 @@ func (c *CPU) NumRegs() int { return numRegs }
 // RegName implements isa.CPU.
 func (c *CPU) RegName(i int) string { return RegName(i) }
 
-// SetHooks implements isa.CPU.
-func (c *CPU) SetHooks(h isa.Hooks) { c.hooks = h }
-
-// SetRecorder implements isa.CPU.
-func (c *CPU) SetRecorder(r *telemetry.ControlRecorder) { c.rec = r }
-
-// InstrCount implements isa.CPU.
-func (c *CPU) InstrCount() uint64 { return c.icount }
-
-// ResetState returns registers (pc included) and flags to their power-on
-// (all zero) values, as if the CPU were freshly constructed. The
-// instruction counter keeps running; callers consume deltas. The block
-// cache is emptied (keeping the translated-instruction storage): a
-// recycle bumps the generation anyway, and starting cold keeps the block
-// counters a pure function of each run instead of depending on which
-// previous image the CPU happened to execute.
+// ResetState implements isa.CPU.
 func (c *CPU) ResetState() {
 	c.regs = [numRegs]uint32{}
 	c.fl = flags{}
-	for i := range c.bc {
-		c.bc[i].pc, c.bc[i].gen = 0, 0
-		c.bc[i].ins = c.bc[i].ins[:0]
-	}
+	c.ResetBlocks()
 }
 
 // FlagWord packs the architectural flag state into one word (bit 0 n,
@@ -168,32 +154,6 @@ func (c *CPU) setFlagsSub(a, b uint32) {
 	c.fl.v = (a^b)&(a^res)&0x80000000 != 0
 }
 
-// control records a control transfer in the flight recorder and runs the
-// installed hook; a hook veto surfaces as a CFI-violation event. It is
-// small enough to inline, so an unobserved transfer costs two nil-checks
-// and no call on either executor.
-func (c *CPU) control(kind isa.ControlKind, from, to, ret uint32) *isa.Event {
-	if c.rec == nil && c.hooks == nil {
-		return nil
-	}
-	return c.observe(kind, from, to, ret)
-}
-
-// observe is control's out-of-line slow path. telemetry.Ctl* values
-// mirror isa.ControlKind, so the kind byte passes straight through.
-func (c *CPU) observe(kind isa.ControlKind, from, to, ret uint32) *isa.Event {
-	if c.rec != nil {
-		c.rec.Record(uint8(kind), from, to, c.icount)
-	}
-	if c.hooks == nil {
-		return nil
-	}
-	if err := c.hooks.OnControl(kind, from, to, ret); err != nil {
-		return &isa.Event{Kind: isa.EventCFIViolation, PC: from, Reason: err.Error()}
-	}
-	return nil
-}
-
 // Step implements isa.CPU.
 func (c *CPU) Step() isa.Event {
 	pc := c.regs[PC]
@@ -218,7 +178,7 @@ func (c *CPU) Step() isa.Event {
 	case OpMovR:
 		v := c.read(in.Rn)
 		if in.Rd == PC {
-			if ev := c.control(isa.ControlJump, pc, v, 0); ev != nil {
+			if ev := c.Control(isa.ControlJump, pc, v, 0); ev != nil {
 				return *ev
 			}
 			next = v
@@ -252,7 +212,7 @@ func (c *CPU) Step() isa.Event {
 			return fault(f)
 		}
 		if in.Rd == PC {
-			if ev := c.control(isa.ControlJump, pc, v, 0); ev != nil {
+			if ev := c.Control(isa.ControlJump, pc, v, 0); ev != nil {
 				return *ev
 			}
 			next = v
@@ -290,7 +250,7 @@ func (c *CPU) Step() isa.Event {
 	case OpBL:
 		tgt := pc + InstrSize + uint32(in.Rel)*InstrSize
 		ret := pc + InstrSize
-		if ev := c.control(isa.ControlCall, pc, tgt, ret); ev != nil {
+		if ev := c.Control(isa.ControlCall, pc, tgt, ret); ev != nil {
 			return *ev
 		}
 		c.regs[LR] = ret
@@ -298,7 +258,7 @@ func (c *CPU) Step() isa.Event {
 	case OpBLX:
 		tgt := c.read(in.Rd)
 		ret := pc + InstrSize
-		if ev := c.control(isa.ControlCall, pc, tgt, ret); ev != nil {
+		if ev := c.Control(isa.ControlCall, pc, tgt, ret); ev != nil {
 			return *ev
 		}
 		c.regs[LR] = ret
@@ -309,7 +269,7 @@ func (c *CPU) Step() isa.Event {
 		if in.Rd == LR {
 			kind = isa.ControlReturn
 		}
-		if ev := c.control(kind, pc, tgt, 0); ev != nil {
+		if ev := c.Control(kind, pc, tgt, 0); ev != nil {
 			return *ev
 		}
 		next = tgt
@@ -349,18 +309,16 @@ func (c *CPU) Step() isa.Event {
 		}
 		c.regs[SP] = addr
 		if hasPC {
-			if ev := c.control(isa.ControlReturn, pc, newPC, 0); ev != nil {
+			if ev := c.Control(isa.ControlReturn, pc, newPC, 0); ev != nil {
 				return *ev
 			}
 			next = newPC
 		}
 
 	case OpSvc:
-		if c.rec != nil {
-			c.rec.Record(telemetry.CtlSyscall, pc, c.regs[R7], c.icount)
-		}
+		c.RecordSyscall(pc, c.regs[R7])
 		c.regs[PC] = next
-		c.icount++
+		c.Retire()
 		return isa.Event{Kind: isa.EventSyscall, PC: next}
 
 	default:
@@ -368,7 +326,7 @@ func (c *CPU) Step() isa.Event {
 	}
 
 	c.regs[PC] = next
-	c.icount++
+	c.Retire()
 	return isa.Event{Kind: isa.EventRetired, PC: next}
 }
 

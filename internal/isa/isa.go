@@ -215,7 +215,8 @@ type CPU interface {
 	// advances the instruction count by whole periods toward max and
 	// executes the last partial period normally, so the event, registers,
 	// flags, memory and InstrCount are exactly those of brute force. Only
-	// StepBlock fast-forwards; Step never does.
+	// StepBlock fast-forwards; Step never does. Both ISAs share the
+	// mechanism: see Core.
 	StepBlock(max uint64) Event
 	// BlockStats returns the monotonic block-translation counters.
 	BlockStats() BlockStats
@@ -225,6 +226,12 @@ type CPU interface {
 	// InstrCount returns the number of instructions retired since reset,
 	// used for run budgets and performance reporting.
 	InstrCount() uint64
+	// ResetState returns registers, PC and flags to their power-on (all
+	// zero) values, as if the CPU were freshly constructed, and empties
+	// the block cache. InstrCount keeps running (callers consume deltas),
+	// and so do the block counters: starting cold keeps each run's
+	// counter deltas independent of whatever image the CPU ran before.
+	ResetState()
 }
 
 // Disassembler renders the instruction at an address, primarily for the

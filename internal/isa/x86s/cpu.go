@@ -3,7 +3,6 @@ package x86s
 import (
 	"connlab/internal/isa"
 	"connlab/internal/mem"
-	"connlab/internal/telemetry"
 )
 
 // flags is the subset of EFLAGS the lab models.
@@ -13,26 +12,32 @@ type flags struct {
 
 // CPU is a simulated x86s hardware thread.
 type CPU struct {
-	regs   [numRegs]uint32
-	eip    uint32
-	fl     flags
-	m      *mem.Memory
-	hooks  isa.Hooks
-	rec    *telemetry.ControlRecorder
-	icount uint64
+	regs [numRegs]uint32
+	eip  uint32
+	fl   flags
+	m    *mem.Memory
+	isa.Core[Instr, State]
+}
 
-	// bc is the basic-block translation cache (see block.go), keyed to
-	// the memory generation; bcStats its monotonic counters.
-	bc      [bcSize]bcEntry
-	bcStats isa.BlockStats
-	// hang is StepBlock's last cycle proof.
-	hang isa.Hang
+// State is the architectural state block dispatch's cycle detector
+// compares: registers, PC and flags.
+type State struct {
+	regs [numRegs]uint32
+	eip  uint32
+	fl   flags
 }
 
 var _ isa.CPU = (*CPU)(nil)
 
 // New returns a CPU executing from m with all registers zero.
-func New(m *mem.Memory) *CPU { return &CPU{m: m} }
+func New(m *mem.Memory) *CPU {
+	c := &CPU{m: m}
+	c.Init(c, 0) // byte-aligned instructions
+	return c
+}
+
+// ArchState implements isa.Machine.
+func (c *CPU) ArchState() State { return State{c.regs, c.eip, c.fl} }
 
 // Arch implements isa.CPU.
 func (c *CPU) Arch() isa.Arch { return isa.ArchX86S }
@@ -74,30 +79,12 @@ func (c *CPU) NumRegs() int { return numRegs }
 // RegName implements isa.CPU.
 func (c *CPU) RegName(i int) string { return RegName(i) }
 
-// SetHooks implements isa.CPU.
-func (c *CPU) SetHooks(h isa.Hooks) { c.hooks = h }
-
-// SetRecorder implements isa.CPU.
-func (c *CPU) SetRecorder(r *telemetry.ControlRecorder) { c.rec = r }
-
-// InstrCount implements isa.CPU.
-func (c *CPU) InstrCount() uint64 { return c.icount }
-
-// ResetState returns registers, PC and flags to their power-on (all zero)
-// values, as if the CPU were freshly constructed. The instruction counter
-// keeps running (it is monotonic; callers consume deltas). The block
-// cache is emptied (keeping the translated-instruction storage):
-// a recycle bumps the generation anyway, and starting cold keeps the
-// block counters a pure function of each run instead of depending on
-// which previous image the CPU happened to execute.
+// ResetState implements isa.CPU.
 func (c *CPU) ResetState() {
 	c.regs = [numRegs]uint32{}
 	c.eip = 0
 	c.fl = flags{}
-	for i := range c.bc {
-		c.bc[i].pc, c.bc[i].gen = 0, 0
-		c.bc[i].ins = c.bc[i].ins[:0]
-	}
+	c.ResetBlocks()
 }
 
 // FlagWord packs the architectural flag state into one word (bit 0 zf,
@@ -222,32 +209,6 @@ func (c *CPU) cond(cc Cond) bool {
 	}
 }
 
-// control records a control transfer in the flight recorder and runs the
-// installed hook; a hook veto surfaces as a CFI-violation event. It is
-// small enough to inline, so an unobserved transfer costs two nil-checks
-// and no call on either executor.
-func (c *CPU) control(kind isa.ControlKind, from, to, ret uint32) *isa.Event {
-	if c.rec == nil && c.hooks == nil {
-		return nil
-	}
-	return c.observe(kind, from, to, ret)
-}
-
-// observe is control's out-of-line slow path. telemetry.Ctl* values
-// mirror isa.ControlKind, so the kind byte passes straight through.
-func (c *CPU) observe(kind isa.ControlKind, from, to, ret uint32) *isa.Event {
-	if c.rec != nil {
-		c.rec.Record(uint8(kind), from, to, c.icount)
-	}
-	if c.hooks == nil {
-		return nil
-	}
-	if err := c.hooks.OnControl(kind, from, to, ret); err != nil {
-		return &isa.Event{Kind: isa.EventCFIViolation, PC: from, Reason: err.Error()}
-	}
-	return nil
-}
-
 // maxInstrLen is the longest encoding the decoder can produce.
 const maxInstrLen = 12
 
@@ -277,7 +238,7 @@ func (c *CPU) Step() isa.Event {
 		if f != nil {
 			return fault(f)
 		}
-		if ev := c.control(isa.ControlReturn, pc, tgt, 0); ev != nil {
+		if ev := c.Control(isa.ControlReturn, pc, tgt, 0); ev != nil {
 			return *ev
 		}
 		next = tgt
@@ -401,7 +362,7 @@ func (c *CPU) Step() isa.Event {
 
 	case OpCallRel:
 		tgt := next + uint32(in.Disp)
-		if ev := c.control(isa.ControlCall, pc, tgt, next); ev != nil {
+		if ev := c.Control(isa.ControlCall, pc, tgt, next); ev != nil {
 			return *ev
 		}
 		if f := c.push(next); f != nil {
@@ -413,7 +374,7 @@ func (c *CPU) Step() isa.Event {
 		if f != nil {
 			return fault(f)
 		}
-		if ev := c.control(isa.ControlCall, pc, tgt, next); ev != nil {
+		if ev := c.Control(isa.ControlCall, pc, tgt, next); ev != nil {
 			return *ev
 		}
 		if f := c.push(next); f != nil {
@@ -425,7 +386,7 @@ func (c *CPU) Step() isa.Event {
 		if f != nil {
 			return fault(f)
 		}
-		if ev := c.control(isa.ControlJump, pc, tgt, 0); ev != nil {
+		if ev := c.Control(isa.ControlJump, pc, tgt, 0); ev != nil {
 			return *ev
 		}
 		next = tgt
@@ -449,11 +410,9 @@ func (c *CPU) Step() isa.Event {
 		c.setFlagsLogic(c.regs[in.R1])
 
 	case OpInt:
-		if c.rec != nil {
-			c.rec.Record(telemetry.CtlSyscall, pc, c.regs[EAX], c.icount)
-		}
+		c.RecordSyscall(pc, c.regs[EAX])
 		c.eip = next
-		c.icount++
+		c.Retire()
 		return isa.Event{Kind: isa.EventSyscall, PC: next}
 
 	default:
@@ -461,7 +420,7 @@ func (c *CPU) Step() isa.Event {
 	}
 
 	c.eip = next
-	c.icount++
+	c.Retire()
 	return isa.Event{Kind: isa.EventRetired, PC: next}
 }
 

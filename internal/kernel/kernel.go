@@ -360,8 +360,7 @@ func (p *Process) Recycle(cfg Config) bool {
 	if err != nil || !p.m.Reset() {
 		return false
 	}
-	type stateResetter interface{ ResetState() }
-	p.cpu.(stateResetter).ResetState()
+	p.cpu.ResetState()
 	p.stdout.Reset()
 	p.shells = nil
 	return p.place(cfg, pl) == nil

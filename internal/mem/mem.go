@@ -439,8 +439,8 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) *Fault {
 	return nil
 }
 
-// Load8 loads one byte, bounds-checking once.
-func (m *Memory) Load8(addr uint32) (uint8, *Fault) {
+// ReadU8 loads one byte, bounds-checking once.
+func (m *Memory) ReadU8(addr uint32) (uint8, *Fault) {
 	s, off, f := m.check(addr, 1, AccessRead)
 	if f != nil {
 		return 0, f
@@ -448,8 +448,8 @@ func (m *Memory) Load8(addr uint32) (uint8, *Fault) {
 	return s.Data[off], nil
 }
 
-// Store8 stores one byte, bounds-checking once.
-func (m *Memory) Store8(addr uint32, v uint8) *Fault {
+// WriteU8 stores one byte, bounds-checking once.
+func (m *Memory) WriteU8(addr uint32, v uint8) *Fault {
 	s, off, f := m.check(addr, 1, AccessWrite)
 	if f != nil {
 		return f
@@ -459,9 +459,9 @@ func (m *Memory) Store8(addr uint32, v uint8) *Fault {
 	return nil
 }
 
-// Load16 loads a little-endian 16-bit value, bounds-checking once for both
+// ReadU16 loads a little-endian 16-bit value, bounds-checking once for both
 // bytes.
-func (m *Memory) Load16(addr uint32) (uint16, *Fault) {
+func (m *Memory) ReadU16(addr uint32) (uint16, *Fault) {
 	s, off, f := m.check(addr, 2, AccessRead)
 	if f != nil {
 		return 0, f
@@ -470,8 +470,8 @@ func (m *Memory) Load16(addr uint32) (uint16, *Fault) {
 	return uint16(d[0]) | uint16(d[1])<<8, nil
 }
 
-// Store16 stores a little-endian 16-bit value, bounds-checking once.
-func (m *Memory) Store16(addr uint32, v uint16) *Fault {
+// WriteU16 stores a little-endian 16-bit value, bounds-checking once.
+func (m *Memory) WriteU16(addr uint32, v uint16) *Fault {
 	s, off, f := m.check(addr, 2, AccessWrite)
 	if f != nil {
 		return f
@@ -483,10 +483,10 @@ func (m *Memory) Store16(addr uint32, v uint16) *Fault {
 	return nil
 }
 
-// Load32 loads a little-endian 32-bit value, bounds-checking once for all
+// ReadU32 loads a little-endian 32-bit value, bounds-checking once for all
 // four bytes — the interpreter's hottest accessor (stack pops, pointer
 // loads).
-func (m *Memory) Load32(addr uint32) (uint32, *Fault) {
+func (m *Memory) ReadU32(addr uint32) (uint32, *Fault) {
 	s, off, f := m.check(addr, 4, AccessRead)
 	if f != nil {
 		return 0, f
@@ -495,8 +495,8 @@ func (m *Memory) Load32(addr uint32) (uint32, *Fault) {
 	return uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24, nil
 }
 
-// Store32 stores a little-endian 32-bit value, bounds-checking once.
-func (m *Memory) Store32(addr uint32, v uint32) *Fault {
+// WriteU32 stores a little-endian 32-bit value, bounds-checking once.
+func (m *Memory) WriteU32(addr uint32, v uint32) *Fault {
 	s, off, f := m.check(addr, 4, AccessWrite)
 	if f != nil {
 		return f
@@ -509,24 +509,6 @@ func (m *Memory) Store32(addr uint32, v uint32) *Fault {
 	s.markDirty(off, 4)
 	return nil
 }
-
-// ReadU8 loads one byte.
-func (m *Memory) ReadU8(addr uint32) (uint8, *Fault) { return m.Load8(addr) }
-
-// WriteU8 stores one byte.
-func (m *Memory) WriteU8(addr uint32, v uint8) *Fault { return m.Store8(addr, v) }
-
-// ReadU16 loads a little-endian 16-bit value.
-func (m *Memory) ReadU16(addr uint32) (uint16, *Fault) { return m.Load16(addr) }
-
-// WriteU16 stores a little-endian 16-bit value.
-func (m *Memory) WriteU16(addr uint32, v uint16) *Fault { return m.Store16(addr, v) }
-
-// ReadU32 loads a little-endian 32-bit value.
-func (m *Memory) ReadU32(addr uint32) (uint32, *Fault) { return m.Load32(addr) }
-
-// WriteU32 stores a little-endian 32-bit value.
-func (m *Memory) WriteU32(addr uint32, v uint32) *Fault { return m.Store32(addr, v) }
 
 // Fetch reads up to n instruction bytes at addr, enforcing execute
 // permission and the W⊕X policy. Fewer than n bytes may be returned when

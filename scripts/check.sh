@@ -54,6 +54,10 @@ go run ./cmd/attack -arch arms -kind rop-memcpy -wx -aslr | cmp - cmd/attack/tes
 # The diversity-broken execlp chain hangs; block dispatch proves the loop
 # and fast-forwards it to the same budget-exhausted verdict.
 go run ./cmd/attack -arch arms -kind rop-execlp -wx -diversity 30 | cmp - cmd/attack/testdata/arms_rop-execlp_wx_div30.golden
+# X2's compression-pointer loop is the only real-victim hang on x86s:
+# block dispatch must prove it on both ISAs and reach the recorded
+# timeout verdicts.
+go run ./cmd/experiments -exp x2 | cmp - cmd/experiments/testdata/x2.golden
 # Live observability surface: labd must serve /metrics and /snapshot
 # (schema v2) while a campaign loop runs on an ephemeral port, and the
 # off-by-default contract must hold — a campaign's canonical transcript

@@ -381,6 +381,59 @@ func BenchmarkCampaignMatrix(b *testing.B) {
 	}
 }
 
+// mitigationSweepAttacks are the six working per-level exploits the §IV
+// mitigations are measured against (the E10 set).
+var mitigationSweepAttacks = []struct {
+	arch isa.Arch
+	kind exploit.Kind
+	base campaign.Protection
+}{
+	{isa.ArchX86S, exploit.KindCodeInjection, campaign.LevelNone},
+	{isa.ArchARMS, exploit.KindCodeInjection, campaign.LevelNone},
+	{isa.ArchX86S, exploit.KindRet2Libc, campaign.LevelWX},
+	{isa.ArchARMS, exploit.KindRopExeclp, campaign.LevelWX},
+	{isa.ArchX86S, exploit.KindRopMemcpy, campaign.LevelWXASLR},
+	{isa.ArchARMS, exploit.KindRopMemcpy, campaign.LevelWXASLR},
+}
+
+// BenchmarkMitigationSweepOp measures one cold §IV sweep, the shape of
+// connbench's mitigation-sweep op: a fresh engine runs the six attacks
+// under CFI, canary and full PIE with 10 devices each, plus 20 diversity
+// seeds with one device each — 300 trials, where the engine's one-off
+// costs (recon probes, first daemon loads, diversity relinks) weigh as
+// much as emulation.
+func BenchmarkMitigationSweepOp(b *testing.B) {
+	mutations := []func(campaign.Protection) campaign.Protection{
+		func(p campaign.Protection) campaign.Protection { p.CFI = true; return p },
+		func(p campaign.Protection) campaign.Protection { p.Canary = true; return p },
+		func(p campaign.Protection) campaign.Protection { p.PIE, p.ASLR = true, true; return p },
+	}
+	const root = 1
+	var cells []campaign.Scenario
+	for _, m := range mutations {
+		for _, a := range mitigationSweepAttacks {
+			cells = append(cells, campaign.Scenario{Arch: a.arch, Kind: a.kind, Protection: m(a.base), Devices: 10})
+		}
+	}
+	for _, a := range mitigationSweepAttacks {
+		for k := 0; k < 20; k++ {
+			p := a.base
+			p.DiversitySeed = campaign.DeriveSeed(root, 0x5EED_0002, uint64(k))
+			cells = append(cells, campaign.Scenario{Arch: a.arch, Kind: a.kind, Protection: p})
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := campaign.New(campaign.Config{RootSeed: root}).Run(cells)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := rep.TotalDevices(); n != 300 {
+			b.Fatalf("devices = %d, want 300", n)
+		}
+	}
+}
+
 // --- substrate micro-benchmarks ---
 
 // BenchmarkRecon measures one full attacker-side reconnaissance (replica

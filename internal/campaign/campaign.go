@@ -22,7 +22,6 @@ package campaign
 
 import (
 	"connlab/internal/defense"
-	"connlab/internal/image"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
 	"connlab/internal/victim"
@@ -36,8 +35,10 @@ type Protection struct {
 	CFI bool
 	// Canary builds the victim with stack protectors.
 	Canary bool
-	// DiversitySeed, when non-zero, links the victim with layout diversity
-	// and equivalent-instruction substitution (§IV).
+	// DiversitySeed, when non-zero, links the victim with a seeded
+	// function-layout permutation (§IV diversity). The deployed bytes are
+	// the pristine build's: equivalent-instruction substitution
+	// (defense.EquivSubstitute) is not applied.
 	DiversitySeed int64
 	// PIE additionally randomizes the program image (beyond the paper).
 	PIE bool
@@ -132,26 +133,11 @@ func TargetSetup(arch isa.Arch, p Protection, opts victim.BuildOpts, seed int64)
 		cfg.Hooks = ss
 	}
 	if p.DiversitySeed != 0 {
-		lo, err := diversityLinkOpts(arch, opts, p.DiversitySeed)
+		u, err := victim.BuildProgram(arch, opts)
 		if err != nil {
 			return cfg, opts, nil, err
 		}
-		cfg.LinkOpts = lo
+		cfg.LinkOpts = defense.DiversityOptions(u, p.DiversitySeed)
 	}
 	return cfg, opts, ss, nil
-}
-
-// diversityLinkOpts computes the §IV diversity link options for a build:
-// a fresh unit is built, equivalent-instruction substitution is applied
-// to it, and the layout permutation is derived from the result. The unit
-// is private to this call, so cached program units stay pristine.
-func diversityLinkOpts(arch isa.Arch, opts victim.BuildOpts, seed int64) (image.Options, error) {
-	u, err := victim.BuildProgram(arch, opts)
-	if err != nil {
-		return image.Options{}, err
-	}
-	if _, err := defense.EquivSubstitute(u, seed); err != nil {
-		return image.Options{}, err
-	}
-	return defense.DiversityOptions(u, seed), nil
 }

@@ -93,15 +93,18 @@ type Config struct {
 
 // Engine fans campaign scenarios across a worker pool, sharing
 // per-configuration recon artifacts through build-once caches. All cached
-// artifacts (targets, payloads, program units) are read-only after
-// construction and safe to share between workers; per-device state
-// (process memory, shadow stacks, netsim worlds) is always freshly built.
+// artifacts (probes, targets, payloads, program units) are read-only
+// after construction and safe to share between workers; per-device state
+// (process memory, shadow stacks, netsim worlds) is freshly built or, for
+// daemons, recycled to a fresh-load state.
 type Engine struct {
 	cfg Config
 
-	// recons caches attacker-side reconnaissance — victim build, image
-	// link, gadget scan, frame discovery — per (arch, posture, build,
-	// seed) configuration.
+	// probes caches the posture-free half of reconnaissance — image
+	// link, gadget scan, frame discovery, the buffer-address session —
+	// per replicated firmware (arch, build, seed); recons completes a
+	// probe per W⊕X/ASLR posture with that posture's libc sample.
+	probes *Cache[probeKey, *exploit.Probe]
 	recons *Cache[reconKey, *exploit.Target]
 	// payloads caches built exploits per configuration and kind,
 	// including construction failures (OutcomeBuildFail is a verdict).
@@ -117,17 +120,24 @@ type Engine struct {
 	// linkOptions caches the §IV diversity permutations.
 	linkOptions *Cache[linkKey, image.Options]
 
-	// pool holds idle daemons per program unit, recycled between devices
-	// instead of loading a fresh address space per trial. Recycling
-	// replays the per-device seed's layout and canary draws and re-lays
-	// the process out for the device's protections, so a pooled daemon is
-	// byte-identical to a fresh load and the report stays deterministic
-	// for any worker count.
-	pool   map[unitKey][]*victim.Daemon
+	// pool holds idle daemons per ISA, recycled between devices and
+	// recon's crash dummies instead of loading a fresh address space per
+	// trial. Recycling rebinds the daemon to the requested program unit
+	// (any build of the ISA), replays the seed's layout and canary draws
+	// and re-lays the process out for the protections, so a pooled daemon
+	// is byte-identical to a fresh load and the report stays
+	// deterministic for any worker count.
+	pool   map[isa.Arch][]*victim.Daemon
 	poolMu sync.Mutex
 
 	// Per-stage wall time, accumulated across workers (nanoseconds).
 	nsRecon, nsPayload, nsVictimBuild, nsAttack atomic.Int64
+}
+
+type probeKey struct {
+	arch  isa.Arch
+	build victim.BuildOpts
+	seed  int64
 }
 
 type reconKey struct {
@@ -162,7 +172,8 @@ func New(cfg Config) *Engine {
 		cfg.ReconSeed = DefaultReconSeed
 	}
 	return &Engine{
-		cfg: cfg,
+		cfg:    cfg,
+		probes: NewCache[probeKey, *exploit.Probe](),
 		recons: NewCache[reconKey, *exploit.Target]().
 			Instrument(telemetry.CtrReconBuild, telemetry.CtrReconHit),
 		payloads: NewCache[payloadKey, *exploit.Exploit]().
@@ -174,7 +185,7 @@ func New(cfg Config) *Engine {
 		libcs: NewCache[isa.Arch, *image.Unit]().
 			Instrument(telemetry.CtrUnitBuild, telemetry.CtrUnitHit),
 		linkOptions: NewCache[linkKey, image.Options](),
-		pool:        make(map[unitKey][]*victim.Daemon),
+		pool:        make(map[isa.Arch][]*victim.Daemon),
 	}
 }
 
@@ -202,12 +213,38 @@ func (e *Engine) reconKeyFor(s Scenario) reconKey {
 }
 
 // recon returns the cached attacker-side reconnaissance for a scenario's
-// configuration, performing it on first use.
+// configuration, performing it on first use: the firmware's shared probe
+// plus this posture's libc sample, exactly what exploit.Recon returns.
 func (e *Engine) recon(s Scenario) (*exploit.Target, error) {
 	k := e.reconKeyFor(s)
 	return e.recons.Get(k, func() (*exploit.Target, error) {
 		defer e.timeStage(&e.nsRecon)()
-		return exploit.Recon(k.arch, k.build, kernel.Config{WX: k.wx, ASLR: k.aslr, Seed: k.seed})
+		p, err := e.probe(k.arch, k.build, k.seed)
+		if err != nil {
+			return nil, err
+		}
+		return p.Sample(kernel.Config{WX: k.wx, ASLR: k.aslr, Seed: k.seed})
+	})
+}
+
+// probe returns the cached posture-free probe of a replicated firmware,
+// running it on first use on a crash dummy borrowed from the daemon pool
+// and returned to it afterwards.
+func (e *Engine) probe(arch isa.Arch, build victim.BuildOpts, seed int64) (*exploit.Probe, error) {
+	return e.probes.Get(probeKey{arch: arch, build: build, seed: seed}, func() (*exploit.Probe, error) {
+		prog, err := e.victimUnit(arch, build)
+		if err != nil {
+			return nil, err
+		}
+		cfg := kernel.Config{Seed: seed}
+		d, _, err := e.borrowDaemon(prog, cfg)
+		if err != nil {
+			return nil, err
+		}
+		_, libc := d.Process().Units()
+		p, d, err := exploit.ProbeReplica(prog, libc, build, cfg, d)
+		e.releaseDaemon(d)
+		return p, err
 	})
 }
 
@@ -261,11 +298,12 @@ func (e *Engine) libcUnit(arch isa.Arch) (*image.Unit, error) {
 	})
 }
 
-// targetSetup is the cached counterpart of TargetSetup: the diversity
-// permutation is computed once per (arch, build, seed) instead of once
-// per device. The shadow stack, which holds per-process state, is always
-// fresh.
-func (e *Engine) targetSetup(s Scenario, seed int64, patched bool) (kernel.Config, victim.BuildOpts, *defense.ShadowStack, error) {
+// targetSetup is the cached counterpart of TargetSetup: it returns the
+// device's cached program unit in place of its build options, and the
+// diversity permutation is derived from that unit once per (arch, build,
+// seed) instead of once per device. The shadow stack, which holds
+// per-process state, is always fresh.
+func (e *Engine) targetSetup(s Scenario, seed int64, patched bool) (kernel.Config, *image.Unit, *defense.ShadowStack, error) {
 	p := s.Protection
 	cfg := kernel.Config{WX: p.WX, ASLR: p.ASLR, PIE: p.PIE, Seed: seed}
 	opts := s.Build
@@ -276,61 +314,77 @@ func (e *Engine) targetSetup(s Scenario, seed int64, patched bool) (kernel.Confi
 		ss = defense.NewShadowStack()
 		cfg.Hooks = ss
 	}
+	prog, err := e.victimUnit(s.Arch, opts)
+	if err != nil {
+		return cfg, nil, nil, err
+	}
 	if p.DiversitySeed != 0 {
-		lo, err := e.linkOptions.Get(linkKey{arch: s.Arch, opts: opts, seed: p.DiversitySeed},
+		// The permutation reads only the unit's function count, so the
+		// pristine cached unit serves; it cannot fail.
+		lo, _ := e.linkOptions.Get(linkKey{arch: s.Arch, opts: opts, seed: p.DiversitySeed},
 			func() (image.Options, error) {
 				defer e.timeStage(&e.nsVictimBuild)()
-				return diversityLinkOpts(s.Arch, opts, p.DiversitySeed)
+				return defense.DiversityOptions(prog, p.DiversitySeed), nil
 			})
-		if err != nil {
-			return cfg, opts, nil, err
-		}
 		cfg.LinkOpts = lo
 	}
-	return cfg, opts, ss, nil
+	return cfg, prog, ss, nil
 }
 
-// newDaemon loads one fresh device from the cached units.
-func (e *Engine) newDaemon(arch isa.Arch, opts victim.BuildOpts, cfg kernel.Config) (*victim.Daemon, error) {
-	prog, err := e.victimUnit(arch, opts)
-	if err != nil {
-		return nil, err
+// acquireDaemon returns a device daemon running prog under cfg through
+// borrowDaemon, counting the acquisition as pool traffic (pool_recycle or
+// pool_fresh). Recon probes borrow uncounted, so the counters describe
+// device daemons only.
+func (e *Engine) acquireDaemon(prog *image.Unit, cfg kernel.Config) (*victim.Daemon, error) {
+	d, recycled, err := e.borrowDaemon(prog, cfg)
+	if recycled {
+		telemetry.Inc(telemetry.CtrPoolRecycle)
+	} else {
+		telemetry.Inc(telemetry.CtrPoolFresh)
 	}
-	libc, err := e.libcUnit(arch)
-	if err != nil {
-		return nil, err
-	}
-	return victim.NewDaemonWith(prog, libc, cfg)
+	return d, err
 }
 
-// acquireDaemon returns a device daemon for cfg, recycling an idle pooled
-// one loaded from the same units and loading fresh only when none is idle.
-func (e *Engine) acquireDaemon(arch isa.Arch, opts victim.BuildOpts, cfg kernel.Config) (*victim.Daemon, error) {
-	k := unitKey{arch: arch, opts: opts}
+// borrowDaemon returns a daemon running prog under cfg, recycling an idle
+// pooled daemon of prog's ISA and loading fresh only when none is idle;
+// recycled reports which. It prefers a daemon already linked from prog,
+// whose recycle relinks the program only if the layout or link options
+// moved.
+func (e *Engine) borrowDaemon(prog *image.Unit, cfg kernel.Config) (d *victim.Daemon, recycled bool, err error) {
+	libc, err := e.libcUnit(prog.Arch)
+	if err != nil {
+		return nil, false, err
+	}
 	e.poolMu.Lock()
-	list := e.pool[k]
-	var d *victim.Daemon
+	list := e.pool[prog.Arch]
 	if n := len(list); n > 0 {
-		d, e.pool[k] = list[n-1], list[:n-1]
+		i := n - 1
+		for j := i; j >= 0; j-- {
+			if u, _ := list[j].Process().Units(); u == prog {
+				i = j
+				break
+			}
+		}
+		d, list[i] = list[i], list[n-1]
+		e.pool[prog.Arch] = list[:n-1]
 	}
 	e.poolMu.Unlock()
-	if d != nil && d.Recycle(cfg) {
-		telemetry.Inc(telemetry.CtrPoolRecycle)
-		return d, nil
+	if d != nil && d.RecycleWith(prog, libc, cfg) {
+		return d, true, nil
 	}
-	telemetry.Inc(telemetry.CtrPoolFresh)
-	return e.newDaemon(arch, opts, cfg)
+	d, err = victim.NewDaemonWith(prog, libc, cfg)
+	return d, false, err
 }
 
-// releaseDaemon parks a daemon for reuse by a later device built from the
-// same units.
-func (e *Engine) releaseDaemon(arch isa.Arch, opts victim.BuildOpts, d *victim.Daemon) {
+// releaseDaemon parks a daemon for reuse by a later device or probe of
+// the same ISA.
+func (e *Engine) releaseDaemon(d *victim.Daemon) {
 	if d == nil {
 		return
 	}
-	k := unitKey{arch: arch, opts: opts}
+	arch := d.Process().Arch()
 	e.poolMu.Lock()
-	e.pool[k] = append(e.pool[k], d)
+	e.pool[arch] = append(e.pool[arch], d)
 	e.poolMu.Unlock()
 }
 
@@ -546,21 +600,21 @@ func (e *Engine) runDevice(s Scenario, si, di, worker int) (r DeviceResult) {
 		return r
 	}
 	sc.begin()
-	cfg, opts, ss, err := e.targetSetup(s, seed, patched)
+	cfg, prog, ss, err := e.targetSetup(s, seed, patched)
 	if err != nil {
 		sc.end(&r, StageVictim, 0)
 		r.Outcome = OutcomeError
 		r.Err = err.Error()
 		return r
 	}
-	d, err := e.acquireDaemon(s.Arch, opts, cfg)
+	d, err := e.acquireDaemon(prog, cfg)
 	sc.end(&r, StageVictim, 0)
 	if err != nil {
 		r.Outcome = OutcomeError
 		r.Err = err.Error()
 		return r
 	}
-	defer e.releaseDaemon(s.Arch, opts, d)
+	defer e.releaseDaemon(d)
 	d.Process().SetAttempt(attempt)
 	if ss != nil {
 		ss.Arm(d.Process())

@@ -1,11 +1,15 @@
 package campaign
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
+	"connlab/internal/kernel"
+	"connlab/internal/victim"
 )
 
 // TestSingleScenarioMatrixCell: a one-device scenario reproduces the
@@ -204,5 +208,54 @@ func TestCanonicalOmitsTimings(t *testing.T) {
 		if strings.Contains(c, banned) {
 			t.Errorf("canonical rendering contains %q:\n%s", banned, c)
 		}
+	}
+}
+
+// TestReconProbeShared: the engine probes each replicated firmware once
+// and completes the probe per W⊕X/ASLR posture, on a crash dummy borrowed
+// from its daemon pool. For every ISA, build and posture its Target must
+// equal exploit.Recon's — frame, buffer address, libc samples and the
+// linked image's sections — and no recon key may load a daemon of its
+// own.
+func TestReconProbeShared(t *testing.T) {
+	builds := []victim.BuildOpts{{}, {Bounded: true, Slack: 1}}
+	eng := New(Config{Workers: 2})
+	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
+		for _, build := range builds {
+			for _, p := range []Protection{LevelNone, LevelWX, {ASLR: true}, LevelWXASLR} {
+				name := fmt.Sprintf("%s/bounded=%v/%s", arch, build.Bounded, p)
+				got, err := eng.Recon(Scenario{Arch: arch, Build: build, Protection: p})
+				if err != nil {
+					t.Fatalf("%s: engine recon: %v", name, err)
+				}
+				want, err := exploit.Recon(arch, build,
+					kernel.Config{WX: p.WX, ASLR: p.ASLR, Seed: DefaultReconSeed})
+				if err != nil {
+					t.Fatalf("%s: exploit.Recon: %v", name, err)
+				}
+				if !reflect.DeepEqual(got.Frame, want.Frame) || got.BufferAddr != want.BufferAddr {
+					t.Errorf("%s: frame %+v buffer %#x, want %+v buffer %#x",
+						name, got.Frame, got.BufferAddr, want.Frame, want.BufferAddr)
+				}
+				if got.LibcSystem != want.LibcSystem || got.LibcExit != want.LibcExit || got.LibcBinSh != want.LibcBinSh {
+					t.Errorf("%s: libc system/exit/binsh %#x/%#x/%#x, want %#x/%#x/%#x", name,
+						got.LibcSystem, got.LibcExit, got.LibcBinSh, want.LibcSystem, want.LibcExit, want.LibcBinSh)
+				}
+				if !reflect.DeepEqual(got.Img.Sections, want.Img.Sections) {
+					t.Errorf("%s: linked image sections differ from exploit.Recon's", name)
+				}
+			}
+		}
+		// Both builds' probes ran on one crash dummy, and it went back to
+		// the pool for the devices.
+		if n := len(eng.pool[arch]); n != 1 {
+			t.Errorf("%s: %d idle daemons after recon, want the one crash dummy", arch, n)
+		}
+	}
+	if got, want := eng.probes.Stats().Builds, int64(2*len(builds)); got != want {
+		t.Errorf("probes built %d times, want once per (arch, build) = %d", got, want)
+	}
+	if got, want := eng.ReconStats().Builds, int64(2*len(builds)*4); got != want {
+		t.Errorf("recon keys built %d, want %d", got, want)
 	}
 }

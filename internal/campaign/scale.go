@@ -242,15 +242,15 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 		isVictim := cfg.VictimEvery > 0 && i%cfg.VictimEvery == 0 && len(victims) < cfg.MaxVictims
 		if isVictim {
 			vi := len(victims)
-			kcfg, opts, ss, err := e.targetSetup(s, e.deviceSeed(s, 0, vi), false)
+			kcfg, prog, ss, err := e.targetSetup(s, e.deviceSeed(s, 0, vi), false)
 			if err != nil {
 				return nil, err
 			}
-			d, err := e.acquireDaemon(s.Arch, opts, kcfg)
+			d, err := e.acquireDaemon(prog, kcfg)
 			if err != nil {
 				return nil, err
 			}
-			defer e.releaseDaemon(s.Arch, opts, d)
+			defer e.releaseDaemon(d)
 			if ss != nil {
 				ss.Arm(d.Process())
 			}

@@ -11,8 +11,9 @@ import (
 )
 
 // metricsRun runs the standard determinism workload under fresh
-// telemetry and returns the merged snapshot plus stage aggregates.
-func metricsRun(t *testing.T, workers int) (telemetry.Snapshot, []telemetry.ScenarioStages) {
+// telemetry and returns the merged snapshot, stage aggregates and the
+// number of recon probes the engine ran.
+func metricsRun(t *testing.T, workers int) (telemetry.Snapshot, []telemetry.ScenarioStages, int64) {
 	t.Helper()
 	telemetry.Enable() // fresh state: Enable doubles as the reset
 	eng := New(Config{Workers: workers, RootSeed: 7777})
@@ -20,7 +21,7 @@ func metricsRun(t *testing.T, workers int) (telemetry.Snapshot, []telemetry.Scen
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	return telemetry.TakeSnapshot(), rep.StageAggregates()
+	return telemetry.TakeSnapshot(), rep.StageAggregates(), eng.probes.Stats().Builds
 }
 
 // TestMetricsMergeDeterministic extends the engine's determinism
@@ -31,8 +32,8 @@ func metricsRun(t *testing.T, workers int) (telemetry.Snapshot, []telemetry.Scen
 // found the scan index warm) are compared as sums.
 func TestMetricsMergeDeterministic(t *testing.T) {
 	t.Cleanup(telemetry.Disable)
-	snap1, stages1 := metricsRun(t, 1)
-	snap8, stages8 := metricsRun(t, 8)
+	snap1, stages1, probes1 := metricsRun(t, 1)
+	snap8, stages8, probes8 := metricsRun(t, 8)
 
 	// Scheduling-dependent pairs: the split varies, the sum must not.
 	sumPairs := [][2]string{
@@ -43,12 +44,6 @@ func TestMetricsMergeDeterministic(t *testing.T) {
 	for _, p := range sumPairs {
 		sumKey[p[0]], sumKey[p[1]] = true, true
 	}
-	// unit_hit rides the scheduling-dependent fresh-load path: only
-	// newDaemon probes the unit caches (two Gets per fresh load), so its
-	// total follows pool_fresh rather than the work performed. unit_build
-	// stays strictly deterministic (one build per distinct key); the hit
-	// count is checked against the fresh-load relation below instead.
-	sumKey[telemetry.CtrUnitHit.Name()] = true
 	// gadget_scan_entries/gadget_scan_evict track occupancy of the global
 	// scan cache, which persists across runs in one process: the second
 	// run finds it warm and inserts nothing. Like the build/hit split they
@@ -70,14 +65,21 @@ func TestMetricsMergeDeterministic(t *testing.T) {
 			t.Errorf("sum %s+%s: workers=1 -> %d, workers=8 -> %d", p[0], p[1], s1, s8)
 		}
 	}
+	// Every daemon taken from the pool — a device's (counted as
+	// pool_recycle or pool_fresh) or a recon probe's crash dummy
+	// (uncounted) — fetches the program and libc units once, recycled or
+	// fresh alike, so the unit caches see exactly two gets per daemon.
 	for _, snap := range []struct {
-		name string
-		s    telemetry.Snapshot
-	}{{"workers=1", snap1}, {"workers=8", snap8}} {
+		name   string
+		s      telemetry.Snapshot
+		probes int64
+	}{{"workers=1", snap1, probes1}, {"workers=8", snap8, probes8}} {
 		gets := snap.s.Counters[telemetry.CtrUnitBuild.Name()] + snap.s.Counters[telemetry.CtrUnitHit.Name()]
-		fresh := snap.s.Counters[telemetry.CtrPoolFresh.Name()]
-		if gets != 2*fresh {
-			t.Errorf("%s: unit cache gets = %d, want 2 per fresh load (%d)", snap.name, gets, 2*fresh)
+		daemons := snap.s.Counters[telemetry.CtrPoolFresh.Name()] + snap.s.Counters[telemetry.CtrPoolRecycle.Name()] +
+			uint64(snap.probes)
+		if snap.probes == 0 || gets != 2*daemons {
+			t.Errorf("%s: unit cache gets = %d, want 2 per pooled daemon (%d, %d of them probes)",
+				snap.name, gets, 2*daemons, snap.probes)
 		}
 	}
 	for name, h1 := range snap1.Histograms {

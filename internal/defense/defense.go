@@ -6,8 +6,10 @@
 //     storage, every return must match, and (optionally) every indirect
 //     jump must target a known function entry;
 //   - compile-time artificial software diversity: function-layout
-//     shuffling, random inter-function padding, and equivalent-instruction
-//     substitution, making each build's gadget addresses unique.
+//     shuffling and random inter-function padding (DiversityOptions),
+//     making each build's gadget addresses unique, plus
+//     equivalent-instruction substitution (EquivSubstitute), which the
+//     campaign's diversity builds do not deploy.
 //
 // Stack canaries, the third classic mitigation, are a victim build option
 // (internal/victim BuildOpts.Canary) plus kernel guard seeding.

@@ -212,7 +212,7 @@ type Process struct {
 	m    *mem.Memory
 
 	// progUnit and libcUnit are the units Prog and Libc are linked from;
-	// a Recycle into a different layout relinks them.
+	// a recycle into a different layout or onto other units relinks.
 	progUnit, libcUnit *image.Unit
 
 	// Prog is the linked program image; Libc the linked C library.
@@ -242,8 +242,9 @@ type Process struct {
 	// the attempt that drove it. Zero outside campaigns.
 	attempt uint64
 
-	// lay is the current placement; guardAddr/canary record the seeded
-	// stack-protector guard (both 0 when the program declares none).
+	// lay is the current placement and canary the guard value drawn for
+	// it; guardAddr is where the canary was written (0 when the program
+	// declares no guard).
 	lay       Layout
 	guardAddr uint32
 	canary    uint32
@@ -328,14 +329,8 @@ func Load(prog *image.Unit, libc *image.Unit, cfg Config) (*Process, error) {
 	} else {
 		cpu = x86s.New(m)
 	}
-	p := &Process{
-		arch:     prog.Arch,
-		cpu:      cpu,
-		m:        m,
-		progUnit: prog,
-		libcUnit: libc,
-	}
-	pl, err := p.plan(cfg)
+	p := &Process{arch: prog.Arch, cpu: cpu, m: m}
+	pl, err := p.plan(prog, libc, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -346,40 +341,61 @@ func Load(prog *image.Unit, libc *image.Unit, cfg Config) (*Process, error) {
 }
 
 // Recycle rewinds the process to the state a fresh Load(cfg) of its own
-// program and libc units would produce, keeping the address space, the
-// megabyte stack and heap, and the CPU: memory resets to the sealed
-// baseline, the CPU to power-on state, and plan and place lay the process
-// out for cfg, relinking only the images that moved.
-//
-// It reports false, leaving the process untouched, when memory cannot be
-// reset (a segment was mapped or unmapped since the last seal) or cfg does
-// not link. A layout that links but cannot be mapped, which a fresh Load
-// rejects too, also reports false and leaves the process unusable.
+// program and libc units would produce; it is RecycleWith on the units
+// the process is linked from.
 func (p *Process) Recycle(cfg Config) bool {
-	pl, err := p.plan(cfg)
+	return p.RecycleWith(p.progUnit, p.libcUnit, cfg)
+}
+
+// RecycleWith rewinds the process to the state a fresh Load(prog, libc,
+// cfg) would produce, keeping the address space, the megabyte stack and
+// heap, and the CPU: memory resets to the sealed baseline, the CPU to
+// power-on state, and plan and place lay the process out for cfg,
+// relinking only the images that moved or whose unit changed. The units
+// may differ from the ones the process was loaded from (another build of
+// the same program, say), but must be of the process's ISA.
+//
+// It reports false, leaving the process untouched, when the units are of
+// another ISA, memory cannot be reset (a segment was mapped or unmapped
+// since the last seal) or cfg does not link. A layout that links but
+// cannot be mapped, which a fresh Load rejects too, also reports false
+// and leaves the process unusable.
+func (p *Process) RecycleWith(prog, libc *image.Unit, cfg Config) bool {
+	if prog.Arch != p.arch || libc.Arch != p.arch {
+		return false
+	}
+	pl, err := p.plan(prog, libc, cfg)
 	if err != nil || !p.m.Reset() {
 		return false
 	}
 	p.cpu.ResetState()
 	p.stdout.Reset()
 	p.shells = nil
+	p.attempt = 0
 	return p.place(cfg, pl) == nil
 }
 
 // layoutPlan is everything a configuration's seed and link options decide
 // about a load, computed before the address space is touched.
 type layoutPlan struct {
-	lay        Layout
-	prog, libc *image.Image
-	canary     uint32
+	lay                Layout
+	progUnit, libcUnit *image.Unit
+	prog, libc         *image.Image
+	canary             uint32
 }
 
 // plan replays cfg's seed through layoutFor and links whichever image the
-// layout moves, reusing the current image when its placement and link
-// options are unchanged. It does not touch the address space, so a link
-// error leaves the process as it was.
-func (p *Process) plan(cfg Config) (layoutPlan, error) {
-	pl := layoutPlan{lay: p.lay, canary: p.canary, prog: p.Prog, libc: p.Libc}
+// layout moves, reusing the current image when its unit, placement and
+// link options are unchanged. It does not touch the address space, so a
+// link error leaves the process as it was.
+func (p *Process) plan(progUnit, libcUnit *image.Unit, cfg Config) (layoutPlan, error) {
+	pl := layoutPlan{lay: p.lay, canary: p.canary, progUnit: progUnit, libcUnit: libcUnit}
+	if progUnit == p.progUnit {
+		pl.prog = p.Prog
+	}
+	if libcUnit == p.libcUnit {
+		pl.libc = p.Libc
+	}
 	// The same seed with the same randomized axes replays the same draws,
 	// so the current layout and canary stand; reseeding would cost more
 	// than the rest of a recycle (about 12 µs).
@@ -406,14 +422,14 @@ func (p *Process) plan(cfg Config) (layoutPlan, error) {
 	progLayout.DataBase += pl.lay.ProgSlide
 	progLayout.BSSBase += pl.lay.ProgSlide
 	if pl.prog == nil || pl.prog.Layout != progLayout || !sameLinkOpts(p.cfg.LinkOpts, cfg.LinkOpts) {
-		img, err := image.Link(p.progUnit, progLayout, cfg.LinkOpts)
+		img, err := image.Link(progUnit, progLayout, cfg.LinkOpts)
 		if err != nil {
 			return pl, fmt.Errorf("link program: %w", err)
 		}
 		pl.prog = img
 	}
 	if pl.libc == nil || pl.libc.Layout.TextBase != pl.lay.LibcBase {
-		img, err := image.Link(p.libcUnit, image.LibraryLayout(pl.lay.LibcBase), image.Options{})
+		img, err := image.Link(libcUnit, image.LibraryLayout(pl.lay.LibcBase), image.Options{})
 		if err != nil {
 			return pl, fmt.Errorf("link libc: %w", err)
 		}
@@ -458,6 +474,7 @@ func (p *Process) place(cfg Config, pl layoutPlan) error {
 		}
 	}
 	p.Prog, p.Libc = pl.prog, pl.libc
+	p.progUnit, p.libcUnit = pl.progUnit, pl.libcUnit
 
 	if err := m.Move("stack", pl.lay.StackTop-StackSize); err != nil {
 		return fmt.Errorf("map stack: %w", err)
@@ -503,12 +520,14 @@ func (p *Process) place(cfg Config, pl layoutPlan) error {
 	// place reseeds it from the new configuration's stream.
 	m.Seal()
 
-	p.guardAddr, p.canary = 0, 0
+	// The draw is kept even when the program declares no guard: a later
+	// recycle onto a unit that does, under the same seed, reuses it.
+	p.guardAddr, p.canary = 0, pl.canary
 	if guard, ok := p.Prog.Lookup("__stack_chk_guard"); ok {
 		if f := m.WriteU32(guard, pl.canary); f != nil {
 			return fmt.Errorf("load: seed canary: %w", f)
 		}
-		p.guardAddr, p.canary = guard, pl.canary
+		p.guardAddr = guard
 	}
 	return nil
 }
@@ -516,13 +535,16 @@ func (p *Process) place(cfg Config, pl layoutPlan) error {
 // Arch returns the process architecture.
 func (p *Process) Arch() isa.Arch { return p.arch }
 
+// Units returns the program and libc units the process is linked from.
+func (p *Process) Units() (prog, libc *image.Unit) { return p.progUnit, p.libcUnit }
+
 // CPU returns the process CPU (primarily for the debugger).
 func (p *Process) CPU() isa.CPU { return p.cpu }
 
 // SetAttempt tags subsequent run accounting and fault events with the
 // campaign attempt ID (the per-device splitmix64 seed). The campaign
-// engine calls it when it binds a daemon to a device; recycled daemons
-// are re-tagged for each new device.
+// engine calls it when it binds a daemon to a device; a recycle clears
+// the tag, as a fresh load starts untagged.
 func (p *Process) SetAttempt(id uint64) { p.attempt = id }
 
 // Mem returns the process address space.

@@ -11,13 +11,20 @@ import (
 
 // buildX86Hello returns a program that calls write@plt and strlen@plt and
 // returns the length of its message.
-func buildX86Hello(t *testing.T) *image.Unit {
+func buildX86Hello(t *testing.T) *image.Unit { return buildX86HelloPadded(t, 0) }
+
+// buildX86HelloPadded is buildX86Hello with pad nops opening main, so the
+// same addresses hold different code.
+func buildX86HelloPadded(t *testing.T, pad int) *image.Unit {
 	t.Helper()
 	u := image.NewUnit(isa.ArchX86S)
 	u.Import("write", "strlen")
 	u.AddRodata("msg", []byte("hello, lab\x00"))
 
 	a := x86s.NewAsm()
+	for i := 0; i < pad; i++ {
+		a.Nop()
+	}
 	a.PushR(x86s.EBP).MovRR(x86s.EBP, x86s.ESP)
 	// strlen(msg)
 	a.PushISym("msg", 0)
@@ -37,13 +44,19 @@ func buildX86Hello(t *testing.T) *image.Unit {
 }
 
 // buildARMHello is the arms twin of buildX86Hello.
-func buildARMHello(t *testing.T) *image.Unit {
+func buildARMHello(t *testing.T) *image.Unit { return buildARMHelloPadded(t, 0) }
+
+// buildARMHelloPadded is the arms twin of buildX86HelloPadded.
+func buildARMHelloPadded(t *testing.T, pad int) *image.Unit {
 	t.Helper()
 	u := image.NewUnit(isa.ArchARMS)
 	u.Import("write", "strlen")
 	u.AddRodata("msg", []byte("hello, lab\x00"))
 
 	a := arms.NewAsm()
+	for i := 0; i < pad; i++ {
+		a.Nop()
+	}
 	a.Push(arms.R4, arms.LR)
 	a.MovSym(arms.R0, "msg", 0)
 	a.BL("strlen@plt")

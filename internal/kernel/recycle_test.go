@@ -15,19 +15,32 @@ import (
 // the canary draw is exercised), plus libc.
 func recycleUnits(t *testing.T, arch isa.Arch) (prog, libc *image.Unit) {
 	t.Helper()
+	return guardedHello(t, arch, 0), buildLibc(t, arch)
+}
+
+// guardedHello is the hello program with pad nops opening main, a second
+// function and a stack-protector guard.
+func guardedHello(t *testing.T, arch isa.Arch, pad int) *image.Unit {
+	t.Helper()
+	var prog *image.Unit
 	if arch == isa.ArchARMS {
-		prog = buildARMHello(t)
+		prog = buildARMHelloPadded(t, pad)
 		prog.AddFuncARM("helper", arms.NewAsm().BX(arms.LR))
 	} else {
-		prog = buildX86Hello(t)
+		prog = buildX86HelloPadded(t, pad)
 		prog.AddFuncX86("helper", x86s.NewAsm().Ret())
 	}
 	prog.AddData("__stack_chk_guard", make([]byte, 4))
+	return prog
+}
+
+func buildLibc(t *testing.T, arch isa.Arch) *image.Unit {
+	t.Helper()
 	libc, err := image.BuildLibc(arch)
 	if err != nil {
 		t.Fatalf("build libc: %v", err)
 	}
-	return prog, libc
+	return libc
 }
 
 // countHooks is a CFI stand-in that counts the transfers it observes.
@@ -131,7 +144,62 @@ func TestRecycleMatchesFreshLoad(t *testing.T) {
 					compareProcesses(t, p, fresh)
 				})
 			}
+			t.Run("cross-unit", func(t *testing.T) { recycleAcrossUnits(t, arch, libc) })
 		})
+	}
+}
+
+// recycleAcrossUnits walks one process through builds of the same
+// program, the way the campaign's per-ISA daemon pool does: a plain
+// build without a guard, a canary build (guard and a second function), a
+// patched build (main's code moved, so the same addresses hold different
+// instructions), a diversity link of it, and a recon crash dummy handed
+// on to a hooked W⊕X+ASLR+PIE device. After each recycle the process must
+// match a fresh Load of that unit and config byte for byte.
+func recycleAcrossUnits(t *testing.T, arch isa.Arch, libc *image.Unit) {
+	var plain *image.Unit
+	if arch == isa.ArchARMS {
+		plain = buildARMHello(t)
+	} else {
+		plain = buildX86Hello(t)
+	}
+	canary, patched := guardedHello(t, arch, 0), guardedHello(t, arch, 3)
+	diverse := image.Options{Order: []int{1, 0}, Pad: []int{40, 8}}
+	steps := []struct {
+		name string
+		prog *image.Unit
+		cfg  Config
+	}{
+		{"plain", plain, Config{Seed: 1}},
+		// The same seed replays no draws: the canary drawn for the
+		// guard-less plain build must be the one written now.
+		{"canary", canary, Config{Seed: 1}},
+		{"patched", patched, Config{WX: true, Seed: 2}},
+		{"diversity", patched, Config{WX: true, LinkOpts: diverse, Seed: 3}},
+		{"canary again", canary, Config{Seed: 3}},
+		{"recon dummy", plain, Config{Seed: 1001}},
+		{"device", canary, Config{WX: true, ASLR: true, PIE: true, Hooks: &countHooks{}, Seed: 7}},
+	}
+	p, err := Load(steps[0].prog, libc, steps[0].cfg)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	for i, st := range steps[1:] {
+		if _, err := p.Call("main"); err != nil {
+			t.Fatalf("%s: warmup call: %v", steps[i].name, err)
+		}
+		cfg := withOwnHooks(st.cfg)
+		if !p.RecycleWith(st.prog, libc, cfg) {
+			t.Fatalf("%s -> %s: recycle refused", steps[i].name, st.name)
+		}
+		if u, _ := p.Units(); u != st.prog {
+			t.Fatalf("%s: process not rebound to the new unit", st.name)
+		}
+		fresh, err := Load(st.prog, libc, withOwnHooks(st.cfg))
+		if err != nil {
+			t.Fatalf("%s: fresh load: %v", st.name, err)
+		}
+		t.Run(steps[i].name+"->"+st.name, func(t *testing.T) { compareProcesses(t, p, fresh) })
 	}
 }
 
@@ -234,6 +302,14 @@ func TestRecycleRefusals(t *testing.T) {
 
 	if p.Recycle(Config{LinkOpts: image.Options{Order: []int{7}}, Seed: 2}) {
 		t.Fatal("recycle with an invalid permutation accepted, want refused")
+	}
+	if res, err := p.Call("main"); err != nil || res.Status != StatusReturned {
+		t.Fatalf("call after refused recycle: %+v, %v", res, err)
+	}
+
+	armsProg, armsLibc := recycleUnits(t, isa.ArchARMS)
+	if p.RecycleWith(armsProg, armsLibc, Config{ASLR: true, Seed: 2}) {
+		t.Fatal("recycle onto another ISA's units accepted, want refused")
 	}
 	if res, err := p.Call("main"); err != nil || res.Status != StatusReturned {
 		t.Fatalf("call after refused recycle: %+v, %v", res, err)

@@ -1,6 +1,7 @@
 package victim_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -14,9 +15,10 @@ import (
 )
 
 // TestRecycledDaemonMatchesFresh: a daemon recycled from a no-protection
-// config into a PIE or diversity config handles an attack packet exactly
-// as a daemon loaded fresh under that config does — the same RunResult,
-// fault and shell included. PIE and diversity move parse_response, so a
+// config into a PIE or diversity config, or onto another build (canary,
+// patched), starts from the same address space byte for byte and handles
+// an attack packet exactly as a daemon loaded fresh under that build and
+// config does — the same RunResult, fault and shell included. PIE, diversity and a rebuild move parse_response, so a
 // recycled daemon must not keep calling the old entry point.
 func TestRecycledDaemonMatchesFresh(t *testing.T) {
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
@@ -43,14 +45,26 @@ func TestRecycledDaemonMatchesFresh(t *testing.T) {
 				t.Fatalf("craft response: %v", err)
 			}
 			diverse := defense.DiversityOptions(prog, 5)
+			build := func(o victim.BuildOpts) *image.Unit {
+				u, err := victim.BuildProgram(arch, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return u
+			}
+			canary, patched := build(victim.BuildOpts{Canary: true}), build(victim.BuildOpts{Patched: true})
 
 			for _, c := range []struct {
 				name string
+				prog *image.Unit
 				cfg  kernel.Config
 			}{
-				{"pie", kernel.Config{ASLR: true, PIE: true, Seed: 12}},
-				{"diversity", kernel.Config{LinkOpts: diverse, Seed: 13}},
-				{"diversity wx", kernel.Config{WX: true, LinkOpts: diverse, Seed: 14}},
+				{"pie", prog, kernel.Config{ASLR: true, PIE: true, Seed: 12}},
+				{"diversity", prog, kernel.Config{LinkOpts: diverse, Seed: 13}},
+				{"diversity wx", prog, kernel.Config{WX: true, LinkOpts: diverse, Seed: 14}},
+				{"canary build", canary, kernel.Config{Seed: 11}},
+				{"canary build pie", canary, kernel.Config{WX: true, ASLR: true, PIE: true, Seed: 15}},
+				{"patched build", patched, kernel.Config{ASLR: true, Seed: 16}},
 			} {
 				t.Run(c.name, func(t *testing.T) {
 					d, err := victim.NewDaemonWith(prog, libc, none)
@@ -62,16 +76,27 @@ func TestRecycledDaemonMatchesFresh(t *testing.T) {
 					if res, err := d.HandleResponse(pkt); err != nil || res.Status != kernel.StatusShell {
 						t.Fatalf("warm-up attack: %v, %v; want shell", res, err)
 					}
-					if !d.Recycle(c.cfg) {
+					if !d.RecycleWith(c.prog, libc, c.cfg) {
 						t.Fatal("recycle refused")
+					}
+					fresh, err := victim.NewDaemonWith(c.prog, libc, c.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Before any run, the address spaces match byte for byte.
+					ps, fs := d.Process().Mem().Segments(), fresh.Process().Mem().Segments()
+					if len(ps) != len(fs) {
+						t.Fatalf("%d segments, fresh has %d", len(ps), len(fs))
+					}
+					for i := range ps {
+						a, b := ps[i], fs[i]
+						if a.Name != b.Name || a.Base != b.Base || a.Perm != b.Perm || !bytes.Equal(a.Data, b.Data) {
+							t.Errorf("segment %s@%#x differs from fresh %s@%#x", a.Name, a.Base, b.Name, b.Base)
+						}
 					}
 					got, err := d.HandleResponse(pkt)
 					if err != nil {
 						t.Fatalf("recycled daemon: %v", err)
-					}
-					fresh, err := victim.NewDaemonWith(prog, libc, c.cfg)
-					if err != nil {
-						t.Fatal(err)
 					}
 					want, err := fresh.HandleResponse(pkt)
 					if err != nil {

@@ -426,13 +426,21 @@ func (d *Daemon) HandleResponse(pkt []byte) (kernel.RunResult, error) {
 func (d *Daemon) Shells() []kernel.ShellSpawn { return d.proc.Shells() }
 
 // Recycle rewinds the daemon to a freshly started state for cfg without
-// rebuilding or reloading, via kernel.Process.Recycle: cfg may change the
-// seed, layout and protections freely, and the result is indistinguishable
-// from a new daemon loaded under cfg from the same units. It reports false
-// only when the process cannot be recycled (see kernel.Process.Recycle);
-// callers then build a new daemon instead.
+// rebuilding or reloading; it is RecycleWith on the daemon's own units.
 func (d *Daemon) Recycle(cfg kernel.Config) bool {
-	if !d.proc.Recycle(cfg) {
+	prog, libc := d.proc.Units()
+	return d.RecycleWith(prog, libc, cfg)
+}
+
+// RecycleWith rewinds the daemon to a freshly started state for cfg,
+// running the program linked from prog and libc, without reloading, via
+// kernel.Process.RecycleWith: cfg may change the seed, layout and
+// protections freely and the units may be another build of the same ISA,
+// and the result is indistinguishable from NewDaemonWith(prog, libc,
+// cfg). It reports false only when the process cannot be recycled (see
+// kernel.Process.RecycleWith); callers then build a new daemon instead.
+func (d *Daemon) RecycleWith(prog, libc *image.Unit, cfg kernel.Config) bool {
+	if !d.proc.RecycleWith(prog, libc, cfg) {
 		return false
 	}
 	d.cfg = cfg

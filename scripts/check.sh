@@ -58,6 +58,11 @@ go run ./cmd/attack -arch arms -kind rop-execlp -wx -diversity 30 | cmp - cmd/at
 # block dispatch must prove it on both ISAs and reach the recorded
 # timeout verdicts.
 go run ./cmd/experiments -exp x2 | cmp - cmd/experiments/testdata/x2.golden
+# E10 is the §IV table: CFI, canary, full PIE and diversity against the
+# six working exploits on both ISAs. Its rows run on recon probes shared
+# across postures and daemons recycled across builds, which must not move
+# a verdict.
+go run ./cmd/experiments -exp e10 | cmp - cmd/experiments/testdata/e10.golden
 # Live observability surface: labd must serve /metrics and /snapshot
 # (schema v2) while a campaign loop runs on an ephemeral port, and the
 # off-by-default contract must hold — a campaign's canonical transcript

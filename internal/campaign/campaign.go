@@ -12,7 +12,9 @@
 // thousands of randomized trials per configuration, which a sequential
 // runner that redoes victim build + image link + gadget scan per device
 // cannot sustain. The engine here is the fast path; internal/core's
-// RunFleet and RunMatrix delegate to it.
+// RunFleet, RunMatrix, EvaluateMitigations and both Pineapple runners
+// delegate to it, and the §III-D rogue-AP world lives here
+// (pineapple.go).
 //
 // The package also owns the vocabulary shared by every experiment layer:
 // Protection (the victim's defensive posture), Outcome (what an attack
@@ -22,6 +24,7 @@ package campaign
 
 import (
 	"connlab/internal/defense"
+	"connlab/internal/image"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
 	"connlab/internal/victim"
@@ -120,24 +123,12 @@ func Classify(res kernel.RunResult) (Outcome, string) {
 	}
 }
 
-// TargetSetup renders a Protection into a kernel config plus the build
-// options and hooks that must be applied, for a victim loaded with the
-// given build options and machine seed. The returned shadow stack, when
-// non-nil, must be armed on the loaded process.
-func TargetSetup(arch isa.Arch, p Protection, opts victim.BuildOpts, seed int64) (kernel.Config, victim.BuildOpts, *defense.ShadowStack, error) {
-	cfg := kernel.Config{WX: p.WX, ASLR: p.ASLR, PIE: p.PIE, Seed: seed}
-	opts.Canary = opts.Canary || p.Canary
-	var ss *defense.ShadowStack
-	if p.CFI {
-		ss = defense.NewShadowStack()
-		cfg.Hooks = ss
-	}
-	if p.DiversitySeed != 0 {
-		u, err := victim.BuildProgram(arch, opts)
-		if err != nil {
-			return cfg, opts, nil, err
-		}
-		cfg.LinkOpts = defense.DiversityOptions(u, p.DiversitySeed)
-	}
-	return cfg, opts, ss, nil
+// TargetSetup renders a Protection for one device load outside a
+// campaign: the kernel config under the machine seed, the program unit to
+// load (opts with the protection's canary folded in), and a fresh shadow
+// stack that, when non-nil, must be armed on the loaded process. It is the
+// engine's own rendering on a throwaway engine, so the unit it builds is
+// the one the caller loads.
+func TargetSetup(arch isa.Arch, p Protection, opts victim.BuildOpts, seed int64) (kernel.Config, *image.Unit, *defense.ShadowStack, error) {
+	return New(Config{}).targetSetup(Scenario{Arch: arch, Protection: p, Build: opts}, seed, false)
 }

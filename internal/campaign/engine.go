@@ -263,12 +263,18 @@ func (e *Engine) payload(s Scenario, tgt *exploit.Target) (*exploit.Exploit, err
 // query every direct-delivery trial pretends the victim forwarded
 // upstream. It is a compile-time constant of the lab, built once.
 var attackQueryWire = func() []byte {
-	b, err := dns.NewQuery(0x1337, "time.iot-vendor.example", dns.TypeA).Encode()
+	b, err := dns.NewQuery(0x1337, phoneHomeName, dns.TypeA).Encode()
 	if err != nil {
 		panic(fmt.Sprintf("campaign: attack query: %v", err))
 	}
 	return b
 }()
+
+// AttackResponse crafts ex's answer to the lab's synthetic lookup: the
+// packet a direct delivery hands the victim's parser.
+func AttackResponse(ex *exploit.Exploit) ([]byte, error) {
+	return ex.AppendResponse(nil, attackQueryWire)
+}
 
 // attackPacket returns the cached crafted response for a scenario's
 // payload. The query is fixed, so the packet is a pure function of the
@@ -276,9 +282,7 @@ var attackQueryWire = func() []byte {
 // share across devices and workers.
 func (e *Engine) attackPacket(s Scenario, ex *exploit.Exploit) ([]byte, error) {
 	k := payloadKey{recon: e.reconKeyFor(s), kind: s.Kind}
-	return e.packets.Get(k, func() ([]byte, error) {
-		return ex.AppendResponse(nil, attackQueryWire)
-	})
+	return e.packets.Get(k, func() ([]byte, error) { return AttackResponse(ex) })
 }
 
 // victimUnit returns the cached program unit for a victim build. Units
@@ -298,11 +302,12 @@ func (e *Engine) libcUnit(arch isa.Arch) (*image.Unit, error) {
 	})
 }
 
-// targetSetup is the cached counterpart of TargetSetup: it returns the
-// device's cached program unit in place of its build options, and the
-// diversity permutation is derived from that unit once per (arch, build,
-// seed) instead of once per device. The shadow stack, which holds
-// per-process state, is always fresh.
+// targetSetup renders a scenario's Protection for one device under the
+// machine seed — the only place a Protection becomes a load: the kernel
+// config, the device's cached program unit (the build with the
+// protection's canary and the device's patch folded in), and a fresh
+// shadow stack to arm on the loaded process when CFI is on. The diversity
+// permutation is derived from the unit once per (arch, build, seed).
 func (e *Engine) targetSetup(s Scenario, seed int64, patched bool) (kernel.Config, *image.Unit, *defense.ShadowStack, error) {
 	p := s.Protection
 	cfg := kernel.Config{WX: p.WX, ASLR: p.ASLR, PIE: p.PIE, Seed: seed}
@@ -329,6 +334,25 @@ func (e *Engine) targetSetup(s Scenario, seed int64, patched bool) (kernel.Confi
 		cfg.LinkOpts = lo
 	}
 	return cfg, prog, ss, nil
+}
+
+// device returns a pooled daemon for one device of s under seed, loaded
+// as targetSetup renders the protection, tagged with the seed as its
+// attempt ID and with its shadow stack armed. The caller releases it.
+func (e *Engine) device(s Scenario, seed int64, patched bool) (*victim.Daemon, error) {
+	cfg, prog, ss, err := e.targetSetup(s, seed, patched)
+	if err != nil {
+		return nil, err
+	}
+	d, err := e.acquireDaemon(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	d.Process().SetAttempt(uint64(seed))
+	if ss != nil {
+		ss.Arm(d.Process())
+	}
+	return d, nil
 }
 
 // acquireDaemon returns a device daemon running prog under cfg through
@@ -600,14 +624,7 @@ func (e *Engine) runDevice(s Scenario, si, di, worker int) (r DeviceResult) {
 		return r
 	}
 	sc.begin()
-	cfg, prog, ss, err := e.targetSetup(s, seed, patched)
-	if err != nil {
-		sc.end(&r, StageVictim, 0)
-		r.Outcome = OutcomeError
-		r.Err = err.Error()
-		return r
-	}
-	d, err := e.acquireDaemon(prog, cfg)
+	d, err := e.device(s, seed, patched)
 	sc.end(&r, StageVictim, 0)
 	if err != nil {
 		r.Outcome = OutcomeError
@@ -615,10 +632,6 @@ func (e *Engine) runDevice(s Scenario, si, di, worker int) (r DeviceResult) {
 		return r
 	}
 	defer e.releaseDaemon(d)
-	d.Process().SetAttempt(attempt)
-	if ss != nil {
-		ss.Arm(d.Process())
-	}
 	if telemetry.TraceOn() {
 		// The recorder is detached before the daemon returns to the pool
 		// (defers run LIFO: detach first, then releaseDaemon).
@@ -632,51 +645,37 @@ func (e *Engine) runDevice(s Scenario, si, di, worker int) (r DeviceResult) {
 	}
 
 	defer e.timeStage(&e.nsAttack)()
-	if s.Pineapple {
-		sc.begin()
-		hijacked, err := pineappleDeliver(d, ex, attempt)
-		if err != nil {
-			sc.end(&r, StageDeliver, 0)
-			r.Outcome = OutcomeError
-			r.Err = err.Error()
-			return r
-		}
-		r.Hijacked = hijacked
-		r.Run = d.LastResult()
-		sc.end(&r, StageDeliver, r.Run.Instructions)
-		sc.begin()
-		switch {
-		case len(d.Shells()) > 0:
-			r.Outcome = OutcomeShell
-		case d.Crashed():
-			r.Outcome = OutcomeCrash
-		default:
-			r.Outcome = OutcomeNoEffect
-		}
-		r.Detail = r.Run.String()
-		sc.end(&r, StageVerdict, 0)
-		return r
-	}
-
 	sc.begin()
-	pkt, err := e.attackPacket(s, ex)
+	r.Hijacked, err = e.deliver(s, d, ex, attempt)
 	if err != nil {
 		sc.end(&r, StageDeliver, 0)
 		r.Outcome = OutcomeError
 		r.Err = err.Error()
 		return r
 	}
-	res, err := d.HandleResponse(pkt)
-	if err != nil {
-		sc.end(&r, StageDeliver, 0)
-		r.Outcome = OutcomeError
-		r.Err = err.Error()
-		return r
-	}
-	r.Run = res
-	sc.end(&r, StageDeliver, res.Instructions)
+	r.Run = d.LastResult()
+	sc.end(&r, StageDeliver, r.Run.Instructions)
 	sc.begin()
-	r.Outcome, r.Detail = Classify(res)
+	r.Outcome, r.Detail = Classify(r.Run)
 	sc.end(&r, StageVerdict, 0)
 	return r
+}
+
+// deliver hands the scenario's attack to d — as the cached packet, or
+// through a rogue-AP world of the device's own — and returns how many
+// lookups the MITM answered. The verdict is read off d afterwards.
+func (e *Engine) deliver(s Scenario, d *victim.Daemon, ex *exploit.Exploit, attempt uint64) (int, error) {
+	if s.Pineapple {
+		rep, err := fleetRun.deliver(d, ex, attempt)
+		if err != nil {
+			return 0, err
+		}
+		return rep.Hijacked, nil
+	}
+	pkt, err := e.attackPacket(s, ex)
+	if err != nil {
+		return 0, err
+	}
+	_, err = d.HandleResponse(pkt)
+	return 0, err
 }

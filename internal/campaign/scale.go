@@ -8,7 +8,6 @@ import (
 	"connlab/internal/dns"
 	"connlab/internal/dnsserver"
 	"connlab/internal/netsim"
-	"connlab/internal/victim"
 )
 
 // E9 at population scale: ONE shared Pineapple world instead of one
@@ -20,13 +19,6 @@ import (
 // and the rest are lightweight clients that self-clock their lookups
 // and verify the answers, generating the "heavy traffic from millions
 // of users" the roadmap's north star asks the simulator to serve.
-
-var scaleRoguePool = netsim.IP{172, 17, 0, 0}
-
-// scaleLegitPool deliberately differs from the classic per-device
-// world's 192.168.1.100: the lease counter must carry across octets
-// for populations past a few hundred stations.
-var scaleLegitPool = netsim.IP{10, 1, 0, 0}
 
 // ScaleConfig parameterizes the population-scale Pineapple scenario.
 type ScaleConfig struct {
@@ -155,13 +147,10 @@ func (st *lightStation) onReply(dg netsim.Datagram) {
 	}
 }
 
-// scaleVictim is a full device in the population: a daemon behind the
-// DNS proxy, driven by a stub client.
+// scaleVictim is a full device in the population, phoning home to name.
 type scaleVictim struct {
-	host   *netsim.Host
-	daemon *victim.Daemon
-	client *dnsserver.Client
-	name   string
+	*worldDevice
+	name string
 }
 
 // stationHost is station i's host name, fmt's "st%06d" without fmt.
@@ -192,32 +181,9 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 		return nil, fmt.Errorf("payload: %w", err)
 	}
 
-	world := netsim.New()
-	world.Verbose = cfg.Verbose
 	// The shared world serves the whole population; its epoch spans are
 	// tagged with the engine's root seed rather than any one device.
-	world.SetAttempt(uint64(e.cfg.RootSeed))
-	world.AddAP(&netsim.AccessPoint{
-		Name: "home-router", SSID: campaignSSID, Signal: 50,
-		PoolBase: scaleLegitPool, Gateway: campaignLegitGW, DNS: campaignResolverIP,
-	})
-
-	resolverHost, err := world.AddHost("resolver", campaignResolverIP)
-	if err != nil {
-		return nil, err
-	}
-	// The zone fills in as the population is built below.
-	zone := dnsserver.NewZoneTrie()
-	resolver, err := dnsserver.RunResolverTrie(resolverHost, zone)
-	if err != nil {
-		return nil, err
-	}
-
-	pineHost, err := world.AddHost("pineapple", campaignPineIP)
-	if err != nil {
-		return nil, err
-	}
-	mitm, err := dnsserver.RunMITMWire(pineHost, ex.AppendResponse)
+	world, err := newRogueWorld(scalePools, 50, uint64(e.cfg.RootSeed), cfg.Verbose)
 	if err != nil {
 		return nil, err
 	}
@@ -231,39 +197,30 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 	for i := range hosts {
 		hostName := stationHost(i)
 		name := stationName(hostName)
-		if err := zone.Add(name, stationIP(i)); err != nil {
+		if err := world.zone.Add(name, stationIP(i)); err != nil {
 			return nil, err
+		}
+		if cfg.VictimEvery > 0 && i%cfg.VictimEvery == 0 && len(victims) < cfg.MaxVictims {
+			// Each victim is tagged with its device seed, like a fleet
+			// device, so its kernel accounting names the attempt.
+			d, err := e.device(s, e.deviceSeed(s, 0, len(victims)), false)
+			if err != nil {
+				return nil, err
+			}
+			defer e.releaseDaemon(d)
+			dev, err := world.attach(hostName, d)
+			if err != nil {
+				return nil, err
+			}
+			hosts[i] = dev.host
+			victims = append(victims, &scaleVictim{worldDevice: dev, name: name})
+			continue
 		}
 		h, err := world.AddHost(hostName, netsim.IP{})
 		if err != nil {
 			return nil, err
 		}
 		hosts[i] = h
-		isVictim := cfg.VictimEvery > 0 && i%cfg.VictimEvery == 0 && len(victims) < cfg.MaxVictims
-		if isVictim {
-			vi := len(victims)
-			kcfg, prog, ss, err := e.targetSetup(s, e.deviceSeed(s, 0, vi), false)
-			if err != nil {
-				return nil, err
-			}
-			d, err := e.acquireDaemon(prog, kcfg)
-			if err != nil {
-				return nil, err
-			}
-			defer e.releaseDaemon(d)
-			if ss != nil {
-				ss.Arm(d.Process())
-			}
-			if _, err := dnsserver.RunProxy(h, d); err != nil {
-				return nil, err
-			}
-			client, err := dnsserver.NewClient(h)
-			if err != nil {
-				return nil, err
-			}
-			victims = append(victims, &scaleVictim{host: h, daemon: d, client: client, name: name})
-			continue
-		}
 		st := &lightStation{host: h, expect: stationIP(i)}
 		q := dns.NewQuery(uint16(i), name, dns.TypeA)
 		if st.query, err = q.Encode(); err != nil {
@@ -282,7 +239,7 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 	// through the legitimate resolver.
 	assocAll := func() error {
 		for _, h := range hosts {
-			if _, err := h.Station(campaignSSID).Associate(); err != nil {
+			if _, err := h.Station(trustedSSID).Associate(); err != nil {
 				return fmt.Errorf("associate %s: %w", h.Name, err)
 			}
 		}
@@ -296,12 +253,12 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 		st.send()
 	}
 	for _, v := range victims {
-		if _, err := v.client.Lookup(netsim.Addr{IP: v.host.IP, Port: dnsserver.DNSPort}, v.name); err != nil {
+		if err := v.lookup(v.name); err != nil {
 			return nil, err
 		}
 	}
 	rep.Steps += world.Run(budget)
-	rep.BaselineResolved = resolver.Queries
+	rep.BaselineResolved = world.resolver.Queries
 	for _, st := range lights {
 		rep.BaselineOK += st.ok
 		rep.BaselineTainted += st.tainted
@@ -311,10 +268,9 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 	// Phase 2 — the Pineapple appears: stronger signal, same SSID. The
 	// whole population re-associates and the rogue DHCP points DNS at
 	// the attacker.
-	world.AddAP(&netsim.AccessPoint{
-		Name: "pineapple", SSID: campaignSSID, Signal: 95,
-		PoolBase: scaleRoguePool, Gateway: campaignPineIP, DNS: campaignPineIP,
-	})
+	if err := world.arm(ex, 95); err != nil {
+		return nil, err
+	}
 	if err := assocAll(); err != nil {
 		return nil, err
 	}
@@ -326,21 +282,23 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 		st.send()
 	}
 	for _, v := range victims {
-		if _, err := v.client.Lookup(netsim.Addr{IP: v.host.IP, Port: dnsserver.DNSPort}, v.name); err != nil {
+		if err := v.lookup(v.name); err != nil {
 			return nil, err
 		}
 	}
 	rep.Steps += world.Run(budget)
-	rep.Hijacked = mitm.Queries
+	rep.Hijacked = world.mitm.Queries
 	for _, st := range lights {
 		rep.AttackOK += st.ok
 		rep.AttackTainted += st.tainted
 	}
 	for _, v := range victims {
-		switch {
-		case len(v.daemon.Shells()) > 0:
+		// The transcript keeps three buckets: a mitigation that stopped
+		// the exploit (BLOCKED) counts with the crashes.
+		switch o, _ := Classify(v.proxy.Daemon.LastResult()); o {
+		case OutcomeShell:
 			rep.Shells++
-		case v.daemon.Crashed():
+		case OutcomeCrash, OutcomeBlocked:
 			rep.Crashes++
 		default:
 			rep.NoEffect++

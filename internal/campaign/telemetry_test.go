@@ -225,3 +225,34 @@ func TestReportCarriesConfig(t *testing.T) {
 		t.Errorf("scenarios lost in round-trip: %+v", back.Scenarios)
 	}
 }
+
+// TestPineappleScaleVictimAttempt: population victims are tagged with
+// their device seeds like fleet devices, so each victim's kernel run
+// accounting — its baseline lookup and the exploit — names its attempt.
+func TestPineappleScaleVictimAttempt(t *testing.T) {
+	telemetry.Enable()
+	t.Cleanup(telemetry.Disable)
+	telemetry.SetEventLevel(telemetry.EvDebug)
+	e := New(Config{Workers: 1, RootSeed: 7777})
+	cfg := ScaleConfig{Stations: 30, Lookups: 1, VictimEvery: 10, Scenario: scaleScenario()}
+	rep, err := e.RunPineappleScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[uint64]int{}
+	for _, ev := range telemetry.Events() {
+		if ev.Cat == "kernel" && ev.Msg == "run" {
+			runs[ev.Attempt]++
+		}
+	}
+	if rep.Victims != 3 {
+		t.Fatalf("victims = %d, want 3", rep.Victims)
+	}
+	for vi := 0; vi < rep.Victims; vi++ {
+		seed := uint64(e.deviceSeed(cfg.Scenario, 0, vi))
+		if runs[seed] != 2 {
+			t.Errorf("victim %d (attempt %d): %d tagged kernel runs, want 2 (baseline, exploit); runs by attempt %v",
+				vi, seed, runs[seed], runs)
+		}
+	}
+}

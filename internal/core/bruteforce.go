@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"connlab/internal/campaign"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
@@ -56,7 +57,7 @@ func (l *Lab) BruteForceASLR(arch isa.Arch, entropyPages, maxTries int) (*BruteF
 	if err != nil {
 		return nil, err
 	}
-	pkt, err := ex.Response(attackQuery())
+	pkt, err := campaign.AttackResponse(ex)
 	if err != nil {
 		return nil, err
 	}

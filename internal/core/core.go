@@ -12,8 +12,6 @@ import (
 	"fmt"
 
 	"connlab/internal/campaign"
-	"connlab/internal/defense"
-	"connlab/internal/dns"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
@@ -101,12 +99,6 @@ func NewLab() *Lab { return &Lab{ReconSeed: 1001, TargetSeed: 2002} }
 // real target runs patched 1.35.
 func (l *Lab) SetReconBuild(b victim.BuildOpts) { l.reconBuild = &b }
 
-// targetConfig renders a Protection into a kernel config plus the hooks
-// that must be armed after load (delegates to the campaign layer).
-func (l *Lab) targetConfig(arch isa.Arch, p Protection) (kernel.Config, victim.BuildOpts, *defense.ShadowStack, error) {
-	return campaign.TargetSetup(arch, p, l.Build, l.TargetSeed)
-}
-
 // engine returns the lab's persistent campaign engine, wired to the
 // current seeds and worker count.
 func (l *Lab) engine() *campaign.Engine {
@@ -130,22 +122,6 @@ func (l *Lab) scenario(arch isa.Arch, kind exploit.Kind, p Protection) campaign.
 		Build: l.Build, ReconBuild: l.reconBuild,
 		TargetSeed: l.TargetSeed,
 	}
-}
-
-// newTargetDaemon loads a victim daemon under a protection level.
-func (l *Lab) newTargetDaemon(arch isa.Arch, p Protection) (*victim.Daemon, error) {
-	cfg, opts, ss, err := l.targetConfig(arch, p)
-	if err != nil {
-		return nil, err
-	}
-	d, err := victim.NewDaemon(arch, opts, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if ss != nil {
-		ss.Arm(d.Process())
-	}
-	return d, nil
 }
 
 // Recon performs the attacker-side reconnaissance for an architecture,
@@ -175,7 +151,7 @@ func (l *Lab) RunAttack(arch isa.Arch, kind exploit.Kind, p Protection) (AttackR
 // FireAt delivers an exploit to a daemon as a well-formed DNS response to
 // a synthetic query.
 func FireAt(d *victim.Daemon, ex *exploit.Exploit) (kernel.RunResult, error) {
-	pkt, err := ex.Response(attackQuery())
+	pkt, err := campaign.AttackResponse(ex)
 	if err != nil {
 		return kernel.RunResult{}, err
 	}
@@ -207,11 +183,7 @@ func (l *Lab) RunMatrix() ([]AttackResult, error) {
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
 		for _, p := range PaperLevels() {
 			for _, kind := range kinds {
-				scenarios = append(scenarios, campaign.Scenario{
-					Arch: arch, Kind: kind, Protection: p,
-					Build: l.Build, ReconBuild: l.reconBuild,
-					TargetSeed: l.TargetSeed,
-				})
+				scenarios = append(scenarios, l.scenario(arch, kind, p))
 			}
 		}
 	}
@@ -249,9 +221,4 @@ func (l *Lab) AutoExploit(arch isa.Arch, p Protection) (*exploit.Exploit, Attack
 		return nil, res, err
 	}
 	return ex, res, nil
-}
-
-// attackQuery is the lookup the victim believes it forwarded upstream.
-func attackQuery() *dns.Message {
-	return dns.NewQuery(0x1337, "time.iot-vendor.example", dns.TypeA)
 }

@@ -77,8 +77,8 @@ func TestE9Pineapple(t *testing.T) {
 			if !rep.Reassociated {
 				t.Error("victim did not re-associate to the rogue AP")
 			}
-			if rep.VictimDNS != pineappleIP {
-				t.Errorf("victim DNS = %v, want the pineapple %v", rep.VictimDNS, pineappleIP)
+			if got := rep.VictimDNS.String(); got != "172.16.42.1" {
+				t.Errorf("victim DNS = %s, want the pineapple 172.16.42.1", got)
 			}
 			if rep.Hijacked == 0 {
 				t.Error("no lookups hijacked")

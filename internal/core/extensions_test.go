@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"connlab/internal/campaign"
 	"connlab/internal/dns"
 	"connlab/internal/exploit"
+	"connlab/internal/image"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
 	"connlab/internal/victim"
@@ -24,7 +26,15 @@ func TestAAAADeliveryAlsoWorks(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	ex.RType = dns.TypeAAAA
-	d, err := lab.newTargetDaemon(isa.ArchX86S, LevelWXASLR)
+	cfg, prog, _, err := campaign.TargetSetup(isa.ArchX86S, LevelWXASLR, lab.Build, lab.TargetSeed)
+	if err != nil {
+		t.Fatalf("target setup: %v", err)
+	}
+	libc, err := image.BuildLibc(isa.ArchX86S)
+	if err != nil {
+		t.Fatalf("libc: %v", err)
+	}
+	d, err := victim.NewDaemonWith(prog, libc, cfg)
 	if err != nil {
 		t.Fatalf("daemon: %v", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"connlab/internal/campaign"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 )
@@ -60,71 +61,59 @@ func mitigationAttacks() []struct {
 // §III matrix against each §IV mitigation added on top of the protection
 // level that exploit defeats. divTrials sets how many diversity seeds to
 // sample (diversity gives probabilistic, per-build protection).
+//
+// Every trial is a single-device cell of one engine run: each pins the
+// lab's target seed, so CFI, canary and full PIE are one deterministic
+// trial each, and the diversity trials differ only in their seed.
 func (l *Lab) EvaluateMitigations(divTrials int) ([]MitigationResult, error) {
 	if divTrials <= 0 {
 		divTrials = 5
 	}
-	var out []MitigationResult
-
-	addDeterministic := func(name string, mutate func(Protection) Protection) error {
-		for _, a := range mitigationAttacks() {
-			p := mutate(a.base)
-			r, err := l.RunAttack(a.arch, a.kind, p)
-			if err != nil {
-				return fmt.Errorf("%s %s/%s: %w", name, a.arch, a.kind, err)
-			}
-			m := MitigationResult{
-				Mitigation: name, Arch: a.arch, Kind: a.kind, Trials: 1,
-				Outcomes: map[Outcome]int{r.Outcome: 1},
-			}
-			if r.Outcome != OutcomeShell {
-				m.Blocked = 1
-			}
-			out = append(out, m)
-		}
-		return nil
-	}
-
-	if err := addDeterministic("cfi", func(p Protection) Protection {
-		p.CFI = true
-		return p
-	}); err != nil {
-		return out, err
-	}
-	if err := addDeterministic("canary", func(p Protection) Protection {
-		p.Canary = true
-		return p
-	}); err != nil {
-		return out, err
-	}
-	if err := addDeterministic("full-pie", func(p Protection) Protection {
-		p.PIE = true
-		p.ASLR = true
-		return p
-	}); err != nil {
-		return out, err
-	}
-
-	// Diversity: the exploit is harvested from the stock build; each trial
-	// deploys a differently-diversified target.
-	for _, a := range mitigationAttacks() {
-		m := MitigationResult{
-			Mitigation: "diversity", Arch: a.arch, Kind: a.kind,
-			Trials: divTrials, Outcomes: make(map[Outcome]int),
-		}
-		for trial := 0; trial < divTrials; trial++ {
-			p := a.base
+	mutations := []struct {
+		name   string
+		trials int
+		mutate func(p Protection, trial int) Protection
+	}{
+		{"cfi", 1, func(p Protection, _ int) Protection { p.CFI = true; return p }},
+		{"canary", 1, func(p Protection, _ int) Protection { p.Canary = true; return p }},
+		{"full-pie", 1, func(p Protection, _ int) Protection { p.PIE, p.ASLR = true, true; return p }},
+		// The exploit is harvested from the stock build; each trial
+		// deploys a differently-diversified target.
+		{"diversity", divTrials, func(p Protection, trial int) Protection {
 			p.DiversitySeed = int64(1000 + trial)
-			r, err := l.RunAttack(a.arch, a.kind, p)
-			if err != nil {
-				return out, fmt.Errorf("diversity %s/%s: %w", a.arch, a.kind, err)
-			}
-			m.Outcomes[r.Outcome]++
-			if r.Outcome != OutcomeShell {
-				m.Blocked++
+			return p
+		}},
+	}
+	var cells []campaign.Scenario
+	for _, m := range mutations {
+		for _, a := range mitigationAttacks() {
+			for trial := 0; trial < m.trials; trial++ {
+				cells = append(cells, l.scenario(a.arch, a.kind, m.mutate(a.base, trial)))
 			}
 		}
-		out = append(out, m)
+	}
+	rep, err := l.engine().Run(cells)
+	if err != nil {
+		return nil, fmt.Errorf("mitigations: %w", err)
+	}
+	var out []MitigationResult
+	next := 0
+	for _, m := range mutations {
+		for _, a := range mitigationAttacks() {
+			r := MitigationResult{
+				Mitigation: m.name, Arch: a.arch, Kind: a.kind,
+				Trials: m.trials, Outcomes: make(map[Outcome]int),
+			}
+			for trial := 0; trial < m.trials; trial++ {
+				o := rep.Scenarios[next].Devices[0].Outcome
+				next++
+				r.Outcomes[o]++
+				if o != OutcomeShell {
+					r.Blocked++
+				}
+			}
+			out = append(out, r)
+		}
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"connlab/internal/campaign"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
@@ -275,7 +276,7 @@ func (l *Lab) reportX2() (string, error) {
 	sb.WriteString(header("X2 extension: compression-pointer loop DoS (decompressor hang)"))
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
 		ex := exploit.BuildPointerLoopDoS(arch)
-		pkt, err := ex.Response(attackQuery())
+		pkt, err := campaign.AttackResponse(ex)
 		if err != nil {
 			return "", err
 		}

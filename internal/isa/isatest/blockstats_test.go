@@ -10,6 +10,7 @@ import (
 	"connlab/internal/core"
 	"connlab/internal/dns"
 	"connlab/internal/exploit"
+	"connlab/internal/image"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
 	"connlab/internal/victim"
@@ -37,11 +38,15 @@ func TestBlockStatsGolden(t *testing.T) {
 	attack := func(arch isa.Arch, kind exploit.Kind, p core.Protection) {
 		t.Helper()
 		name := fmt.Sprintf("%s/%s/%s", arch, kind, p)
-		cfg, opts, ss, err := campaign.TargetSetup(arch, p, lab.Build, lab.TargetSeed)
+		cfg, prog, ss, err := campaign.TargetSetup(arch, p, lab.Build, lab.TargetSeed)
 		if err != nil {
 			t.Fatalf("%s: target setup: %v", name, err)
 		}
-		d, err := victim.NewDaemon(arch, opts, cfg)
+		libc, err := image.BuildLibc(arch)
+		if err != nil {
+			t.Fatalf("%s: libc: %v", name, err)
+		}
+		d, err := victim.NewDaemonWith(prog, libc, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

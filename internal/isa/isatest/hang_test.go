@@ -291,18 +291,22 @@ func TestHangRefereeRecordedHang(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, opts, ss, err := campaign.TargetSetup(isa.ArchARMS, prot, lab.Build, lab.TargetSeed)
+	cfg, prog, ss, err := campaign.TargetSetup(isa.ArchARMS, prot, lab.Build, lab.TargetSeed)
 	if err != nil || ss != nil {
 		t.Fatalf("target setup: %v (shadow stack %v)", err, ss)
+	}
+	libc, err := image.BuildLibc(isa.ArchARMS)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg.InstrBudget = refereeBudget
 	refCfg := cfg
 	refCfg.SingleStep = true
-	ref, err := victim.NewDaemon(isa.ArchARMS, opts, refCfg)
+	ref, err := victim.NewDaemonWith(prog, libc, refCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, err := victim.NewDaemon(isa.ArchARMS, opts, cfg)
+	blk, err := victim.NewDaemonWith(prog, libc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,6 +63,16 @@ go run ./cmd/experiments -exp x2 | cmp - cmd/experiments/testdata/x2.golden
 # across postures and daemons recycled across builds, which must not move
 # a verdict.
 go run ./cmd/experiments -exp e10 | cmp - cmd/experiments/testdata/e10.golden
+# §III-D through the one rogue-AP world: E9 (baseline, re-association,
+# hijack and verdict on both ISAs) and the lab's full network event log
+# were recorded before the world was shared and must not move.
+go run ./cmd/experiments -exp e9 | cmp - cmd/experiments/testdata/e9.golden
+go run ./cmd/pineapple -v | cmp - cmd/pineapple/testdata/pineapple_v.golden
+# A CFI veto delivered through the rogue AP is BLOCKED, exactly as when
+# the packet is handed straight to the daemon: every delivery path
+# judges with Classify.
+go run ./cmd/campaign -preset fleet -arch arms -kind rop-memcpy -wx -aslr -cfi -devices 3 -canonical \
+    | cmp - cmd/campaign/testdata/fleet_arms_rop-memcpy_wx_aslr_cfi.golden
 # Live observability surface: labd must serve /metrics and /snapshot
 # (schema v2) while a campaign loop runs on an ephemeral port, and the
 # off-by-default contract must hold — a campaign's canonical transcript

@@ -34,13 +34,13 @@ import (
 func benchLab() *core.Lab { return core.NewLab() }
 
 // requireOutcome fails the benchmark if an attack stops reproducing.
-func requireOutcome(b *testing.B, r core.AttackResult, err error, want core.Outcome) {
+func requireOutcome(b *testing.B, r campaign.DeviceResult, err error, want campaign.Outcome) {
 	b.Helper()
 	if err != nil {
 		b.Fatalf("attack: %v", err)
 	}
 	if r.Outcome != want {
-		b.Fatalf("%s: outcome %s, want %s", r.String(), r.Outcome, want)
+		b.Fatalf("outcome %s (%s), want %s", r.Outcome, r.Detail, want)
 	}
 }
 
@@ -67,8 +67,8 @@ func BenchmarkE1_DoSCrash(b *testing.B) {
 func BenchmarkE2_X86CodeInjection(b *testing.B) {
 	lab := benchLab()
 	for i := 0; i < b.N; i++ {
-		r, err := lab.RunAttack(isa.ArchX86S, exploit.KindCodeInjection, core.LevelNone)
-		requireOutcome(b, r, err, core.OutcomeShell)
+		r, err := lab.RunAttack(isa.ArchX86S, exploit.KindCodeInjection, campaign.LevelNone)
+		requireOutcome(b, r, err, campaign.OutcomeShell)
 	}
 }
 
@@ -76,8 +76,8 @@ func BenchmarkE2_X86CodeInjection(b *testing.B) {
 func BenchmarkE3_ARMCodeInjection(b *testing.B) {
 	lab := benchLab()
 	for i := 0; i < b.N; i++ {
-		r, err := lab.RunAttack(isa.ArchARMS, exploit.KindCodeInjection, core.LevelNone)
-		requireOutcome(b, r, err, core.OutcomeShell)
+		r, err := lab.RunAttack(isa.ArchARMS, exploit.KindCodeInjection, campaign.LevelNone)
+		requireOutcome(b, r, err, campaign.OutcomeShell)
 	}
 }
 
@@ -85,8 +85,8 @@ func BenchmarkE3_ARMCodeInjection(b *testing.B) {
 func BenchmarkE4_X86Ret2Libc(b *testing.B) {
 	lab := benchLab()
 	for i := 0; i < b.N; i++ {
-		r, err := lab.RunAttack(isa.ArchX86S, exploit.KindRet2Libc, core.LevelWX)
-		requireOutcome(b, r, err, core.OutcomeShell)
+		r, err := lab.RunAttack(isa.ArchX86S, exploit.KindRet2Libc, campaign.LevelWX)
+		requireOutcome(b, r, err, campaign.OutcomeShell)
 	}
 }
 
@@ -94,8 +94,8 @@ func BenchmarkE4_X86Ret2Libc(b *testing.B) {
 func BenchmarkE5_ARMRopExeclp(b *testing.B) {
 	lab := benchLab()
 	for i := 0; i < b.N; i++ {
-		r, err := lab.RunAttack(isa.ArchARMS, exploit.KindRopExeclp, core.LevelWX)
-		requireOutcome(b, r, err, core.OutcomeShell)
+		r, err := lab.RunAttack(isa.ArchARMS, exploit.KindRopExeclp, campaign.LevelWX)
+		requireOutcome(b, r, err, campaign.OutcomeShell)
 	}
 }
 
@@ -104,8 +104,8 @@ func BenchmarkE5_ARMRopExeclp(b *testing.B) {
 func BenchmarkE6_X86RopMemcpyChain(b *testing.B) {
 	lab := benchLab()
 	for i := 0; i < b.N; i++ {
-		r, err := lab.RunAttack(isa.ArchX86S, exploit.KindRopMemcpy, core.LevelWXASLR)
-		requireOutcome(b, r, err, core.OutcomeShell)
+		r, err := lab.RunAttack(isa.ArchX86S, exploit.KindRopMemcpy, campaign.LevelWXASLR)
+		requireOutcome(b, r, err, campaign.OutcomeShell)
 	}
 }
 
@@ -113,8 +113,8 @@ func BenchmarkE6_X86RopMemcpyChain(b *testing.B) {
 func BenchmarkE7_ARMRopBlxChain(b *testing.B) {
 	lab := benchLab()
 	for i := 0; i < b.N; i++ {
-		r, err := lab.RunAttack(isa.ArchARMS, exploit.KindRopMemcpy, core.LevelWXASLR)
-		requireOutcome(b, r, err, core.OutcomeShell)
+		r, err := lab.RunAttack(isa.ArchARMS, exploit.KindRopMemcpy, campaign.LevelWXASLR)
+		requireOutcome(b, r, err, campaign.OutcomeShell)
 	}
 }
 
@@ -122,12 +122,8 @@ func BenchmarkE7_ARMRopBlxChain(b *testing.B) {
 func BenchmarkE8_AttackMatrix(b *testing.B) {
 	lab := benchLab()
 	for i := 0; i < b.N; i++ {
-		results, err := lab.RunMatrix()
-		if err != nil {
+		if _, err := lab.RunExperiment("e8"); err != nil {
 			b.Fatal(err)
-		}
-		if len(results) != 30 {
-			b.Fatalf("matrix cells = %d", len(results))
 		}
 	}
 }
@@ -136,14 +132,13 @@ func BenchmarkE8_AttackMatrix(b *testing.B) {
 // DHCP hijack, remote exploit, end to end.
 func BenchmarkE9_PineappleRemote(b *testing.B) {
 	lab := benchLab()
+	cell := lab.Scenario(isa.ArchARMS, exploit.KindRopMemcpy, campaign.LevelWXASLR)
 	for i := 0; i < b.N; i++ {
-		rep, err := lab.RunPineapple(core.PineappleConfig{
-			Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy, Protection: core.LevelWXASLR,
-		})
+		rep, err := lab.Engine().RunPineapple(cell, 50, 90, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Outcome != core.OutcomeShell {
+		if rep.Outcome != campaign.OutcomeShell {
 			b.Fatalf("outcome %s", rep.Outcome)
 		}
 	}
@@ -166,11 +161,11 @@ func BenchmarkE11_OtherVulns(b *testing.B) {
 	lab := benchLab()
 	lab.Build.Variant = victim.VariantDnsmasq
 	for i := 0; i < b.N; i++ {
-		_, res, err := lab.AutoExploit(isa.ArchARMS, core.LevelWXASLR)
+		_, res, err := lab.AutoExploit(isa.ArchARMS, campaign.LevelWXASLR)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Outcome != core.OutcomeShell {
+		if res.Outcome != campaign.OutcomeShell {
 			b.Fatalf("dnsmasq outcome %s", res.Outcome)
 		}
 		tgt, err := exploit.ReconHTTP(kernel.Config{Seed: lab.ReconSeed})
@@ -201,12 +196,12 @@ func BenchmarkE12_AutoExploitGen(b *testing.B) {
 	lab := benchLab()
 	for i := 0; i < b.N; i++ {
 		for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
-			for _, p := range core.PaperLevels() {
+			for _, p := range campaign.PaperLevels() {
 				_, res, err := lab.AutoExploit(arch, p)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Outcome != core.OutcomeShell {
+				if res.Outcome != campaign.OutcomeShell {
 					b.Fatalf("%s/%s: %s", arch, p, res.Outcome)
 				}
 			}
@@ -227,8 +222,8 @@ func BenchmarkE2_X86CodeInjectionTelemetry(b *testing.B) {
 	defer telemetry.Disable()
 	lab := benchLab()
 	for i := 0; i < b.N; i++ {
-		r, err := lab.RunAttack(isa.ArchX86S, exploit.KindCodeInjection, core.LevelNone)
-		requireOutcome(b, r, err, core.OutcomeShell)
+		r, err := lab.RunAttack(isa.ArchX86S, exploit.KindCodeInjection, campaign.LevelNone)
+		requireOutcome(b, r, err, campaign.OutcomeShell)
 	}
 	if telemetry.TakeSnapshot().Counters[telemetry.CtrEmuRuns.Name()] == 0 {
 		b.Fatal("telemetry collected nothing")
@@ -310,7 +305,7 @@ func BenchmarkCampaignFleet(b *testing.B) {
 }
 
 // BenchmarkCampaignFleetSequentialBaseline measures the same fleet the
-// way the pre-engine RunFleet did it: reconnaissance, payload
+// way the pre-engine fleet runner did it: reconnaissance, payload
 // construction, and the victim build redone from scratch for every
 // device. The engine's speedup over this baseline is the recon cache's
 // contribution (EXPERIMENTS.md records the measured ratio).

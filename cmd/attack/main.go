@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 
+	"connlab/internal/campaign"
 	"connlab/internal/core"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
@@ -80,7 +81,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	default:
 		return fmt.Errorf("unknown variant %q", *variant)
 	}
-	prot := core.Protection{
+	prot := campaign.Protection{
 		WX: *wx, ASLR: *aslr, CFI: *cfi, Canary: *canary, DiversitySeed: *diversity,
 	}
 
@@ -94,7 +95,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		if explicit["kind"] {
 			co.Kind = exploit.Kind(*kindFlag)
 		}
-		rep, rerr := lab.RunScenario(*scenarioFlag, co)
+		_, rep, rerr := scenario.Run(lab.Engine(), *scenarioFlag, co)
 		if rep != nil {
 			fmt.Fprint(stdout, rep.Canonical())
 		}
@@ -116,9 +117,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "arch:       %s\n", res.Arch)
-	fmt.Fprintf(stdout, "attack:     %s\n", res.Kind)
-	fmt.Fprintf(stdout, "protection: %s\n", res.Protection)
+	fmt.Fprintf(stdout, "arch:       %s\n", arch)
+	fmt.Fprintf(stdout, "attack:     %s\n", kind)
+	fmt.Fprintf(stdout, "protection: %s\n", prot)
 	fmt.Fprintf(stdout, "outcome:    %s\n", res.Outcome)
 	fmt.Fprintf(stdout, "detail:     %s\n", res.Detail)
 	if len(res.Trace) > 0 {

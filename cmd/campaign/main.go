@@ -102,13 +102,10 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	kind := exploit.Kind(*kindFlag)
 
-	var scenarios []campaign.Scenario
+	eng := campaign.New(campaign.Config{Workers: *workers, RootSeed: *rootSeed, ReconSeed: *reconSeed})
+	var rep *campaign.Report
 	var spec *scenario.Spec
 	if *scenarioFlag != "" {
-		spec, err = scenario.Resolve(*scenarioFlag)
-		if err != nil {
-			return err
-		}
 		co := scenario.CompileOpts{
 			PatchedEvery: *patchedEvery, Patched: *patched,
 			Canary: *canary, CFI: *cfi, DiversitySeed: *diversity,
@@ -122,10 +119,11 @@ func run(args []string, stdout io.Writer) (err error) {
 		if explicit["devices"] {
 			co.Devices = *devices
 		}
-		if scenarios, err = scenario.Compile(spec, co); err != nil {
-			return err
-		}
+		// A -scenario run is checked against the spec's own success
+		// predicates: the spec is executable documentation.
+		spec, rep, err = scenario.Run(eng, *scenarioFlag, co)
 	} else {
+		var scenarios []campaign.Scenario
 		switch *preset {
 		case "fleet":
 			scenarios = []campaign.Scenario{{
@@ -147,19 +145,18 @@ func run(args []string, stdout io.Writer) (err error) {
 			// spec for the variant — the same cells the old hand-written
 			// enumeration produced, pinned byte-identical by the scenario
 			// package's golden test.
-			if spec, err = scenario.Load(*variant); err != nil {
+			matrix, err := scenario.Load(*variant)
+			if err != nil {
 				return err
 			}
-			if scenarios, err = scenario.Compile(spec, scenario.CompileOpts{Patched: *patched}); err != nil {
+			if scenarios, err = scenario.Compile(matrix, scenario.CompileOpts{Patched: *patched}); err != nil {
 				return err
 			}
 		default:
 			return fmt.Errorf("unknown preset %q", *preset)
 		}
+		rep, err = eng.Run(scenarios)
 	}
-
-	eng := campaign.New(campaign.Config{Workers: *workers, RootSeed: *rootSeed, ReconSeed: *reconSeed})
-	rep, err := eng.Run(scenarios)
 	if rep != nil {
 		if *canonical {
 			fmt.Fprint(stdout, rep.Canonical())
@@ -167,14 +164,8 @@ func run(args []string, stdout io.Writer) (err error) {
 			fmt.Fprintln(stdout, rep)
 			fmt.Fprint(stdout, rep.Table())
 		}
-		// A -scenario run is checked against the spec's own success
-		// predicates: the spec is executable documentation.
-		if *scenarioFlag != "" && err == nil {
-			if verr := scenario.Verify(spec, rep); verr != nil {
-				err = verr
-			} else if !*canonical {
-				fmt.Fprintf(stdout, "scenario %s: all device outcomes within spec predicates\n", spec.Name)
-			}
+		if *scenarioFlag != "" && err == nil && !*canonical {
+			fmt.Fprintf(stdout, "scenario %s: all device outcomes within spec predicates\n", spec.Name)
 		}
 		if *jsonOut != "" {
 			if jerr := writeReportJSON(*jsonOut, rep, stdout); jerr != nil && err == nil {

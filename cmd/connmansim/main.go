@@ -16,7 +16,7 @@ import (
 	"io"
 	"os"
 
-	"connlab/internal/core"
+	"connlab/internal/campaign"
 	"connlab/internal/dns"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
@@ -90,7 +90,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	outcome, detail := core.Classify(res)
+	outcome, detail := campaign.Classify(res)
 	fmt.Fprintf(stdout, "parser outcome: %s (%s), %d instructions\n", outcome, detail, res.Instructions)
 	if d.Crashed() {
 		fmt.Fprintln(stdout, "daemon state: CRASHED (denial of service)")

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"os"
 
-	"connlab/internal/core"
+	"connlab/internal/campaign"
 	"connlab/internal/dnsserver"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
@@ -109,7 +109,7 @@ func run() (err error) {
 	for _, e := range net.Events {
 		fmt.Println(" ", e)
 	}
-	outcome, detail := core.Classify(daemon.LastResult())
+	outcome, detail := campaign.Classify(daemon.LastResult())
 	fmt.Printf("queries hijacked: %d\n", mitm.Queries)
 	fmt.Printf("device outcome:   %s (%s)\n", outcome, detail)
 	return nil

@@ -63,7 +63,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	lab.Workers = *workers
 
 	if *scenarioFlag != "" {
-		rep, rerr := lab.RunScenario(*scenarioFlag, scenario.CompileOpts{})
+		_, rep, rerr := scenario.Run(lab.Engine(), *scenarioFlag, scenario.CompileOpts{})
 		if rep != nil {
 			fmt.Fprint(stdout, rep.Canonical())
 		}

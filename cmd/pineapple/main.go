@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 
+	"connlab/internal/campaign"
 	"connlab/internal/core"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
@@ -72,10 +73,11 @@ func run(args []string, stdout io.Writer) (err error) {
 	}()
 
 	lab := core.NewLab()
+	cell := lab.Scenario(isa.Arch(*archFlag), exploit.Kind(*kindFlag), campaign.Protection{WX: *wx, ASLR: *aslr})
 	if *scenarioFlag != "" {
 		// Every compiled cell delivers through the per-device rogue-AP
 		// world instead of handing the packet straight to the daemon.
-		rep, rerr := lab.RunScenario(*scenarioFlag, scenario.CompileOpts{Pineapple: true})
+		_, rep, rerr := scenario.Run(lab.Engine(), *scenarioFlag, scenario.CompileOpts{Pineapple: true})
 		if rep != nil {
 			fmt.Fprint(stdout, rep.Canonical())
 			fmt.Fprintf(stdout, "lookups hijacked: %d\n", rep.Hijacked)
@@ -87,13 +89,11 @@ func run(args []string, stdout io.Writer) (err error) {
 		return nil
 	}
 	if *stations > 0 {
-		rep, err := lab.RunPineappleScale(core.PineappleScaleConfig{
-			Arch:        isa.Arch(*archFlag),
-			Kind:        exploit.Kind(*kindFlag),
-			Protection:  core.Protection{WX: *wx, ASLR: *aslr},
+		rep, err := lab.Engine().RunPineappleScale(campaign.ScaleConfig{
 			Stations:    *stations,
 			Lookups:     *lookups,
 			VictimEvery: *victimEvery,
+			Scenario:    cell,
 			Verbose:     *verbose,
 		})
 		if err != nil {
@@ -110,13 +110,8 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 		return nil
 	}
-	rep, err := lab.RunPineapple(core.PineappleConfig{
-		Arch:        isa.Arch(*archFlag),
-		Kind:        exploit.Kind(*kindFlag),
-		Protection:  core.Protection{WX: *wx, ASLR: *aslr},
-		LegitSignal: *legit,
-		RogueSignal: *rogue,
-	})
+	// The single-device run makes two attack-phase lookups.
+	rep, err := lab.Engine().RunPineapple(cell, *legit, *rogue, 2)
 	if err != nil {
 		return err
 	}

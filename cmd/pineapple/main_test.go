@@ -29,3 +29,22 @@ func TestRunBadFlag(t *testing.T) {
 		t.Fatal("unknown flag accepted")
 	}
 }
+
+// TestRunNoPayload: a payload that cannot be built is the NO-PAYLOAD
+// verdict, as cmd/attack reports it, not an error: ARM passes arguments
+// in registers, so there is no stack-passed ret2libc to deliver.
+func TestRunNoPayload(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-arch", "arms", "-kind", "ret2libc"}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	want := "device outcome:         NO-PAYLOAD (exploit: ret2libc passes arguments on the stack"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("output lacks %q:\n%s", want, out.String())
+	}
+	// The population world has no single verdict: there the build
+	// failure stays an error.
+	if err := run([]string{"-arch", "arms", "-kind", "ret2libc", "-stations", "4"}, &bytes.Buffer{}); err == nil {
+		t.Error("population run with no payload succeeded")
+	}
+}

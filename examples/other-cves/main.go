@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"connlab/internal/campaign"
 	"connlab/internal/core"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
@@ -29,14 +30,14 @@ func run() error {
 	lab := core.NewLab()
 	lab.Build.Variant = victim.VariantDnsmasq
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
-		tgt, err := lab.Recon(arch, core.LevelWXASLR)
+		tgt, err := lab.Recon(arch, campaign.LevelWXASLR)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  %-5s recon: ret offset %d (connman was %d), null slots %v\n",
 			arch, tgt.Frame.RetOffset,
 			victim.RetOffsetFor(arch, victim.BuildOpts{}), tgt.Frame.NullOffsets)
-		_, res, err := lab.AutoExploit(arch, core.LevelWXASLR)
+		_, res, err := lab.AutoExploit(arch, campaign.LevelWXASLR)
 		if err != nil {
 			return err
 		}
@@ -63,7 +64,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	outcome, detail := core.Classify(res)
+	outcome, detail := campaign.Classify(res)
 	fmt.Printf("  GET request -> %s (%s)\n", outcome, detail)
 	return nil
 }

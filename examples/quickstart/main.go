@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"connlab/internal/campaign"
 	"connlab/internal/core"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
@@ -53,7 +54,7 @@ func run() error {
 	// the strongest paper protection level (W⊕X + ASLR).
 	fmt.Println("== step 3: automatic exploit generation (W⊕X + ASLR) ==")
 	lab := core.NewLab()
-	ex, attack, err := lab.AutoExploit(isa.ArchARMS, core.LevelWXASLR)
+	ex, attack, err := lab.AutoExploit(isa.ArchARMS, campaign.LevelWXASLR)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"connlab/internal/campaign"
 	"connlab/internal/core"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
@@ -23,22 +24,17 @@ func main() {
 
 func run() error {
 	lab := core.NewLab()
+	cell := lab.Scenario(isa.ArchARMS, exploit.KindRopMemcpy, campaign.LevelWXASLR)
 
 	fmt.Println("== attempt 1: pineapple too far away (weak signal) ==")
-	rep, err := lab.RunPineapple(core.PineappleConfig{
-		Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy, Protection: core.LevelWXASLR,
-		LegitSignal: 80, RogueSignal: 20,
-	})
+	rep, err := lab.Engine().RunPineapple(cell, 80, 20, 2)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("re-associated: %v, outcome: %s\n\n", rep.Reassociated, rep.Outcome)
 
 	fmt.Println("== attempt 2: pineapple next to the device ==")
-	rep, err = lab.RunPineapple(core.PineappleConfig{
-		Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy, Protection: core.LevelWXASLR,
-		LegitSignal: 50, RogueSignal: 95,
-	})
+	rep, err = lab.Engine().RunPineapple(cell, 50, 95, 2)
 	if err != nil {
 		return err
 	}

@@ -11,15 +11,14 @@
 // that scenario (diversity survival rates, patch-rate thresholds) takes
 // thousands of randomized trials per configuration, which a sequential
 // runner that redoes victim build + image link + gadget scan per device
-// cannot sustain. The engine here is the fast path; internal/core's
-// RunFleet, RunMatrix, EvaluateMitigations and both Pineapple runners
-// delegate to it, and the §III-D rogue-AP world lives here
-// (pineapple.go).
+// cannot sustain. The engine here is the fast path: internal/core's lab
+// runs every experiment on one Engine as Scenario cells, and the §III-D
+// rogue-AP world lives here (pineapple.go).
 //
 // The package also owns the vocabulary shared by every experiment layer:
 // Protection (the victim's defensive posture), Outcome (what an attack
-// achieved), and Classify (kernel result → outcome). internal/core
-// aliases these so existing call sites are unaffected.
+// achieved), Classify (kernel result → outcome) and the DeviceResult and
+// ScenarioResult every trial comes back as.
 package campaign
 
 import (

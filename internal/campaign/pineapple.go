@@ -241,10 +241,17 @@ func (run rogueRun) deliver(d *victim.Daemon, ex *exploit.Exploit, attempt uint6
 //
 // The payload comes from the engine's cache and the daemon from its
 // pool, as for any campaign device; the network event log is recorded.
+// A payload that cannot be built is the NO-PAYLOAD verdict, as it is for
+// a campaign device: the report carries the build error as its Detail
+// and no world is built.
 func (e *Engine) RunPineapple(s Scenario, legitSignal, rogueSignal, lookups int) (*PineappleReport, error) {
-	ex, err := e.Payload(s)
+	tgt, err := e.recon(s)
 	if err != nil {
 		return nil, err
+	}
+	ex, err := e.payload(s, tgt)
+	if err != nil {
+		return &PineappleReport{Outcome: OutcomeBuildFail, Detail: err.Error()}, nil
 	}
 	seed := e.deviceSeed(s, 0, 0)
 	d, err := e.device(s, seed, false)

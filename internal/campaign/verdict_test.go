@@ -5,6 +5,7 @@ import (
 
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
+	"connlab/internal/kernel"
 )
 
 // verdictAttacks are the E10 working exploits, each on the paper
@@ -94,5 +95,35 @@ func TestPineappleScaleCFICountsCrashes(t *testing.T) {
 	}
 	if rep.Victims != 2 || rep.Crashes != 2 || rep.Shells != 0 || rep.NoEffect != 0 {
 		t.Errorf("CFI victims: want crashes=2 shells=0 noeffect=0\n%s", rep.Transcript())
+	}
+}
+
+// TestClassifyMapping pins the one verdict function every delivery path
+// judges with: each kernel status maps to its outcome, with a detail.
+func TestClassifyMapping(t *testing.T) {
+	cases := []struct {
+		status kernel.Status
+		want   Outcome
+	}{
+		{kernel.StatusShell, OutcomeShell},
+		{kernel.StatusFault, OutcomeCrash},
+		{kernel.StatusTimeout, OutcomeCrash},
+		{kernel.StatusCFI, OutcomeBlocked},
+		{kernel.StatusAborted, OutcomeBlocked},
+		{kernel.StatusReturned, OutcomeNoEffect},
+		{kernel.StatusExited, OutcomeNoEffect},
+	}
+	for _, c := range cases {
+		res := kernel.RunResult{Status: c.status}
+		if c.status == kernel.StatusShell {
+			res.Shell = &kernel.ShellSpawn{Via: "execve"}
+		}
+		got, detail := Classify(res)
+		if got != c.want {
+			t.Errorf("Classify(%v) = %v, want %v", c.status, got, c.want)
+		}
+		if detail == "" {
+			t.Errorf("Classify(%v): empty detail", c.status)
+		}
 	}
 }

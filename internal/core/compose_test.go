@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"connlab/internal/campaign"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 	"connlab/internal/victim"
@@ -14,18 +15,16 @@ import (
 // device survives as a crash rather than a shell.
 func TestPineappleAgainstCFIDevice(t *testing.T) {
 	lab := NewLab()
-	p := LevelWXASLR
+	p := campaign.LevelWXASLR
 	p.CFI = true
-	rep, err := lab.RunPineapple(PineappleConfig{
-		Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy, Protection: p,
-	})
+	rep, err := lab.Engine().RunPineapple(lab.Scenario(isa.ArchARMS, exploit.KindRopMemcpy, p), 50, 90, 2)
 	if err != nil {
 		t.Fatalf("pineapple: %v", err)
 	}
 	if !rep.Reassociated || rep.Hijacked == 0 {
 		t.Fatalf("delivery failed before the mitigation mattered: %+v", rep)
 	}
-	if rep.Outcome != OutcomeBlocked {
+	if rep.Outcome != campaign.OutcomeBlocked {
 		t.Errorf("outcome = %s (%s), want BLOCKED by CFI", rep.Outcome, rep.Detail)
 	}
 }
@@ -37,17 +36,15 @@ func TestPineappleAgainstPatchedDevice(t *testing.T) {
 	lab.Build.Patched = true
 	// The attacker developed the exploit against the vulnerable firmware.
 	lab.SetReconBuild(victim.BuildOpts{})
-	rep, err := lab.RunPineapple(PineappleConfig{
-		Arch: isa.ArchX86S, Kind: exploit.KindRopMemcpy, Protection: LevelWXASLR,
-		Lookups: 3,
-	})
+	rep, err := lab.Engine().RunPineapple(
+		lab.Scenario(isa.ArchX86S, exploit.KindRopMemcpy, campaign.LevelWXASLR), 50, 90, 3)
 	if err != nil {
 		t.Fatalf("pineapple: %v", err)
 	}
 	if rep.Hijacked < 3 {
 		t.Errorf("hijacked = %d, want all lookups answered", rep.Hijacked)
 	}
-	if rep.Outcome != OutcomeNoEffect {
+	if rep.Outcome != campaign.OutcomeNoEffect {
 		t.Errorf("outcome = %s (%s), want NO-EFFECT on patched firmware",
 			rep.Outcome, rep.Detail)
 	}
@@ -57,14 +54,12 @@ func TestPineappleAgainstPatchedDevice(t *testing.T) {
 // the device's DNS down for good.
 func TestDoSViaPineapple(t *testing.T) {
 	lab := NewLab()
-	rep, err := lab.RunPineapple(PineappleConfig{
-		Arch: isa.ArchARMS, Kind: exploit.KindDoS, Protection: LevelWXASLR,
-		Lookups: 4,
-	})
+	rep, err := lab.Engine().RunPineapple(
+		lab.Scenario(isa.ArchARMS, exploit.KindDoS, campaign.LevelWXASLR), 50, 90, 4)
 	if err != nil {
 		t.Fatalf("pineapple: %v", err)
 	}
-	if rep.Outcome != OutcomeCrash {
+	if rep.Outcome != campaign.OutcomeCrash {
 		t.Errorf("outcome = %s, want CRASH", rep.Outcome)
 	}
 	if rep.Hijacked != 1 {
@@ -76,14 +71,14 @@ func TestDoSViaPineapple(t *testing.T) {
 // strongest exploit dies at whichever fires first.
 func TestRunAttackWithDiversityAndCFIStacked(t *testing.T) {
 	lab := NewLab()
-	p := LevelWXASLR
+	p := campaign.LevelWXASLR
 	p.CFI = true
 	p.DiversitySeed = 7
 	r, err := lab.RunAttack(isa.ArchX86S, exploit.KindRopMemcpy, p)
 	if err != nil {
 		t.Fatalf("attack: %v", err)
 	}
-	if r.Outcome == OutcomeShell {
+	if r.Outcome == campaign.OutcomeShell {
 		t.Fatalf("shell through stacked mitigations: %s", r.Detail)
 	}
 }

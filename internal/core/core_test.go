@@ -3,58 +3,59 @@ package core
 import (
 	"testing"
 
+	"connlab/internal/campaign"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 )
 
 // expectMatrix is the paper's §III result table: which exploit defeats
 // which protection level.
-func expectMatrix(arch isa.Arch, kind exploit.Kind, p Protection) Outcome {
+func expectMatrix(arch isa.Arch, kind exploit.Kind, p campaign.Protection) campaign.Outcome {
 	switch kind {
 	case exploit.KindDoS:
-		return OutcomeCrash
+		return campaign.OutcomeCrash
 	case exploit.KindCodeInjection:
 		if p.WX {
-			return OutcomeCrash
+			return campaign.OutcomeCrash
 		}
-		return OutcomeShell
+		return campaign.OutcomeShell
 	case exploit.KindRet2Libc:
 		if arch == isa.ArchARMS {
-			return OutcomeBuildFail // register arguments: no stack-passed ret2libc
+			return campaign.OutcomeBuildFail // register arguments: no stack-passed ret2libc
 		}
 		if p.ASLR {
-			return OutcomeCrash
+			return campaign.OutcomeCrash
 		}
-		return OutcomeShell
+		return campaign.OutcomeShell
 	case exploit.KindRopExeclp:
 		if arch == isa.ArchX86S {
-			return OutcomeBuildFail
+			return campaign.OutcomeBuildFail
 		}
 		if p.ASLR {
-			return OutcomeCrash
+			return campaign.OutcomeCrash
 		}
-		return OutcomeShell
+		return campaign.OutcomeShell
 	case exploit.KindRopMemcpy:
-		return OutcomeShell // the §III-C ASLR bypass works at every level
+		return campaign.OutcomeShell // the §III-C ASLR bypass works at every level
 	}
-	return OutcomeNoEffect
+	return campaign.OutcomeNoEffect
 }
 
 // TestE8Matrix is the central reproduction: the full §III matrix must
 // match the paper's qualitative results cell by cell.
 func TestE8Matrix(t *testing.T) {
 	lab := NewLab()
-	results, err := lab.RunMatrix()
+	rep, err := lab.Engine().Run(lab.matrixCells())
 	if err != nil {
 		t.Fatalf("matrix: %v", err)
 	}
-	if len(results) != 2*3*5 {
-		t.Fatalf("matrix has %d cells, want 30", len(results))
+	if len(rep.Scenarios) != 2*3*5 {
+		t.Fatalf("matrix has %d cells, want 30", len(rep.Scenarios))
 	}
-	for _, r := range results {
-		want := expectMatrix(r.Arch, r.Kind, r.Protection)
-		if r.Outcome != want {
-			t.Errorf("%s: outcome %s, want %s (%s)", r.String(), r.Outcome, want, r.Detail)
+	for _, sr := range rep.Scenarios {
+		s, d := sr.Scenario, sr.Devices[0]
+		if want := expectMatrix(s.Arch, s.Kind, s.Protection); d.Outcome != want {
+			t.Errorf("%s: outcome %s, want %s (%s)", sr.Label, d.Outcome, want, d.Detail)
 		}
 	}
 }
@@ -65,9 +66,8 @@ func TestE9Pineapple(t *testing.T) {
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
 		t.Run(string(arch), func(t *testing.T) {
 			lab := NewLab()
-			rep, err := lab.RunPineapple(PineappleConfig{
-				Arch: arch, Kind: exploit.KindRopMemcpy, Protection: LevelWXASLR,
-			})
+			rep, err := lab.Engine().RunPineapple(
+				lab.Scenario(arch, exploit.KindRopMemcpy, campaign.LevelWXASLR), 50, 90, 2)
 			if err != nil {
 				t.Fatalf("pineapple: %v", err)
 			}
@@ -83,7 +83,7 @@ func TestE9Pineapple(t *testing.T) {
 			if rep.Hijacked == 0 {
 				t.Error("no lookups hijacked")
 			}
-			if rep.Outcome != OutcomeShell {
+			if rep.Outcome != campaign.OutcomeShell {
 				t.Errorf("outcome = %s (%s), want SHELL", rep.Outcome, rep.Detail)
 			}
 		})
@@ -94,17 +94,15 @@ func TestE9Pineapple(t *testing.T) {
 // legitimate one, the victim never re-associates and stays safe.
 func TestPineappleWeakSignalFails(t *testing.T) {
 	lab := NewLab()
-	rep, err := lab.RunPineapple(PineappleConfig{
-		Arch: isa.ArchX86S, Kind: exploit.KindRopMemcpy, Protection: LevelWXASLR,
-		LegitSignal: 90, RogueSignal: 30,
-	})
+	rep, err := lab.Engine().RunPineapple(
+		lab.Scenario(isa.ArchX86S, exploit.KindRopMemcpy, campaign.LevelWXASLR), 90, 30, 2)
 	if err != nil {
 		t.Fatalf("pineapple: %v", err)
 	}
 	if rep.Reassociated {
 		t.Error("victim re-associated to a weaker AP")
 	}
-	if rep.Outcome == OutcomeShell {
+	if rep.Outcome == campaign.OutcomeShell {
 		t.Error("exploit landed without traffic hijack")
 	}
 }
@@ -143,12 +141,12 @@ func TestE10Mitigations(t *testing.T) {
 func TestE12AutoExploit(t *testing.T) {
 	lab := NewLab()
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
-		for _, p := range PaperLevels() {
+		for _, p := range campaign.PaperLevels() {
 			ex, res, err := lab.AutoExploit(arch, p)
 			if err != nil {
 				t.Fatalf("auto %s/%s: %v", arch, p, err)
 			}
-			if res.Outcome != OutcomeShell {
+			if res.Outcome != campaign.OutcomeShell {
 				t.Errorf("auto %s/%s: outcome %s (%s), want SHELL", arch, p, res.Outcome, res.Detail)
 			}
 			if ex == nil || len(ex.Stream) == 0 {

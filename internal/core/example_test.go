@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 
+	"connlab/internal/campaign"
 	"connlab/internal/core"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
@@ -12,7 +13,7 @@ import (
 // attack outcome.
 func Example_attack() {
 	lab := core.NewLab()
-	r, err := lab.RunAttack(isa.ArchARMS, exploit.KindRopMemcpy, core.LevelWXASLR)
+	r, err := lab.RunAttack(isa.ArchARMS, exploit.KindRopMemcpy, campaign.LevelWXASLR)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -25,7 +26,7 @@ func Example_attack() {
 // strategy for a posture.
 func Example_autoExploit() {
 	lab := core.NewLab()
-	ex, res, err := lab.AutoExploit(isa.ArchX86S, core.LevelWX)
+	ex, res, err := lab.AutoExploit(isa.ArchX86S, campaign.LevelWX)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -37,9 +38,8 @@ func Example_autoExploit() {
 // Example_pineapple runs the remote man-in-the-middle delivery.
 func Example_pineapple() {
 	lab := core.NewLab()
-	rep, err := lab.RunPineapple(core.PineappleConfig{
-		Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy, Protection: core.LevelWXASLR,
-	})
+	cell := lab.Scenario(isa.ArchARMS, exploit.KindRopMemcpy, campaign.LevelWXASLR)
+	rep, err := lab.Engine().RunPineapple(cell, 50, 90, 2)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -52,7 +52,7 @@ func Example_pineapple() {
 // chain as a blocked attack.
 func Example_mitigation() {
 	lab := core.NewLab()
-	p := core.LevelWXASLR
+	p := campaign.LevelWXASLR
 	p.CFI = true
 	r, err := lab.RunAttack(isa.ArchARMS, exploit.KindRopMemcpy, p)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 // AAAA, a 128-bit IPv6 lookup response").
 func TestAAAADeliveryAlsoWorks(t *testing.T) {
 	lab := NewLab()
-	tgt, err := lab.Recon(isa.ArchX86S, LevelWXASLR)
+	tgt, err := lab.Recon(isa.ArchX86S, campaign.LevelWXASLR)
 	if err != nil {
 		t.Fatalf("recon: %v", err)
 	}
@@ -26,7 +26,7 @@ func TestAAAADeliveryAlsoWorks(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	ex.RType = dns.TypeAAAA
-	cfg, prog, _, err := campaign.TargetSetup(isa.ArchX86S, LevelWXASLR, lab.Build, lab.TargetSeed)
+	cfg, prog, _, err := campaign.TargetSetup(isa.ArchX86S, campaign.LevelWXASLR, lab.Build, lab.TargetSeed)
 	if err != nil {
 		t.Fatalf("target setup: %v", err)
 	}

@@ -3,66 +3,68 @@ package core
 import (
 	"testing"
 
+	"connlab/internal/campaign"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 )
+
+// runFleet runs one rogue-AP fleet of the lab's cell on the lab engine —
+// the §III-D "one payload, many victims" sweep X3 renders.
+func runFleet(t *testing.T, lab *Lab, s campaign.Scenario) (*campaign.ScenarioResult, *campaign.Report) {
+	t.Helper()
+	s.Pineapple = true
+	rep, err := lab.Engine().Run([]campaign.Scenario{s})
+	if err != nil {
+		t.Fatalf("fleet: %v", err)
+	}
+	return &rep.Scenarios[0], rep
+}
 
 // TestFleetSweepOwnsUnpatchedOnly: one payload against a mixed fleet —
 // every unpatched device falls to its own fresh ASLR sample (the chain
 // only uses non-randomized addresses), every patched device survives.
 func TestFleetSweepOwnsUnpatchedOnly(t *testing.T) {
 	lab := NewLab()
-	rep, err := lab.RunFleet(FleetConfig{
-		Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy, Protection: LevelWXASLR,
-		Devices: 10, PatchedEvery: 3,
-	})
-	if err != nil {
-		t.Fatalf("fleet: %v", err)
+	s := lab.Scenario(isa.ArchARMS, exploit.KindRopMemcpy, campaign.LevelWXASLR)
+	s.Devices, s.PatchedEvery = 10, 3
+	sr, _ := runFleet(t, lab, s)
+	if len(sr.Devices) != 10 {
+		t.Fatalf("devices = %d", len(sr.Devices))
 	}
-	if len(rep.Devices) != 10 {
-		t.Fatalf("devices = %d", len(rep.Devices))
-	}
-	for _, d := range rep.Devices {
-		if d.Patched && d.Outcome != OutcomeNoEffect {
+	for _, d := range sr.Devices {
+		if d.Patched && d.Outcome != campaign.OutcomeNoEffect {
 			t.Errorf("%s (patched): %s, want NO-EFFECT", d.Name, d.Outcome)
 		}
-		if !d.Patched && d.Outcome != OutcomeShell {
+		if !d.Patched && d.Outcome != campaign.OutcomeShell {
 			t.Errorf("%s (vulnerable): %s, want SHELL", d.Name, d.Outcome)
 		}
 	}
 	wantPatched := 4 // i = 0, 3, 6, 9
-	if rep.Survived != wantPatched || rep.Owned != 10-wantPatched {
-		t.Errorf("owned=%d survived=%d, want %d/%d", rep.Owned, rep.Survived,
+	if sr.Survived != wantPatched || sr.Owned != 10-wantPatched {
+		t.Errorf("owned=%d survived=%d, want %d/%d", sr.Owned, sr.Survived,
 			10-wantPatched, wantPatched)
 	}
-	if rep.Hijacked != 10 {
-		t.Errorf("hijacked = %d, want 10", rep.Hijacked)
-	}
-	if rep.String() == "" {
-		t.Error("empty report rendering")
+	if sr.Hijacked != 10 {
+		t.Errorf("hijacked = %d, want 10", sr.Hijacked)
 	}
 }
 
 // TestFleetReconRunsOncePerConfiguration: a fleet of any size recons its
-// configuration exactly once — the per-device recomputation the old
-// sequential runner did is gone on both the parallel and the
+// configuration exactly once — on both the parallel and the
 // single-worker (sequential) path.
 func TestFleetReconRunsOncePerConfiguration(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		lab := NewLab()
-		rep, err := lab.RunFleet(FleetConfig{
-			Arch: isa.ArchX86S, Kind: exploit.KindCodeInjection, Protection: LevelNone,
-			Devices: 6, Workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if rep.ReconBuilds != 1 {
+		lab.Workers = workers
+		s := lab.Scenario(isa.ArchX86S, exploit.KindCodeInjection, campaign.LevelNone)
+		s.Devices = 6
+		sr, rep := runFleet(t, lab, s)
+		if rep.ReconCache.Builds != 1 {
 			t.Errorf("workers=%d: recon ran %d times for 6 devices, want 1",
-				workers, rep.ReconBuilds)
+				workers, rep.ReconCache.Builds)
 		}
-		if rep.Owned != 6 {
-			t.Errorf("workers=%d: owned=%d, want 6", workers, rep.Owned)
+		if sr.Owned != 6 {
+			t.Errorf("workers=%d: owned=%d, want 6", workers, sr.Owned)
 		}
 	}
 }
@@ -71,14 +73,10 @@ func TestFleetReconRunsOncePerConfiguration(t *testing.T) {
 // off — the paper's first suggested mitigation (patching) at scale.
 func TestFleetAllPatchedSurvives(t *testing.T) {
 	lab := NewLab()
-	rep, err := lab.RunFleet(FleetConfig{
-		Arch: isa.ArchX86S, Kind: exploit.KindRopMemcpy, Protection: LevelWXASLR,
-		Devices: 4, PatchedEvery: 1,
-	})
-	if err != nil {
-		t.Fatalf("fleet: %v", err)
-	}
-	if rep.Owned != 0 || rep.Crashed != 0 || rep.Survived != 4 {
-		t.Errorf("report = %s", rep)
+	s := lab.Scenario(isa.ArchX86S, exploit.KindRopMemcpy, campaign.LevelWXASLR)
+	s.Devices, s.PatchedEvery = 4, 1
+	sr, _ := runFleet(t, lab, s)
+	if sr.Owned != 0 || sr.Crashed != 0 || sr.Survived != 4 {
+		t.Errorf("owned=%d crashed=%d survived=%d, want 0/0/4", sr.Owned, sr.Crashed, sr.Survived)
 	}
 }

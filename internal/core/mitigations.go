@@ -19,7 +19,7 @@ type MitigationResult struct {
 	Trials  int
 	Blocked int
 	// Outcomes tallies what happened per trial.
-	Outcomes map[Outcome]int
+	Outcomes map[campaign.Outcome]int
 }
 
 // Rate returns the blocked fraction.
@@ -41,19 +41,19 @@ func (m MitigationResult) String() string {
 func mitigationAttacks() []struct {
 	arch isa.Arch
 	kind exploit.Kind
-	base Protection
+	base campaign.Protection
 } {
 	return []struct {
 		arch isa.Arch
 		kind exploit.Kind
-		base Protection
+		base campaign.Protection
 	}{
-		{isa.ArchX86S, exploit.KindCodeInjection, LevelNone},
-		{isa.ArchARMS, exploit.KindCodeInjection, LevelNone},
-		{isa.ArchX86S, exploit.KindRet2Libc, LevelWX},
-		{isa.ArchARMS, exploit.KindRopExeclp, LevelWX},
-		{isa.ArchX86S, exploit.KindRopMemcpy, LevelWXASLR},
-		{isa.ArchARMS, exploit.KindRopMemcpy, LevelWXASLR},
+		{isa.ArchX86S, exploit.KindCodeInjection, campaign.LevelNone},
+		{isa.ArchARMS, exploit.KindCodeInjection, campaign.LevelNone},
+		{isa.ArchX86S, exploit.KindRet2Libc, campaign.LevelWX},
+		{isa.ArchARMS, exploit.KindRopExeclp, campaign.LevelWX},
+		{isa.ArchX86S, exploit.KindRopMemcpy, campaign.LevelWXASLR},
+		{isa.ArchARMS, exploit.KindRopMemcpy, campaign.LevelWXASLR},
 	}
 }
 
@@ -72,14 +72,14 @@ func (l *Lab) EvaluateMitigations(divTrials int) ([]MitigationResult, error) {
 	mutations := []struct {
 		name   string
 		trials int
-		mutate func(p Protection, trial int) Protection
+		mutate func(p campaign.Protection, trial int) campaign.Protection
 	}{
-		{"cfi", 1, func(p Protection, _ int) Protection { p.CFI = true; return p }},
-		{"canary", 1, func(p Protection, _ int) Protection { p.Canary = true; return p }},
-		{"full-pie", 1, func(p Protection, _ int) Protection { p.PIE, p.ASLR = true, true; return p }},
+		{"cfi", 1, func(p campaign.Protection, _ int) campaign.Protection { p.CFI = true; return p }},
+		{"canary", 1, func(p campaign.Protection, _ int) campaign.Protection { p.Canary = true; return p }},
+		{"full-pie", 1, func(p campaign.Protection, _ int) campaign.Protection { p.PIE, p.ASLR = true, true; return p }},
 		// The exploit is harvested from the stock build; each trial
 		// deploys a differently-diversified target.
-		{"diversity", divTrials, func(p Protection, trial int) Protection {
+		{"diversity", divTrials, func(p campaign.Protection, trial int) campaign.Protection {
 			p.DiversitySeed = int64(1000 + trial)
 			return p
 		}},
@@ -88,11 +88,11 @@ func (l *Lab) EvaluateMitigations(divTrials int) ([]MitigationResult, error) {
 	for _, m := range mutations {
 		for _, a := range mitigationAttacks() {
 			for trial := 0; trial < m.trials; trial++ {
-				cells = append(cells, l.scenario(a.arch, a.kind, m.mutate(a.base, trial)))
+				cells = append(cells, l.Scenario(a.arch, a.kind, m.mutate(a.base, trial)))
 			}
 		}
 	}
-	rep, err := l.engine().Run(cells)
+	rep, err := l.Engine().Run(cells)
 	if err != nil {
 		return nil, fmt.Errorf("mitigations: %w", err)
 	}
@@ -102,13 +102,13 @@ func (l *Lab) EvaluateMitigations(divTrials int) ([]MitigationResult, error) {
 		for _, a := range mitigationAttacks() {
 			r := MitigationResult{
 				Mitigation: m.name, Arch: a.arch, Kind: a.kind,
-				Trials: m.trials, Outcomes: make(map[Outcome]int),
+				Trials: m.trials, Outcomes: make(map[campaign.Outcome]int),
 			}
 			for trial := 0; trial < m.trials; trial++ {
 				o := rep.Scenarios[next].Devices[0].Outcome
 				next++
 				r.Outcomes[o]++
-				if o != OutcomeShell {
+				if o != campaign.OutcomeShell {
 					r.Blocked++
 				}
 			}

@@ -26,22 +26,22 @@ func (l *Lab) RunExperiment(id string) (string, error) {
 		return l.reportE1()
 	case "e2":
 		return l.reportSingle("E2 §III-A1: x86 code injection, no protections",
-			isa.ArchX86S, exploit.KindCodeInjection, LevelNone)
+			isa.ArchX86S, exploit.KindCodeInjection, campaign.LevelNone)
 	case "e3":
 		return l.reportSingle("E3 §III-A2: ARM code injection, no protections",
-			isa.ArchARMS, exploit.KindCodeInjection, LevelNone)
+			isa.ArchARMS, exploit.KindCodeInjection, campaign.LevelNone)
 	case "e4":
 		return l.reportSingle("E4 §III-B1: x86 ret2libc under W⊕X",
-			isa.ArchX86S, exploit.KindRet2Libc, LevelWX)
+			isa.ArchX86S, exploit.KindRet2Libc, campaign.LevelWX)
 	case "e5":
 		return l.reportSingle("E5 §III-B2 (Listing 2): ARM execlp ROP under W⊕X",
-			isa.ArchARMS, exploit.KindRopExeclp, LevelWX)
+			isa.ArchARMS, exploit.KindRopExeclp, campaign.LevelWX)
 	case "e6":
 		return l.reportSingle("E6 §III-C1 (Listings 3-4): x86 memcpy-chain ROP under W⊕X+ASLR",
-			isa.ArchX86S, exploit.KindRopMemcpy, LevelWXASLR)
+			isa.ArchX86S, exploit.KindRopMemcpy, campaign.LevelWXASLR)
 	case "e7":
 		return l.reportSingle("E7 §III-C2 (Listing 5): ARM blx-chain ROP under W⊕X+ASLR",
-			isa.ArchARMS, exploit.KindRopMemcpy, LevelWXASLR)
+			isa.ArchARMS, exploit.KindRopMemcpy, campaign.LevelWXASLR)
 	case "e8":
 		return l.reportE8()
 	case "e9":
@@ -100,7 +100,7 @@ func (l *Lab) reportE1() (string, error) {
 			if err != nil {
 				return "", err
 			}
-			outcome, detail := Classify(res)
+			outcome, detail := campaign.Classify(res)
 			fmt.Fprintf(&sb, "  %-5s connman-%-5s -> %-10s %s\n",
 				arch, opts.Version(), outcome, detail)
 		}
@@ -109,7 +109,7 @@ func (l *Lab) reportE1() (string, error) {
 }
 
 // reportSingle runs one attack cell with payload detail.
-func (l *Lab) reportSingle(title string, arch isa.Arch, kind exploit.Kind, p Protection) (string, error) {
+func (l *Lab) reportSingle(title string, arch isa.Arch, kind exploit.Kind, p campaign.Protection) (string, error) {
 	var sb strings.Builder
 	sb.WriteString(header(title))
 	tgt, err := l.Recon(arch, p)
@@ -131,19 +131,44 @@ func (l *Lab) reportSingle(title string, arch isa.Arch, kind exploit.Kind, p Pro
 	return sb.String(), nil
 }
 
-// reportE8 renders the full attack matrix.
+// reportE8 renders the full attack matrix: every exploit kind against
+// every paper protection level on both architectures, 30 single-device
+// cells in one engine run.
 func (l *Lab) reportE8() (string, error) {
 	var sb strings.Builder
 	sb.WriteString(header("E8 §III: attack x protection matrix (the paper's central result)"))
-	results, err := l.RunMatrix()
+	rep, err := l.Engine().Run(l.matrixCells())
 	if err != nil {
 		return "", err
 	}
 	fmt.Fprintf(&sb, "  %-5s %-15s %-12s %-10s\n", "arch", "attack", "protection", "outcome")
-	for _, r := range results {
-		fmt.Fprintf(&sb, "  %-5s %-15s %-12s %-10s\n", r.Arch, r.Kind, r.Protection, r.Outcome)
+	for _, sr := range rep.Scenarios {
+		s := sr.Scenario
+		fmt.Fprintf(&sb, "  %-5s %-15s %-12s %-10s\n", s.Arch, s.Kind, s.Protection, sr.Devices[0].Outcome)
 	}
 	return sb.String(), nil
+}
+
+// matrixCells lists the §III matrix in arch → level → kind order. The
+// diagonal of working exploits and the off-diagonal failures (injection
+// vs W⊕X, ret2libc vs ASLR) are the paper's central result.
+func (l *Lab) matrixCells() []campaign.Scenario {
+	kinds := []exploit.Kind{
+		exploit.KindDoS,
+		exploit.KindCodeInjection,
+		exploit.KindRet2Libc,
+		exploit.KindRopExeclp,
+		exploit.KindRopMemcpy,
+	}
+	var cells []campaign.Scenario
+	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
+		for _, p := range campaign.PaperLevels() {
+			for _, kind := range kinds {
+				cells = append(cells, l.Scenario(arch, kind, p))
+			}
+		}
+	}
+	return cells
 }
 
 // reportE9 runs the Pineapple scenario on both architectures.
@@ -151,9 +176,8 @@ func (l *Lab) reportE9() (string, error) {
 	var sb strings.Builder
 	sb.WriteString(header("E9 §III-D: Wi-Fi Pineapple man-in-the-middle delivery (Fig. 1)"))
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
-		rep, err := l.RunPineapple(PineappleConfig{
-			Arch: arch, Kind: exploit.KindRopMemcpy, Protection: LevelWXASLR,
-		})
+		rep, err := l.Engine().RunPineapple(
+			l.Scenario(arch, exploit.KindRopMemcpy, campaign.LevelWXASLR), 50, 90, 2)
 		if err != nil {
 			return "", err
 		}
@@ -174,9 +198,9 @@ func (l *Lab) reportE9Scale() (string, error) {
 	fmt.Fprintf(&sb, "  %-9s %-8s %-9s %-9s %-8s %-11s %-9s\n",
 		"stations", "victims", "hijacked", "shells", "epochs", "delivered", "dgrams/s")
 	for _, stations := range []int{1000, 10000, 100000} {
-		rep, err := l.RunPineappleScale(PineappleScaleConfig{
-			Arch: isa.ArchX86S, Kind: exploit.KindCodeInjection,
+		rep, err := l.Engine().RunPineappleScale(campaign.ScaleConfig{
 			Stations: stations, Lookups: 2, VictimEvery: stations / 4,
+			Scenario: l.Scenario(isa.ArchX86S, exploit.KindCodeInjection, campaign.LevelNone),
 		})
 		if err != nil {
 			return "", err
@@ -216,13 +240,13 @@ func (l *Lab) reportE11() (string, error) {
 	dns := *l
 	dns.Build.Variant = victim.VariantDnsmasq
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
-		for _, p := range PaperLevels() {
-			_, res, err := dns.AutoExploit(arch, p)
+		for _, p := range campaign.PaperLevels() {
+			ex, res, err := dns.AutoExploit(arch, p)
 			if err != nil {
 				return "", err
 			}
 			fmt.Fprintf(&sb, "  dnsmasq-analog %-5s %-12s %-15s -> %s\n",
-				arch, p, res.Kind, res.Outcome)
+				arch, p, ex.Kind, res.Outcome)
 		}
 	}
 
@@ -242,7 +266,7 @@ func (l *Lab) reportE11() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	outcome, detail := Classify(res)
+	outcome, detail := campaign.Classify(res)
 	fmt.Fprintf(&sb, "  http-victim    x86s  none         code-injection  -> %s (%s)\n", outcome, detail)
 	return sb.String(), nil
 }
@@ -289,7 +313,7 @@ func (l *Lab) reportX2() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		outcome, _ := Classify(res)
+		outcome, _ := campaign.Classify(res)
 		fmt.Fprintf(&sb, "  %-5s %d-byte packet -> %s (%s) after %d instructions\n",
 			arch, len(pkt), outcome, res.Status, res.Instructions)
 	}
@@ -301,15 +325,16 @@ func (l *Lab) reportX2() (string, error) {
 func (l *Lab) reportX3() (string, error) {
 	var sb strings.Builder
 	sb.WriteString(header("X3 extension: fleet sweep — one payload vs many devices (§III-D remark)"))
-	rep, err := l.RunFleet(FleetConfig{
-		Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy, Protection: LevelWXASLR,
-		Devices: 10, PatchedEvery: 3,
-	})
+	s := l.Scenario(isa.ArchARMS, exploit.KindRopMemcpy, campaign.LevelWXASLR)
+	s.Devices, s.PatchedEvery, s.Pineapple = 10, 3, true
+	rep, err := l.Engine().Run([]campaign.Scenario{s})
 	if err != nil {
 		return "", err
 	}
-	fmt.Fprintf(&sb, "  %s\n", rep)
-	for _, d := range rep.Devices {
+	sr := &rep.Scenarios[0]
+	fmt.Fprintf(&sb, "  fleet: %d devices -> %d owned, %d crashed, %d survived (%d lookups hijacked)\n",
+		len(sr.Devices), sr.Owned, sr.Crashed, sr.Survived, sr.Hijacked)
+	for _, d := range sr.Devices {
 		fw := "1.34"
 		if d.Patched {
 			fw = "1.35"
@@ -324,7 +349,7 @@ func (l *Lab) reportE12() (string, error) {
 	var sb strings.Builder
 	sb.WriteString(header("E12 §VII: automated exploit generation across postures"))
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
-		for _, p := range PaperLevels() {
+		for _, p := range campaign.PaperLevels() {
 			ex, res, err := l.AutoExploit(arch, p)
 			if err != nil {
 				return "", err

@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"connlab/internal/campaign"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
-	"connlab/internal/kernel"
 )
 
 // TestEveryExperimentReportRuns smoke-tests all report generators.
@@ -49,7 +49,7 @@ func TestReportContentSpotChecks(t *testing.T) {
 }
 
 func TestProtectionString(t *testing.T) {
-	cases := map[string]Protection{
+	cases := map[string]campaign.Protection{
 		"none":                              {},
 		"W⊕X":                               {WX: true},
 		"W⊕X+ASLR":                          {WX: true, ASLR: true},
@@ -60,34 +60,6 @@ func TestProtectionString(t *testing.T) {
 	for want, p := range cases {
 		if got := p.String(); got != want {
 			t.Errorf("%+v.String() = %q, want %q", p, got, want)
-		}
-	}
-}
-
-func TestClassifyMapping(t *testing.T) {
-	cases := []struct {
-		status kernel.Status
-		want   Outcome
-	}{
-		{kernel.StatusShell, OutcomeShell},
-		{kernel.StatusFault, OutcomeCrash},
-		{kernel.StatusTimeout, OutcomeCrash},
-		{kernel.StatusCFI, OutcomeBlocked},
-		{kernel.StatusAborted, OutcomeBlocked},
-		{kernel.StatusReturned, OutcomeNoEffect},
-		{kernel.StatusExited, OutcomeNoEffect},
-	}
-	for _, c := range cases {
-		res := kernel.RunResult{Status: c.status}
-		if c.status == kernel.StatusShell {
-			res.Shell = &kernel.ShellSpawn{Via: "execve"}
-		}
-		got, detail := Classify(res)
-		if got != c.want {
-			t.Errorf("Classify(%v) = %v, want %v", c.status, got, c.want)
-		}
-		if detail == "" {
-			t.Errorf("Classify(%v): empty detail", c.status)
 		}
 	}
 }
@@ -114,30 +86,15 @@ func TestStrategyForMatchesPaper(t *testing.T) {
 
 // TestMatrixDeterminism: identical seeds produce identical outcomes.
 func TestMatrixDeterminism(t *testing.T) {
-	run := func() []AttackResult {
+	run := func() string {
 		lab := NewLab()
-		res, err := lab.RunMatrix()
+		rep, err := lab.Engine().Run(lab.matrixCells())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return rep.Canonical()
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatal("different lengths")
-	}
-	for i := range a {
-		if a[i].Outcome != b[i].Outcome {
-			t.Errorf("cell %d: %s vs %s", i, a[i].Outcome, b[i].Outcome)
-		}
-	}
-}
-
-func TestAttackResultString(t *testing.T) {
-	r := AttackResult{Arch: isa.ArchX86S, Kind: exploit.KindRet2Libc,
-		Protection: LevelWX, Outcome: OutcomeShell, Detail: "x"}
-	s := r.String()
-	if !strings.Contains(s, "ret2libc") || !strings.Contains(s, "SHELL") {
-		t.Errorf("rendering = %q", s)
+	if a, b := run(), run(); a != b {
+		t.Errorf("two matrix runs differ:\n%s\nvs\n%s", a, b)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // through its persistent engine and the report satisfies the spec.
 func TestRunScenarioEmbedded(t *testing.T) {
 	lab := NewLab()
-	rep, err := lab.RunScenario("offbyone-fp", scenario.CompileOpts{})
+	_, rep, err := scenario.Run(lab.Engine(), "offbyone-fp", scenario.CompileOpts{})
 	if err != nil {
-		t.Fatalf("RunScenario: %v", err)
+		t.Fatalf("scenario.Run: %v", err)
 	}
 	if len(rep.Scenarios) != 6 {
 		t.Errorf("compiled %d cells, want 6", len(rep.Scenarios))
@@ -40,7 +40,7 @@ func TestRunScenarioFromFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	lab := NewLab()
-	rep, err := lab.RunScenario(path, scenario.CompileOpts{})
+	_, rep, err := scenario.Run(lab.Engine(), path, scenario.CompileOpts{})
 	if err == nil {
 		t.Fatal("forged predicates accepted")
 	}

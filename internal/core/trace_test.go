@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"connlab/internal/campaign"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 	"connlab/internal/telemetry"
@@ -28,15 +29,15 @@ func TestTraceMatchesCodeInjection(t *testing.T) {
 	t.Cleanup(telemetry.Disable)
 	telemetry.EnableTrace(1024)
 	lab := NewLab()
-	tgt, err := lab.Recon(isa.ArchX86S, Protection{})
+	tgt, err := lab.Recon(isa.ArchX86S, campaign.Protection{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := lab.RunAttack(isa.ArchX86S, exploit.KindCodeInjection, Protection{})
+	res, err := lab.RunAttack(isa.ArchX86S, exploit.KindCodeInjection, campaign.Protection{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != OutcomeShell {
+	if res.Outcome != campaign.OutcomeShell {
 		t.Fatalf("outcome = %s (%s), want shell", res.Outcome, res.Detail)
 	}
 	if len(res.Trace) == 0 {
@@ -67,7 +68,7 @@ func TestTraceMatchesRet2Libc(t *testing.T) {
 	t.Cleanup(telemetry.Disable)
 	telemetry.EnableTrace(1024)
 	lab := NewLab()
-	prot := Protection{WX: true}
+	prot := campaign.Protection{WX: true}
 	tgt, err := lab.Recon(isa.ArchX86S, prot)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestTraceMatchesRet2Libc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != OutcomeShell {
+	if res.Outcome != campaign.OutcomeShell {
 		t.Fatalf("outcome = %s (%s), want shell", res.Outcome, res.Detail)
 	}
 	var toSystem bool

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"connlab/internal/campaign"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
@@ -18,7 +19,7 @@ import (
 // the targeted vulnerability".
 func TestE11DnsmasqVariant(t *testing.T) {
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
-		for _, p := range PaperLevels() {
+		for _, p := range campaign.PaperLevels() {
 			t.Run(string(arch)+"/"+p.String(), func(t *testing.T) {
 				lab := NewLab()
 				lab.Build.Variant = victim.VariantDnsmasq
@@ -26,7 +27,7 @@ func TestE11DnsmasqVariant(t *testing.T) {
 				if err != nil {
 					t.Fatalf("auto exploit: %v", err)
 				}
-				if res.Outcome != OutcomeShell {
+				if res.Outcome != campaign.OutcomeShell {
 					t.Fatalf("outcome = %s (%s), want SHELL", res.Outcome, res.Detail)
 				}
 			})

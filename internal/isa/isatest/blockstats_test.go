@@ -35,7 +35,7 @@ func TestBlockStatsGolden(t *testing.T) {
 	}
 	// A cell whose exploit does not build fires nothing; its row pins the
 	// daemon's start-up alone.
-	attack := func(arch isa.Arch, kind exploit.Kind, p core.Protection) {
+	attack := func(arch isa.Arch, kind exploit.Kind, p campaign.Protection) {
 		t.Helper()
 		name := fmt.Sprintf("%s/%s/%s", arch, kind, p)
 		cfg, prog, ss, err := campaign.TargetSetup(arch, p, lab.Build, lab.TargetSeed)
@@ -69,15 +69,15 @@ func TestBlockStatsGolden(t *testing.T) {
 	}
 
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
-		for _, p := range core.PaperLevels() {
+		for _, p := range campaign.PaperLevels() {
 			for _, kind := range []exploit.Kind{exploit.KindDoS, exploit.KindCodeInjection,
 				exploit.KindRet2Libc, exploit.KindRopExeclp, exploit.KindRopMemcpy} {
 				attack(arch, kind, p)
 			}
 		}
 	}
-	attack(isa.ArchX86S, exploit.KindRet2Libc, core.Protection{WX: true, CFI: true})
-	attack(isa.ArchARMS, exploit.KindRopExeclp, core.Protection{WX: true, DiversitySeed: 30})
+	attack(isa.ArchX86S, exploit.KindRet2Libc, campaign.Protection{WX: true, CFI: true})
+	attack(isa.ArchARMS, exploit.KindRopExeclp, campaign.Protection{WX: true, DiversitySeed: 30})
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
 		pkt, err := exploit.BuildPointerLoopDoS(arch).Response(dns.NewQuery(0x1337, "time.iot-vendor.example", dns.TypeA))
 		if err != nil {

@@ -270,12 +270,12 @@ func TestHangReferee(t *testing.T) {
 // SingleStep must agree on the same daemon and packet.
 func TestHangRefereeRecordedHang(t *testing.T) {
 	lab := core.NewLab()
-	prot := core.Protection{WX: true, DiversitySeed: 30}
+	prot := campaign.Protection{WX: true, DiversitySeed: 30}
 	res, err := lab.RunAttack(isa.ArchARMS, exploit.KindRopExeclp, prot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != core.OutcomeCrash || res.Run.Status != kernel.StatusTimeout ||
+	if res.Outcome != campaign.OutcomeCrash || res.Run.Status != kernel.StatusTimeout ||
 		res.Run.Instructions != kernel.DefaultInstrBudget {
 		t.Fatalf("recorded hang: outcome %v, run %+v; want a crash by timeout at the default budget", res.Outcome, res.Run)
 	}

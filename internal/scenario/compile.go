@@ -175,6 +175,28 @@ func Verify(s *Spec, rep *campaign.Report) error {
 	return nil
 }
 
+// Run resolves a scenario — an embedded name like "connman" or
+// "heap-adjacent", or a path to a .scn spec file — compiles it into
+// campaign cells, runs them on eng, and checks the report against the
+// spec's own success predicates. The report is returned even when the
+// run or the verification fails, so callers can print what actually
+// happened alongside the error; the spec is returned once resolved.
+func Run(eng *campaign.Engine, nameOrPath string, opts CompileOpts) (*Spec, *campaign.Report, error) {
+	spec, err := Resolve(nameOrPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	cells, err := Compile(spec, opts)
+	if err != nil {
+		return spec, nil, err
+	}
+	rep, err := eng.Run(cells)
+	if err != nil {
+		return spec, rep, err
+	}
+	return spec, rep, Verify(spec, rep)
+}
+
 func outcomeIn(o campaign.Outcome, allowed []campaign.Outcome) bool {
 	for _, a := range allowed {
 		if o == a {

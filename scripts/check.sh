@@ -68,6 +68,16 @@ go run ./cmd/experiments -exp e10 | cmp - cmd/experiments/testdata/e10.golden
 # were recorded before the world was shared and must not move.
 go run ./cmd/experiments -exp e9 | cmp - cmd/experiments/testdata/e9.golden
 go run ./cmd/pineapple -v | cmp - cmd/pineapple/testdata/pineapple_v.golden
+# Every other deterministic experiment report (e9scale prints wall
+# time) and the four example programs, recorded before internal/core's
+# wrappers were deleted: the lab's experiments run on campaign scenarios
+# directly and must not move.
+for x in e1 e2 e3 e4 e5 e6 e7 e8 e11 e12 x1 x3; do
+    go run ./cmd/experiments -exp "$x"
+done | cmp - cmd/experiments/testdata/experiments.golden
+for e in mitigation-eval other-cves quickstart rogue-ap; do
+    go run "./examples/$e" | cmp - "examples/$e/testdata/stdout.golden"
+done
 # A CFI veto delivered through the rogue AP is BLOCKED, exactly as when
 # the packet is handed straight to the daemon: every delivery path
 # judges with Classify.

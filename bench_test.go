@@ -26,6 +26,7 @@ import (
 	"connlab/internal/kernel"
 	"connlab/internal/mem"
 	"connlab/internal/netsim"
+	"connlab/internal/scenario"
 	"connlab/internal/telemetry"
 	"connlab/internal/victim"
 )
@@ -425,6 +426,31 @@ func BenchmarkMitigationSweepOp(b *testing.B) {
 		}
 		if n := rep.TotalDevices(); n != 300 {
 			b.Fatalf("devices = %d, want 300", n)
+		}
+	}
+}
+
+// BenchmarkMatrixFleetOp measures one cold matrix-fleet op, the shape
+// of connbench's matrix-fleet workload: the paper matrix compiled from
+// connman.scn with 40 devices per cell (1 200 trials) on a fresh engine,
+// where emulation and daemon recycling dominate and recon is amortised.
+func BenchmarkMatrixFleetOp(b *testing.B) {
+	spec, err := scenario.Load("connman")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells, err := scenario.Compile(spec, scenario.CompileOpts{Devices: 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := campaign.New(campaign.Config{RootSeed: 1}).Run(cells)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := rep.TotalDevices(); n != 1200 {
+			b.Fatalf("devices = %d, want 1200", n)
 		}
 	}
 }

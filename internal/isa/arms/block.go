@@ -12,9 +12,10 @@ import (
 // supplies what only arms knows — each instruction's effects, its
 // translation, and the executor for translated blocks.
 
-// effects classifies in for the block cache (isa.Fx*). Besides the
-// branch/call/syscall ops, any instruction whose destination register is
-// PC transfers control and ends its block: pop {...,pc}, ldr pc, mov pc.
+// effects classifies in for the block cache (isa.Fx*). A conditional b
+// continues its block and b AL is followed. Besides the call, return and
+// syscall ops, any instruction whose destination register is PC
+// transfers control and ends its block: pop {...,pc}, ldr pc, mov pc.
 // Other writes to PC through Rd are overwritten by the end-of-instruction
 // PC update in Step and are therefore straight-line.
 func effects(in *Instr) uint8 {
@@ -24,7 +25,9 @@ func effects(in *Instr) uint8 {
 	case OpSvc:
 		return isa.FxStore | isa.FxEnd
 	case OpB:
-		return isa.FxEnd
+		if in.Cond == CondAL {
+			return isa.FxJump
+		}
 	case OpBL, OpBLX, OpBX:
 		return isa.FxCtl | isa.FxEnd
 	case OpPop:
@@ -41,9 +44,9 @@ func effects(in *Instr) uint8 {
 
 // Translate implements isa.Machine. A word cut short by its segment's end
 // is untranslatable.
-func (c *CPU) Translate(pc uint32, ins []isa.BlockInstr[Instr]) ([]isa.BlockInstr[Instr], uint8) {
+func (c *CPU) Translate(pc uint32, ins []isa.BlockInstr[Instr]) []isa.BlockInstr[Instr] {
 	var fx uint8
-	for p := pc; len(ins) < isa.MaxBlockInstrs; p += InstrSize {
+	for p := pc; len(ins) < isa.MaxBlockInstrs; {
 		word, perm, short, f := c.m.Fetch32(p)
 		if f != nil || short || perm&mem.PermWrite != 0 {
 			break
@@ -52,12 +55,19 @@ func (c *CPU) Translate(pc uint32, ins []isa.BlockInstr[Instr]) ([]isa.BlockInst
 		if err != nil {
 			break
 		}
-		ins = append(ins, isa.BlockInstr[Instr]{PC: p, In: in})
-		if fx |= effects(&in); fx&isa.FxEnd != 0 {
+		e := effects(&in)
+		fx |= e
+		ins = append(ins, isa.BlockInstr[Instr]{PC: p, Fx: fx, In: in})
+		if fx&isa.FxEnd != 0 {
 			break
 		}
+		if p += InstrSize; e&isa.FxJump != 0 {
+			if p += uint32(in.Rel) * InstrSize; isa.Holds(ins, p) {
+				break
+			}
+		}
 	}
-	return ins, fx
+	return ins
 }
 
 // StepBlock implements isa.CPU.
@@ -80,10 +90,14 @@ func (c *CPU) StepBlock(max uint64) isa.Event {
 // execBlock runs a translated block. Control transfers notify the
 // recorder and hooks through Control at the same point Step does, so a
 // veto surfaces as the same CFI event with the same instruction count.
-// The PC-register invariant matches single-step: at
-// instruction i, c.regs[PC] already equals its pc (each retirement sets
-// it to next), so read(PC) and fault PCs behave exactly as under Step.
+// The PC-register invariant matches single-step: at instruction i,
+// c.regs[PC] already equals its pc (each retirement sets it to next, a
+// followed b AL's next instruction is its target, and a taken
+// conditional b leaves the block), so read(PC) and fault PCs behave
+// exactly as under Step. An exit to the block's own entry runs the block
+// again while isa.Core.Loop allows.
 func (c *CPU) execBlock(ins []isa.BlockInstr[Instr]) isa.Event {
+again:
 	for bi := range ins {
 		in := &ins[bi].In
 		pc := ins[bi].PC
@@ -159,8 +173,12 @@ func (c *CPU) execBlock(ins []isa.BlockInstr[Instr]) isa.Event {
 			c.fl.z = res == 0
 
 		case OpB:
-			if c.cond(in.Cond) {
-				next = pc + InstrSize + uint32(in.Rel)*InstrSize
+			if in.Cond == CondAL {
+				next += uint32(in.Rel) * InstrSize
+			} else if c.cond(in.Cond) {
+				c.regs[PC] = next + uint32(in.Rel)*InstrSize
+				c.Retire()
+				goto exit
 			}
 		case OpBL:
 			tgt := pc + InstrSize + uint32(in.Rel)*InstrSize
@@ -242,6 +260,10 @@ func (c *CPU) execBlock(ins []isa.BlockInstr[Instr]) isa.Event {
 
 		c.regs[PC] = next
 		c.Retire()
+	}
+exit:
+	if c.regs[PC] == ins[0].PC && c.Loop(len(ins)) {
+		goto again
 	}
 	return isa.Event{Kind: isa.EventRetired, PC: c.regs[PC]}
 }

@@ -2,18 +2,32 @@ package isa
 
 import "connlab/internal/telemetry"
 
-// Block dispatch, shared by both ISAs. Straight-line runs of non-writable
-// code are pre-decoded once into a flat []BlockInstr and executed by the
-// ISA's own tight loop (its execBlock), which skips the per-instruction
-// fetch, decode and event construction Step pays. Validity is keyed to
+// Block dispatch, shared by both ISAs. Runs of non-writable code are
+// pre-decoded once into a flat []BlockInstr and executed by the ISA's own
+// tight loop (its execBlock), which skips the per-instruction fetch,
+// decode and event construction Step pays. Validity is keyed to
 // mem.Memory.Gen(), loaded once per dispatch: nothing inside a dispatch
 // can move it, since stores into non-writable segments fault and
 // Map/Unmap/SetPerm/Reset only happen between CPU calls. Writable (RWX)
 // code is never translated, so self-modifying shellcode always takes the
-// single-step path and sees its own stores immediately. Hooks and the
-// flight recorder are notified from the block terminators exactly where
-// Step notifies them; every notifying instruction ends its block, so the
-// event order is the same on both paths.
+// single-step path and sees its own stores immediately.
+//
+// Blocks are superblocks. A conditional branch does not end one:
+// translation continues at its fall-through, and when the branch is
+// taken execBlock leaves the block there (a side exit), retiring the
+// branch and setting PC like any other exit. A direct unconditional jump
+// (FxJump) does not end one either: translation follows it to its
+// target, and stops after it only when the target is already in the
+// block. What still ends a block is every indirect transfer, call,
+// return and kernel entry (FxEnd), so every instruction that notifies
+// hooks or the flight recorder (FxCtl) is a block's last: execBlock
+// notifies them exactly where Step does and the event order is the same
+// on both paths. A block whose exit, side or final, lands on its own
+// entry runs again inside execBlock (Loop), but only while the next pass
+// ends at or before stop, so in-place passes never cross the watch point
+// or the dispatch limit: the block entries the dispatcher sees past the
+// watch point, the budget and the hang proof are exactly those a
+// re-dispatch through Next would produce.
 //
 // Each ISA's execBlock duplicates its Step's per-op semantics on purpose:
 // folding both over one switch would put a non-inlinable call on Step's
@@ -35,26 +49,30 @@ import "connlab/internal/telemetry"
 // a dispatch starting there falls back to exactly one Step, which
 // reproduces the exact fault or illegal event.
 //
-// The chain also proves hangs. Translation records each block's effects:
-// FxStore when it writes memory or enters the kernel, FxCtl when its
-// terminator notifies hooks and the recorder (which keep state of their
-// own, so such a block counts as impure only while one is attached). A
-// dispatch that runs past cycleWatch instructions (or half its cap, if
-// that is less) sends every further block through Slow, where across
-// consecutive pure block entries a Brent cycle detector keeps one saved
-// architectural state and moves it forward after windows of 1, 3, 7, …
-// entries; an impure entry disarms it. When the state at a pure entry
-// equals the saved one, the loop between them provably never ends:
-// execution is deterministic, the generation is fixed for the dispatch,
-// and no memory changed, so every read returns the same bytes.
-// The detector then adds the largest multiple of the period that fits
-// before the dispatch limit to the instruction count; the rest runs
-// normally, so the limit lands on the state brute force reaches.
+// The chain also proves hangs. Translation records on each instruction
+// the effects of the block's path up to and including it: FxStore when
+// it writes memory or enters the kernel, FxCtl when it notifies hooks
+// and the recorder (which keep state of their own, so such a path counts
+// as impure only while one is attached). A dispatch that runs past
+// cycleWatch instructions (or half its cap, if that is less) sends every
+// further block through Slow, where across consecutive block entries a
+// Brent cycle detector keeps one saved architectural state and moves it
+// forward after windows of 1, 3, 7, … entries. At each entry it judges
+// the path the previous block actually ran, reading the effects at the
+// count of instructions that block retired: a store on a side of a
+// branch that was not taken does not count, and an impure path disarms
+// the detector. When the state at an entry equals the saved one, the
+// loop between them provably never ends: execution is deterministic, the
+// generation is fixed for the dispatch, and no memory changed, so every
+// read returns the same bytes. The detector then adds the largest
+// multiple of the period that fits before the dispatch limit to the
+// instruction count; the rest runs normally, so the limit lands on the
+// state brute force reaches.
 
 // bcSize is the number of block-cache slots.
 const bcSize = 512
 
-// MaxBlockInstrs bounds one translated block. Runs longer than this are
+// MaxBlockInstrs bounds one translated block. Paths longer than this are
 // split; the follow-on block is cached under its own entry PC.
 const MaxBlockInstrs = 64
 
@@ -68,29 +86,46 @@ const MaxBlockInstrs = 64
 // hundreds of instructions) still reach the proof path.
 const cycleWatch = 1 << 14
 
-// Effect bits of an instruction; a block's are the union of its
-// instructions'.
+// Effect bits of an instruction.
 const (
 	FxStore uint8 = 1 << iota // writes memory or enters the kernel
 	FxCtl                     // notifies hooks and the recorder
-	FxEnd                     // ends its block: moves PC non-sequentially or enters the kernel
+	FxEnd                     // ends its block: an indirect transfer, call, return or kernel entry
+	FxJump                    // a direct unconditional jump: translation follows it
 )
 
-// BlockInstr is one pre-decoded instruction of a translated block.
+// BlockInstr is one pre-decoded instruction of a translated block. Fx is
+// the union of the effect bits of the block's instructions up to and
+// including this one: the effects of a pass that retired through it.
 type BlockInstr[I any] struct {
 	PC uint32
+	Fx uint8
 	In I
+}
+
+// Holds reports whether the block ins has an instruction at pc. A direct
+// jump to such a pc ends its block's translation.
+func Holds[I any](ins []BlockInstr[I], pc uint32) bool {
+	for i := range ins {
+		if ins[i].PC == pc {
+			return true
+		}
+	}
+	return false
 }
 
 // Machine is what Core needs from its ISA outside the chain loop.
 type Machine[I any, S comparable] interface {
-	// Translate appends the straight-line run starting at pc to ins and
-	// returns it with the union of its effect bits. The run ends after an
-	// FxEnd instruction, at MaxBlockInstrs, or before the first
-	// instruction that is not translatable: writable, unfetchable, or
-	// undecodable. That PC is left for Step to resolve, so an empty run
-	// marks pc itself untranslatable.
-	Translate(pc uint32, ins []BlockInstr[I]) ([]BlockInstr[I], uint8)
+	// Translate appends the block starting at pc to ins, each instruction
+	// carrying the union of the effects up to it, and returns it. The
+	// block continues past conditional branches at their fall-through and
+	// follows direct jumps (FxJump) to their target. It ends after an
+	// FxEnd instruction, after a direct jump whose target it already
+	// Holds, at MaxBlockInstrs, or before the first instruction that is
+	// not translatable: writable, unfetchable, or undecodable. That PC is
+	// left for Step to resolve, so an empty block marks pc itself
+	// untranslatable.
+	Translate(pc uint32, ins []BlockInstr[I]) []BlockInstr[I]
 	// Step executes one instruction (the fallback for untranslatable PCs).
 	Step() Event
 	// ArchState returns the state the cycle detector compares:
@@ -105,7 +140,6 @@ type Machine[I any, S comparable] interface {
 // generation.
 type bcEntry[I any] struct {
 	pc  uint32
-	fx  uint8
 	gen uint64
 	ins []BlockInstr[I]
 }
@@ -132,10 +166,14 @@ type Core[I any, S comparable] struct {
 
 	// The running dispatch: its memory generation, the instruction
 	// counts at which it started, wakes the cycle detector and ends, and
-	// the effect bits that disarm the detector (0 until it wakes).
+	// the effect bits that disarm the detector (0 until it wakes). Once
+	// awake, last is the block the detector saw entered last, at
+	// instruction count lastAt.
 	gen, start, stop, limit uint64
 	impure                  uint8
 	d                       cycle[S]
+	last                    []BlockInstr[I]
+	lastAt                  uint64
 
 	stats BlockStats
 	hang  Hang
@@ -241,6 +279,11 @@ func (c *Core[I, S]) Enter(gen, max uint64) {
 	}
 }
 
+// Loop reports whether a block of n instructions whose exit just landed
+// on its own entry may run again in place: the pass must end at or before
+// stop, where Next would stop serving it.
+func (c *Core[I, S]) Loop(n int) bool { return c.icount+uint64(n) <= c.stop }
+
 // Next returns the cached block at pc when the chain simply continues:
 // the cycle detector is asleep, and the block is cached for this
 // generation and fits before the dispatch limit. Otherwise it returns nil
@@ -288,7 +331,9 @@ func (c *Core[I, S]) Slow(pc uint32) ([]BlockInstr[I], Event) {
 	case cached && len(e.ins) > 0:
 		c.stats.Hits++
 		if c.icount >= c.stop {
-			c.watch(pc, e.fx)
+			if c.watch(pc, e.ins); c.icount >= c.limit {
+				break // a proof spent the budget
+			}
 		}
 		return c.clip(e.ins), Event{}
 	case c.icount > c.start: // mid-chain: the next dispatch resolves pc
@@ -297,8 +342,8 @@ func (c *Core[I, S]) Slow(pc uint32) ([]BlockInstr[I], Event) {
 			if e.pc == pc && e.gen != 0 {
 				c.stats.Invalidated++
 			}
-			ins, fx := c.mach.Translate(pc, e.ins[:0])
-			*e = bcEntry[I]{pc: pc, gen: c.gen, fx: fx, ins: ins}
+			ins := c.mach.Translate(pc, e.ins[:0])
+			*e = bcEntry[I]{pc: pc, gen: c.gen, ins: ins}
 			if len(ins) > 0 {
 				c.stats.Translated++
 			}
@@ -311,10 +356,12 @@ func (c *Core[I, S]) Slow(pc uint32) ([]BlockInstr[I], Event) {
 	return nil, c.Exit(Event{Kind: EventRetired, PC: pc})
 }
 
-// watch feeds the cycle detector the block entered at pc with effects fx,
-// and fast-forwards the dispatch when the state repeats. A proof leaves
-// less than one period of budget, so it cannot fire twice in a dispatch.
-func (c *Core[I, S]) watch(pc uint32, fx uint8) {
+// watch feeds the cycle detector the entry at pc of the block ins, and
+// fast-forwards the dispatch when the state repeats. The block entered
+// before it is judged on the path it ran: its effects at the count of
+// instructions it retired. A proof leaves less than one period of budget,
+// so it cannot fire twice in a dispatch.
+func (c *Core[I, S]) watch(pc uint32, ins []BlockInstr[I]) {
 	d := &c.d
 	if c.impure == 0 { // the detector wakes
 		c.impure = FxStore
@@ -322,10 +369,8 @@ func (c *Core[I, S]) watch(pc uint32, fx uint8) {
 			c.impure |= FxCtl
 		}
 		d.lam, d.power = 0, 0
-	}
-	if fx&c.impure != 0 {
-		d.power = 0 // disarm
-		return
+	} else if c.last[c.icount-c.lastAt-1].Fx&c.impure != 0 {
+		d.lam, d.power = 0, 0 // disarm
 	}
 	st := c.mach.ArchState()
 	if d.power != 0 && st == d.state {
@@ -339,4 +384,5 @@ func (c *Core[I, S]) watch(pc uint32, fx uint8) {
 		d.state, d.at = st, c.icount
 		d.lam, d.power = 0, d.power<<1|1 // windows of 1, 3, 7, ... entries
 	}
+	c.last, c.lastAt = ins, c.icount
 }

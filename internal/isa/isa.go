@@ -127,7 +127,8 @@ type Hooks interface {
 type BlockStats struct {
 	// Translated counts blocks decoded into the block cache.
 	Translated uint64
-	// Hits counts dispatches served by a still-valid cached block.
+	// Hits counts dispatches served by a still-valid cached block. A
+	// block that loops back to its own entry in place counts once.
 	Hits uint64
 	// Invalidated counts cached blocks discarded because the memory
 	// generation moved under them (SetPerm/Unmap/Map/Reset).
@@ -191,9 +192,10 @@ type CPU interface {
 	Step() Event
 	// StepBlock executes up to max instructions (max >= 1) starting at PC
 	// through the basic-block translation cache and reports the event of
-	// the last instruction executed: EventRetired with the PC after the
-	// block when the whole (possibly max-truncated) block retired, or the
-	// fault/syscall/illegal event that ended it early. Blocks are decoded
+	// the last instruction executed: EventRetired with the next PC when
+	// everything it ran retired (max ran out, or the chain reached a PC it
+	// does not translate mid-dispatch), or the fault/syscall/illegal event
+	// that ended it early. Blocks are decoded
 	// from non-writable code only and keyed to Mem().Gen(), so W⊕X,
 	// SetPerm/Unmap invalidation and self-modifying-code semantics are
 	// identical to Step's. Hooks and the recorder observe every control
@@ -203,12 +205,12 @@ type CPU interface {
 	// block-eligible — writable code, or an unfetchable or undecodable
 	// entry instruction — StepBlock falls back to exactly one Step.
 	//
-	// StepBlock also proves hangs. A translated block is pure when it
-	// stores nothing (no store, push or syscall) and, while a hook or the
-	// recorder is attached, notifies no control transfer. Once a
-	// dispatch has run long (a fixed count, or half of max if that is
-	// less), a Brent cycle detector watches the registers, PC and flags
-	// across consecutive pure block entries; entering an impure block
+	// StepBlock also proves hangs. A block's pass is pure when the
+	// instructions it ran store nothing (no store, push or syscall) and,
+	// while a hook or the recorder is attached, notify no control
+	// transfer. Once a dispatch has run long (a fixed count, or half of
+	// max if that is less), a Brent cycle detector watches the registers,
+	// PC and flags across consecutive block entries; an impure pass
 	// resets it. A repeated state is a proof: the machine is
 	// deterministic, the memory generation is fixed for the dispatch, and
 	// no memory changed, so the loop repeats forever. StepBlock then

@@ -10,9 +10,9 @@ import (
 // supplies what only x86s knows — each instruction's effects, its
 // translation, and the executor for translated blocks.
 
-// effects classifies in for the block cache (isa.Fx*). Every control
-// transfer plus the syscall and privileged ops end a block: they either
-// move PC non-sequentially or hand control to the kernel.
+// effects classifies in for the block cache (isa.Fx*). Conditional
+// branches continue their block, jmp rel is followed, and every other
+// control transfer plus the syscall and privileged ops end it.
 func effects(in *Instr) uint8 {
 	switch in.Op {
 	case OpPushR, OpPushI, OpPushM, OpMovMR, OpMovMI, OpMovMI8, OpMovMR8, OpMovsb:
@@ -23,7 +23,9 @@ func effects(in *Instr) uint8 {
 		return isa.FxStore | isa.FxCtl | isa.FxEnd
 	case OpRet, OpJmpInd:
 		return isa.FxCtl | isa.FxEnd
-	case OpJmpRel, OpJcc, OpJecxz, OpHlt:
+	case OpJmpRel:
+		return isa.FxJump
+	case OpHlt:
 		return isa.FxEnd
 	case OpAluRR, OpAluRI:
 		if in.MemOperand && in.Alu != AluCmp {
@@ -34,7 +36,7 @@ func effects(in *Instr) uint8 {
 }
 
 // Translate implements isa.Machine.
-func (c *CPU) Translate(pc uint32, ins []isa.BlockInstr[Instr]) ([]isa.BlockInstr[Instr], uint8) {
+func (c *CPU) Translate(pc uint32, ins []isa.BlockInstr[Instr]) []isa.BlockInstr[Instr] {
 	var fx uint8
 	for p := pc; len(ins) < isa.MaxBlockInstrs; {
 		window, perm, f := c.m.FetchWindow(p, maxInstrLen)
@@ -45,13 +47,19 @@ func (c *CPU) Translate(pc uint32, ins []isa.BlockInstr[Instr]) ([]isa.BlockInst
 		if err != nil {
 			break
 		}
-		ins = append(ins, isa.BlockInstr[Instr]{PC: p, In: in})
-		if fx |= effects(&in); fx&isa.FxEnd != 0 {
+		e := effects(&in)
+		fx |= e
+		ins = append(ins, isa.BlockInstr[Instr]{PC: p, Fx: fx, In: in})
+		if fx&isa.FxEnd != 0 {
 			break
 		}
-		p += in.Size
+		if p += in.Size; e&isa.FxJump != 0 {
+			if p += uint32(in.Disp); isa.Holds(ins, p) {
+				break
+			}
+		}
 	}
-	return ins, fx
+	return ins
 }
 
 // StepBlock implements isa.CPU.
@@ -76,9 +84,13 @@ func (c *CPU) StepBlock(max uint64) isa.Event {
 // veto surfaces as the same CFI event with the same instruction count.
 // The PC-register invariant matches single-step exactly: entering
 // instruction i, c.eip already equals its pc (each retirement below sets
-// eip to the next PC, and dispatch only starts a block at the current
-// eip), so fault events carry the same PC a faulting Step would report.
+// eip to the next PC, a followed jmp's next instruction is its target,
+// a taken jcc or jecxz leaves the block, and dispatch only starts a
+// block at the current eip), so fault events carry the same PC a
+// faulting Step would report. An exit to the block's own entry runs the
+// block again while isa.Core.Loop allows.
 func (c *CPU) execBlock(ins []isa.BlockInstr[Instr]) isa.Event {
+again:
 	for i := range ins {
 		in := &ins[i].In
 		pc := ins[i].PC
@@ -209,11 +221,15 @@ func (c *CPU) execBlock(ins []isa.BlockInstr[Instr]) isa.Event {
 			next = next + uint32(in.Disp)
 		case OpJcc:
 			if c.cond(in.Cond) {
-				next = next + uint32(in.Disp)
+				c.eip = next + uint32(in.Disp)
+				c.Retire()
+				goto exit
 			}
 		case OpJecxz:
 			if c.regs[ECX] == 0 {
-				next = next + uint32(in.Disp)
+				c.eip = next + uint32(in.Disp)
+				c.Retire()
+				goto exit
 			}
 
 		case OpCallRel:
@@ -277,6 +293,10 @@ func (c *CPU) execBlock(ins []isa.BlockInstr[Instr]) isa.Event {
 
 		c.eip = next
 		c.Retire()
+	}
+exit:
+	if c.eip == ins[0].PC && c.Loop(len(ins)) {
+		goto again
 	}
 	return isa.Event{Kind: isa.EventRetired, PC: c.eip}
 }

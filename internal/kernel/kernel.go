@@ -225,8 +225,8 @@ type Process struct {
 
 	stdout bytes.Buffer
 	shells []ShellSpawn
-	// rng is reseeded with each layout's seed: a reseed reuses the
-	// source instead of allocating one per recycle.
+	// rng is reseeded with each layout's seed. Its seedSource makes the
+	// reseed constant-time and allocation-free (see seedsrc.go).
 	rng    *rand.Rand
 	budget uint64
 
@@ -242,10 +242,9 @@ type Process struct {
 	// the attempt that drove it. Zero outside campaigns.
 	attempt uint64
 
-	// lay is the current placement and canary the guard value drawn for
-	// it; guardAddr is where the canary was written (0 when the program
-	// declares no guard).
-	lay       Layout
+	// canary is the guard value drawn for the current placement;
+	// guardAddr is where it was written (0 when the program declares no
+	// guard).
 	guardAddr uint32
 	canary    uint32
 }
@@ -298,7 +297,7 @@ func layoutFor(arch isa.Arch, cfg Config, rng *rand.Rand) Layout {
 // the sample is identical to loading a full replica and reading the same
 // addresses.
 func LayoutFor(arch isa.Arch, cfg Config) Layout {
-	return layoutFor(arch, cfg, rand.New(rand.NewSource(cfg.Seed)))
+	return layoutFor(arch, cfg, rand.New(newSeedSource(cfg.Seed)))
 }
 
 // Load links the program unit (at its fixed non-PIE layout unless cfg.PIE)
@@ -389,32 +388,25 @@ type layoutPlan struct {
 // link options are unchanged. It does not touch the address space, so a
 // link error leaves the process as it was.
 func (p *Process) plan(progUnit, libcUnit *image.Unit, cfg Config) (layoutPlan, error) {
-	pl := layoutPlan{lay: p.lay, canary: p.canary, progUnit: progUnit, libcUnit: libcUnit}
+	pl := layoutPlan{progUnit: progUnit, libcUnit: libcUnit}
 	if progUnit == p.progUnit {
 		pl.prog = p.Prog
 	}
 	if libcUnit == p.libcUnit {
 		pl.libc = p.Libc
 	}
-	// The same seed with the same randomized axes replays the same draws,
-	// so the current layout and canary stand; reseeding would cost more
-	// than the rest of a recycle (about 12 µs).
-	if p.rng == nil || cfg.Seed != p.cfg.Seed || cfg.PIE != p.cfg.PIE || cfg.ASLR != p.cfg.ASLR ||
-		cfg.ASLREntropyPages != p.cfg.ASLREntropyPages {
-		if p.rng == nil {
-			p.rng = rand.New(rand.NewSource(cfg.Seed))
-		} else {
-			p.rng.Seed(cfg.Seed)
-		}
-		pl.lay = layoutFor(p.arch, cfg, p.rng)
-		// Canary guard: like glibc, a random value with a zero low byte
-		// (the zero byte terminates accidental string copies; the lab's
-		// length-prefixed overflow is unaffected, which is why canaries
-		// must be checked, not just present). It is drawn after the
-		// layout, from the same stream, and written only if the program
-		// declares a guard.
-		pl.canary = p.rng.Uint32()<<8 | 0
+	if p.rng == nil {
+		p.rng = rand.New(newSeedSource(cfg.Seed))
+	} else {
+		p.rng.Seed(cfg.Seed)
 	}
+	pl.lay = layoutFor(p.arch, cfg, p.rng)
+	// Canary guard: like glibc, a random value with a zero low byte (the
+	// zero byte terminates accidental string copies; the lab's
+	// length-prefixed overflow is unaffected, which is why canaries must
+	// be checked, not just present). It is drawn after the layout, from
+	// the same stream, and written only if the program declares a guard.
+	pl.canary = p.rng.Uint32()<<8 | 0
 	progLayout := image.DefaultProgramLayout(p.arch)
 	progLayout.TextBase += pl.lay.ProgSlide
 	progLayout.RODataBase += pl.lay.ProgSlide
@@ -479,7 +471,7 @@ func (p *Process) place(cfg Config, pl layoutPlan) error {
 	if err := m.Move("stack", pl.lay.StackTop-StackSize); err != nil {
 		return fmt.Errorf("map stack: %w", err)
 	}
-	p.lay, p.StackTop = pl.lay, pl.lay.StackTop
+	p.StackTop = pl.lay.StackTop
 
 	// Without W⊕X the stack and heap are executable, the historical
 	// default the paper's first experiments rely on.
@@ -520,8 +512,6 @@ func (p *Process) place(cfg Config, pl layoutPlan) error {
 	// place reseeds it from the new configuration's stream.
 	m.Seal()
 
-	// The draw is kept even when the program declares no guard: a later
-	// recycle onto a unit that does, under the same seed, reuses it.
 	p.guardAddr, p.canary = 0, pl.canary
 	if guard, ok := p.Prog.Lookup("__stack_chk_guard"); ok {
 		if f := m.WriteU32(guard, pl.canary); f != nil {

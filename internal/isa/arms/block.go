@@ -47,8 +47,15 @@ func effects(in *Instr) uint8 {
 func (c *CPU) Translate(pc uint32, ins []isa.BlockInstr[Instr]) []isa.BlockInstr[Instr] {
 	var fx uint8
 	for p := pc; len(ins) < isa.MaxBlockInstrs; {
-		word, perm, short, f := c.m.Fetch32(p)
-		if f != nil || short || perm&mem.PermWrite != 0 {
+		word, perm, ok := c.m.Code32(p)
+		if !ok {
+			var short bool
+			var f *mem.Fault
+			if word, perm, short, f = c.m.Fetch32(p); f != nil || short {
+				break
+			}
+		}
+		if perm&mem.PermWrite != 0 {
 			break
 		}
 		in, err := Decode(word)
@@ -136,9 +143,13 @@ again:
 			c.regs[in.Rd] = c.read(in.Rn) >> (uint32(in.Imm) & 31)
 
 		case OpLdr:
-			v, f := c.m.ReadU32(c.read(in.Rn) + uint32(in.Imm))
-			if f != nil {
-				return isa.FaultEvent(pc, f)
+			a := c.read(in.Rn) + uint32(in.Imm)
+			v, ok := c.m.Load32(a)
+			if !ok {
+				var f *mem.Fault
+				if v, f = c.m.ReadU32(a); f != nil {
+					return isa.FaultEvent(pc, f)
+				}
 			}
 			if in.Rd == PC {
 				if ev := c.Control(isa.ControlJump, pc, v, 0); ev != nil {
@@ -149,18 +160,28 @@ again:
 				c.regs[in.Rd] = v
 			}
 		case OpStr:
-			if f := c.m.WriteU32(c.read(in.Rn)+uint32(in.Imm), c.read(in.Rd)); f != nil {
-				return isa.FaultEvent(pc, f)
+			a, v := c.read(in.Rn)+uint32(in.Imm), c.read(in.Rd)
+			if !c.m.Store32(a, v) {
+				if f := c.m.WriteU32(a, v); f != nil {
+					return isa.FaultEvent(pc, f)
+				}
 			}
 		case OpLdrb:
-			v, f := c.m.ReadU8(c.read(in.Rn) + uint32(in.Imm))
-			if f != nil {
-				return isa.FaultEvent(pc, f)
+			a := c.read(in.Rn) + uint32(in.Imm)
+			v, ok := c.m.Load8(a)
+			if !ok {
+				var f *mem.Fault
+				if v, f = c.m.ReadU8(a); f != nil {
+					return isa.FaultEvent(pc, f)
+				}
 			}
 			c.regs[in.Rd] = uint32(v)
 		case OpStrb:
-			if f := c.m.WriteU8(c.read(in.Rn)+uint32(in.Imm), uint8(c.read(in.Rd))); f != nil {
-				return isa.FaultEvent(pc, f)
+			a, v := c.read(in.Rn)+uint32(in.Imm), uint8(c.read(in.Rd))
+			if !c.m.Store8(a, v) {
+				if f := c.m.WriteU8(a, v); f != nil {
+					return isa.FaultEvent(pc, f)
+				}
 			}
 
 		case OpCmpR:
@@ -215,8 +236,10 @@ again:
 				if in.RegList&(1<<i) == 0 {
 					continue
 				}
-				if f := c.m.WriteU32(addr, c.read(i)); f != nil {
-					return isa.FaultEvent(pc, f)
+				if v := c.read(i); !c.m.Store32(addr, v) {
+					if f := c.m.WriteU32(addr, v); f != nil {
+						return isa.FaultEvent(pc, f)
+					}
 				}
 				addr += 4
 			}
@@ -229,9 +252,12 @@ again:
 				if in.RegList&(1<<i) == 0 {
 					continue
 				}
-				v, f := c.m.ReadU32(addr)
-				if f != nil {
-					return isa.FaultEvent(pc, f)
+				v, ok := c.m.Load32(addr)
+				if !ok {
+					var f *mem.Fault
+					if v, f = c.m.ReadU32(addr); f != nil {
+						return isa.FaultEvent(pc, f)
+					}
 				}
 				addr += 4
 				if i == PC {

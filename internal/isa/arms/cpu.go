@@ -157,15 +157,20 @@ func (c *CPU) setFlagsSub(a, b uint32) {
 // Step implements isa.CPU.
 func (c *CPU) Step() isa.Event {
 	pc := c.regs[PC]
-	// Fixed-width fast path: one combined segment/permission/bounds
-	// check, no window slice. A short fetch (segment ends mid-word) is
-	// an illegal instruction, exactly like a truncated Fetch window.
-	word, _, short, f := c.m.Fetch32(pc)
-	if f != nil {
-		return isa.FaultEvent(pc, f)
-	}
-	if short {
-		return isa.IllegalEvent(pc)
+	// A word inside the fetch window resolves inline; otherwise Fetch32
+	// makes one combined segment/permission/bounds check. A short fetch
+	// (segment ends mid-word) is an illegal instruction, exactly like a
+	// truncated Fetch window.
+	word, _, ok := c.m.Code32(pc)
+	if !ok {
+		w, _, short, f := c.m.Fetch32(pc)
+		if f != nil {
+			return isa.FaultEvent(pc, f)
+		}
+		if short {
+			return isa.IllegalEvent(pc)
+		}
+		word = w
 	}
 	in, err := Decode(word)
 	if err != nil {
@@ -207,9 +212,13 @@ func (c *CPU) Step() isa.Event {
 		c.regs[in.Rd] = c.read(in.Rn) >> (uint32(in.Imm) & 31)
 
 	case OpLdr:
-		v, f := c.m.ReadU32(c.read(in.Rn) + uint32(in.Imm))
-		if f != nil {
-			return fault(f)
+		a := c.read(in.Rn) + uint32(in.Imm)
+		v, ok := c.m.Load32(a)
+		if !ok {
+			var f *mem.Fault
+			if v, f = c.m.ReadU32(a); f != nil {
+				return fault(f)
+			}
 		}
 		if in.Rd == PC {
 			if ev := c.Control(isa.ControlJump, pc, v, 0); ev != nil {
@@ -220,18 +229,28 @@ func (c *CPU) Step() isa.Event {
 			c.regs[in.Rd] = v
 		}
 	case OpStr:
-		if f := c.m.WriteU32(c.read(in.Rn)+uint32(in.Imm), c.read(in.Rd)); f != nil {
-			return fault(f)
+		a, v := c.read(in.Rn)+uint32(in.Imm), c.read(in.Rd)
+		if !c.m.Store32(a, v) {
+			if f := c.m.WriteU32(a, v); f != nil {
+				return fault(f)
+			}
 		}
 	case OpLdrb:
-		v, f := c.m.ReadU8(c.read(in.Rn) + uint32(in.Imm))
-		if f != nil {
-			return fault(f)
+		a := c.read(in.Rn) + uint32(in.Imm)
+		v, ok := c.m.Load8(a)
+		if !ok {
+			var f *mem.Fault
+			if v, f = c.m.ReadU8(a); f != nil {
+				return fault(f)
+			}
 		}
 		c.regs[in.Rd] = uint32(v)
 	case OpStrb:
-		if f := c.m.WriteU8(c.read(in.Rn)+uint32(in.Imm), uint8(c.read(in.Rd))); f != nil {
-			return fault(f)
+		a, v := c.read(in.Rn)+uint32(in.Imm), uint8(c.read(in.Rd))
+		if !c.m.Store8(a, v) {
+			if f := c.m.WriteU8(a, v); f != nil {
+				return fault(f)
+			}
 		}
 
 	case OpCmpR:
@@ -282,8 +301,10 @@ func (c *CPU) Step() isa.Event {
 			if in.RegList&(1<<i) == 0 {
 				continue
 			}
-			if f := c.m.WriteU32(addr, c.read(i)); f != nil {
-				return fault(f)
+			if v := c.read(i); !c.m.Store32(addr, v) {
+				if f := c.m.WriteU32(addr, v); f != nil {
+					return fault(f)
+				}
 			}
 			addr += 4
 		}
@@ -296,9 +317,12 @@ func (c *CPU) Step() isa.Event {
 			if in.RegList&(1<<i) == 0 {
 				continue
 			}
-			v, f := c.m.ReadU32(addr)
-			if f != nil {
-				return fault(f)
+			v, ok := c.m.Load32(addr)
+			if !ok {
+				var f *mem.Fault
+				if v, f = c.m.ReadU32(addr); f != nil {
+					return fault(f)
+				}
 			}
 			addr += 4
 			if i == PC {

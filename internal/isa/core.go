@@ -8,7 +8,7 @@ import "connlab/internal/telemetry"
 // decode and event construction Step pays. Validity is keyed to
 // mem.Memory.Gen(), loaded once per dispatch: nothing inside a dispatch
 // can move it, since stores into non-writable segments fault and
-// Map/Unmap/SetPerm/Reset only happen between CPU calls. Writable (RWX)
+// Map/Unmap/Move/SetPerm/Reset only happen between CPU calls. Writable (RWX)
 // code is never translated, so self-modifying shellcode always takes the
 // single-step path and sees its own stores immediately.
 //

@@ -1,7 +1,8 @@
 // Package isa defines the common contract every simulated CPU in the lab
-// implements: a register file, a program counter, a single-step execution
-// model, and the event vocabulary (syscall, fault, sentinel return) that the
-// simulated kernel and the debugger consume.
+// implements: a register file, a program counter, single-step and
+// block-dispatch execution (the shared block cache, chaining and hang proof
+// live in Core, core.go), and the event vocabulary (syscall, fault,
+// sentinel return) that the simulated kernel and the debugger consume.
 //
 // Two concrete architectures live in subpackages:
 //
@@ -197,8 +198,8 @@ type CPU interface {
 	// does not translate mid-dispatch), or the fault/syscall/illegal event
 	// that ended it early. Blocks are decoded
 	// from non-writable code only and keyed to Mem().Gen(), so W⊕X,
-	// SetPerm/Unmap invalidation and self-modifying-code semantics are
-	// identical to Step's. Hooks and the recorder observe every control
+	// Map/Unmap/Move/SetPerm/Reset invalidation and self-modifying-code
+	// semantics are identical to Step's. Hooks and the recorder observe every control
 	// transfer and syscall entry in the same order, with the same
 	// instruction counts, as under Step; a hook veto ends the dispatch
 	// with the EventCFIViolation Step would report. When the entry is not

@@ -39,8 +39,14 @@ func effects(in *Instr) uint8 {
 func (c *CPU) Translate(pc uint32, ins []isa.BlockInstr[Instr]) []isa.BlockInstr[Instr] {
 	var fx uint8
 	for p := pc; len(ins) < isa.MaxBlockInstrs; {
-		window, perm, f := c.m.FetchWindow(p, maxInstrLen)
-		if f != nil || perm&mem.PermWrite != 0 {
+		window, perm, ok := c.m.CodeWindow(p, maxInstrLen)
+		if !ok {
+			var f *mem.Fault
+			if window, perm, f = c.m.FetchWindow(p, maxInstrLen); f != nil {
+				break
+			}
+		}
+		if perm&mem.PermWrite != 0 {
 			break
 		}
 		in, err := Decode(window)
@@ -130,10 +136,13 @@ again:
 		case OpPushM:
 			var v uint32
 			if in.MemOperand {
-				var f *mem.Fault
-				v, f = c.m.ReadU32(c.effAddr(*in))
-				if f != nil {
-					return isa.FaultEvent(pc, f)
+				a := c.effAddr(*in)
+				var ok bool
+				if v, ok = c.m.Load32(a); !ok {
+					var f *mem.Fault
+					if v, f = c.m.ReadU32(a); f != nil {
+						return isa.FaultEvent(pc, f)
+					}
 				}
 			} else {
 				v = c.regs[in.R1]
@@ -168,40 +177,55 @@ again:
 		case OpMovRR:
 			c.regs[in.R1] = c.regs[in.R2]
 		case OpMovRM:
-			v, f := c.m.ReadU32(c.effAddr(*in))
-			if f != nil {
-				return isa.FaultEvent(pc, f)
+			a := c.effAddr(*in)
+			v, ok := c.m.Load32(a)
+			if !ok {
+				var f *mem.Fault
+				if v, f = c.m.ReadU32(a); f != nil {
+					return isa.FaultEvent(pc, f)
+				}
 			}
 			c.regs[in.R1] = v
-		case OpMovMR:
-			if f := c.m.WriteU32(c.effAddr(*in), c.regs[in.R2]); f != nil {
-				return isa.FaultEvent(pc, f)
+		case OpMovMR, OpMovMI:
+			a, v := c.effAddr(*in), in.Imm
+			if in.Op == OpMovMR {
+				v = c.regs[in.R2]
 			}
-		case OpMovMI:
-			if f := c.m.WriteU32(c.effAddr(*in), in.Imm); f != nil {
-				return isa.FaultEvent(pc, f)
+			if !c.m.Store32(a, v) {
+				if f := c.m.WriteU32(a, v); f != nil {
+					return isa.FaultEvent(pc, f)
+				}
 			}
-		case OpMovMI8:
-			if f := c.m.WriteU8(c.effAddr(*in), uint8(in.Imm)); f != nil {
-				return isa.FaultEvent(pc, f)
+		case OpMovMI8, OpMovMR8:
+			a, v := c.effAddr(*in), uint8(in.Imm)
+			if in.Op == OpMovMR8 {
+				v = c.reg8(in.R2)
+			}
+			if !c.m.Store8(a, v) {
+				if f := c.m.WriteU8(a, v); f != nil {
+					return isa.FaultEvent(pc, f)
+				}
 			}
 		case OpMovRM8:
-			v, f := c.m.ReadU8(c.effAddr(*in))
-			if f != nil {
-				return isa.FaultEvent(pc, f)
+			a := c.effAddr(*in)
+			v, ok := c.m.Load8(a)
+			if !ok {
+				var f *mem.Fault
+				if v, f = c.m.ReadU8(a); f != nil {
+					return isa.FaultEvent(pc, f)
+				}
 			}
 			c.setReg8(in.R1, v)
-		case OpMovMR8:
-			if f := c.m.WriteU8(c.effAddr(*in), c.reg8(in.R2)); f != nil {
-				return isa.FaultEvent(pc, f)
-			}
 		case OpMovzx8:
 			var v uint8
 			if in.MemOperand {
-				var f *mem.Fault
-				v, f = c.m.ReadU8(c.effAddr(*in))
-				if f != nil {
-					return isa.FaultEvent(pc, f)
+				a := c.effAddr(*in)
+				var ok bool
+				if v, ok = c.m.Load8(a); !ok {
+					var f *mem.Fault
+					if v, f = c.m.ReadU8(a); f != nil {
+						return isa.FaultEvent(pc, f)
+					}
 				}
 			} else {
 				v = c.reg8(in.R2)
@@ -264,12 +288,17 @@ again:
 			next = tgt
 
 		case OpMovsb:
-			v, f := c.m.ReadU8(c.regs[ESI])
-			if f != nil {
-				return isa.FaultEvent(pc, f)
+			v, ok := c.m.Load8(c.regs[ESI])
+			if !ok {
+				var f *mem.Fault
+				if v, f = c.m.ReadU8(c.regs[ESI]); f != nil {
+					return isa.FaultEvent(pc, f)
+				}
 			}
-			if f := c.m.WriteU8(c.regs[EDI], v); f != nil {
-				return isa.FaultEvent(pc, f)
+			if !c.m.Store8(c.regs[EDI], v) {
+				if f := c.m.WriteU8(c.regs[EDI], v); f != nil {
+					return isa.FaultEvent(pc, f)
+				}
 			}
 			c.regs[ESI]++
 			c.regs[EDI]++

@@ -135,8 +135,10 @@ func (c *CPU) effAddr(in Instr) uint32 {
 // push stores v at [esp-4] and decrements esp.
 func (c *CPU) push(v uint32) *mem.Fault {
 	sp := c.regs[ESP] - 4
-	if f := c.m.WriteU32(sp, v); f != nil {
-		return f
+	if !c.m.Store32(sp, v) {
+		if f := c.m.WriteU32(sp, v); f != nil {
+			return f
+		}
 	}
 	c.regs[ESP] = sp
 	return nil
@@ -144,9 +146,12 @@ func (c *CPU) push(v uint32) *mem.Fault {
 
 // pop loads from [esp] and increments esp.
 func (c *CPU) pop() (uint32, *mem.Fault) {
-	v, f := c.m.ReadU32(c.regs[ESP])
-	if f != nil {
-		return 0, f
+	v, ok := c.m.Load32(c.regs[ESP])
+	if !ok {
+		var f *mem.Fault
+		if v, f = c.m.ReadU32(c.regs[ESP]); f != nil {
+			return 0, f
+		}
 	}
 	c.regs[ESP] += 4
 	return v, nil
@@ -216,9 +221,12 @@ const maxInstrLen = 12
 // instruction, reporting the outcome.
 func (c *CPU) Step() isa.Event {
 	pc := c.eip
-	window, _, f := c.m.FetchWindow(pc, maxInstrLen)
-	if f != nil {
-		return isa.FaultEvent(pc, f)
+	window, _, ok := c.m.CodeWindow(pc, maxInstrLen)
+	if !ok {
+		var f *mem.Fault
+		if window, _, f = c.m.FetchWindow(pc, maxInstrLen); f != nil {
+			return isa.FaultEvent(pc, f)
+		}
 	}
 	in, err := Decode(window)
 	if err != nil {
@@ -262,10 +270,13 @@ func (c *CPU) Step() isa.Event {
 	case OpPushM:
 		var v uint32
 		if in.MemOperand {
-			var f *mem.Fault
-			v, f = c.m.ReadU32(c.effAddr(in))
-			if f != nil {
-				return fault(f)
+			a := c.effAddr(in)
+			var ok bool
+			if v, ok = c.m.Load32(a); !ok {
+				var f *mem.Fault
+				if v, f = c.m.ReadU32(a); f != nil {
+					return fault(f)
+				}
 			}
 		} else {
 			v = c.regs[in.R1]
@@ -300,40 +311,55 @@ func (c *CPU) Step() isa.Event {
 	case OpMovRR:
 		c.regs[in.R1] = c.regs[in.R2]
 	case OpMovRM:
-		v, f := c.m.ReadU32(c.effAddr(in))
-		if f != nil {
-			return fault(f)
+		a := c.effAddr(in)
+		v, ok := c.m.Load32(a)
+		if !ok {
+			var f *mem.Fault
+			if v, f = c.m.ReadU32(a); f != nil {
+				return fault(f)
+			}
 		}
 		c.regs[in.R1] = v
-	case OpMovMR:
-		if f := c.m.WriteU32(c.effAddr(in), c.regs[in.R2]); f != nil {
-			return fault(f)
+	case OpMovMR, OpMovMI:
+		a, v := c.effAddr(in), in.Imm
+		if in.Op == OpMovMR {
+			v = c.regs[in.R2]
 		}
-	case OpMovMI:
-		if f := c.m.WriteU32(c.effAddr(in), in.Imm); f != nil {
-			return fault(f)
+		if !c.m.Store32(a, v) {
+			if f := c.m.WriteU32(a, v); f != nil {
+				return fault(f)
+			}
 		}
-	case OpMovMI8:
-		if f := c.m.WriteU8(c.effAddr(in), uint8(in.Imm)); f != nil {
-			return fault(f)
+	case OpMovMI8, OpMovMR8:
+		a, v := c.effAddr(in), uint8(in.Imm)
+		if in.Op == OpMovMR8 {
+			v = c.reg8(in.R2)
+		}
+		if !c.m.Store8(a, v) {
+			if f := c.m.WriteU8(a, v); f != nil {
+				return fault(f)
+			}
 		}
 	case OpMovRM8:
-		v, f := c.m.ReadU8(c.effAddr(in))
-		if f != nil {
-			return fault(f)
+		a := c.effAddr(in)
+		v, ok := c.m.Load8(a)
+		if !ok {
+			var f *mem.Fault
+			if v, f = c.m.ReadU8(a); f != nil {
+				return fault(f)
+			}
 		}
 		c.setReg8(in.R1, v)
-	case OpMovMR8:
-		if f := c.m.WriteU8(c.effAddr(in), c.reg8(in.R2)); f != nil {
-			return fault(f)
-		}
 	case OpMovzx8:
 		var v uint8
 		if in.MemOperand {
-			var f *mem.Fault
-			v, f = c.m.ReadU8(c.effAddr(in))
-			if f != nil {
-				return fault(f)
+			a := c.effAddr(in)
+			var ok bool
+			if v, ok = c.m.Load8(a); !ok {
+				var f *mem.Fault
+				if v, f = c.m.ReadU8(a); f != nil {
+					return fault(f)
+				}
 			}
 		} else {
 			v = c.reg8(in.R2)
@@ -392,12 +418,17 @@ func (c *CPU) Step() isa.Event {
 		next = tgt
 
 	case OpMovsb:
-		v, f := c.m.ReadU8(c.regs[ESI])
-		if f != nil {
-			return fault(f)
+		v, ok := c.m.Load8(c.regs[ESI])
+		if !ok {
+			var f *mem.Fault
+			if v, f = c.m.ReadU8(c.regs[ESI]); f != nil {
+				return fault(f)
+			}
 		}
-		if f := c.m.WriteU8(c.regs[EDI], v); f != nil {
-			return fault(f)
+		if !c.m.Store8(c.regs[EDI], v) {
+			if f := c.m.WriteU8(c.regs[EDI], v); f != nil {
+				return fault(f)
+			}
 		}
 		c.regs[ESI]++
 		c.regs[EDI]++
@@ -429,7 +460,11 @@ func (c *CPU) indirectTarget(in Instr) (uint32, *mem.Fault) {
 	if !in.MemOperand {
 		return c.regs[in.R1], nil
 	}
-	return c.m.ReadU32(c.effAddr(in))
+	a := c.effAddr(in)
+	if v, ok := c.m.Load32(a); ok {
+		return v, nil
+	}
+	return c.m.ReadU32(a)
 }
 
 // stepAlu executes the ALU dual-form and immediate-form operations.
@@ -439,12 +474,14 @@ func (c *CPU) stepAlu(in Instr) *isa.Event {
 	var addr uint32
 	if in.MemOperand {
 		addr = c.effAddr(in)
-		v, f := c.m.ReadU32(addr)
-		if f != nil {
-			ev := isa.FaultEvent(c.eip, f)
-			return &ev
+		var ok bool
+		if a, ok = c.m.Load32(addr); !ok {
+			var f *mem.Fault
+			if a, f = c.m.ReadU32(addr); f != nil {
+				ev := isa.FaultEvent(c.eip, f)
+				return &ev
+			}
 		}
-		a = v
 	} else {
 		a = c.regs[in.R1]
 	}
@@ -480,9 +517,11 @@ func (c *CPU) stepAlu(in Instr) *isa.Event {
 		return nil
 	}
 	if in.MemOperand {
-		if f := c.m.WriteU32(addr, res); f != nil {
-			ev := isa.FaultEvent(c.eip, f)
-			return &ev
+		if !c.m.Store32(addr, res) {
+			if f := c.m.WriteU32(addr, res); f != nil {
+				ev := isa.FaultEvent(c.eip, f)
+				return &ev
+			}
 		}
 	} else {
 		c.regs[in.R1] = res

@@ -52,8 +52,8 @@ func TestCheckOverflowAt32BitBoundary(t *testing.T) {
 	}
 }
 
-// TestFindEdgeCases covers the binary search and the per-access memo
-// across empty spaces, first/last segments, and stale hints.
+// TestFindEdgeCases covers the binary search across empty spaces and
+// first/last segments, and the read window moving between segments.
 func TestFindEdgeCases(t *testing.T) {
 	m := New()
 	if m.Find(0) != nil || m.Find(0xFFFFFFFF) != nil {
@@ -90,17 +90,21 @@ func TestFindEdgeCases(t *testing.T) {
 		}
 	}
 
-	// Alternate between segments so the memo goes stale every lookup; the
-	// self-validating hint must never return the wrong segment.
+	// Alternate between segments so every read moves the read window;
+	// each must still read its own segment.
+	first.Data[0x800], last.Data[0x800] = 1, 2
 	for i := 0; i < 8; i++ {
-		if m.Find(0x1800) != first || m.Find(0xFFFFE800) != last {
-			t.Fatal("alternating Find returned wrong segment")
+		if a, _ := m.ReadU8(0x1800); a != 1 {
+			t.Fatal("alternating read returned the wrong segment's byte")
+		}
+		if b, _ := m.ReadU8(0xFFFFE800); b != 2 {
+			t.Fatal("alternating read returned the wrong segment's byte")
 		}
 	}
 }
 
 // TestUnmapEdgeCases covers unmap of first/last/missing segments and
-// unmap-then-map of the same range, including hint invalidation.
+// unmap-then-map of the same range.
 func TestUnmapEdgeCases(t *testing.T) {
 	m := New()
 	for _, s := range []struct {
@@ -112,8 +116,7 @@ func TestUnmapEdgeCases(t *testing.T) {
 		}
 	}
 
-	// Warm the memo on the middle segment, then unmap it: lookups must
-	// miss, not hit the stale slot.
+	// Find the middle segment, then unmap it: lookups must miss.
 	if m.Find(0x3800) == nil {
 		t.Fatal("warmup find failed")
 	}
@@ -141,8 +144,8 @@ func TestUnmapEdgeCases(t *testing.T) {
 	}
 }
 
-// TestGenBumpsOnLayoutChanges pins the generation counter contract decode
-// caches rely on: Map, Unmap, SetPerm and Reset each bump it; plain
+// TestGenBumpsOnLayoutChanges pins the generation counter contract the
+// block cache relies on: Map, Unmap, SetPerm and Reset each bump it; plain
 // loads/stores do not.
 func TestGenBumpsOnLayoutChanges(t *testing.T) {
 	m := New()
@@ -344,4 +347,214 @@ func TestFetch32Truncation(t *testing.T) {
 	if _, _, _, f := m.Fetch32(0x2000); f == nil || f.Kind != FaultUnmapped {
 		t.Errorf("unmapped fetch fault = %v", f)
 	}
+}
+
+// TestWindowInvalidation pins when an access window must stop hitting:
+// after a hit, each layout, permission or policy change is visible to the
+// very next access, through the window hit and the checked accessor alike.
+func TestWindowInvalidation(t *testing.T) {
+	mapped := func(t *testing.T, perm Perm) *Memory {
+		t.Helper()
+		m := New()
+		if _, err := m.Map("a", 0x1000, 0x100, perm); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Map("b", 0x3000, 0x100, PermRW); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	// warm makes the read and write windows hit on a.
+	warm := func(t *testing.T, m *Memory) {
+		t.Helper()
+		if f := m.WriteU8(0x1010, 7); f != nil {
+			t.Fatal(f)
+		}
+		if _, f := m.ReadU8(0x1010); f != nil {
+			t.Fatal(f)
+		}
+		if _, ok := m.Load8(0x1010); !ok {
+			t.Fatal("read window missed after a read")
+		}
+		if !m.Store8(0x1010, 7) {
+			t.Fatal("write window missed after a write")
+		}
+	}
+	wantFault := func(t *testing.T, what string, f *Fault, kind FaultKind) {
+		t.Helper()
+		if f == nil || f.Kind != kind {
+			t.Errorf("%s: fault %v, want %v", what, f, kind)
+		}
+	}
+
+	t.Run("SetPermDropsRead", func(t *testing.T) {
+		m := mapped(t, PermRW)
+		warm(t, m)
+		if err := m.SetPerm("a", PermWrite); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.Load8(0x1010); ok {
+			t.Error("Load8 hit after read permission was dropped")
+		}
+		if _, ok := m.Load32(0x1010); ok {
+			t.Error("Load32 hit after read permission was dropped")
+		}
+		_, f := m.ReadU8(0x1010)
+		wantFault(t, "ReadU8", f, FaultProtection)
+	})
+	t.Run("SetPermDropsWrite", func(t *testing.T) {
+		m := mapped(t, PermRW)
+		warm(t, m)
+		if err := m.SetPerm("a", PermRead); err != nil {
+			t.Fatal(err)
+		}
+		if m.Store8(0x1010, 9) || m.Store32(0x1010, 9) {
+			t.Error("store hit after write permission was dropped")
+		}
+		wantFault(t, "WriteU8", m.WriteU8(0x1010, 9), FaultProtection)
+		if v, _ := m.ReadU8(0x1010); v != 7 {
+			t.Errorf("byte = %d after refused stores, want 7", v)
+		}
+	})
+	t.Run("Move", func(t *testing.T) {
+		m := mapped(t, PermRW)
+		warm(t, m)
+		if err := m.Move("a", 0x5000); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.Load8(0x1010); ok {
+			t.Error("Load8 hit the old address after Move")
+		}
+		if m.Store8(0x1010, 9) {
+			t.Error("Store8 hit the old address after Move")
+		}
+		_, f := m.ReadU8(0x1010)
+		wantFault(t, "ReadU8 at the old address", f, FaultUnmapped)
+		if v, f := m.ReadU8(0x5010); f != nil || v != 7 {
+			t.Errorf("ReadU8 at the new address = %d, %v; want 7", v, f)
+		}
+		if v, ok := m.Load8(0x5010); !ok || v != 7 {
+			t.Errorf("Load8 at the new address = %d, %v; want a hit reading 7", v, ok)
+		}
+	})
+	t.Run("Unmap", func(t *testing.T) {
+		m := mapped(t, PermRWX)
+		warm(t, m)
+		if _, _, f := m.FetchWindow(0x1000, 4); f != nil {
+			t.Fatal(f)
+		}
+		m.Unmap("a")
+		if _, ok := m.Load8(0x1010); ok {
+			t.Error("Load8 hit an unmapped segment")
+		}
+		if m.Store8(0x1010, 9) {
+			t.Error("Store8 hit an unmapped segment")
+		}
+		if _, _, ok := m.CodeWindow(0x1000, 4); ok {
+			t.Error("CodeWindow hit an unmapped segment")
+		}
+		_, f := m.ReadU8(0x1010)
+		wantFault(t, "ReadU8", f, FaultUnmapped)
+		_, _, f = m.FetchWindow(0x1000, 4)
+		wantFault(t, "FetchWindow", f, FaultUnmapped)
+	})
+	t.Run("ResetRestoresSealedPerm", func(t *testing.T) {
+		m := mapped(t, PermRX)
+		m.Seal()
+		if err := m.SetPerm("a", PermRWX); err != nil {
+			t.Fatal(err)
+		}
+		warm(t, m)
+		if !m.Reset() {
+			t.Fatal("Reset failed")
+		}
+		if m.Store8(0x1010, 9) || m.Store32(0x1010, 9) {
+			t.Error("store hit a segment Reset made read-only")
+		}
+		wantFault(t, "WriteU8", m.WriteU8(0x1010, 9), FaultProtection)
+	})
+	t.Run("SetWXAfterFetch", func(t *testing.T) {
+		m := mapped(t, PermRWX)
+		if _, _, short, f := m.Fetch32(0x1000); f != nil || short {
+			t.Fatalf("Fetch32 = short=%v, %v", short, f)
+		}
+		if _, _, ok := m.Code32(0x1000); !ok {
+			t.Fatal("fetch window missed after a fetch")
+		}
+		m.SetWX(true)
+		if _, _, ok := m.Code32(0x1000); ok {
+			t.Error("Code32 hit a writable segment under W⊕X")
+		}
+		if _, _, ok := m.CodeWindow(0x1000, 4); ok {
+			t.Error("CodeWindow hit a writable segment under W⊕X")
+		}
+		_, _, _, f := m.Fetch32(0x1000)
+		wantFault(t, "Fetch32", f, FaultProtection)
+		_, _, f = m.FetchWindow(0x1000, 4)
+		wantFault(t, "FetchWindow", f, FaultProtection)
+	})
+}
+
+// TestAccessorsDoNotAllocate pins the no-allocation contract on both
+// sides of the access windows: every window hit, every accessor resolving
+// inside its window, and every accessor whose window misses but whose
+// access succeeds. ReadBytes and ReadCString allocate their result and
+// are left out.
+func TestAccessorsDoNotAllocate(t *testing.T) {
+	m := New()
+	for _, s := range []struct {
+		name string
+		base uint32
+	}{{"a", 0x1000}, {"b", 0x3000}} {
+		if _, err := m.Map(s.name, s.base, 0x100, PermRWX); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := []byte{1, 2, 3, 4}
+	var (
+		v8  uint8
+		v16 uint16
+		v32 uint32
+		ok  bool
+		win []byte
+	)
+	accessors := []func(addr uint32){
+		func(addr uint32) { v8, _ = m.ReadU8(addr) },
+		func(addr uint32) { _ = m.WriteU8(addr, v8) },
+		func(addr uint32) { v16, _ = m.ReadU16(addr) },
+		func(addr uint32) { _ = m.WriteU16(addr, v16) },
+		func(addr uint32) { v32, _ = m.ReadU32(addr) },
+		func(addr uint32) { _ = m.WriteU32(addr, v32) },
+		func(addr uint32) { _ = m.WriteBytes(addr, buf) },
+		func(addr uint32) { win, _ = m.Fetch(addr, 8) },
+		func(addr uint32) { win, _, _ = m.FetchWindow(addr, 8) },
+		func(addr uint32) { v32, _, _, _ = m.Fetch32(addr) },
+	}
+	hits := func(addr uint32) {
+		v8, ok = m.Load8(addr)
+		ok = m.Store8(addr, v8)
+		v32, ok = m.Load32(addr)
+		ok = m.Store32(addr, v32)
+		v32, _, ok = m.Code32(addr)
+		win, _, ok = m.CodeWindow(addr, 8)
+	}
+	// Touching only a, every window stays put and every call hits.
+	if n := testing.AllocsPerRun(100, func() {
+		for _, acc := range accessors {
+			acc(0x1010)
+		}
+		hits(0x1010)
+	}); n != 0 {
+		t.Errorf("window hits allocate %.1f times per run", n)
+	}
+	// Alternating a and b moves the accessor's window on every call.
+	if n := testing.AllocsPerRun(100, func() {
+		for _, acc := range accessors {
+			acc(0x1010)
+			acc(0x3010)
+		}
+	}); n != 0 {
+		t.Errorf("window misses allocate %.1f times per run", n)
+	}
+	_, _, _ = ok, win, v16
 }

@@ -9,14 +9,20 @@
 // loader maps program images into it, the CPU emulators fetch and execute
 // from it, and the vulnerable victim code corrupts it. Because the CPU
 // interpreters perform several accesses per emulated instruction, the
-// accessors are engineered as hot paths: the last-hit segment is memoized
-// per access kind (stack, data and text accesses each keep their own
-// streak), every width-typed load/store bounds-checks exactly once, and the
+// accessors are engineered as hot paths. Each access kind (read, write,
+// fetch) keeps an access window: the data of the segment it last reached,
+// installed only after that access passed every check. An access that
+// lands in its kind's window resolves without a segment lookup or a
+// permission check, and the window hits (Load8, Store8, Load32, Store32,
+// Code32, CodeWindow) are small enough to inline into the CPU executors.
+// A miss takes the checked path, which is the only place a fault is
+// built. Every width-typed load/store bounds-checks exactly once, and the
 // non-fault path performs no allocation.
 package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -127,9 +133,11 @@ func (f *Fault) Error() string {
 //
 // Data is exported for loaders and tests that populate a segment in place
 // before execution starts. Mutating Data directly at runtime bypasses both
-// the dirty-range tracking Reset relies on and the Gen counter decode
-// caches key their validity to; runtime stores must go through the Memory
-// accessors.
+// the dirty-range tracking Reset relies on and the Gen counter translated
+// blocks key their validity to; runtime stores must go through the Memory
+// accessors. Base and Perm change only through Memory.Move and
+// Memory.SetPerm, which clear the access windows that were checked
+// against them.
 type Segment struct {
 	Name string
 	Base uint32
@@ -199,29 +207,38 @@ type sealedSeg struct {
 // segments. The zero value is an empty address space with W⊕X disabled.
 //
 // Memory is not safe for concurrent use; each simulated process owns its
-// own Memory. (Even read-only lookups update the internal segment
-// memoization.)
+// own Memory. (Even read-only lookups move the access windows.)
 type Memory struct {
 	segs []*Segment // sorted by Base
 	wx   bool
 
-	// hint[a] is the index of the segment last hit by access kind a.
-	// Stack, data and instruction streams each ride their own streak, so
-	// the binary search in seg only runs when a streak breaks. Stale
-	// values are self-validating: the index is bounds-checked and the
-	// segment Contains-checked before use.
-	hint [4]int
+	// win[a] is the access window of kind a (see window). Every
+	// generation bump clears all of them and SetWX clears the fetch
+	// window, so a window never outlives the layout, permissions or
+	// policy it was checked against.
+	win [4]window
 
-	// gen counts layout/permission generations: Map, Unmap, SetPerm and
-	// Reset bump it. Decoded-instruction caches key their validity to it —
-	// while gen is unchanged, the bytes of a non-writable segment cannot
-	// change (W⊕X aside, a write needs PermWrite, and changing permissions
-	// bumps gen). It starts at 1 so a zero-valued cache entry never
-	// validates.
+	// gen counts layout/permission generations: Map, Unmap, Move, SetPerm
+	// and Reset bump it. isa.Core keys its translated blocks to it — while
+	// gen is unchanged, the bytes of a non-writable segment cannot change
+	// (a write needs PermWrite, and changing permissions bumps gen). It
+	// starts at 1 so a zero-valued block-cache entry never validates.
 	gen uint64
 
 	// sealed is the Reset baseline captured by Seal, nil before sealing.
 	sealed []sealedSeg
+}
+
+// window is one access kind's view of the segment that kind last reached:
+// seg's Base and Data, recorded by check only after an access of that kind
+// passed every bounds, permission and W⊕X check there. Until it is cleared,
+// any access of the same kind that falls within data would pass the same
+// checks on the same segment, so it may skip them. The zero window is
+// empty and never hits.
+type window struct {
+	base uint32
+	data []byte
+	seg  *Segment
 }
 
 // New returns an empty address space.
@@ -230,14 +247,24 @@ func New() *Memory { return &Memory{gen: 1} }
 // SetWX enables or disables the W⊕X policy. With W⊕X on, Fetch from a
 // writable segment faults even if the segment claims PermExec; this mirrors
 // kernels that refuse writable+executable mappings.
-func (m *Memory) SetWX(on bool) { m.wx = on }
+func (m *Memory) SetWX(on bool) {
+	m.wx = on
+	m.win[AccessExec] = window{}
+}
+
+// bump starts a new layout/permission generation and drops every access
+// window checked against the old one.
+func (m *Memory) bump() {
+	m.gen++
+	m.win = [4]window{}
+}
 
 // WX reports whether the W⊕X policy is enabled.
 func (m *Memory) WX() bool { return m.wx }
 
-// Gen returns the current layout/permission generation. The block
-// translation caches (see isa/x86s) compare it to decide whether
-// previously decoded instruction bytes can still be trusted.
+// Gen returns the current layout/permission generation. isa.Core's block
+// cache compares it to decide whether previously translated instruction
+// bytes can still be trusted.
 func (m *Memory) Gen() uint64 { return m.gen }
 
 // Map creates a segment. It fails if the range overlaps an existing segment
@@ -259,7 +286,7 @@ func (m *Memory) Map(name string, base, size uint32, perm Perm) (*Segment, error
 	seg.clean()
 	m.segs = append(m.segs, seg)
 	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
-	m.gen++
+	m.bump()
 	return seg, nil
 }
 
@@ -289,7 +316,7 @@ func (m *Memory) Move(name string, base uint32) error {
 	}
 	s.Base = base
 	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
-	m.gen++
+	m.bump()
 	return nil
 }
 
@@ -299,7 +326,7 @@ func (m *Memory) Unmap(name string) {
 	for i, s := range m.segs {
 		if s.Name == name {
 			m.segs = append(m.segs[:i], m.segs[i+1:]...)
-			m.gen++
+			m.bump()
 			return
 		}
 	}
@@ -323,17 +350,8 @@ func (m *Memory) Segment(name string) *Segment {
 	return nil
 }
 
-// seg returns the segment containing addr for an access of the given kind,
-// or nil. The per-kind memo recycles the binary search across the long
-// same-segment streaks CPU emulation produces (consecutive stack pushes,
-// straight-line fetches); a stale hint is harmless because whatever
-// segment passes the Contains check is by construction the right one.
-func (m *Memory) seg(addr uint32, access Access) *Segment {
-	if h := m.hint[access]; h < len(m.segs) {
-		if s := m.segs[h]; s.Contains(addr) {
-			return s
-		}
-	}
+// Find returns the segment containing addr, or nil.
+func (m *Memory) Find(addr uint32) *Segment {
 	lo, hi := 0, len(m.segs)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -344,15 +362,9 @@ func (m *Memory) seg(addr uint32, access Access) *Segment {
 		}
 	}
 	if lo < len(m.segs) && m.segs[lo].Contains(addr) {
-		m.hint[access] = lo
 		return m.segs[lo]
 	}
 	return nil
-}
-
-// Find returns the segment containing addr, or nil.
-func (m *Memory) Find(addr uint32) *Segment {
-	return m.seg(addr, AccessRead)
 }
 
 // SetPerm changes the permissions of the named segment.
@@ -362,7 +374,7 @@ func (m *Memory) SetPerm(name string, perm Perm) error {
 		return fmt.Errorf("setperm: no segment %q", name)
 	}
 	s.Perm = perm
-	m.gen++
+	m.bump()
 	return nil
 }
 
@@ -374,15 +386,21 @@ func (m *Memory) fault(kind FaultKind, access Access, addr uint32) *Fault {
 	return f
 }
 
-// check locates the segment for a [addr, addr+n) access and validates
-// permissions, bounds-checking exactly once for the whole width. Accesses
+// check locates the segment for a [addr, addr+n) access (n >= 1) and
+// validates permissions, bounds-checking exactly once for the whole width.
+// An access inside its kind's window resolves there; any other access is
+// looked up, checked, and on success becomes its kind's window. Accesses
 // may not span segments: real exploits in this lab never need to, and
-// spanning would hide layout bugs. The bounds comparison is written
+// spanning would hide layout bugs. The bounds comparisons are written
 // overflow-safe: off+n can wrap uint32 for accesses near the top of a
 // segment with a huge (attacker-controlled) length, which must fault, not
 // pass.
 func (m *Memory) check(addr, n uint32, access Access) (*Segment, uint32, *Fault) {
-	s := m.seg(addr, access)
+	w := &m.win[access]
+	if off := addr - w.base; uint64(off)+uint64(n) <= uint64(len(w.data)) {
+		return w.seg, off, nil
+	}
+	s := m.Find(addr)
 	if s == nil {
 		return nil, 0, m.fault(FaultUnmapped, access, addr)
 	}
@@ -408,7 +426,79 @@ func (m *Memory) check(addr, n uint32, access Access) (*Segment, uint32, *Fault)
 			return nil, 0, m.fault(FaultProtection, access, addr)
 		}
 	}
+	*w = window{base: s.Base, data: s.Data, seg: s}
 	return s, off, nil
+}
+
+// The window hits below are the inlinable halves of the accessors CPU
+// executors call per instruction. Each resolves an access inside its
+// kind's window (with the same result, dirty tracking included, as the
+// accessor named in its doc) and otherwise reports ok=false without
+// touching anything; the caller then calls that accessor, which looks the
+// address up, faults or moves the window. scripts/check.sh asserts that
+// the compiler still inlines them.
+
+// Load8 is ReadU8's window hit.
+func (m *Memory) Load8(addr uint32) (v uint8, ok bool) {
+	w := &m.win[AccessRead]
+	if off := addr - w.base; off < uint32(len(w.data)) {
+		return w.data[off], true
+	}
+	return 0, false
+}
+
+// Store8 is WriteU8's window hit.
+func (m *Memory) Store8(addr uint32, v uint8) (ok bool) {
+	w := &m.win[AccessWrite]
+	if off := addr - w.base; off < uint32(len(w.data)) {
+		w.data[off] = v
+		w.seg.markDirty(off, 1)
+		return true
+	}
+	return false
+}
+
+// Load32 is ReadU32's window hit.
+func (m *Memory) Load32(addr uint32) (v uint32, ok bool) {
+	w := &m.win[AccessRead]
+	if off := addr - w.base; uint64(off)+4 <= uint64(len(w.data)) {
+		return binary.LittleEndian.Uint32(w.data[off:]), true
+	}
+	return 0, false
+}
+
+// Store32 is WriteU32's window hit.
+func (m *Memory) Store32(addr uint32, v uint32) (ok bool) {
+	w := &m.win[AccessWrite]
+	if off := addr - w.base; uint64(off)+4 <= uint64(len(w.data)) {
+		binary.LittleEndian.PutUint32(w.data[off:], v)
+		w.seg.markDirty(off, 4)
+		return true
+	}
+	return false
+}
+
+// Code32 is Fetch32's window hit for a whole word; a word cut short by
+// the segment's end misses, and Fetch32 reports it short.
+func (m *Memory) Code32(addr uint32) (word uint32, perm Perm, ok bool) {
+	w := &m.win[AccessExec]
+	if off := addr - w.base; uint64(off)+4 <= uint64(len(w.data)) {
+		return binary.LittleEndian.Uint32(w.data[off:]), w.seg.Perm, true
+	}
+	return 0, 0, false
+}
+
+// CodeWindow is FetchWindow's window hit.
+func (m *Memory) CodeWindow(addr, n uint32) (code []byte, perm Perm, ok bool) {
+	w := &m.win[AccessExec]
+	if off := addr - w.base; off < uint32(len(w.data)) {
+		end := off + n
+		if end > uint32(len(w.data)) || end < off {
+			end = uint32(len(w.data))
+		}
+		return w.data[off:end:end], w.seg.Perm, true
+	}
+	return nil, 0, false
 }
 
 // ReadBytes copies n bytes starting at addr.
@@ -644,8 +734,8 @@ func (m *Memory) Sealed() bool { return m.sealed != nil }
 // the space untouched — if Seal was never called or the segment set has
 // changed since (a mapped or unmapped segment cannot be reconciled).
 //
-// Reset bumps Gen: block translations revalidate, and stale hints are
-// harmless by construction. Writes that bypassed the accessors (direct
+// Reset bumps Gen, so block translations revalidate and the access
+// windows, checked against the permissions it restores, are cleared. Writes that bypassed the accessors (direct
 // Segment.Data stores) are invisible to the dirty tracking and survive a
 // Reset; runtime code must not do that (see Segment).
 func (m *Memory) Reset() bool {
@@ -665,7 +755,7 @@ func (m *Memory) Reset() bool {
 		}
 		s.clean()
 	}
-	m.gen++
+	m.bump()
 	return true
 }
 

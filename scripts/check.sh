@@ -32,6 +32,28 @@ go test -race -short ./internal/isa/isatest
 # divergence found here is a translator bug by definition.
 go test -run '^$' -fuzz FuzzBlockStep -fuzztime 5s ./internal/isa/x86s
 go test -run '^$' -fuzz FuzzBlockStep -fuzztime 5s ./internal/isa/arms
+# The memory accessors against a window-free oracle: values, faults and
+# dirty ranges must not depend on what the access windows hold.
+go test -run '^$' -fuzz FuzzMemoryOps -fuzztime 5s ./internal/mem
+# The access-window hits must stay within the compiler's inline budget
+# and inline into both block executors: an edit that pushes one over the
+# budget would otherwise silently give the hot path's gain back.
+INLINED="$(go build -gcflags=-m ./internal/mem 2>&1)"
+for h in Load8 Store8 Load32 Store32 Code32 CodeWindow; do
+    if ! echo "$INLINED" | grep -q "can inline (\*Memory)\.$h\$"; then
+        echo "mem.(*Memory).$h is no longer inlinable" >&2
+        exit 1
+    fi
+done
+for a in x86s arms; do
+    INLINED="$(go build -gcflags=-m "./internal/isa/$a" 2>&1)"
+    for h in Load8 Store8 Load32 Store32; do
+        if ! echo "$INLINED" | grep -q "block.go:.*inlining call to mem.(\*Memory)\.$h\$"; then
+            echo "internal/isa/$a/block.go no longer inlines mem.(*Memory).$h" >&2
+            exit 1
+        fi
+    done
+done
 # The wire-format zone trie against its map oracle: random wire names
 # in, byte-identical hit/miss decisions out.
 go test -run '^$' -fuzz FuzzZoneTrie -fuzztime 5s ./internal/dnsserver

@@ -517,7 +517,8 @@ func (e *Engine) Run(scenarios []Scenario) (*Report, error) {
 					return
 				}
 				it := work[i]
-				rep.Scenarios[it.si].Devices[it.di] = e.runDevice(scenarios[it.si], it.si, it.di, worker)
+				sr := &rep.Scenarios[it.si]
+				sr.Devices[it.di] = e.runDevice(scenarios[it.si], sr.Label, it.si, it.di, worker)
 			}
 		}(w)
 	}
@@ -561,7 +562,7 @@ func (e *Engine) Run(scenarios []Scenario) (*Report, error) {
 // units and crafted packets shared across calls. The device is addressed
 // as (scenario 0, device 0), so a pinned TargetSeed is used verbatim.
 func (e *Engine) RunOne(s Scenario) DeviceResult {
-	return e.runDevice(s, 0, 0, 0)
+	return e.runDevice(s, s.label(), 0, 0, 0)
 }
 
 // Recon exposes the cached attacker-side reconnaissance for a scenario's
@@ -583,9 +584,10 @@ func (e *Engine) Payload(s Scenario) (*exploit.Exploit, error) {
 // runDevice executes one trial: cached recon, cached payload, a fresh (or
 // recycled, which is indistinguishable) victim, delivery, classification.
 // Each stage's wall time lands in the result; with telemetry enabled the
-// stages also become spans, and with tracing armed the victim CPU carries
+// stages also become spans, named by label (s.label(), formatted once per
+// scenario by the caller), and with tracing armed the victim CPU carries
 // a flight recorder whose events come back in the result.
-func (e *Engine) runDevice(s Scenario, si, di, worker int) (r DeviceResult) {
+func (e *Engine) runDevice(s Scenario, label string, si, di, worker int) (r DeviceResult) {
 	seed := e.deviceSeed(s, si, di)
 	// The splitmix64-derived device seed doubles as the attempt ID that
 	// correlates this trial's spans, events and kernel accounting across
@@ -598,7 +600,7 @@ func (e *Engine) runDevice(s Scenario, si, di, worker int) (r DeviceResult) {
 		Seed:    seed,
 		Patched: patched,
 	}
-	sc := newStageRecorder(s.label(), r.Name, worker, attempt)
+	sc := newStageRecorder(label, r.Name, worker, attempt)
 	// One verdict event per device, landed as the trial closes whatever
 	// path it exits through; the outcome is a static string and the
 	// conversion does not allocate.

@@ -102,7 +102,9 @@ func (c *CPU) StepBlock(max uint64) isa.Event {
 // followed b AL's next instruction is its target, and a taken
 // conditional b leaves the block), so read(PC) and fault PCs behave
 // exactly as under Step. An exit to the block's own entry runs the block
-// again while isa.Core.Loop allows.
+// again while isa.Core.Loop allows; when the block is the counted
+// byte-copy loop, the whole passes that fit retire first as one step
+// (copyPasses).
 func (c *CPU) execBlock(ins []isa.BlockInstr[Instr]) isa.Event {
 again:
 	for bi := range ins {
@@ -288,8 +290,54 @@ again:
 		c.Retire()
 	}
 exit:
-	if c.regs[PC] == ins[0].PC && c.Loop(len(ins)) {
-		goto again
+	if c.regs[PC] == ins[0].PC {
+		if rc, rt, rs, rd, ok := copyLoop(ins); ok {
+			c.copyPasses(rc, rt, rs, rd)
+		}
+		if c.Loop(len(ins)) {
+			goto again
+		}
 	}
 	return isa.Event{Kind: isa.EventRetired, PC: c.regs[PC]}
+}
+
+// copyLoop matches the self-looping block ins against the counted
+// byte-copy loop (libc's memcpy) on its decoded operands, with rc, rt, rs
+// and rd distinct and none of them PC, and returns those registers:
+//
+//	l: cmp rc, #0; beq out; ldrb rt, [rs]; strb rt, [rd]
+//	   add rd, rd, #1; add rs, rs, #1; sub rc, rc, #1; b l
+func copyLoop(ins []isa.BlockInstr[Instr]) (rc, rt, rs, rd int, ok bool) {
+	if len(ins) != 8 {
+		return 0, 0, 0, 0, false
+	}
+	cmp, beq, ld, st := &ins[0].In, &ins[1].In, &ins[2].In, &ins[3].In
+	addD, addS, sub, b := &ins[4].In, &ins[5].In, &ins[6].In, &ins[7].In
+	rc, rt, rs, rd = cmp.Rd, ld.Rd, ld.Rn, st.Rn
+	regs := uint32(1)<<rc | uint32(1)<<rt | uint32(1)<<rs | uint32(1)<<rd
+	ok = cmp.Op == OpCmpI && cmp.Imm == 0 && beq.Op == OpB && beq.Cond == CondEQ &&
+		ld.Op == OpLdrb && ld.Imm == 0 && st.Op == OpStrb && st.Rd == rt && st.Imm == 0 &&
+		addD.Op == OpAddI && addD.Rd == rd && addD.Rn == rd && addD.Imm == 1 &&
+		addS.Op == OpAddI && addS.Rd == rs && addS.Rn == rs && addS.Imm == 1 &&
+		sub.Op == OpSubI && sub.Rd == rc && sub.Rn == rc && sub.Imm == 1 &&
+		b.Op == OpB && b.Cond == CondAL && ins[7].PC+InstrSize+uint32(b.Rel)*InstrSize == ins[0].PC &&
+		bits.OnesCount32(regs) == 4 && regs&(1<<PC) == 0
+	return rc, rt, rs, rd, ok
+}
+
+// copyPasses retires the copy loop's whole passes that fit
+// (isa.Core.CopyPasses) and leaves what they would: rt holding the last
+// byte copied, rs and rd advanced and rc counted down by k, and the flags
+// of the last cmp rc, #0. The pass that exits, faults or crosses the
+// watch point runs interpreted.
+func (c *CPU) copyPasses(rc, rt, rs, rd int) {
+	k, last := c.CopyPasses(c.regs[rd], c.regs[rs], c.regs[rc], 8)
+	if k == 0 {
+		return
+	}
+	c.regs[rt] = uint32(last)
+	c.regs[rs] += k
+	c.regs[rd] += k
+	c.setFlagsSub(c.regs[rc]-k+1, 0) // rc at the last cmp
+	c.regs[rc] -= k
 }

@@ -1,6 +1,7 @@
 package arms
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -445,8 +446,10 @@ func (h *vetoHook) OnControl(kind isa.ControlKind, from, to, ret uint32) error {
 
 // FuzzBlockStep is the arms differential fuzz target: arbitrary code
 // words and entry registers run in lockstep under block dispatch and
-// single-step; a second phase patches the code through the RW→write→RX
-// cycle and reruns to catch stale translations on fuzzer-found inputs.
+// single-step, and every divergence in events, registers, flags,
+// retirement counts or the stack's bytes and dirty range is a failure; a
+// second phase patches the code through the RW→write→RX cycle and reruns
+// to catch stale translations on fuzzer-found inputs.
 // In hooked mode both sides carry a vetoHook and a flight recorder, so
 // CFI events raised inside execBlock are fuzzed against Step as well.
 func FuzzBlockStep(f *testing.F) {
@@ -479,6 +482,24 @@ func FuzzBlockStep(f *testing.F) {
 	callLoop := func(a *Asm) *Asm { return a.Label("l").BLLabel("f").BAlways("l").Label("f").BX(LR) }
 	add(callLoop, []byte{}, 0, 0, false)
 	add(callLoop, []byte{}, 0, 0, true)
+	// The counted byte-copy loop, which dispatch retires a whole run of
+	// passes of at once, over two words of r1 stored below the copy:
+	// overlapping forward (the destination trails the source by 3) for r0
+	// bytes, and backward into the stack's end (a read fault), plain and
+	// hooked.
+	copyLoop := func(src, dst int32) func(a *Asm) *Asm {
+		return func(a *Asm) *Asm {
+			return a.Str(R1, SP, 8).Str(R1, SP, 12).AddI(R4, SP, src).AddI(R5, SP, dst).
+				Label("l").CmpI(R0, 0).B(CondEQ, "d").Ldrb(R6, R4, 0).Strb(R6, R5, 0).
+				AddI(R5, R5, 1).AddI(R4, R4, 1).SubI(R0, R0, 1).BAlways("l").
+				Label("d").BX(LR)
+		}
+	}
+	add(copyLoop(8, 11), []byte{}, 13, 0x04030201, false)
+	add(copyLoop(8, 11), []byte{}, 40, 0x04030201, false)
+	add(copyLoop(8, 11), []byte{}, 40, 0x04030201, true)
+	add(copyLoop(16, 8), []byte{}, 0x1100, 0x04030201, false)
+	add(copyLoop(16, 8), []byte{}, 0xFFFFFFFF, 0x04030201, true)
 	f.Fuzz(func(t *testing.T, code, patch []byte, r0, r1 uint32, hooked bool) {
 		if len(code) == 0 {
 			return
@@ -547,6 +568,12 @@ func FuzzBlockStep(f *testing.F) {
 					if ref.Reg(r) != blk.Reg(r) {
 						t.Fatalf("reg %s mismatch: %#x vs %#x", RegName(r), ref.Reg(r), blk.Reg(r))
 					}
+				}
+				rs, bs := ref.Mem().Segment("stack"), blk.Mem().Segment("stack")
+				rlo, rhi := rs.DirtyRange()
+				if blo, bhi := bs.DirtyRange(); rlo != blo || rhi != bhi || !bytes.Equal(rs.Data, bs.Data) {
+					t.Fatalf("stack mismatch: dirty [%#x,%#x) vs [%#x,%#x), bytes equal %v",
+						rlo, rhi, blo, bhi, bytes.Equal(rs.Data, bs.Data))
 				}
 				if evB.Kind == isa.EventFault || evB.Kind == isa.EventCFIViolation {
 					return

@@ -1,6 +1,9 @@
 package isa
 
-import "connlab/internal/telemetry"
+import (
+	"connlab/internal/mem"
+	"connlab/internal/telemetry"
+)
 
 // Block dispatch, shared by both ISAs. Runs of non-writable code are
 // pre-decoded once into a flat []BlockInstr and executed by the ISA's own
@@ -29,6 +32,18 @@ import "connlab/internal/telemetry"
 // watch point, the budget and the hang proof are exactly those a
 // re-dispatch through Next would produce.
 //
+// At that loop-back, an execBlock whose block is the counted byte-copy
+// loop (matched on decoded operands; see each ISA's copyLoop) first
+// retires as one step every whole pass CopyPasses proves will retire
+// without event: within the count, ending at or before stop, and copying
+// bytes its source segment lets it read and its destination segment
+// lets it write. A summary may skip nothing else. The pass that exits
+// the loop, a pass whose byte would fault and a pass that would cross
+// stop run interpreted, so faults, CFI events, the watch point, the
+// hang proof and the dispatch limit see exactly what interpreted passes
+// show them, and the summary leaves every register, flag, byte, dirty
+// range and instruction count as those passes would.
+//
 // Each ISA's execBlock duplicates its Step's per-op semantics on purpose:
 // folding both over one switch would put a non-inlinable call on Step's
 // hot path, and the point of the block loop is shedding per-instruction
@@ -47,7 +62,11 @@ import "connlab/internal/telemetry"
 // manufacture a fault object. An entry PC that cannot be translated
 // (writable, unfetchable or undecodable) is cached as an empty block, and
 // a dispatch starting there falls back to exactly one Step, which
-// reproduces the exact fault or illegal event.
+// reproduces the exact fault or illegal event. A slot orphaned by a
+// generation bump or by ResetBlocks keeps its instructions, and refilling
+// it for the same PC reuses them when mem.Memory.CodeGen has not moved:
+// the bump rules of that count guarantee the bytes a translation read
+// are unchanged. Dispatch and its counters still see the miss.
 //
 // The chain also proves hangs. Translation records on each instruction
 // the effects of the block's path up to and including it: FxStore when
@@ -134,14 +153,16 @@ type Machine[I any, S comparable] interface {
 }
 
 // bcEntry is one block-cache slot: the instructions translated starting
-// at pc while the memory generation was gen. gen 0 (the zero value)
-// never matches a live Memory. A matching entry with an empty ins slice
-// is a negative result: the entry PC is known untranslatable for this
-// generation.
+// at pc in code generation code, valid for dispatch while the memory
+// generation is gen. gen 0 (the zero value) never matches a live Memory.
+// A matching entry with an empty ins slice is a negative result: the
+// entry PC is known untranslatable for this generation. A slot whose gen
+// no longer matches keeps pc, code and ins, and a refill at the same pc
+// in the same code generation reuses ins instead of translating again.
 type bcEntry[I any] struct {
-	pc  uint32
-	gen uint64
-	ins []BlockInstr[I]
+	pc        uint32
+	gen, code uint64
+	ins       []BlockInstr[I]
 }
 
 // cycle is the Brent cycle detector: the state saved at a pure block
@@ -162,6 +183,7 @@ type Core[I any, S comparable] struct {
 	hooks  Hooks
 	rec    *telemetry.ControlRecorder
 	mach   Machine[I, S]
+	space  *mem.Memory
 	shift  uint // log2 of the instruction alignment, for slot indexing
 
 	// The running dispatch: its memory generation, the instruction
@@ -180,10 +202,10 @@ type Core[I any, S comparable] struct {
 	bc    [bcSize]bcEntry[I]
 }
 
-// Init binds the core to m, whose instructions are aligned to
-// 1<<alignShift bytes.
-func (c *Core[I, S]) Init(m Machine[I, S], alignShift uint) {
-	c.mach, c.shift = m, alignShift
+// Init binds the core to m, executing from space, whose instructions are
+// aligned to 1<<alignShift bytes.
+func (c *Core[I, S]) Init(m Machine[I, S], space *mem.Memory, alignShift uint) {
+	c.mach, c.space, c.shift = m, space, alignShift
 }
 
 // SetHooks implements CPU.
@@ -238,12 +260,14 @@ func (c *Core[I, S]) RecordSyscall(pc, nr uint32) {
 	}
 }
 
-// ResetBlocks empties the block cache, keeping the translated-instruction
-// storage.
+// ResetBlocks empties the block cache as dispatch and its counters see
+// it: every slot misses, exactly as in a new Core, so a recycled process
+// translates, hits and invalidates what a fresh one would. Each slot keeps
+// its translation, which Slow reuses instead of translating again while
+// the code generation has not moved (see bcEntry).
 func (c *Core[I, S]) ResetBlocks() {
 	for i := range c.bc {
-		c.bc[i].pc, c.bc[i].gen = 0, 0
-		c.bc[i].ins = c.bc[i].ins[:0]
+		c.bc[i].gen = 0
 	}
 }
 
@@ -283,6 +307,47 @@ func (c *Core[I, S]) Enter(gen, max uint64) {
 // on its own entry may run again in place: the pass must end at or before
 // stop, where Next would stop serving it.
 func (c *Core[I, S]) Loop(n int) bool { return c.icount+uint64(n) <= c.stop }
+
+// CopyPasses retires, as one step, the whole passes of a counted
+// byte-copy loop that fit, for an execBlock that has matched one at its
+// loop-back: pass i copies the byte at src+i to dst+i and retires n
+// instructions. The k passes taken are the least of count, the passes
+// that end at or before stop, and the bytes left in src's readable and
+// dst's writable segment, so every pass that would cross the watch point
+// or the dispatch limit, or fault, is left to the interpreter. The bytes
+// are copied forward one at a time (overlapping ranges read what earlier
+// passes wrote, as interpreted passes do) and marked written, and k·n
+// instructions retire. It returns k and the last byte copied; the caller
+// sets the registers and flags k passes leave.
+func (c *Core[I, S]) CopyPasses(dst, src, count uint32, n int) (k uint32, last uint8) {
+	if c.icount >= c.stop {
+		return 0, 0
+	}
+	max := min(uint64(count), (c.stop-c.icount)/uint64(n))
+	if max == 0 {
+		return 0, 0
+	}
+	from := c.space.Span(src, uint32(max), mem.AccessRead)
+	if len(from) == 0 {
+		return 0, 0
+	}
+	to := c.space.Span(dst, uint32(len(from)), mem.AccessWrite)
+	if k = uint32(len(to)); k == 0 {
+		return 0, 0
+	}
+	if d := dst - src; d != 0 && d < k {
+		for i := range to { // dst trails src: each pass reads an earlier pass's byte
+			to[i] = from[i]
+		}
+	} else {
+		copy(to, from)
+	}
+	c.space.Wrote(dst, k)
+	retired := uint64(k) * uint64(n)
+	c.icount += retired
+	c.stats.Bulk += retired
+	return k, to[k-1]
+}
 
 // Next returns the cached block at pc when the chain simply continues:
 // the cycle detector is asleep, and the block is cached for this
@@ -342,9 +407,11 @@ func (c *Core[I, S]) Slow(pc uint32) ([]BlockInstr[I], Event) {
 			if e.pc == pc && e.gen != 0 {
 				c.stats.Invalidated++
 			}
-			ins := c.mach.Translate(pc, e.ins[:0])
-			*e = bcEntry[I]{pc: pc, gen: c.gen, ins: ins}
-			if len(ins) > 0 {
+			if code := c.space.CodeGen(); e.pc != pc || e.code != code {
+				e.pc, e.code, e.ins = pc, code, c.mach.Translate(pc, e.ins[:0])
+			}
+			e.gen = c.gen
+			if len(e.ins) > 0 {
 				c.stats.Translated++
 			}
 		}

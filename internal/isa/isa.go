@@ -143,6 +143,10 @@ type BlockStats struct {
 	// Skipped counts the instructions fast-forwarded past proven cycles
 	// instead of executed; they are part of Instrs and InstrCount.
 	Skipped uint64
+	// Bulk counts the instructions retired by copy-loop summaries (whole
+	// passes of a counted byte-copy loop run as one step; see
+	// Core.CopyPasses); they are part of Instrs and InstrCount.
+	Bulk uint64
 }
 
 // Hang is block dispatch's proof that execution cannot terminate: the
@@ -205,6 +209,9 @@ type CPU interface {
 	// with the EventCFIViolation Step would report. When the entry is not
 	// block-eligible — writable code, or an unfetchable or undecodable
 	// entry instruction — StepBlock falls back to exactly one Step.
+	// Whole passes of the counted byte-copy loop (libc memcpy) retire as
+	// one step, leaving the state, faults and counts interpreted passes
+	// would (see Core.CopyPasses).
 	//
 	// StepBlock also proves hangs. A block's pass is pure when the
 	// instructions it ran store nothing (no store, push or syscall) and,
@@ -231,9 +238,12 @@ type CPU interface {
 	InstrCount() uint64
 	// ResetState returns registers, PC and flags to their power-on (all
 	// zero) values, as if the CPU were freshly constructed, and empties
-	// the block cache. InstrCount keeps running (callers consume deltas),
-	// and so do the block counters: starting cold keeps each run's
-	// counter deltas independent of whatever image the CPU ran before.
+	// the block cache as dispatch sees it. InstrCount keeps running
+	// (callers consume deltas), and so do the block counters: starting
+	// cold keeps each run's counter deltas independent of whatever image
+	// the CPU ran before. Translations the memory's code generation
+	// still vouches for are kept and reused without changing any counter
+	// (see Core.ResetBlocks).
 	ResetState()
 }
 

@@ -59,6 +59,9 @@ func Lockstep(t testing.TB, ref, blk isa.CPU, maxInstrs uint64, caps []uint64) u
 		before := blk.InstrCount()
 		evB := blk.StepBlock(limit)
 		k := blk.InstrCount() - before
+		if k > limit {
+			t.Fatalf("dispatch %d: StepBlock(%d) retired %d instructions", dispatch, limit, k)
+		}
 		retired += k
 
 		// The reference retires the same k instructions; a fault (which

@@ -1,0 +1,87 @@
+package isatest
+
+import (
+	"testing"
+
+	"connlab/internal/isa"
+	"connlab/internal/isa/x86s"
+	"connlab/internal/mem"
+)
+
+// TestRecycleKeepsTranslations pins what a recycle (a memory Reset and
+// ResetState, as kernel.Process.RecycleWith does) keeps of the block
+// cache. Dispatch and its counters see a cold cache: a run after a
+// recycle counts exactly the translations, hits and invalidations of the
+// first. The translations themselves are kept while the code generation
+// stands, and a patch of the text through RW→write→RX moves it, so the
+// next run translates the new bytes. A write that bypasses the accessors,
+// which runtime code must never make, is invisible to the code
+// generation; the kept translation still runs the old bytes, which is
+// how this test sees the reuse.
+func TestRecycleKeepsTranslations(t *testing.T) {
+	a := x86s.NewAsm()
+	// The call keeps the loop out of the slot of the entry block, which
+	// the return sentinel's negative entry shares.
+	a.CallLabel("f").Ret().
+		Label("f").MovRI(x86s.ECX, 50).
+		Label("l").AddRI(x86s.EAX, 1).DecR(x86s.ECX).Jcc(x86s.CondNE, "l").
+		Ret()
+	code, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const immOff = 13 // the imm8 of add eax, 1 (83 C0 01) after call, ret and mov
+	c := buildX86(t, code.Bytes, nil)
+	m := c.Mem()
+	m.Seal()
+	run := func(name string, wantEAX uint32) isa.BlockStats {
+		t.Helper()
+		before := c.BlockStats()
+		for c.StepBlock(NoCap).Kind != isa.EventFault {
+		}
+		if got := c.Reg(x86s.EAX); got != wantEAX {
+			t.Fatalf("%s: eax = %d, want %d", name, got, wantEAX)
+		}
+		bs := c.BlockStats()
+		return isa.BlockStats{
+			Translated:  bs.Translated - before.Translated,
+			Hits:        bs.Hits - before.Hits,
+			Invalidated: bs.Invalidated - before.Invalidated,
+			Instrs:      bs.Instrs - before.Instrs,
+		}
+	}
+	recycle := func() {
+		if !m.Reset() {
+			t.Fatal("reset failed")
+		}
+		c.ResetState()
+		c.SetPC(codeBase)
+		c.SetReg(x86s.EBX, dataBase)
+		c.SetSP(stackBase + spOff)
+	}
+
+	cold := run("first run", 50)
+	recycle()
+	if got := run("recycled", 50); got != cold {
+		t.Errorf("recycled run counted %+v, a cold cache %+v", got, cold)
+	}
+	m.Segment("text").Data[immOff] = 7
+	recycle()
+	if got := run("bypassing write", 50); got != cold {
+		t.Errorf("bypassing write: counted %+v, a cold cache %+v", got, cold)
+	}
+	if err := m.SetPerm("text", mem.PermRW); err != nil {
+		t.Fatal(err)
+	}
+	if f := m.WriteBytes(codeBase+immOff, []byte{5}); f != nil {
+		t.Fatal(f)
+	}
+	if err := m.SetPerm("text", mem.PermRX); err != nil {
+		t.Fatal(err)
+	}
+	m.Seal()
+	recycle()
+	if got := run("patched", 250); got != cold {
+		t.Errorf("patched: counted %+v, a cold cache %+v", got, cold)
+	}
+}

@@ -94,7 +94,9 @@ func (c *CPU) StepBlock(max uint64) isa.Event {
 // a taken jcc or jecxz leaves the block, and dispatch only starts a
 // block at the current eip), so fault events carry the same PC a
 // faulting Step would report. An exit to the block's own entry runs the
-// block again while isa.Core.Loop allows.
+// block again while isa.Core.Loop allows; when the block is the counted
+// byte-copy loop, the whole passes that fit retire first as one step
+// (copyPasses).
 func (c *CPU) execBlock(ins []isa.BlockInstr[Instr]) isa.Event {
 again:
 	for i := range ins {
@@ -324,8 +326,42 @@ again:
 		c.Retire()
 	}
 exit:
-	if c.eip == ins[0].PC && c.Loop(len(ins)) {
-		goto again
+	if c.eip == ins[0].PC {
+		if copyLoop(ins) {
+			c.copyPasses()
+		}
+		if c.Loop(len(ins)) {
+			goto again
+		}
 	}
 	return isa.Event{Kind: isa.EventRetired, PC: c.eip}
+}
+
+// copyLoop reports whether the self-looping block ins is the counted
+// byte-copy loop (libc's memcpy), matched on its decoded operands:
+//
+//	l: jecxz out; movsb; dec ecx; jmp l
+func copyLoop(ins []isa.BlockInstr[Instr]) bool {
+	return len(ins) == 4 && ins[0].In.Op == OpJecxz && ins[1].In.Op == OpMovsb &&
+		ins[2].In.Op == OpDecR && ins[2].In.R1 == ECX && ins[3].In.Op == OpJmpRel &&
+		ins[3].PC+ins[3].In.Size+uint32(ins[3].In.Disp) == ins[0].PC
+}
+
+// copyPasses retires the copy loop's whole passes that fit
+// (isa.Core.CopyPasses) and leaves what they would: esi and edi advanced
+// and ecx counted down by k, and the flags of the last dec, which keeps
+// CF. The pass that exits, faults or crosses the watch point runs
+// interpreted.
+func (c *CPU) copyPasses() {
+	k, _ := c.CopyPasses(c.regs[EDI], c.regs[ESI], c.regs[ECX], 4)
+	if k == 0 {
+		return
+	}
+	c.regs[ESI] += k
+	c.regs[EDI] += k
+	a := c.regs[ECX] - k + 1 // ecx at the last dec
+	c.regs[ECX] -= k
+	cf := c.fl.cf
+	c.setFlagsSub(a, 1, a-1)
+	c.fl.cf = cf
 }

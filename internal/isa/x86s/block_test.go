@@ -1,6 +1,7 @@
 package x86s
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -479,8 +480,8 @@ func (h *vetoHook) OnControl(kind isa.ControlKind, from, to, ret uint32) error {
 
 // FuzzBlockStep is the differential fuzz target: arbitrary code bytes and
 // entry registers run in lockstep under block dispatch and single-step,
-// and every divergence in events, registers, flags or retirement counts
-// is a failure. A second phase patches the code through the RW→write→RX
+// and every divergence in events, registers, flags, retirement counts or
+// the stack's bytes and dirty range is a failure. A second phase patches the code through the RW→write→RX
 // cycle and reruns, so stale translations surviving a generation bump are
 // caught on fuzzer-found inputs too. In hooked mode both sides carry a
 // vetoHook and a flight recorder, so CFI events raised inside execBlock
@@ -515,6 +516,23 @@ func FuzzBlockStep(f *testing.F) {
 	}
 	f.Add([]byte{0xFF, 0xE0}, []byte{}, uint32(0x08048000), uint32(0), false)
 	f.Add([]byte{0xFF, 0xE0}, []byte{}, uint32(0x08048000), uint32(0), true)
+	// The counted byte-copy loop, which dispatch retires a whole run of
+	// passes of at once, over two words of eax stored below the copy:
+	// overlapping forward (edi trails esi by 3) for ecx bytes, and
+	// backward into the stack's end (a read fault), plain and hooked.
+	for _, c := range []struct {
+		esi, edi int32
+		ecx      uint32
+		hooked   bool
+	}{{8, 11, 13, false}, {8, 11, 40, false}, {8, 11, 40, true}, {16, 8, 0x1100, false}, {16, 8, 0xFFFFFFFF, true}} {
+		a := NewAsm().MovMR(ESP, 8, EAX).MovMR(ESP, 12, EAX).Lea(ESI, ESP, c.esi).Lea(EDI, ESP, c.edi).
+			Label("l").Jecxz("d").Movsb().DecR(ECX).Jmp("l").Label("d").Ret()
+		code, err := a.Assemble()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(code.Bytes, []byte{}, uint32(0x04030201), c.ecx, c.hooked)
+	}
 	f.Fuzz(func(t *testing.T, code, patch []byte, r0, r1 uint32, hooked bool) {
 		if len(code) == 0 {
 			return
@@ -583,6 +601,12 @@ func FuzzBlockStep(f *testing.F) {
 					if ref.Reg(r) != blk.Reg(r) {
 						t.Fatalf("reg %s mismatch: %#x vs %#x", RegName(r), ref.Reg(r), blk.Reg(r))
 					}
+				}
+				rs, bs := ref.Mem().Segment("stack"), blk.Mem().Segment("stack")
+				rlo, rhi := rs.DirtyRange()
+				if blo, bhi := bs.DirtyRange(); rlo != blo || rhi != bhi || !bytes.Equal(rs.Data, bs.Data) {
+					t.Fatalf("stack mismatch: dirty [%#x,%#x) vs [%#x,%#x), bytes equal %v",
+						rlo, rhi, blo, bhi, bytes.Equal(rs.Data, bs.Data))
 				}
 				if evB.Kind == isa.EventFault || evB.Kind == isa.EventCFIViolation {
 					return

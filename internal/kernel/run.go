@@ -135,6 +135,7 @@ func (p *Process) accountRun(res RunResult) {
 	t.Add(biCtr, bs.Instrs-p.lastBlock.Instrs)
 	t.Add(telemetry.CtrEmuHangProven, bs.Hangs-p.lastBlock.Hangs)
 	t.Add(telemetry.CtrEmuInstrSkipped, bs.Skipped-p.lastBlock.Skipped)
+	t.Add(telemetry.CtrEmuInstrBulk, bs.Bulk-p.lastBlock.Bulk)
 	p.lastBlock = bs
 }
 

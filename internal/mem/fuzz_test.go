@@ -14,7 +14,12 @@ import (
 // after every step, so an access window that outlives the layout,
 // permissions or policy it was checked against shows up as a divergence.
 // The window hits (Load8, ..., CodeWindow) may miss at any time, but a
-// hit must be an access the oracle allows, with the oracle's result.
+// hit must be an access the oracle allows, with the oracle's result. A
+// Span must alias exactly the bytes the oracle allows from its address
+// up to the segment's end, and stores through a write span reported with
+// Wrote must dirty exactly those bytes. Across every step that leaves
+// CodeGen unchanged, no non-writable segment may move, change its
+// permissions or bytes, and no segment may become non-writable.
 func FuzzMemoryOps(f *testing.F) {
 	f.Add([]byte{
 		0, 0, 0, 3, 3, // map a at 0x1000, 0x100 bytes, rw-
@@ -65,12 +70,39 @@ func FuzzMemoryOps(f *testing.F) {
 		18, 2, 0xFE, 4, 0x61, 0x62, 0x63, 0x64, // WriteBytes across a's end
 		19, 2, 0xFE, 4, // ReadCString from a into b
 	})
+	f.Add([]byte{
+		0, 0, 0, 3, 3, // map a at 0x1000, 0x100 bytes, rw-
+		0, 1, 2, 3, 5, // map b at 0x1100, 0x100 bytes, r-x
+		26, 2, 0xF0, 0x40, 0, // read Span cut at a's end
+		27, 2, 0xF8, 0x20, 0x77, 0, // write Span of 8 bytes, Wrote
+		27, 2, 0, 4, 0x77, 1, // write Span into b (empty)
+		5,       // Seal
+		3, 0, 7, // SetPerm a rwx (CodeGen kept)
+		2, 0, 4, // Move a to 0x1200 (CodeGen kept)
+		27, 4, 0x10, 4, 0x33, 1, // write Span, Wrote without a window
+		6,       // Reset (back to rw-, CodeGen kept)
+		3, 1, 1, // SetPerm b r-- (CodeGen bumps)
+		26, 2, 0, 0xFF, 2, // exec Span into b (empty)
+	})
+	f.Add([]byte{
+		0, 0, 0, 3, 5, // map a at 0x1000, 0x100 bytes, r-x
+		5,       // Seal
+		3, 0, 7, // SetPerm a rwx (CodeGen bumps)
+		12, 0, 0x10, 1, 2, 3, 4, // WriteU32
+		3, 0, 5, // SetPerm a r-x (CodeGen bumps)
+		6,       // Reset restores a's bytes (CodeGen bumps)
+		2, 0, 4, // Move a to 0x1200 (CodeGen bumps)
+	})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		o := &oracle{t: t, m: New(), dirty: map[*Segment][2]uint32{}}
 		r := &opReader{in: in}
 		for step := 0; len(r.in) > 0; step++ {
+			code, fixed := o.m.CodeGen(), o.fixed()
 			o.step(step, r)
 			o.checkDirty(step)
+			if o.m.CodeGen() == code {
+				o.checkFixed(step, fixed)
+			}
 		}
 	})
 }
@@ -178,6 +210,42 @@ func (o *oracle) clean() {
 	}
 }
 
+// fixedSeg is a non-writable segment as it stood before a step.
+type fixedSeg struct {
+	base uint32
+	perm Perm
+	data []byte
+}
+
+// fixed snapshots every non-writable segment.
+func (o *oracle) fixed() map[*Segment]fixedSeg {
+	out := map[*Segment]fixedSeg{}
+	for _, s := range o.m.Segments() {
+		if s.Perm&PermWrite == 0 {
+			out[s] = fixedSeg{s.Base, s.Perm, bytes.Clone(s.Data)}
+		}
+	}
+	return out
+}
+
+// checkFixed requires a step that kept CodeGen to have left the
+// non-writable segments exactly as fixed saw them: still mapped, at the
+// same base, with the same permissions and bytes, and no others.
+func (o *oracle) checkFixed(step int, fixed map[*Segment]fixedSeg) {
+	now := o.fixed()
+	for s, was := range fixed {
+		is, ok := now[s]
+		if !ok || is.base != was.base || is.perm != was.perm || !bytes.Equal(is.data, was.data) {
+			o.t.Fatalf("step %d: non-writable segment %s changed under an unchanged CodeGen", step, s.Name)
+		}
+	}
+	for s := range now {
+		if _, ok := fixed[s]; !ok {
+			o.t.Fatalf("step %d: segment %s became non-writable under an unchanged CodeGen", step, s.Name)
+		}
+	}
+}
+
 func (o *oracle) checkDirty(step int) {
 	for _, s := range o.m.Segments() {
 		lo, hi := s.DirtyRange()
@@ -254,7 +322,7 @@ func (o *oracle) step(step int, r *opReader) {
 		return s.Data[off:end]
 	}
 
-	switch op := r.byte() % 26; op {
+	switch op := r.byte() % 28; op {
 	case 0:
 		name, base, size, perm := r.name(), r.base(), fuzzSizes[r.byte()%8], Perm(r.byte()%8)
 		if s, err := m.Map(name, base, size, perm); err == nil {
@@ -416,6 +484,28 @@ func (o *oracle) step(step int, r *opReader) {
 	case 25:
 		if addr := r.addr(); m.Find(addr) != o.find(addr) {
 			fail("Find(%#x) = %v, want %v", addr, m.Find(addr), o.find(addr))
+		}
+	case 26:
+		addr, n, access := r.addr(), r.length(), Access(r.byte()%3+1)
+		got := m.Span(addr, n, access)
+		var want []byte
+		if s, off, f := o.check(addr, 1, access); f == nil {
+			want = code(s, off, n)
+		}
+		if len(got) != len(want) || len(got) > 0 && &got[0] != &want[0] {
+			fail("Span(%#x, %d, %v) = %d bytes, want %d", addr, n, access, len(got), len(want))
+		}
+	case 27:
+		addr, n, v := r.addr(), r.length(), r.byte()
+		span := m.Span(addr, n, AccessWrite)
+		for i := range span {
+			span[i] = v
+		}
+		if r.byte()%2 == 1 {
+			m.win[AccessWrite] = window{} // Wrote resolves through Find
+		}
+		if m.Wrote(addr, uint32(len(span))); len(span) > 0 {
+			write("Span", addr, span, nil)
 		}
 	}
 	if m.WX() != o.wx {

@@ -529,6 +529,8 @@ func TestAccessorsDoNotAllocate(t *testing.T) {
 		func(addr uint32) { win, _ = m.Fetch(addr, 8) },
 		func(addr uint32) { win, _, _ = m.FetchWindow(addr, 8) },
 		func(addr uint32) { v32, _, _, _ = m.Fetch32(addr) },
+		func(addr uint32) { win = m.Span(addr, 0x20, AccessRead) },
+		func(addr uint32) { m.Wrote(addr, uint32(len(m.Span(addr, 0x20, AccessWrite)))) },
 	}
 	hits := func(addr uint32) {
 		v8, ok = m.Load8(addr)

@@ -225,6 +225,16 @@ type Memory struct {
 	// starts at 1 so a zero-valued block-cache entry never validates.
 	gen uint64
 
+	// code counts code generations, the coarser count translations are
+	// a function of: Map and Unmap bump it, and Move, SetPerm and Reset
+	// bump it only when they move, re-permit or restore bytes of a
+	// segment that is non-writable before or after the change. While it
+	// is unchanged, no non-writable segment's base, permissions or bytes
+	// change and no segment becomes non-writable, so the stack slide and
+	// the stack/heap RWX↔RW flips of a recycled process keep it. It
+	// starts at 1, like gen.
+	code uint64
+
 	// sealed is the Reset baseline captured by Seal, nil before sealing.
 	sealed []sealedSeg
 }
@@ -242,7 +252,7 @@ type window struct {
 }
 
 // New returns an empty address space.
-func New() *Memory { return &Memory{gen: 1} }
+func New() *Memory { return &Memory{gen: 1, code: 1} }
 
 // SetWX enables or disables the W⊕X policy. With W⊕X on, Fetch from a
 // writable segment faults even if the segment claims PermExec; this mirrors
@@ -267,6 +277,12 @@ func (m *Memory) WX() bool { return m.wx }
 // bytes can still be trusted.
 func (m *Memory) Gen() uint64 { return m.gen }
 
+// CodeGen returns the current code generation (see Memory.code): a
+// translation made while it had this value is still exact. isa.Core
+// reuses a slot's instructions when the generation moved but the code
+// generation did not.
+func (m *Memory) CodeGen() uint64 { return m.code }
+
 // Map creates a segment. It fails if the range overlaps an existing segment
 // or wraps the 32-bit address space.
 func (m *Memory) Map(name string, base, size uint32, perm Perm) (*Segment, error) {
@@ -287,6 +303,7 @@ func (m *Memory) Map(name string, base, size uint32, perm Perm) (*Segment, error
 	m.segs = append(m.segs, seg)
 	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
 	m.bump()
+	m.code++
 	return seg, nil
 }
 
@@ -317,6 +334,9 @@ func (m *Memory) Move(name string, base uint32) error {
 	s.Base = base
 	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
 	m.bump()
+	if s.Perm&PermWrite == 0 {
+		m.code++
+	}
 	return nil
 }
 
@@ -327,6 +347,7 @@ func (m *Memory) Unmap(name string) {
 		if s.Name == name {
 			m.segs = append(m.segs[:i], m.segs[i+1:]...)
 			m.bump()
+			m.code++
 			return
 		}
 	}
@@ -373,6 +394,9 @@ func (m *Memory) SetPerm(name string, perm Perm) error {
 	if s == nil {
 		return fmt.Errorf("setperm: no segment %q", name)
 	}
+	if (s.Perm&perm)&PermWrite == 0 {
+		m.code++
+	}
 	s.Perm = perm
 	m.bump()
 	return nil
@@ -408,26 +432,67 @@ func (m *Memory) check(addr, n uint32, access Access) (*Segment, uint32, *Fault)
 	if n > s.Size()-off { // off < Size via Contains; never underflows
 		return nil, 0, m.fault(FaultUnmapped, access, s.End())
 	}
-	switch access {
-	case AccessRead:
-		if s.Perm&PermRead == 0 {
-			return nil, 0, m.fault(FaultProtection, access, addr)
-		}
-	case AccessWrite:
-		if s.Perm&PermWrite == 0 {
-			return nil, 0, m.fault(FaultProtection, access, addr)
-		}
-	case AccessExec:
-		if s.Perm&PermExec == 0 {
-			return nil, 0, m.fault(FaultProtection, access, addr)
-		}
-		if m.wx && s.Perm&PermWrite != 0 {
-			// W⊕X: never execute from writable memory.
-			return nil, 0, m.fault(FaultProtection, access, addr)
-		}
+	if m.denied(s, access) {
+		return nil, 0, m.fault(FaultProtection, access, addr)
 	}
 	*w = window{base: s.Base, data: s.Data, seg: s}
 	return s, off, nil
+}
+
+// denied reports whether s's permissions, or the W⊕X policy, forbid an
+// access of kind access anywhere in it.
+func (m *Memory) denied(s *Segment, access Access) bool {
+	switch access {
+	case AccessRead:
+		return s.Perm&PermRead == 0
+	case AccessWrite:
+		return s.Perm&PermWrite == 0
+	case AccessExec:
+		// W⊕X: never execute from writable memory.
+		return s.Perm&PermExec == 0 || m.wx && s.Perm&PermWrite != 0
+	}
+	return false
+}
+
+// Span returns the bytes of [addr, addr+n) that accesses of kind access
+// reach, cut at the end of addr's segment: an access of that kind to any
+// byte of it passes, so a caller may run many of them as one. It returns
+// an empty span when addr itself would fault. Like a checked access it
+// resolves through the kind's window or Find and leaves the window on
+// the segment, and it does not allocate. The span aliases the segment's
+// storage: stores through a write span must be reported with Wrote, and
+// no span may be kept across a layout or permission change.
+func (m *Memory) Span(addr, n uint32, access Access) []byte {
+	w := &m.win[access]
+	off := addr - w.base
+	if off >= uint32(len(w.data)) {
+		s := m.Find(addr)
+		if s == nil || m.denied(s, access) {
+			return nil
+		}
+		*w = window{base: s.Base, data: s.Data, seg: s}
+		off = addr - s.Base
+	}
+	d := w.data[off:]
+	if n < uint32(len(d)) {
+		d = d[:n:n]
+	}
+	return d
+}
+
+// Wrote records that [addr, addr+n), which must lie within one segment
+// (a write span, say), was stored to, widening that segment's dirty range
+// exactly as n one-byte stores would.
+func (m *Memory) Wrote(addr, n uint32) {
+	if n == 0 {
+		return
+	}
+	w := &m.win[AccessWrite]
+	if off := addr - w.base; uint64(off)+uint64(n) <= uint64(len(w.data)) {
+		w.seg.markDirty(off, n)
+	} else if s := m.Find(addr); s != nil && n <= s.End()-addr {
+		s.markDirty(addr-s.Base, n)
+	}
 }
 
 // The window hits below are the inlinable halves of the accessors CPU
@@ -735,15 +800,21 @@ func (m *Memory) Sealed() bool { return m.sealed != nil }
 // changed since (a mapped or unmapped segment cannot be reconciled).
 //
 // Reset bumps Gen, so block translations revalidate and the access
-// windows, checked against the permissions it restores, are cleared. Writes that bypassed the accessors (direct
-// Segment.Data stores) are invisible to the dirty tracking and survive a
-// Reset; runtime code must not do that (see Segment).
+// windows, checked against the permissions it restores, are cleared; it
+// bumps CodeGen only when it restores the permissions or bytes of a
+// segment that is non-writable before or after. Writes that bypassed the
+// accessors (direct Segment.Data stores) are invisible to the dirty
+// tracking and survive a Reset; runtime code must not do that (see
+// Segment).
 func (m *Memory) Reset() bool {
 	if !m.sameSegments() {
 		return false
 	}
 	for _, ss := range m.sealed {
 		s := ss.seg
+		if (s.Perm != ss.perm || s.dirtyHi > s.dirtyLo) && (s.Perm&ss.perm)&PermWrite == 0 {
+			m.code++ // restores a non-writable segment's permissions or bytes
+		}
 		s.Perm = ss.perm
 		if s.dirtyHi > s.dirtyLo {
 			dst := s.Data[s.dirtyLo:s.dirtyHi]
@@ -763,7 +834,7 @@ func (m *Memory) Reset() bool {
 // style debugging and for diversity experiments that perturb one copy. The
 // clone starts unsealed and with a fresh generation.
 func (m *Memory) Clone() *Memory {
-	c := &Memory{wx: m.wx, gen: 1, segs: make([]*Segment, len(m.segs))}
+	c := &Memory{wx: m.wx, gen: 1, code: 1, segs: make([]*Segment, len(m.segs))}
 	for i, s := range m.segs {
 		d := make([]byte, len(s.Data))
 		copy(d, s.Data)

@@ -82,6 +82,10 @@ const (
 	// past them instead of executing (counted in emu_instructions too).
 	CtrEmuHangProven
 	CtrEmuInstrSkipped
+	// Instructions retired by copy-loop summaries, whole passes of the
+	// emulated memcpy byte loop run as one step (counted in
+	// emu_instructions too).
+	CtrEmuInstrBulk
 	// Network simulator: datagrams enqueued, delivered, dropped.
 	CtrNetEnqueued
 	CtrNetDelivered
@@ -122,7 +126,7 @@ var counterNames = [numCounters]string{
 	"unit_build", "unit_hit",
 	"pool_recycle", "pool_fresh",
 	"emu_runs", "emu_instructions", "emu_faults",
-	"emu_hang_proven", "emu_instr_skipped",
+	"emu_hang_proven", "emu_instr_skipped", "emu_instr_bulk",
 	"net_enqueued", "net_delivered", "net_dropped",
 	"net_epochs",
 	"dns_resolved", "dns_hijacked",

@@ -32,6 +32,10 @@ go test -race -short ./internal/isa/isatest
 # divergence found here is a translator bug by definition.
 go test -run '^$' -fuzz FuzzBlockStep -fuzztime 5s ./internal/isa/x86s
 go test -run '^$' -fuzz FuzzBlockStep -fuzztime 5s ./internal/isa/arms
+# The copy-loop summary against single-stepping: fuzzed counts, overlaps,
+# segment ends, caps and (on arms) registers, on both ISAs (the ISA is a
+# fuzzed input, so 10 s gives each about the 5 s of the smokes above).
+go test -run '^$' -fuzz FuzzCopyLoop -fuzztime 10s ./internal/isa/isatest
 # The memory accessors against a window-free oracle: values, faults and
 # dirty ranges must not depend on what the access windows hold.
 go test -run '^$' -fuzz FuzzMemoryOps -fuzztime 5s ./internal/mem

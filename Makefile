@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStep -fuzztime $(FUZZTIME) ./internal/isa/x86s/
 	$(GO) test -fuzz FuzzStep -fuzztime $(FUZZTIME) ./internal/isa/arms/
 	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/gadget/
+	$(GO) test -fuzz FuzzSlide -fuzztime $(FUZZTIME) ./internal/image/
 	$(GO) test -fuzz FuzzZoneTrie -fuzztime $(FUZZTIME) ./internal/dnsserver/
 	$(GO) test -fuzz FuzzScenarioSpec -fuzztime $(FUZZTIME) ./internal/scenario/
 

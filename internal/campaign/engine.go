@@ -261,18 +261,17 @@ func (e *Engine) payload(s Scenario, tgt *exploit.Target) (*exploit.Exploit, err
 
 // attackQueryWire is the encoded form of the lab's synthetic lookup — the
 // query every direct-delivery trial pretends the victim forwarded
-// upstream. It is a compile-time constant of the lab, built once.
-var attackQueryWire = func() []byte {
-	b, err := dns.NewQuery(0x1337, phoneHomeName, dns.TypeA).Encode()
-	if err != nil {
-		panic(fmt.Sprintf("campaign: attack query: %v", err))
-	}
-	return b
-}()
+// upstream. It is a compile-time constant of the lab, built once; an
+// encoding error (which a constant name cannot produce) is returned by
+// every AttackResponse.
+var attackQueryWire, attackQueryErr = dns.NewQuery(0x1337, phoneHomeName, dns.TypeA).Encode()
 
 // AttackResponse crafts ex's answer to the lab's synthetic lookup: the
 // packet a direct delivery hands the victim's parser.
 func AttackResponse(ex *exploit.Exploit) ([]byte, error) {
+	if attackQueryErr != nil {
+		return nil, fmt.Errorf("campaign: attack query: %w", attackQueryErr)
+	}
 	return ex.AppendResponse(nil, attackQueryWire)
 }
 

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"connlab/internal/image"
 	"connlab/internal/isa"
@@ -38,8 +39,11 @@ var ErrBadJumpTarget = errors.New("indirect jump outside known function entries"
 // kernel.Config.Hooks before loading; call Arm after loading to enable
 // forward-edge checks against the loaded images.
 type ShadowStack struct {
-	stack   []uint32
-	entries map[uint32]bool // valid indirect-jump targets; nil = don't check
+	stack []uint32
+	// entries are the armed images' sorted function entries (each
+	// image's FuncEntries, shared with it): the valid indirect-jump
+	// targets. Unarmed (nil) means jumps are not checked.
+	entries [][]uint32
 	// Violations counts vetoed transfers, for reporting.
 	Violations int
 }
@@ -61,12 +65,17 @@ func (s *ShadowStack) ResetCall(ret uint32) {
 // function entry points of the loaded program and libc (PLT stubs
 // included). This is the CFI CaRE-style policy for embedded binaries.
 func (s *ShadowStack) Arm(proc *kernel.Process) {
-	s.entries = make(map[uint32]bool)
-	for _, img := range []*image.Image{proc.Prog, proc.Libc} {
-		for _, sym := range img.FuncSymbols() {
-			s.entries[sym.Addr] = true
+	s.entries = append(s.entries[:0], proc.Prog.FuncEntries(), proc.Libc.FuncEntries())
+}
+
+// entry reports whether to is a function entry of an armed image.
+func (s *ShadowStack) entry(to uint32) bool {
+	for _, e := range s.entries {
+		if _, ok := slices.BinarySearch(e, to); ok {
+			return true
 		}
 	}
+	return false
 }
 
 // OnControl implements isa.Hooks.
@@ -93,7 +102,7 @@ func (s *ShadowStack) OnControl(kind isa.ControlKind, from, to, ret uint32) erro
 		if s.entries == nil {
 			return nil
 		}
-		if !s.entries[to] {
+		if !s.entry(to) {
 			s.Violations++
 			return fmt.Errorf("cfi: jump to %#08x from %#08x: %w", to, from, ErrBadJumpTarget)
 		}

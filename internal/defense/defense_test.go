@@ -131,8 +131,8 @@ func TestDiversityShufflesGadgets(t *testing.T) {
 				return img
 			}
 			a, b := build(1), build(2)
-			pa := a.MustLookup("parse_rr")
-			pb := b.MustLookup("parse_rr")
+			pa := symAddr(t, a, "parse_rr")
+			pb := symAddr(t, b, "parse_rr")
 			if pa == pb {
 				t.Errorf("parse_rr at %#x in both diversity builds", pa)
 			}
@@ -224,4 +224,15 @@ func TestDiversityBreaksCachedExploit(t *testing.T) {
 	if res.Status == kernel.StatusShell {
 		t.Fatalf("cached exploit still works on diversified build")
 	}
+}
+
+// symAddr returns the address of a symbol the test needs, failing the
+// test if the image does not define it.
+func symAddr(t *testing.T, img *image.Image, name string) uint32 {
+	t.Helper()
+	addr, ok := img.Lookup(name)
+	if !ok {
+		t.Fatalf("undefined symbol %q", name)
+	}
+	return addr
 }

@@ -86,7 +86,7 @@ func TestSubstitutedBuildsBehaveIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cacheAddr := proc.Prog.MustLookup("dns_cache")
+		cacheAddr := symAddr(t, proc.Prog, "dns_cache")
 		cache, f := proc.Mem().ReadBytes(cacheAddr, 64)
 		if f != nil {
 			t.Fatal(f)

@@ -10,8 +10,10 @@
 package image
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"connlab/internal/isa"
 	"connlab/internal/isa/arms"
@@ -60,7 +62,8 @@ type Data struct {
 	Size  uint32
 }
 
-// Unit is a relocatable compilation unit.
+// Unit is a relocatable compilation unit. A unit must not change once it
+// has been linked through Linked, which remembers its links.
 type Unit struct {
 	Arch    isa.Arch
 	Funcs   []*Function
@@ -69,6 +72,65 @@ type Unit struct {
 	BSS     []Data
 	Imports []string // functions reached through the PLT
 	err     error
+
+	// links holds one base link per link-options content (see Linked).
+	linkMu sync.Mutex
+	links  map[string]*Image
+}
+
+// maxUnitLinks bounds a unit's link memo: the options a unit is linked
+// with are the plain link plus one per diversity seed, and a sweep uses
+// twenty seeds.
+const maxUnitLinks = 64
+
+// Linked returns the unit linked at layout with opts. The first link for
+// an options content is a full Link, remembered by the unit; later calls
+// with the same content slide that link to layout instead of relinking,
+// which yields the same image (see Slide). A layout that is not a slide
+// of the remembered one is linked in full. The image is shared and must
+// not be written.
+func (u *Unit) Linked(layout Layout, opts Options) (*Image, error) {
+	key := optionsKey(opts)
+	u.linkMu.Lock()
+	base := u.links[key]
+	u.linkMu.Unlock()
+	if base != nil {
+		d := layout.TextBase - base.Layout.TextBase
+		if base.Layout.Slide(d) == layout {
+			return base.Slide(d), nil
+		}
+		return Link(u, layout, opts)
+	}
+	img, err := Link(u, layout, opts)
+	if err != nil {
+		return nil, err
+	}
+	u.linkMu.Lock()
+	if u.links == nil {
+		u.links = make(map[string]*Image)
+	}
+	if len(u.links) < maxUnitLinks {
+		u.links[key] = img
+	}
+	u.linkMu.Unlock()
+	return img, nil
+}
+
+// optionsKey encodes the content of opts: options with equal keys link
+// to equal images.
+func optionsKey(opts Options) string {
+	b := make([]byte, 0, 2+2*(len(opts.Order)+len(opts.Pad)))
+	if opts.Order != nil {
+		b = append(b, 'o')
+		for _, v := range opts.Order {
+			b = binary.AppendVarint(b, int64(v))
+		}
+	}
+	b = append(b, '|')
+	for _, v := range opts.Pad {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return string(b)
 }
 
 // NewUnit returns an empty unit for the given architecture.
@@ -175,7 +237,9 @@ type Section struct {
 	Perm mem.Perm
 }
 
-// Image is a fully linked program or library.
+// Image is a fully linked program or library. Images are immutable once
+// linked: a unit's links are shared by every process and worker that
+// loads it, so nothing may write an image's sections or maps.
 type Image struct {
 	Arch     isa.Arch
 	Sections []Section
@@ -186,6 +250,78 @@ type Image struct {
 	GOT map[string]uint32
 	// Layout records the bases the image was linked at.
 	Layout Layout
+
+	// sites are the .text offsets of every absolute address the link
+	// wrote (RelocAbs32, RelocWord32, RelocArmMovWT and the PLT stubs'
+	// GOT words): the only bytes a slide changes.
+	sites []slideSite
+	// funcs are the sorted, distinct addresses of the .text and .plt
+	// symbols (see FuncEntries).
+	funcs []uint32
+}
+
+// slideSite is one absolute address in .text: a 32-bit little-endian
+// word, or (movWT) the 16-bit halves of an arms movw/movt pair.
+type slideSite struct {
+	off   uint32
+	movWT bool
+}
+
+// Slide returns the image moved by delta: equal, section for section and
+// map for map, to linking its unit again at Layout.Slide(delta) with the
+// same options. Relative references keep their bytes under a uniform
+// move, so only the recorded absolute sites are patched; the other
+// sections' bytes are shared with img. Slide(0) is img itself.
+func (img *Image) Slide(delta uint32) *Image {
+	if delta == 0 {
+		return img
+	}
+	out := &Image{
+		Arch:     img.Arch,
+		Sections: make([]Section, len(img.Sections)),
+		Symbols:  make(map[string]Symbol, len(img.Symbols)),
+		PLT:      make(map[string]uint32, len(img.PLT)),
+		GOT:      make(map[string]uint32, len(img.GOT)),
+		Layout:   img.Layout.Slide(delta),
+		sites:    img.sites,
+		funcs:    make([]uint32, len(img.funcs)),
+	}
+	for i, s := range img.Sections {
+		s.Addr += delta
+		if s.Name == ".text" {
+			s.Data = slices.Clone(s.Data)
+			for _, site := range img.sites {
+				w := s.Data[site.off:]
+				if site.movWT {
+					lo := binary.LittleEndian.Uint32(w)
+					hi := binary.LittleEndian.Uint32(w[4:])
+					v := (hi<<16 | lo&0xFFFF) + delta
+					binary.LittleEndian.PutUint32(w, lo&^0xFFFF|v&0xFFFF)
+					binary.LittleEndian.PutUint32(w[4:], hi&^0xFFFF|v>>16)
+				} else {
+					binary.LittleEndian.PutUint32(w, binary.LittleEndian.Uint32(w)+delta)
+				}
+			}
+		}
+		out.Sections[i] = s
+	}
+	for name, s := range img.Symbols {
+		s.Addr += delta
+		out.Symbols[name] = s
+	}
+	for name, a := range img.PLT {
+		out.PLT[name] = a + delta
+	}
+	for name, a := range img.GOT {
+		out.GOT[name] = a + delta
+	}
+	for i, a := range img.funcs {
+		out.funcs[i] = a + delta
+	}
+	if !slices.IsSorted(out.funcs) { // the move wrapped the address space
+		slices.Sort(out.funcs)
+	}
+	return out
 }
 
 // Section returns the named section, or nil.
@@ -204,26 +340,22 @@ func (img *Image) Lookup(name string) (uint32, bool) {
 	return s.Addr, ok
 }
 
-// MustLookup returns the address of a symbol, panicking if absent; it is
-// for lab-internal wiring where a missing symbol is a build bug.
-func (img *Image) MustLookup(name string) uint32 {
-	s, ok := img.Symbols[name]
-	if !ok {
-		panic(fmt.Sprintf("image: undefined symbol %q", name))
-	}
-	return s.Addr
-}
+// FuncEntries returns the sorted, distinct addresses of the image's
+// function symbols (.text and .plt, section boundary markers included):
+// the entry points a forward-edge CFI check admits. The slice is shared
+// and must not be written.
+func (img *Image) FuncEntries() []uint32 { return img.funcs }
 
-// FuncSymbols returns the function symbols sorted by address.
-func (img *Image) FuncSymbols() []Symbol {
-	var out []Symbol
-	for _, s := range img.Symbols {
+// funcEntries collects FuncEntries from a symbol table.
+func funcEntries(syms map[string]Symbol) []uint32 {
+	var out []uint32
+	for _, s := range syms {
 		if s.Section == ".text" || s.Section == ".plt" {
-			out = append(out, s)
+			out = append(out, s.Addr)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // FuncAt returns the function symbol containing addr, if any.

@@ -1,6 +1,7 @@
 package image
 
 import (
+	"slices"
 	"testing"
 
 	"connlab/internal/isa"
@@ -51,8 +52,8 @@ func TestLinkX86LayoutAndSymbols(t *testing.T) {
 		t.Error("x86 PLT stub is not jmp [got]")
 	}
 	// Reloc applied: mov eax, imm32 holds msg's address.
-	mainAddr := img.MustLookup("main")
-	msgAddr := img.MustLookup("msg")
+	mainAddr := symAddr(t, img, "main")
+	msgAddr := symAddr(t, img, "msg")
 	off := mainAddr - layout.TextBase
 	imm := uint32(text.Data[off+1]) | uint32(text.Data[off+2])<<8 |
 		uint32(text.Data[off+3])<<16 | uint32(text.Data[off+4])<<24
@@ -119,7 +120,7 @@ func TestARMLinkAndPLTStub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stub := img.MustLookup("write@plt")
+	stub := symAddr(t, img, "write@plt")
 	text := img.Section(".text")
 	// Stub: movw r12 / movt r12 / ldr r12,[r12] / bx r12.
 	for i, wantOp := range []arms.Op{arms.OpMovW, arms.OpMovT, arms.OpLdr, arms.OpBX} {
@@ -158,7 +159,7 @@ func TestBuildLibcBothArches(t *testing.T) {
 		}
 		// The /bin/sh string content is really there.
 		ro := img.Section(".rodata")
-		addr := img.MustLookup(SymBinSh)
+		addr := symAddr(t, img, SymBinSh)
 		got := string(ro.Data[addr-ro.Addr : addr-ro.Addr+7])
 		if got != "/bin/sh" {
 			t.Errorf("%s: str_bin_sh = %q", arch, got)
@@ -187,7 +188,7 @@ func TestMapIntoAndFuncAt(t *testing.T) {
 		t.Errorf("data perm = %v", m.Segment(".data").Perm)
 	}
 
-	mainAddr := img.MustLookup("main")
+	mainAddr := symAddr(t, img, "main")
 	sym, ok := img.FuncAt(mainAddr + 2)
 	if !ok || sym.Name != "main" {
 		t.Errorf("FuncAt = %+v, %v", sym, ok)
@@ -195,13 +196,18 @@ func TestMapIntoAndFuncAt(t *testing.T) {
 	if _, ok := img.FuncAt(0x1); ok {
 		t.Error("FuncAt(junk) found something")
 	}
-	syms := img.FuncSymbols()
-	if len(syms) < 2 { // main + plt stub (+ boundary markers)
-		t.Errorf("func symbols = %d", len(syms))
+	entries := img.FuncEntries()
+	if len(entries) < 2 { // main + plt stub (+ boundary markers)
+		t.Errorf("function entries = %d", len(entries))
 	}
-	for i := 1; i < len(syms); i++ {
-		if syms[i].Addr < syms[i-1].Addr {
-			t.Error("func symbols not sorted")
+	for i := 1; i < len(entries); i++ {
+		if entries[i] <= entries[i-1] {
+			t.Error("function entries not sorted and distinct")
+		}
+	}
+	for _, name := range []string{"main", "memcpy@plt"} {
+		if _, ok := slices.BinarySearch(entries, symAddr(t, img, name)); !ok {
+			t.Errorf("%s is not a function entry", name)
 		}
 	}
 }
@@ -223,21 +229,18 @@ func TestDiversityOrderChangesAddresses(t *testing.T) {
 	}
 	a := build(nil, nil)
 	b := build([]int{2, 0, 1}, []int{16, 0, 32})
-	if a.MustLookup("f1") == b.MustLookup("f1") && a.MustLookup("f3") == b.MustLookup("f3") {
+	if symAddr(t, a, "f1") == symAddr(t, b, "f1") && symAddr(t, a, "f3") == symAddr(t, b, "f3") {
 		t.Error("order/pad options did not move functions")
 	}
 }
 
-func TestMustLookupPanics(t *testing.T) {
-	u := tinyX86Unit(t)
-	img, err := Link(u, DefaultProgramLayout(isa.ArchX86S), Options{})
-	if err != nil {
-		t.Fatal(err)
+// symAddr returns the address of a symbol the test needs, failing the
+// test if the image does not define it.
+func symAddr(t *testing.T, img *Image, name string) uint32 {
+	t.Helper()
+	addr, ok := img.Lookup(name)
+	if !ok {
+		t.Fatalf("undefined symbol %q", name)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustLookup on missing symbol did not panic")
-		}
-	}()
-	img.MustLookup("ghost")
+	return addr
 }

@@ -72,6 +72,19 @@ func LibraryLayout(base uint32) Layout {
 	}
 }
 
+// Slide returns the layout with every base moved by delta (modulo 2³²).
+// A zero GOTBase means the image has no GOT and stays zero.
+func (l Layout) Slide(delta uint32) Layout {
+	l.TextBase += delta
+	l.RODataBase += delta
+	if l.GOTBase != 0 {
+		l.GOTBase += delta
+	}
+	l.DataBase += delta
+	l.BSSBase += delta
+	return l
+}
+
 // Options tune linking; the zero value is the standard deterministic link.
 // Diversity transforms (the §IV mitigation experiments) permute and pad
 // function placement so that gadget addresses differ between builds.
@@ -233,20 +246,26 @@ func Link(u *Unit, layout Layout, opts Options) (*Image, error) {
 			copy(textData[i:], textData[:i])
 		}
 	}
-	// PLT stubs.
+	// PLT stubs; each one's GOT address is an absolute site.
 	for i, name := range imports {
-		stub := buildPLTStub(u.Arch, img.GOT[name])
-		copy(textData[uint32(i)*stubSize:], stub)
+		off := uint32(i) * stubSize
+		copy(textData[off:], buildPLTStub(u.Arch, img.GOT[name]))
+		if u.Arch == isa.ArchX86S {
+			img.sites = append(img.sites, slideSite{off: off + 2})
+		} else {
+			img.sites = append(img.sites, slideSite{off: off, movWT: true})
+		}
 	}
-	// Functions with relocations applied.
+	// Functions with relocations applied, in place in the section.
 	for i, fn := range funcs {
-		code := make([]byte, len(fn.Bytes))
+		off := addrs[i] - layout.TextBase
+		code := textData[off : off+uint32(len(fn.Bytes))]
 		copy(code, fn.Bytes)
-		if err := applyRelocs(u.Arch, img, fn, addrs[i], code); err != nil {
+		if err := applyRelocs(img, fn, addrs[i], off, code); err != nil {
 			return nil, err
 		}
-		copy(textData[addrs[i]-layout.TextBase:], code)
 	}
+	img.funcs = funcEntries(img.Symbols)
 
 	fillData := func(items []Data, base, end uint32, alignTo uint32) []byte {
 		out := make([]byte, end-base)
@@ -314,8 +333,9 @@ func buildPLTStub(arch isa.Arch, got uint32) []byte {
 	return out
 }
 
-// applyRelocs patches one function's code in place.
-func applyRelocs(arch isa.Arch, img *Image, fn *Function, funcAddr uint32, code []byte) error {
+// applyRelocs patches one function's code in place and records its
+// absolute sites (the function starts off bytes into .text) for Slide.
+func applyRelocs(img *Image, fn *Function, funcAddr, off uint32, code []byte) error {
 	for _, r := range fn.Relocs {
 		sym, ok := img.Symbols[r.Symbol]
 		if !ok {
@@ -328,6 +348,7 @@ func applyRelocs(arch isa.Arch, img *Image, fn *Function, funcAddr uint32, code 
 		switch r.Kind {
 		case RelocAbs32, RelocWord32:
 			put32(code[r.Off:], target)
+			img.sites = append(img.sites, slideSite{off: off + uint32(r.Off)})
 		case RelocRel32:
 			site := funcAddr + uint32(r.Off)
 			put32(code[r.Off:], target-(site+4))
@@ -335,6 +356,7 @@ func applyRelocs(arch isa.Arch, img *Image, fn *Function, funcAddr uint32, code 
 			if err := arms.PatchMovWT(code, r.Off, target); err != nil {
 				return fmt.Errorf("link %s: %w", fn.Name, err)
 			}
+			img.sites = append(img.sites, slideSite{off: off + uint32(r.Off), movWT: true})
 		case RelocArmBranch:
 			site := funcAddr + uint32(r.Off)
 			if err := arms.PatchBranch(code, r.Off, site, target); err != nil {
@@ -343,7 +365,6 @@ func applyRelocs(arch isa.Arch, img *Image, fn *Function, funcAddr uint32, code 
 		default:
 			return fmt.Errorf("link %s: unknown reloc kind %d", fn.Name, r.Kind)
 		}
-		_ = arch
 	}
 	return nil
 }

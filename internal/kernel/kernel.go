@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 
 	"connlab/internal/image"
 	"connlab/internal/isa"
@@ -179,22 +180,26 @@ func (r RunResult) Crashed() bool {
 	}
 }
 
-// String gives a compact human-readable summary.
+// String gives a compact human-readable summary. Every verdict's detail
+// is one, so it is built without fmt.
 func (r RunResult) String() string {
 	switch r.Status {
 	case StatusShell:
-		return fmt.Sprintf("shell via %s (uid %d)", r.Shell.Via, r.Shell.UID)
+		return "shell via " + r.Shell.Via + " (uid " + strconv.Itoa(r.Shell.UID) + ")"
 	case StatusFault:
 		if r.Illegal {
-			return fmt.Sprintf("fault: illegal instruction at %#08x", r.PC)
+			return string(mem.AppendAddr([]byte("fault: illegal instruction at "), r.PC))
 		}
-		return fmt.Sprintf("fault: %v", r.Fault)
+		if r.Fault == nil {
+			return "fault: <nil>"
+		}
+		return "fault: " + r.Fault.Error()
 	case StatusCFI:
 		return "cfi violation: " + r.Reason
 	case StatusReturned:
-		return fmt.Sprintf("returned %#x", r.RetVal)
+		return "returned 0x" + strconv.FormatUint(uint64(r.RetVal), 16)
 	case StatusExited:
-		return fmt.Sprintf("exited %d", r.ExitStatus)
+		return "exited " + strconv.FormatUint(uint64(r.ExitStatus), 10)
 	case StatusAborted:
 		return "stack smashing detected"
 	case StatusTimeout:
@@ -385,8 +390,11 @@ type layoutPlan struct {
 
 // plan replays cfg's seed through layoutFor and links whichever image the
 // layout moves, reusing the current image when its unit, placement and
-// link options are unchanged. It does not touch the address space, so a
-// link error leaves the process as it was.
+// link options are unchanged. A link is the unit's shared image for the
+// link options, slid to the layout (image.Unit.Linked), so a relink is a
+// full Link only the first time a unit meets an options value. It does
+// not touch the address space, so a link error leaves the process as it
+// was.
 func (p *Process) plan(progUnit, libcUnit *image.Unit, cfg Config) (layoutPlan, error) {
 	pl := layoutPlan{progUnit: progUnit, libcUnit: libcUnit}
 	if progUnit == p.progUnit {
@@ -407,21 +415,16 @@ func (p *Process) plan(progUnit, libcUnit *image.Unit, cfg Config) (layoutPlan, 
 	// be checked, not just present). It is drawn after the layout, from
 	// the same stream, and written only if the program declares a guard.
 	pl.canary = p.rng.Uint32()<<8 | 0
-	progLayout := image.DefaultProgramLayout(p.arch)
-	progLayout.TextBase += pl.lay.ProgSlide
-	progLayout.RODataBase += pl.lay.ProgSlide
-	progLayout.GOTBase += pl.lay.ProgSlide
-	progLayout.DataBase += pl.lay.ProgSlide
-	progLayout.BSSBase += pl.lay.ProgSlide
+	progLayout := image.DefaultProgramLayout(p.arch).Slide(pl.lay.ProgSlide)
 	if pl.prog == nil || pl.prog.Layout != progLayout || !sameLinkOpts(p.cfg.LinkOpts, cfg.LinkOpts) {
-		img, err := image.Link(progUnit, progLayout, cfg.LinkOpts)
+		img, err := progUnit.Linked(progLayout, cfg.LinkOpts)
 		if err != nil {
 			return pl, fmt.Errorf("link program: %w", err)
 		}
 		pl.prog = img
 	}
 	if pl.libc == nil || pl.libc.Layout.TextBase != pl.lay.LibcBase {
-		img, err := image.Link(libcUnit, image.LibraryLayout(pl.lay.LibcBase), image.Options{})
+		img, err := libcUnit.Linked(image.LibraryLayout(pl.lay.LibcBase), image.Options{})
 		if err != nil {
 			return pl, fmt.Errorf("link libc: %w", err)
 		}

@@ -174,8 +174,8 @@ func TestDirectLibcCallSpawnsShell(t *testing.T) {
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
 		t.Run(string(arch), func(t *testing.T) {
 			p := loadHello(t, arch, Config{Seed: 1})
-			binsh := p.Libc.MustLookup(image.SymBinSh)
-			sys := p.Libc.MustLookup("system")
+			binsh := symAddr(t, p.Libc, image.SymBinSh)
+			sys := symAddr(t, p.Libc, "system")
 			res, err := p.CallAddr(sys, binsh)
 			if err != nil {
 				t.Fatalf("call: %v", err)
@@ -191,4 +191,15 @@ func TestDirectLibcCallSpawnsShell(t *testing.T) {
 			}
 		})
 	}
+}
+
+// symAddr returns the address of a symbol the test needs, failing the
+// test if the image does not define it.
+func symAddr(t *testing.T, img *image.Image, name string) uint32 {
+	t.Helper()
+	addr, ok := img.Lookup(name)
+	if !ok {
+		t.Fatalf("undefined symbol %q", name)
+	}
+	return addr
 }

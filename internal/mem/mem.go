@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Perm is a bitmask of segment permissions.
@@ -122,11 +123,30 @@ type Fault struct {
 
 // Error implements the error interface.
 func (f *Fault) Error() string {
+	b := make([]byte, 0, 64+len(f.Segment))
+	b = append(b, "memory fault: "...)
+	b = append(b, f.Kind.String()...)
+	b = append(b, ' ')
+	b = append(b, f.Access.String()...)
+	b = append(b, " at "...)
+	b = AppendAddr(b, f.Addr)
 	if f.Segment != "" {
-		return fmt.Sprintf("memory fault: %s %s at %#08x (segment %s)",
-			f.Kind, f.Access, f.Addr, f.Segment)
+		b = append(b, " (segment "...)
+		b = append(b, f.Segment...)
+		b = append(b, ')')
 	}
-	return fmt.Sprintf("memory fault: %s %s at %#08x", f.Kind, f.Access, f.Addr)
+	return string(b)
+}
+
+// AppendAddr appends v as fmt's %#08x renders it, "0x" and eight
+// lower-case hex digits: the form faults and verdicts print addresses
+// in, without fmt.
+func AppendAddr(b []byte, v uint32) []byte {
+	b = append(b, '0', 'x')
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[v>>shift&0xF])
+	}
+	return b
 }
 
 // Segment is a contiguous, permissioned region of the address space.
@@ -138,6 +158,12 @@ func (f *Fault) Error() string {
 // accessors. Base and Perm change only through Memory.Move and
 // Memory.SetPerm, which clear the access windows that were checked
 // against them.
+//
+// The Data of a big segment (BigSegment bytes or more) is a recycled
+// backing: it must be written only through the accessors and Populate
+// (a direct store would survive into the next address space that draws
+// it), and it must not be used once its Memory is unreachable, when the
+// backing returns to the free list (see Map).
 type Segment struct {
 	Name string
 	Base uint32
@@ -147,6 +173,14 @@ type Segment struct {
 	// dirtyLo/dirtyHi is the half-open byte range written through the
 	// Memory accessors since the last Seal/Reset (lo > hi means clean).
 	dirtyLo, dirtyHi uint32
+	// usedLo/usedHi is the union of the dirty ranges clean folded in at
+	// each Seal/Reset: with the live dirty range, every byte that may be
+	// nonzero. It is what a big segment's backing re-zeroes.
+	usedLo, usedHi uint32
+	// stopRelease cancels the cleanup that returns a managed backing to
+	// the free list once the segment's Memory is unreachable (nil when
+	// the backing is not managed); Unmap calls it.
+	stopRelease func()
 }
 
 // Size returns the segment length in bytes.
@@ -188,10 +222,93 @@ func (s *Segment) markDirty(off, n uint32) {
 	}
 }
 
-// clean resets the dirty watermarks to the empty range.
+// clean folds the dirty watermarks into the used range and resets them
+// to the empty range.
 func (s *Segment) clean() {
+	if s.dirtyHi > s.dirtyLo {
+		s.usedLo = min(s.usedLo, s.dirtyLo)
+		s.usedHi = max(s.usedHi, s.dirtyHi)
+	}
 	s.dirtyLo = s.Size()
 	s.dirtyHi = 0
+}
+
+// BigSegment is the size from which Map draws a segment's backing from a
+// process-wide free list instead of allocating and zeroing it: the
+// kernel's megabyte stacks and heaps, which a trial dirties only a few
+// kilobytes of.
+const BigSegment = 1 << 20
+
+// maxBackings bounds the big backings the free list manages, whether
+// held by a live segment, waiting for its Memory's cleanup, or free, to
+// 32 (32 MiB, the stacks and heaps of 16 daemons; a sweep's engine loads
+// 4); past it, Map allocates plain backings the GC reclaims as usual.
+// Every managed backing counts as live heap, and one whose cleanup is
+// pending stays reachable through the GC cycle that finds its Memory
+// dead, so the bound is what keeps the heap the GC paces against, and
+// with it the peak RSS, from growing with the address spaces a process
+// drops between two collections.
+const maxBackings = 32
+
+// backings is the free list of all-zero big backings ready for Map.
+var backings struct {
+	sync.Mutex
+	free    [][]byte
+	managed int // backings handed out with a cleanup, plus the free ones
+}
+
+// newBacking returns an all-zero backing of size bytes. managed reports
+// a big backing the caller must arrange to return with recycleBacking:
+// a recycled one, or a new one while the free list manages fewer than
+// maxBackings.
+func newBacking(size uint32) (b []byte, managed bool) {
+	if size < BigSegment {
+		return make([]byte, size), false
+	}
+	backings.Lock()
+	for i := len(backings.free) - 1; i >= 0; i-- {
+		if b = backings.free[i]; uint32(len(b)) == size {
+			last := len(backings.free) - 1
+			backings.free[i] = backings.free[last]
+			backings.free[last] = nil
+			backings.free = backings.free[:last]
+			backings.Unlock()
+			return b, true
+		}
+	}
+	managed = backings.managed < maxBackings
+	if managed {
+		backings.managed++
+	}
+	backings.Unlock()
+	return make([]byte, size), managed
+}
+
+// recycleBacking is the cleanup of a managed segment whose Memory was
+// collected: it re-zeroes every byte the segment ever dirtied, so the
+// backing is all zero again, and returns it to the free list.
+func recycleBacking(s *Segment) {
+	s.clean()
+	if s.usedHi > s.usedLo {
+		clear(s.Data[s.usedLo:s.usedHi])
+	}
+	backings.Lock()
+	backings.free = append(backings.free, s.Data)
+	backings.Unlock()
+}
+
+// unmanage takes an unmapped segment's backing off the free list's
+// books: its caller may still hold the segment, so the backing is left
+// to the GC.
+func (s *Segment) unmanage() {
+	if s.stopRelease == nil {
+		return
+	}
+	s.stopRelease()
+	s.stopRelease = nil
+	backings.Lock()
+	backings.managed--
+	backings.Unlock()
 }
 
 // sealedSeg is one segment's baseline for Reset. data is nil when the
@@ -283,8 +400,14 @@ func (m *Memory) Gen() uint64 { return m.gen }
 // generation did not.
 func (m *Memory) CodeGen() uint64 { return m.code }
 
-// Map creates a segment. It fails if the range overlaps an existing segment
-// or wraps the 32-bit address space.
+// Map creates a zero-filled segment. It fails if the range overlaps an
+// existing segment or wraps the 32-bit address space.
+//
+// A big segment's backing comes from a process-wide free list when one
+// is there, so a fresh address space does not zero megabytes: once the
+// Memory is unreachable, a cleanup clears only the bytes the segment
+// ever dirtied and returns the backing. Every backing handed out is all
+// zero, so reuse and GC timing cannot show in any result.
 func (m *Memory) Map(name string, base, size uint32, perm Perm) (*Segment, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("map %s: zero size", name)
@@ -298,8 +421,12 @@ func (m *Memory) Map(name string, base, size uint32, perm Perm) (*Segment, error
 				name, base, size, s.Name, s.Base, s.Size())
 		}
 	}
-	seg := &Segment{Name: name, Base: base, Perm: perm, Data: make([]byte, size)}
+	data, managed := newBacking(size)
+	seg := &Segment{Name: name, Base: base, Perm: perm, Data: data, usedLo: size}
 	seg.clean()
+	if managed {
+		seg.stopRelease = onCollect(m, seg)
+	}
 	m.segs = append(m.segs, seg)
 	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
 	m.bump()
@@ -345,6 +472,7 @@ func (m *Memory) Move(name string, base uint32) error {
 func (m *Memory) Unmap(name string) {
 	for i, s := range m.segs {
 		if s.Name == name {
+			s.unmanage()
 			m.segs = append(m.segs[:i], m.segs[i+1:]...)
 			m.bump()
 			m.code++

@@ -39,6 +39,9 @@ go test -run '^$' -fuzz FuzzCopyLoop -fuzztime 10s ./internal/isa/isatest
 # The memory accessors against a window-free oracle: values, faults and
 # dirty ranges must not depend on what the access windows hold.
 go test -run '^$' -fuzz FuzzMemoryOps -fuzztime 5s ./internal/mem
+# An image slid by a fuzzed page-aligned delta must equal a relink at the
+# slid layout, for every victim, libc and diversity build on both ISAs.
+go test -run '^$' -fuzz FuzzSlide -fuzztime 5s ./internal/image
 # The access-window hits must stay within the compiler's inline budget
 # and inline into both block executors: an edit that pushes one over the
 # budget would otherwise silently give the hot path's gain back.

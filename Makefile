@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/gadget/
 	$(GO) test -fuzz FuzzSlide -fuzztime $(FUZZTIME) ./internal/image/
 	$(GO) test -fuzz FuzzZoneTrie -fuzztime $(FUZZTIME) ./internal/dnsserver/
+	$(GO) test -fuzz FuzzRouting -fuzztime $(FUZZTIME) ./internal/netsim/
 	$(GO) test -fuzz FuzzScenarioSpec -fuzztime $(FUZZTIME) ./internal/scenario/
 
 # Full benchmark run; writes ns/op and allocs/op per benchmark to

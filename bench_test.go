@@ -775,14 +775,23 @@ func (st *benchPumpStation) onReply(netsim.Datagram) {
 // station ping-pongs with a central sink for a fixed number of rounds
 // per op. datagrams/sec is the headline metric. Rows with a reply size
 // answer each ping with that many bytes, the size of a MITM exploit
-// answer, instead of echoing it.
+// answer, instead of echoing it. The dhcp row's stations take DHCP
+// leases from an access point instead of static addresses, so their
+// replies are routed through the AP's lease table, as pineapple-pop's
+// are.
 func BenchmarkNetsimPump(b *testing.B) {
-	for _, cfg := range []struct{ stations, rounds, reply int }{
-		{10000, 2, 0}, {100000, 1, 0}, {10000, 2, 1300},
+	for _, cfg := range []struct {
+		stations, rounds, reply int
+		dhcp                    bool
+	}{
+		{10000, 2, 0, false}, {100000, 1, 0, false}, {10000, 2, 1300, false}, {10000, 2, 0, true},
 	} {
 		name := fmt.Sprintf("st%d", cfg.stations)
 		if cfg.reply > 0 {
 			name += fmt.Sprintf("-reply%d", cfg.reply)
+		}
+		if cfg.dhcp {
+			name += "-dhcp"
 		}
 		b.Run(name, func(b *testing.B) {
 			n := netsim.New()
@@ -806,12 +815,23 @@ func BenchmarkNetsimPump(b *testing.B) {
 				b.Fatal(err)
 			}
 			dst := netsim.Addr{IP: sinkHost.IP, Port: 8}
+			if cfg.dhcp {
+				n.AddAP(&netsim.AccessPoint{Name: "ap", SSID: "net", PoolBase: netsim.IP{20, 0, 0, 0}})
+			}
 			stations := make([]*benchPumpStation, cfg.stations)
 			for i := range stations {
-				h, err := n.AddHost(fmt.Sprintf("st%06d", i),
-					netsim.IP{20, byte(i >> 16), byte(i >> 8), byte(i)})
+				ip := netsim.IP{20, byte(i >> 16), byte(i >> 8), byte(i)}
+				if cfg.dhcp {
+					ip = netsim.IP{} // leased below
+				}
+				h, err := n.AddHost(fmt.Sprintf("st%06d", i), ip)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if cfg.dhcp {
+					if _, err := h.Station("net").Associate(); err != nil {
+						b.Fatal(err)
+					}
 				}
 				st := &benchPumpStation{dst: dst}
 				if st.sock, err = h.BindEphemeral(st.onReply); err != nil {

@@ -187,6 +187,7 @@ func (run rogueRun) deliver(d *victim.Daemon, ex *exploit.Exploit, attempt uint6
 	if err != nil {
 		return nil, err
 	}
+	defer w.Release()
 	dev, err := w.attach("iot-device", d)
 	if err != nil {
 		return nil, err

@@ -153,14 +153,43 @@ type scaleVictim struct {
 	name string
 }
 
-// stationHost is station i's host name, fmt's "st%06d" without fmt.
-func stationHost(i int) string {
-	digits := strconv.Itoa(i)
-	return "st" + "000000"[min(len(digits), 6):] + digits
+// stationNames returns station i's host name, fmt's "st%06d" without
+// fmt, and the zone name it phones home to. The host name is a prefix of
+// the zone name, so the pair costs one allocation.
+func stationNames(i int) (host, name string) {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	var buf [64]byte
+	b := append(buf[:0], "st000000"[:2+6-min(len(d), 6)]...)
+	b = append(b, d...)
+	n := len(b)
+	name = string(append(b, ".iot-vendor.example"...))
+	return name[:n], name
 }
 
-// stationName is the zone name station i phones home to.
-func stationName(host string) string { return host + ".iot-vendor.example" }
+// queryFlags is the header flag word of a recursive query (RD), as
+// dns.NewQuery encodes it.
+const queryFlags = 1 << 8
+
+// appendStationQuery appends station i's A query for name to dst: the
+// bytes dns.NewQuery(uint16(i), name, dns.TypeA) encodes, with the
+// name's wire form 4 bytes from the end.
+func appendStationQuery(dst []byte, i int, name string) ([]byte, error) {
+	dst = dns.AppendHeader(dst, uint16(i), queryFlags, 1, 0, 0, 0)
+	dst, err := dns.AppendRawName(dst, name)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, 0, byte(dns.TypeA), 0, byte(dns.ClassIN)), nil
+}
+
+// stationQuerySize is the length of station i's A query.
+func stationQuerySize(i int) int {
+	// Header, the name's labels with their length bytes and the terminal
+	// zero, then type and class.
+	_, name := stationNames(i)
+	return dns.HeaderSize + len(name) + 2 + 4
+}
 
 // stationIP is the legitimate answer for station i.
 func stationIP(i int) [4]byte {
@@ -188,19 +217,33 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 		return nil, err
 	}
 
+	// The world's idle payload buffers go to the next world built in
+	// this process (a benchmark's next op); nothing outlives the run.
+	defer world.Release()
+
 	// Population. Every VictimEvery-th station (capped) is a full
 	// device with its own campaign seed; the rest are light clients.
+	// Each station's name is encoded once: its wire form keys the zone
+	// and, for a light station, is the question of its prebuilt query.
+	// The queries share one arena (a grown arena leaves the earlier
+	// queries in the old one, where they stay valid).
 	rep := &ScaleReport{Stations: cfg.Stations, Lookups: cfg.Lookups}
 	lights := make([]*lightStation, 0, cfg.Stations)
 	var victims []*scaleVictim
 	hosts := make([]*netsim.Host, cfg.Stations)
+	queries := make([]byte, 0, cfg.Stations*stationQuerySize(cfg.Stations-1))
 	for i := range hosts {
-		hostName := stationHost(i)
-		name := stationName(hostName)
-		if err := world.zone.Add(name, stationIP(i)); err != nil {
+		hostName, name := stationNames(i)
+		start := len(queries)
+		if queries, err = appendStationQuery(queries, i, name); err != nil {
+			return nil, err
+		}
+		if err := world.zone.AddWire(queries[start+dns.HeaderSize:len(queries)-4], stationIP(i)); err != nil {
 			return nil, err
 		}
 		if cfg.VictimEvery > 0 && i%cfg.VictimEvery == 0 && len(victims) < cfg.MaxVictims {
+			// A victim queries through its own proxy; it needs no query.
+			queries = queries[:start]
 			// Each victim is tagged with its device seed, like a fleet
 			// device, so its kernel accounting names the attempt.
 			d, err := e.device(s, e.deviceSeed(s, 0, len(victims)), false)
@@ -221,11 +264,7 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 			return nil, err
 		}
 		hosts[i] = h
-		st := &lightStation{host: h, expect: stationIP(i)}
-		q := dns.NewQuery(uint16(i), name, dns.TypeA)
-		if st.query, err = q.Encode(); err != nil {
-			return nil, err
-		}
+		st := &lightStation{host: h, expect: stationIP(i), query: queries[start:len(queries):len(queries)]}
 		if st.sock, err = h.BindEphemeral(st.onReply); err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"connlab/internal/dns"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 )
@@ -119,17 +120,48 @@ func TestPineappleScaleNoVictims(t *testing.T) {
 	}
 }
 
-// TestStationNames: the fmt-free name helpers render exactly what
+// TestStationNames: the fmt-free name helper renders exactly what
 // "st%06d" did, including past six digits (cmd/pineapple -stations
-// takes any population size).
+// takes any population size), in one allocation for both names.
 func TestStationNames(t *testing.T) {
 	for _, i := range []int{0, 9, 999_999, 1_000_000, 12_345_678} {
-		host := stationHost(i)
+		host, name := stationNames(i)
 		if want := fmt.Sprintf("st%06d", i); host != want {
-			t.Errorf("stationHost(%d) = %q, want %q", i, host, want)
+			t.Errorf("stationNames(%d) host = %q, want %q", i, host, want)
 		}
-		if got, want := stationName(host), fmt.Sprintf("st%06d.iot-vendor.example", i); got != want {
-			t.Errorf("stationName(%q) = %q, want %q", host, got, want)
+		if want := fmt.Sprintf("st%06d.iot-vendor.example", i); name != want {
+			t.Errorf("stationNames(%d) name = %q, want %q", i, name, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { stationNames(123_456) }); allocs != 1 {
+		t.Errorf("stationNames: %v allocations, want 1", allocs)
+	}
+}
+
+// TestStationQueryWire: a light station's query, built from
+// dns.AppendHeader and dns.AppendRawName, is byte-for-byte what
+// dns.NewQuery encodes, the zone key cut from it is the name's wire
+// form, and stationQuerySize is its length.
+func TestStationQueryWire(t *testing.T) {
+	for _, i := range []int{0, 7, 65_535, 65_536, 1_234_567} {
+		_, name := stationNames(i)
+		want, err := dns.NewQuery(uint16(i), name, dns.TypeA).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendStationQuery([]byte("arena"), i, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = got[len("arena"):]; string(got) != string(want) {
+			t.Errorf("station %d: query %x, NewQuery encodes %x", i, got, want)
+		}
+		key, _ := dns.AppendRawName(nil, name)
+		if string(got[dns.HeaderSize:len(got)-4]) != string(key) {
+			t.Errorf("station %d: zone key %x, wire name %x", i, got[dns.HeaderSize:len(got)-4], key)
+		}
+		if n := stationQuerySize(i); n != len(want) {
+			t.Errorf("station %d: stationQuerySize = %d, query is %d bytes", i, n, len(want))
 		}
 	}
 }

@@ -26,9 +26,6 @@ type Resolver struct {
 	// Queries counts requests served.
 	Queries int
 	sock    *netsim.UDPSocket
-	// scratch is the reusable response-assembly buffer of the fast path
-	// (SendTo copies, so it is free to reuse immediately).
-	scratch []byte
 }
 
 // RunResolver binds a resolver on the host's port 53, converting a
@@ -65,8 +62,9 @@ func (r *Resolver) handle(dg netsim.Datagram) {
 
 // handleFast answers the canonical query shape — header + exactly one
 // plain-named question and nothing else — by splicing the question bytes
-// into a reusable buffer instead of decode + re-encode. The output is
-// byte-identical to the slow path; anything unusual falls through to it.
+// straight into a netsim buffer instead of decode + re-encode. The
+// output is byte-identical to the slow path; anything unusual falls
+// through to it.
 func (r *Resolver) handleFast(dg netsim.Datagram, v *dns.View) bool {
 	if v.Hdr.Response || v.Hdr.QDCount != 1 ||
 		v.Hdr.ANCount != 0 || v.Hdr.NSCount != 0 || v.Hdr.ARCount != 0 {
@@ -93,11 +91,11 @@ func (r *Resolver) handleFast(dg netsim.Datagram, v *dns.View) bool {
 	ip, hit := r.Zone.Lookup(qb)
 	hit = hit && qtype == dns.TypeA
 	rcode := dns.RCodeOK
-	an := uint16(1)
+	an, size := uint16(1), dns.HeaderSize+len(qb)+answerSize
 	if !hit {
-		rcode, an = dns.RCodeNXDomain, 0
+		rcode, an, size = dns.RCodeNXDomain, 0, size-answerSize
 	}
-	out := dns.AppendHeader(r.scratch[:0], v.Hdr.ID, v.Hdr.ResponseFlags(rcode), 1, an, 0, 0)
+	out := dns.AppendHeader(r.sock.Buffer(size), v.Hdr.ID, v.Hdr.ResponseFlags(rcode), 1, an, 0, 0)
 	out = append(out, qb...)
 	if hit {
 		out = append(out, 0xC0, dns.HeaderSize) // NAME: pointer to the question
@@ -105,10 +103,13 @@ func (r *Resolver) handleFast(dg netsim.Datagram, v *dns.View) bool {
 		out = append(out, 0, 0, 1, 44) // TTL 300
 		out = append(out, 0, 4, ip[0], ip[1], ip[2], ip[3])
 	}
-	r.scratch = out
-	r.sock.SendTo(dg.Src, out)
+	r.sock.Send(dg.Src, out)
 	return true
 }
+
+// answerSize is the fast path's A answer: a name pointer, type, class,
+// TTL, RDLENGTH and the address.
+const answerSize = 2 + 2 + 2 + 4 + 2 + 4
 
 // handleSlow is the original full-decode path, kept for the shapes the
 // splice cannot reproduce bit-for-bit (compressed or root question
@@ -134,8 +135,9 @@ func (r *Resolver) handleSlow(dg netsim.Datagram) {
 }
 
 // WireCrafter crafts a malicious response directly from the query's wire
-// bytes, appending to dst (a reusable buffer). The exploit package's
-// payloads plug in here through exploit.Exploit.AppendResponse.
+// bytes, appending to dst (an empty netsim buffer the response is sent
+// in). The exploit package's payloads plug in here through
+// exploit.Exploit.AppendResponse.
 type WireCrafter func(dst, query []byte) ([]byte, error)
 
 // MITM is the attacker's server: it answers every query it sees with a
@@ -143,13 +145,16 @@ type WireCrafter func(dst, query []byte) ([]byte, error)
 // carries the exploit in the answer record.
 type MITM struct {
 	// CraftWire splices each response straight from the query packet
-	// into a reusable buffer.
+	// into the netsim buffer it is sent in.
 	CraftWire WireCrafter
 	// Queries counts hijacked lookups; Errors counts craft failures.
 	Queries int
 	Errors  int
 	sock    *netsim.UDPSocket
-	scratch []byte
+	// size is the last response's length, the buffer size the next
+	// one asks for: a payload's answers differ only by the echoed
+	// question.
+	size int
 }
 
 // RunMITMWire binds the malicious server on the host's port 53.
@@ -164,7 +169,7 @@ func RunMITMWire(h *netsim.Host, craft WireCrafter) (*MITM, error) {
 }
 
 // handle parses the header, validates the question without decoding
-// it, then lets CraftWire splice the response into the scratch buffer.
+// it, then lets CraftWire splice the response into a netsim buffer.
 func (m *MITM) handle(dg netsim.Datagram) {
 	v, err := dns.ParseView(dg.Payload)
 	if err != nil || v.Hdr.Response || v.Hdr.QDCount != 1 {
@@ -175,13 +180,20 @@ func (m *MITM) handle(dg netsim.Datagram) {
 	}
 	m.Queries++
 	telemetry.Inc(telemetry.CtrDNSHijacked)
-	out, err := m.CraftWire(m.scratch[:0], dg.Payload)
+	buf := m.sock.Buffer(m.size)
+	out, err := m.CraftWire(buf, dg.Payload)
 	if err != nil {
 		m.Errors++
 		return
 	}
-	m.scratch = out
-	m.sock.SendTo(dg.Src, out)
+	if cap(out) != cap(buf) {
+		// The answer outgrew the size hint, as a MITM's first one does:
+		// send it in a buffer of its own class instead, so no buffer
+		// append allocated joins the network's pools.
+		out = append(m.sock.Buffer(len(out)), out...)
+	}
+	m.size = len(out)
+	m.sock.Send(dg.Src, out)
 }
 
 // Proxy is the victim-side glue: it exposes the daemon's DNS proxy on the

@@ -231,3 +231,42 @@ func TestProxyDropsUnsolicitedUpstreamResponses(t *testing.T) {
 		t.Errorf("replies = %d, want exactly one more", len(r.client.Replies))
 	}
 }
+
+// TestMITMAnswersRideInClassBuffers: every MITM answer, the first one
+// included (it outgrows the MITM's size hint), is sent in a buffer of
+// its own size class rather than one append allocated, so worlds that
+// hand their pools on (netsim.Network.Release) do not gain a buffer per
+// MITM. 1 400 bytes is a size where append's rounding (1 408) and the
+// class (1 536) differ.
+func TestMITMAnswersRideInClassBuffers(t *testing.T) {
+	n := netsim.New()
+	h, _ := n.AddHost("srv", netsim.IP{10, 0, 0, 5})
+	if _, err := RunMITMWire(h, func(dst, query []byte) ([]byte, error) {
+		return append(dst, make([]byte, 1400)...), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	src, _ := n.AddHost("src", netsim.IP{10, 0, 0, 6})
+	var caps []int
+	s, err := src.Bind(100, func(dg netsim.Datagram) { caps = append(caps, cap(dg.Payload)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := dns.NewQuery(5, "x.y", dns.TypeA).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		s.SendTo(netsim.Addr{IP: h.IP, Port: DNSPort}, q)
+		n.Run(16)
+	}
+	class := cap(s.Buffer(1400))
+	if len(caps) != 3 {
+		t.Fatalf("%d answers, want 3", len(caps))
+	}
+	for i, c := range caps {
+		if c != class {
+			t.Errorf("answer %d rode in a %d-byte buffer, want the %d-byte class", i, c, class)
+		}
+	}
+}

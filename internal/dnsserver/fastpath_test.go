@@ -114,8 +114,12 @@ func TestResolverFastPathMatchesSlowPath(t *testing.T) {
 		t.Fatalf("replies = %d", len(r.got))
 	}
 	fast := r.got[0]
-	if res.scratch == nil {
-		t.Error("fast path did not run (scratch never used)")
+	if v, err := dns.ParseView(pkt); err != nil || !res.handleFast(netsim.Datagram{Src: r.clientAddr, Payload: pkt}, &v) {
+		t.Error("fast path declined the canonical query")
+	}
+	r.net.Run(16)
+	if len(r.got) != 2 || string(r.got[1]) != string(fast) {
+		t.Fatalf("direct fast-path reply differs from the delivered one")
 	}
 	r.got = nil
 	res.handleSlow(netsim.Datagram{Src: r.clientAddr, Payload: pkt})

@@ -18,6 +18,8 @@
 package dnsserver
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"connlab/internal/dns"
@@ -45,6 +47,35 @@ type ZoneTrie struct {
 	size  int
 	// keybuf is the reusable wire-encoding buffer for Add.
 	keybuf []byte
+}
+
+// ErrBadWireName is AddWire's refusal of a key that is not one plain
+// wire-format name.
+var ErrBadWireName = errors.New("dnsserver: zone key is not a plain wire name")
+
+// checkWireName reports whether key is exactly one plain wire name:
+// labels of 1–63 bytes, each behind its length byte, ended by the
+// terminal zero (with no bytes after it) within the 255-byte limit.
+// These are the names a dotted name encodes to, and a set of them is
+// prefix-free, which Lookup's early stop relies on.
+func checkWireName(key []byte) error {
+	for i := 0; i < len(key) && i < 255; {
+		l := int(key[i])
+		if l == 0 {
+			if i+1 != len(key) {
+				return fmt.Errorf("%w: %d bytes after the terminal zero", ErrBadWireName, len(key)-i-1)
+			}
+			return nil
+		}
+		if l > 63 {
+			return fmt.Errorf("%w: label length byte %#x at %d", ErrBadWireName, l, i)
+		}
+		i += 1 + l
+	}
+	if len(key) > 255 {
+		return fmt.Errorf("%w: longer than 255 bytes", ErrBadWireName)
+	}
+	return fmt.Errorf("%w: no terminal zero", ErrBadWireName)
 }
 
 // NewZoneTrie returns an empty zone.
@@ -76,18 +107,24 @@ func (t *ZoneTrie) Len() int { return t.size }
 // contain literal dots are not representable — the same restriction the
 // dotted map keys always had.
 func (t *ZoneTrie) Add(name string, ip [4]byte) error {
-	labels, err := dns.SplitName(name)
+	key, err := dns.AppendRawName(t.keybuf[:0], name)
 	if err != nil {
 		return err
 	}
-	key := t.keybuf[:0]
-	for _, l := range labels {
-		key = append(key, byte(len(l)))
-		key = append(key, l...)
-	}
-	key = append(key, 0)
 	t.keybuf = key
+	return t.AddWire(key, ip)
+}
 
+// AddWire inserts (or overwrites) an A record under a name already in
+// wire format — length-prefixed labels and the terminal zero, the bytes
+// a question carries — so a caller that encodes the name for a query
+// anyway keys the zone with the same bytes. A key that is not exactly
+// one plain wire name is refused with ErrBadWireName. The trie copies
+// what it keeps; key is free for reuse on return.
+func (t *ZoneTrie) AddWire(key []byte, ip [4]byte) error {
+	if err := checkWireName(key); err != nil {
+		return err
+	}
 	if len(t.nodes) == 0 {
 		t.nodes = append(t.nodes, znode{child: -1, sibling: -1}) // root sentinel
 	}

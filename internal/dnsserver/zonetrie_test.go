@@ -1,7 +1,9 @@
 package dnsserver
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"connlab/internal/dns"
@@ -206,5 +208,53 @@ func TestResolverSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if answered == 0 || res.Queries == 0 {
 		t.Fatalf("no answers delivered (answered=%d queries=%d)", answered, res.Queries)
+	}
+}
+
+// TestAddWireRefusesMalformedKeys: AddWire takes exactly the plain wire
+// names (the root name included) and refuses every other key with
+// ErrBadWireName, leaving the zone as it was.
+func TestAddWireRefusesMalformedKeys(t *testing.T) {
+	long := make([]byte, 0, 300)
+	for len(long) < 256 {
+		long = append(long, 63)
+		long = append(long, make([]byte, 63)...)
+	}
+	long = append(long, 0)
+	for _, tc := range []struct {
+		name string
+		key  []byte
+		ok   bool
+	}{
+		{"root", []byte{0}, true},
+		{"plain", []byte("\x04good\x07example\x00"), true},
+		{"max-label", append(append([]byte{63}, make([]byte, 63)...), 0), true},
+		{"empty", nil, false},
+		{"label-over-63", append(append([]byte{64}, make([]byte, 64)...), 0), false},
+		{"pointer", []byte{0xC0, 12}, false},
+		{"no-terminal-zero", []byte("\x04good"), false},
+		{"label-overrun", []byte("\x09good\x00"), false},
+		{"trailing-bytes", []byte("\x04good\x00\x00\x01"), false},
+		{"over-255", long, false},
+	} {
+		trie := NewZoneTrie()
+		err := trie.AddWire(tc.key, [4]byte{1, 2, 3, 4})
+		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, ErrBadWireName)) {
+			t.Errorf("%s: AddWire = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if want := map[bool]int{true: 1, false: 0}[tc.ok]; trie.Len() != want {
+			t.Errorf("%s: Len = %d, want %d", tc.name, trie.Len(), want)
+		}
+	}
+	// A 255-byte name is the longest the encoder writes, and AddWire
+	// takes it.
+	name := strings.Repeat("a", 63) + "." + strings.Repeat("b", 63) + "." +
+		strings.Repeat("c", 63) + "." + strings.Repeat("d", 61)
+	key, err := dns.AppendRawName(nil, name)
+	if err != nil || len(key) != 255 {
+		t.Fatalf("AppendRawName: %d bytes, %v", len(key), err)
+	}
+	if err := NewZoneTrie().AddWire(key, [4]byte{}); err != nil {
+		t.Fatalf("255-byte name refused: %v", err)
 	}
 }

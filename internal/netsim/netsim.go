@@ -18,6 +18,7 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
+	"sync"
 
 	"connlab/internal/telemetry"
 )
@@ -26,8 +27,17 @@ import (
 type IP [4]byte
 
 // String renders dotted quad.
-func (ip IP) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", ip[0], ip[1], ip[2], ip[3])
+func (ip IP) String() string { return string(ip.append(make([]byte, 0, 15))) }
+
+// append appends the dotted quad to dst.
+func (ip IP) append(dst []byte) []byte {
+	for i, b := range ip {
+		if i > 0 {
+			dst = append(dst, '.')
+		}
+		dst = strconv.AppendUint(dst, uint64(b), 10)
+	}
+	return dst
 }
 
 // IsZero reports the unset address.
@@ -40,7 +50,12 @@ type Addr struct {
 }
 
 // String implements fmt.Stringer.
-func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.IP, a.Port) }
+func (a Addr) String() string { return string(a.append(make([]byte, 0, 21))) }
+
+// append appends ip:port to dst.
+func (a Addr) append(dst []byte) []byte {
+	return strconv.AppendUint(append(a.IP.append(dst), ':'), uint64(a.Port), 10)
+}
 
 // Datagram is one UDP packet in flight.
 type Datagram struct {
@@ -57,7 +72,9 @@ type Datagram struct {
 // them first. Builds with `-tags netsimdebug` poison every recycled
 // buffer with 0xAA bytes, so a handler that breaks the contract sees
 // its retained alias turn to garbage instead of silently reading
-// whatever datagram reused the buffer next.
+// whatever datagram reused the buffer next. The same holds for a
+// buffer handed to UDPSocket.Send: it belongs to the network from the
+// call on.
 type Handler func(dg Datagram)
 
 // UDPSocket is a bound port on a host.
@@ -71,9 +88,20 @@ type UDPSocket struct {
 // SendTo queues a datagram to dst. The payload is copied into a pooled
 // buffer, so the caller's slice is free for reuse immediately.
 func (s *UDPSocket) SendTo(dst Addr, payload []byte) {
-	n := s.host.net
-	p := append(n.getBuf(len(payload)), payload...)
-	n.enqueue(Datagram{Src: Addr{IP: s.host.IP, Port: s.port}, Dst: dst, Payload: p})
+	s.Send(dst, append(s.Buffer(len(payload)), payload...))
+}
+
+// Buffer returns an empty pooled payload buffer with room for size
+// bytes, for a reply built in place and handed to Send. Appending past
+// its capacity is allowed: the grown buffer is pooled by what it holds.
+func (s *UDPSocket) Buffer(size int) []byte { return s.host.net.getBuf(size) }
+
+// Send queues p to dst and takes ownership of it: the network recycles
+// p once it is delivered or dropped, so the caller must not touch p,
+// or anything sharing its backing array, after the call. p normally
+// comes from Buffer.
+func (s *UDPSocket) Send(dst Addr, p []byte) {
+	s.host.net.enqueue(Datagram{Src: Addr{IP: s.host.IP, Port: s.port}, Dst: dst, Payload: p})
 }
 
 // Recv pops one queued datagram for sockets without a handler.
@@ -105,6 +133,11 @@ type Host struct {
 	// re-probing from the bottom of the range on every bind (O(n²) over
 	// n sockets), each bind starts where the previous one left off.
 	ephemeral uint16
+
+	// lessor is the AP whose lease table routes IP (nil for a static or
+	// unset address), and slot the host's index in that table.
+	lessor *AccessPoint
+	slot   uint32
 }
 
 // Bind opens a UDP socket on port with an optional handler.
@@ -177,6 +210,37 @@ type AccessPoint struct {
 	DNS      IP
 
 	nextLease uint32
+	// leased routes the AP's pool: leased[k] is the host holding lease
+	// slot k, the address k+1 past PoolBase (carried across the last
+	// three octets, modulo 2^24), or nil once that host moved on.
+	leased []*Host
+}
+
+// leaseMask keeps lease arithmetic inside the last three octets.
+const leaseMask = 1<<24 - 1
+
+// lease24 is the last three octets of ip as a number.
+func lease24(ip IP) uint32 { return uint32(ip[1])<<16 | uint32(ip[2])<<8 | uint32(ip[3]) }
+
+// leaseIP is the address of lease slot k of ap's pool.
+func (ap *AccessPoint) leaseIP(k uint32) IP {
+	ip := ap.PoolBase
+	v := lease24(ip) + k + 1
+	ip[1], ip[2], ip[3] = byte(v>>16), byte(v>>8), byte(v)
+	return ip
+}
+
+// leaseHolder returns the host holding ip as a lease of ap, or nil:
+// the slot arithmetic inverts leaseIP, and a slot whose host has since
+// moved to another address does not count. The caller has checked that
+// ip shares the pool's first octet.
+func (ap *AccessPoint) leaseHolder(ip IP) *Host {
+	if k := (lease24(ip) - lease24(ap.PoolBase) - 1) & leaseMask; k < uint32(len(ap.leased)) {
+		if h := ap.leased[k]; h != nil && h.IP == ip {
+			return h
+		}
+	}
+	return nil
 }
 
 // Station is a Wi-Fi client interface.
@@ -190,7 +254,9 @@ type Station struct {
 type Network struct {
 	hosts map[string]*Host
 	aps   []*AccessPoint
-	byIP  map[IP]*Host
+	// byIP routes static addresses; leases route through their AP's
+	// table (route).
+	byIP map[IP]*Host
 
 	// pending is the delivery queue; head indexes the next undelivered
 	// item. step compacts the live tail to the front once head passes
@@ -200,9 +266,12 @@ type Network struct {
 	head    int
 
 	// free holds recycled payload buffers by size class: free[c] is a
-	// stack of buffers with capacity classSize(c). SendTo pops, delivery
-	// pushes back once a handler returns.
-	free [numClasses][][]byte
+	// stack of buffers with capacity at least classSize(c) (exactly, for
+	// buffers that were not grown). Buffer pops, delivery pushes back
+	// once a handler returns. adopted records that the world has tried
+	// the stash of released worlds' lists (see Release).
+	free    freeLists
+	adopted bool
 
 	// Epoch accounting: the current BFS generation opened at genStart
 	// with genSize datagrams, genLeft of them still undelivered. It
@@ -260,12 +329,28 @@ func (n *Network) AddHost(name string, ip IP) (*Host, error) {
 	h := &Host{Name: name, net: n, IP: ip}
 	n.hosts[name] = h
 	if !ip.IsZero() {
-		if _, taken := n.byIP[ip]; taken {
+		if n.route(ip) != nil {
 			return nil, fmt.Errorf("netsim: address %s already in use", ip)
 		}
 		n.byIP[ip] = h
 	}
 	return h, nil
+}
+
+// route returns the host at ip, or nil: the lease tables first (a
+// range check per AP), then the static addresses. At most one host
+// holds an address, so the order only saves the map probe for the
+// population's leased stations.
+func (n *Network) route(ip IP) *Host {
+	for _, ap := range n.aps {
+		if ap.PoolBase[0] != ip[0] {
+			continue
+		}
+		if h := ap.leaseHolder(ip); h != nil {
+			return h
+		}
+	}
+	return n.byIP[ip]
 }
 
 // AddAP registers an access point.
@@ -307,29 +392,60 @@ func (s *Station) Associate() (*AccessPoint, error) {
 	// can serve far more than the 255 clients a single octet holds; for
 	// pools that never overflow octet 3 the addresses are identical to
 	// the historical single-octet arithmetic.
-	lease := best.PoolBase
-	v := uint32(lease[1])<<16 | uint32(lease[2])<<8 | uint32(lease[3])
-	v += best.nextLease + 1
-	lease[1], lease[2], lease[3] = byte(v>>16), byte(v>>8), byte(v)
-	if owner, taken := n.byIP[lease]; taken && owner != s.host {
+	h := s.host
+	lease := best.leaseIP(best.nextLease)
+	if owner := n.route(lease); owner != nil && owner != h {
 		return nil, fmt.Errorf("netsim: dhcp pool collision at %s", lease)
 	}
 
 	s.AP = best
+	n.unroute(h)
+	k := best.nextLease & leaseMask
 	best.nextLease++
-	if !s.host.IP.IsZero() {
-		delete(n.byIP, s.host.IP)
+	if k < uint32(len(best.leased)) {
+		best.leased[k] = h // the counter wrapped the pool
+	} else {
+		best.leased = append(best.leased, h)
 	}
-	s.host.IP = lease
-	s.host.Gateway = best.Gateway
-	s.host.DNS = best.DNS
-	n.byIP[lease] = s.host
+	h.lessor, h.slot = best, k
+	h.IP = lease
+	h.Gateway = best.Gateway
+	h.DNS = best.DNS
 	if n.Verbose {
-		n.Events = append(n.Events,
-			fmt.Sprintf("%s associated to %q (ap %s, signal %d)", s.host.Name, best.SSID, best.Name, best.Signal),
-			fmt.Sprintf("%s dhcp lease %s gw %s dns %s", s.host.Name, lease, best.Gateway, best.DNS))
+		n.Events = append(n.Events, h.associatedEvent(best), h.leaseEvent(best))
 	}
 	return best, nil
+}
+
+// unroute releases h's address: its lease slot or its static entry.
+func (n *Network) unroute(h *Host) {
+	if ap := h.lessor; ap != nil {
+		ap.leased[h.slot] = nil
+		h.lessor = nil
+	} else {
+		delete(n.byIP, h.IP)
+	}
+}
+
+// associatedEvent is fmt's "%s associated to %q (ap %s, signal %d)".
+func (h *Host) associatedEvent(ap *AccessPoint) string {
+	b := append(make([]byte, 0, 64), h.Name...)
+	b = append(b, " associated to "...)
+	b = strconv.AppendQuote(b, ap.SSID)
+	b = append(b, " (ap "...)
+	b = append(b, ap.Name...)
+	b = append(b, ", signal "...)
+	b = strconv.AppendInt(b, int64(ap.Signal), 10)
+	return string(append(b, ')'))
+}
+
+// leaseEvent is fmt's "%s dhcp lease %s gw %s dns %s".
+func (h *Host) leaseEvent(ap *AccessPoint) string {
+	b := append(make([]byte, 0, 80), h.Name...)
+	b = h.IP.append(append(b, " dhcp lease "...))
+	b = ap.Gateway.append(append(b, " gw "...))
+	b = ap.DNS.append(append(b, " dns "...))
+	return string(b)
 }
 
 // Payload size classes: four per power of two from minBuf to maxBuf
@@ -361,13 +477,20 @@ func classSize(c int) int {
 	return (5 + (c-1)%4) << (minShift + (c-1)/4 - 2)
 }
 
+// freeLists are a world's idle payload buffers by size class.
+type freeLists [numClasses][][]byte
+
 // getBuf pops a recycled payload buffer of at least size bytes from
-// its size class, or returns a fresh one.
+// its size class, or returns a fresh one. A world's first miss adopts
+// the idle lists of a released world, if the stash holds any.
 func (n *Network) getBuf(size int) []byte {
 	if size > maxBuf {
 		return make([]byte, 0, size)
 	}
 	c := sizeClass(size)
+	if len(n.free[c]) == 0 && !n.adopted {
+		n.adopt()
+	}
 	if k := len(n.free[c]); k > 0 {
 		b := n.free[c][k-1]
 		n.free[c] = n.free[c][:k-1]
@@ -376,19 +499,101 @@ func (n *Network) getBuf(size int) []byte {
 	return make([]byte, 0, classSize(c))
 }
 
-// putBuf pushes a payload buffer back onto its size class. Every
+// putBuf pushes a payload buffer back onto a size class. Every
 // delivered or dropped payload comes back here (handler-less sockets
 // keep theirs), so a class holds at most the world's peak in-flight
 // count of its size. Under -tags netsimdebug the buffer is poisoned
 // first, so handler code that retained an alias reads 0xAA instead of
 // the next datagram that reuses the backing array.
+//
+// Buffers from getBuf have exactly a class size. One an owner grew with
+// append (Send) has whatever capacity append picked, and is filed under
+// the largest class it can stand in for, never the one above. Giants
+// past maxBuf, and buffers below minBuf, are not kept.
 func (n *Network) putBuf(b []byte) {
 	poisonBuf(b)
-	// Giants are exact-size and not kept; every other buffer came from
-	// getBuf, so its capacity is exactly its class size.
-	if cap(b) <= maxBuf {
-		c := sizeClass(cap(b))
-		n.free[c] = append(n.free[c], b[:0])
+	size := cap(b)
+	if size < minBuf || size > maxBuf {
+		return
+	}
+	c := sizeClass(size)
+	if classSize(c) > size {
+		c--
+	}
+	n.free[c] = append(n.free[c], b[:0])
+}
+
+// The stash carries idle payload buffers from one world to the next: a
+// process that builds worlds back to back (a benchmark's ops, a
+// campaign's per-device worlds) would otherwise allocate every world's
+// buffers, and grow its delivery queue, afresh. Release files a world's
+// free lists and drained queue here and a new world adopts one entry on
+// its first miss. Entries are whole worlds' leftovers, so the bound is a
+// count: maxStash entries of at most one world each (a 20 000-station
+// Pineapple world leaves 27 MB of buffers and a 2 MB queue), past which
+// Release leaves them to the GC.
+const maxStash = 4
+
+// leftovers are what a released world hands on.
+type leftovers struct {
+	free freeLists
+	// queue is the drained delivery queue's backing array, all zero.
+	queue []Datagram
+}
+
+var stash struct {
+	sync.Mutex
+	entries []*leftovers
+}
+
+// adopt takes the most recently released world's leftovers, if any:
+// its buffers join n's (empty, or the world would not have missed), and
+// its queue replaces n's if it is larger.
+func (n *Network) adopt() {
+	n.adopted = true
+	stash.Lock()
+	k := len(stash.entries)
+	if k == 0 {
+		stash.Unlock()
+		return
+	}
+	lo := stash.entries[k-1]
+	stash.entries[k-1] = nil
+	stash.entries = stash.entries[:k-1]
+	stash.Unlock()
+	for c := range n.free {
+		n.free[c] = append(lo.free[c], n.free[c]...)
+	}
+	if cap(lo.queue) > cap(n.pending) {
+		n.pending = append(lo.queue, n.pending[n.head:]...)
+		n.head = 0
+	}
+}
+
+// Release hands the world's idle payload buffers, and its delivery
+// queue once drained, to the next world built in this process. The
+// world stays usable; it just starts over with empty lists. Call it once
+// the world's owner is done pumping: like every recycled payload, none
+// of those buffers may still be referenced.
+func (n *Network) Release() {
+	lo := new(leftovers)
+	idle := false
+	for c := range n.free {
+		lo.free[c], n.free[c] = n.free[c], nil
+		idle = idle || len(lo.free[c]) > 0
+	}
+	if n.Pending() == 0 && cap(n.pending) > 0 {
+		// A drained queue is all zero: step clears every slot it pops.
+		lo.queue, n.pending, n.head = n.pending[:0], nil, 0
+		idle = true
+	}
+	if !idle {
+		return
+	}
+	stash.Lock()
+	defer stash.Unlock()
+	if len(stash.entries) < maxStash {
+		stash.entries = append(stash.entries, lo)
 	}
 }
 
@@ -463,11 +668,11 @@ func (n *Network) step(spanOn bool) {
 	}
 }
 
-// deliver routes one datagram: byIP, then the port map, then the
+// deliver routes one datagram: route, then the port map, then the
 // handler, recycling the payload when the handler returns.
 func (n *Network) deliver(dg Datagram) {
-	host, ok := n.byIP[dg.Dst.IP]
-	if !ok {
+	host := n.route(dg.Dst.IP)
+	if host == nil {
 		n.drop(dg, "no route")
 		return
 	}

@@ -500,8 +500,18 @@ func TestAssociateCollisionKeepsState(t *testing.T) {
 // TestPumpRecyclesLargeReplies: once a first generation has filled the
 // size classes and sized the delivery queue, a ping-pong round whose
 // answers are 1.3 KiB (a MITM exploit answer) allocates nothing per
-// delivered datagram, however many answers are in flight at once.
+// delivered datagram, however many answers are in flight at once —
+// whether the sink copies its answer in (SendTo) or builds it in a
+// Buffer it hands to Send, as the MITM and the resolver do.
 func TestPumpRecyclesLargeReplies(t *testing.T) {
+	for _, owned := range []bool{false, true} {
+		t.Run(map[bool]string{false: "copy", true: "owned"}[owned], func(t *testing.T) {
+			testPumpRecyclesLargeReplies(t, owned)
+		})
+	}
+}
+
+func testPumpRecyclesLargeReplies(t *testing.T, owned bool) {
 	const stations = 200
 	n := New()
 	sink, err := n.AddHost("sink", IP{10, 0, 0, 1})
@@ -510,7 +520,13 @@ func TestPumpRecyclesLargeReplies(t *testing.T) {
 	}
 	answer := make([]byte, 1300)
 	var srv *UDPSocket
-	if srv, err = sink.Bind(53, func(dg Datagram) { srv.SendTo(dg.Src, answer) }); err != nil {
+	if srv, err = sink.Bind(53, func(dg Datagram) {
+		if owned {
+			srv.Send(dg.Src, append(srv.Buffer(len(answer)), answer...))
+		} else {
+			srv.SendTo(dg.Src, answer)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	got := 0
@@ -540,6 +556,208 @@ func TestPumpRecyclesLargeReplies(t *testing.T) {
 	}
 	if n.Dropped != 0 || got != 22*stations*len(answer) {
 		t.Fatalf("dropped %d, answer bytes %d", n.Dropped, got)
+	}
+}
+
+// TestGrownBufferFiledUnderFloorClass: a buffer whose capacity is not a
+// class size (an owner appended past what Buffer gave it) is filed under
+// the largest class it can stand in for, never the one above, so every
+// later getBuf gets at least the capacity it asked for.
+func TestGrownBufferFiledUnderFloorClass(t *testing.T) {
+	caps := []int{0, 1, minBuf - 1, maxBuf + 1}
+	for size := minBuf; size <= 4096; size++ {
+		caps = append(caps, size)
+	}
+	for c := 0; c < numClasses; c++ {
+		caps = append(caps, classSize(c)-1, classSize(c), classSize(c)+1)
+	}
+	for _, size := range caps {
+		n := New()
+		n.adopted = true // keep the stash out of the free lists
+		n.putBuf(make([]byte, 0, size))
+		filed := -1
+		for c := range n.free {
+			for _, b := range n.free[c] {
+				if filed >= 0 || cap(b) != size {
+					t.Fatalf("cap %d: free lists hold a stray buffer (cap %d)", size, cap(b))
+				}
+				filed = c
+			}
+		}
+		want := -1 // the largest class the capacity covers; giants are not kept
+		for c := 0; c < numClasses && size <= maxBuf; c++ {
+			if classSize(c) <= size {
+				want = c
+			}
+		}
+		if filed != want {
+			t.Fatalf("cap %d: filed under class %d, want %d", size, filed, want)
+		}
+		if filed >= 0 && cap(n.getBuf(classSize(filed))) < classSize(filed) {
+			t.Fatalf("cap %d: getBuf(%d) returned less", size, classSize(filed))
+		}
+	}
+
+	// The same through the owned-send path: grow a Buffer past its class
+	// with append, Send it, and every buffer the free lists hold after
+	// delivery must still cover its class.
+	n := New()
+	n.adopted = true
+	h, _ := n.AddHost("h", IP{10, 0, 0, 1})
+	if _, err := h.Bind(7, func(Datagram) {}); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := h.Bind(8, nil)
+	grown := 0
+	for _, size := range []int{100, 1300, 1600, 3000} {
+		b := s.Buffer(size)
+		b = append(b, make([]byte, cap(b)+1)...)
+		if classSize(sizeClass(cap(b))) != cap(b) {
+			grown++
+		}
+		s.Send(Addr{IP: h.IP, Port: 7}, b)
+	}
+	n.Run(10)
+	if grown == 0 {
+		t.Fatal("append grew every buffer to an exact class size; the case tests nothing")
+	}
+	for c := range n.free {
+		for _, b := range n.free[c] {
+			if cap(b) < classSize(c) || len(b) != 0 {
+				t.Fatalf("class %d (%d bytes) holds a buffer of len %d cap %d", c, classSize(c), len(b), cap(b))
+			}
+		}
+	}
+}
+
+// TestReleaseCarriesBuffersAcrossWorlds: worlds built, pumped and
+// released in parallel hand their idle buffers on; every world that
+// adopts leftovers gets empty buffers that cover their classes and an
+// empty queue, and the stash never holds more than maxStash entries.
+// The race detector (scripts/check.sh runs this package under -race)
+// catches leftovers handed to two live worlds at once.
+func TestReleaseCarriesBuffersAcrossWorlds(t *testing.T) {
+	const workers, worlds = 4, 8
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for i := 0; i < worlds; i++ {
+				if err := releaseWorld(w*worlds + i); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	stash.Lock()
+	held := len(stash.entries)
+	stash.Unlock()
+	if held == 0 || held > maxStash {
+		t.Fatalf("stash holds %d entries, want 1..%d", held, maxStash)
+	}
+}
+
+// releaseWorld builds one world, adopts what the stash offers, checks
+// it, pumps replies of a few sizes through it and releases it.
+func releaseWorld(seed int) error {
+	n := New()
+	n.adopt()
+	for c := range n.free {
+		for _, b := range n.free[c] {
+			if len(b) != 0 || cap(b) < classSize(c) {
+				return fmt.Errorf("world %d adopted a buffer of len %d cap %d in class %d", seed, len(b), cap(b), c)
+			}
+		}
+	}
+	if len(n.pending) != 0 {
+		return fmt.Errorf("world %d adopted a queue of %d datagrams", seed, len(n.pending))
+	}
+	sink, err := n.AddHost("sink", IP{10, 0, 0, 1})
+	if err != nil {
+		return err
+	}
+	size := 64 << (seed % 5)
+	var srv *UDPSocket
+	if srv, err = sink.Bind(53, func(dg Datagram) {
+		b := srv.Buffer(size)
+		for len(b) < size {
+			b = append(b, byte(seed))
+		}
+		srv.Send(dg.Src, b)
+	}); err != nil {
+		return err
+	}
+	bad := 0
+	var clients []*UDPSocket
+	for i := 0; i < 32; i++ {
+		h, err := n.AddHost(fmt.Sprintf("st%02d", i), IP{10, 1, 0, byte(i)})
+		if err != nil {
+			return err
+		}
+		c, err := h.BindEphemeral(func(dg Datagram) {
+			for _, x := range dg.Payload {
+				if x != byte(seed) {
+					bad++
+				}
+			}
+		})
+		if err != nil {
+			return err
+		}
+		clients = append(clients, c)
+	}
+	for round := 0; round < 3; round++ {
+		for _, c := range clients {
+			c.SendTo(Addr{IP: sink.IP, Port: 53}, []byte("q"))
+		}
+		n.Run(1 << 10)
+	}
+	if bad != 0 || n.Delivered != 3*2*len(clients) {
+		return fmt.Errorf("world %d: %d bad bytes, %d delivered", seed, bad, n.Delivered)
+	}
+	n.Release()
+	for c := range n.free {
+		if len(n.free[c]) != 0 {
+			return fmt.Errorf("world %d kept class %d after Release", seed, c)
+		}
+	}
+	return nil
+}
+
+// TestVerboseTextMatchesFmt: the strconv renderings of addresses and
+// association events are byte-for-byte the fmt text the recorded event
+// logs hold.
+func TestVerboseTextMatchesFmt(t *testing.T) {
+	ips := []IP{{}, {1, 2, 3, 4}, {255, 255, 255, 255}, {10, 0, 100, 9}, {172, 16, 42, 1}}
+	for _, ip := range ips {
+		if got, want := ip.String(), fmt.Sprintf("%d.%d.%d.%d", ip[0], ip[1], ip[2], ip[3]); got != want {
+			t.Errorf("IP.String = %q, fmt %q", got, want)
+		}
+		for _, port := range []uint16{0, 53, 40000, 65535} {
+			a := Addr{IP: ip, Port: port}
+			if got, want := a.String(), fmt.Sprintf("%s:%d", a.IP, a.Port); got != want {
+				t.Errorf("Addr.String = %q, fmt %q", got, want)
+			}
+		}
+	}
+	for _, ap := range []AccessPoint{
+		{Name: "home-router", SSID: "HomeIoT", Signal: 50, Gateway: IP{192, 168, 1, 1}, DNS: IP{8, 8, 8, 8}},
+		{Name: "pineapple", SSID: `quote"s \ and "tabs"` + "\t\x00\xff", Signal: -7},
+		{Name: "ünï", SSID: "日本 ", Signal: 1 << 30},
+	} {
+		h := &Host{Name: "st000042", IP: IP{10, 1, 0, 43}}
+		if got, want := h.associatedEvent(&ap), fmt.Sprintf("%s associated to %q (ap %s, signal %d)", h.Name, ap.SSID, ap.Name, ap.Signal); got != want {
+			t.Errorf("associated event = %q, fmt %q", got, want)
+		}
+		if got, want := h.leaseEvent(&ap), fmt.Sprintf("%s dhcp lease %s gw %s dns %s", h.Name, h.IP, ap.Gateway, ap.DNS); got != want {
+			t.Errorf("lease event = %q, fmt %q", got, want)
+		}
 	}
 }
 

@@ -11,7 +11,13 @@ import (
 // payload-recycling contract by keeping an alias to the delivered
 // buffer sees PoisonByte fill once the handler returns, instead of
 // silently reading whichever datagram reuses the backing array next.
+// So does a sender that keeps the Buffer it handed to Send.
 func TestPoisonCatchesRetainedAlias(t *testing.T) {
+	t.Run("handler", testPoisonHandlerAlias)
+	t.Run("sender", testPoisonSenderAlias)
+}
+
+func testPoisonHandlerAlias(t *testing.T) {
 	n := New()
 	a, _ := n.AddHost("a", IP{10, 0, 0, 1})
 	b, _ := n.AddHost("b", IP{10, 0, 0, 2})
@@ -39,5 +45,31 @@ func TestPoisonCatchesRetainedAlias(t *testing.T) {
 	// A well-behaved handler's copy is of course untouched.
 	if string(want) == "secret" {
 		t.Fatal("impossible")
+	}
+}
+
+func testPoisonSenderAlias(t *testing.T) {
+	n := New()
+	a, _ := n.AddHost("a", IP{10, 0, 0, 1})
+	b, _ := n.AddHost("b", IP{10, 0, 0, 2})
+	var delivered []byte
+	if _, err := b.Bind(7, func(dg Datagram) {
+		delivered = append([]byte(nil), dg.Payload...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	src, err := a.Bind(9, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := append(src.Buffer(6), "secret"...)
+	src.Send(Addr{IP: IP{10, 0, 0, 2}, Port: 7}, kept) // kept is the network's now
+	n.Run(10)
+
+	if string(delivered) != "secret" {
+		t.Fatalf("delivered %q", delivered)
+	}
+	if want := bytes.Repeat([]byte{PoisonByte}, len(kept)); !bytes.Equal(kept, want) {
+		t.Fatalf("sender's retained buffer survived recycling: %q", kept)
 	}
 }

@@ -62,8 +62,14 @@ for a in x86s arms; do
     done
 done
 # The wire-format zone trie against its map oracle: random wire names
-# in, byte-identical hit/miss decisions out.
+# in, byte-identical hit/miss decisions out (and AddWire, fed the same
+# names' wire form or raw bytes, agreeing with Add and refusing every
+# key that is not a plain wire name).
 go test -run '^$' -fuzz FuzzZoneTrie -fuzztime 5s ./internal/dnsserver
+# Lease routing against the one-map routing it replaced: static and DHCP
+# hosts, overlapping pools, re-association and sends to live, stale and
+# unknown addresses must reach the same host or drop for the same reason.
+go test -run '^$' -fuzz FuzzRouting -fuzztime 5s ./internal/netsim
 # The MITM's interning-free question check against View.Question: it
 # must accept exactly the packets the full decode accepts.
 go test -run '^$' -fuzz FuzzCheckQuestion -fuzztime 5s ./internal/dns

@@ -36,6 +36,10 @@ fuzz:
 	$(GO) test -fuzz FuzzCheckQuestion -fuzztime $(FUZZTIME) ./internal/dns/
 	$(GO) test -fuzz FuzzStep -fuzztime $(FUZZTIME) ./internal/isa/x86s/
 	$(GO) test -fuzz FuzzStep -fuzztime $(FUZZTIME) ./internal/isa/arms/
+	$(GO) test -fuzz FuzzBlockStep -fuzztime $(FUZZTIME) ./internal/isa/x86s/
+	$(GO) test -fuzz FuzzBlockStep -fuzztime $(FUZZTIME) ./internal/isa/arms/
+	$(GO) test -fuzz FuzzCopyLoop -fuzztime $(FUZZTIME) ./internal/isa/isatest/
+	$(GO) test -fuzz FuzzMemoryOps -fuzztime $(FUZZTIME) ./internal/mem/
 	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/gadget/
 	$(GO) test -fuzz FuzzSlide -fuzztime $(FUZZTIME) ./internal/image/
 	$(GO) test -fuzz FuzzZoneTrie -fuzztime $(FUZZTIME) ./internal/dnsserver/

@@ -12,24 +12,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
+	"connlab/cmd/internal/cli"
 	"connlab/internal/campaign"
 	"connlab/internal/core"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
-	"connlab/internal/obs"
 	"connlab/internal/scenario"
 	"connlab/internal/telemetry"
 	"connlab/internal/victim"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "attack:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("attack", run) }
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("attack", flag.ContinueOnError)
@@ -47,39 +41,29 @@ func run(args []string, stdout io.Writer) (err error) {
 	variant := fs.String("variant", "connman", "victim variant: connman or dnsmasq")
 	seed := fs.Int64("seed", 2002, "target machine seed")
 	scenarioFlag := fs.String("scenario", "", "run a declarative scenario (embedded `name` or .scn file) instead of one attack")
-	tf := telemetry.AddFlags(fs)
+	tel := cli.AddTelemetry(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	// Telemetry must be live before the lab is built: instrumented
-	// components take their metric handles at construction.
-	if err := tf.Start(); err != nil {
+	run := &telemetry.RunInfo{Tool: "attack", RootSeed: *seed, Devices: 1, Scenarios: 1}
+	if err := tel.Start(run, func() *telemetry.RunInfo { return run }); err != nil {
 		return err
 	}
-	srv, err := obs.StartFlags(tf, "attack", func() *telemetry.RunInfo {
-		return &telemetry.RunInfo{Tool: "attack", RootSeed: *seed, Devices: 1, Scenarios: 1}
-	})
+	defer tel.Finish(&err)
+
+	arch, err := isa.ParseArch(*archFlag)
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
-
-	arch := isa.Arch(*archFlag)
-	if arch != isa.ArchX86S && arch != isa.ArchARMS {
-		return fmt.Errorf("unknown arch %q", *archFlag)
+	kind, err := exploit.ParseKind(*kindFlag)
+	if err != nil {
+		return err
 	}
 	lab := core.NewLab()
 	lab.TargetSeed = *seed
 	lab.Build.Patched = *patched
-	switch *variant {
-	case "connman":
-	case "dnsmasq":
-		lab.Build.Variant = victim.VariantDnsmasq
-	default:
-		return fmt.Errorf("unknown variant %q", *variant)
+	if lab.Build.Variant, err = victim.ParseVariant(*variant); err != nil {
+		return err
 	}
 	prot := campaign.Protection{
 		WX: *wx, ASLR: *aslr, CFI: *cfi, Canary: *canary, DiversitySeed: *diversity,
@@ -88,27 +72,18 @@ func run(args []string, stdout io.Writer) (err error) {
 	if *scenarioFlag != "" {
 		co := scenario.CompileOpts{
 			Canary: *canary, CFI: *cfi, DiversitySeed: *diversity, Patched: *patched,
+			Arch: arch, Kind: kind,
 		}
-		if explicit["arch"] {
-			co.Arch = arch
+		rep, err := cli.RunScenario(stdout, lab.Engine(), *scenarioFlag, co, fs)
+		if err != nil {
+			return err
 		}
-		if explicit["kind"] {
-			co.Kind = exploit.Kind(*kindFlag)
-		}
-		_, rep, rerr := scenario.Run(lab.Engine(), *scenarioFlag, co)
-		if rep != nil {
-			fmt.Fprint(stdout, rep.Canonical())
-		}
-		if rerr != nil {
-			return rerr
-		}
-		fmt.Fprintf(stdout, "all device outcomes within spec predicates\n")
-		run := &telemetry.RunInfo{Tool: "attack", RootSeed: *seed,
+		tel.Run = &telemetry.RunInfo{Tool: "attack", RootSeed: *seed,
 			Devices: rep.TotalDevices(), Scenarios: len(rep.Scenarios)}
-		return tf.Finish(run, rep.StageAggregates(), nil)
+		tel.Stages = rep.StageAggregates()
+		return nil
 	}
 
-	kind := exploit.Kind(*kindFlag)
 	if *auto {
 		kind = exploit.StrategyFor(arch, prot.WX, prot.ASLR)
 		fmt.Fprintf(stdout, "auto-selected strategy: %s\n", kind)
@@ -126,9 +101,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		fmt.Fprintf(stdout, "hijack flight recorder (%d control transfers):\n", len(res.Trace))
 		fmt.Fprint(stdout, telemetry.FormatControlTrace(res.Trace))
 	}
-	run := &telemetry.RunInfo{Tool: "attack", RootSeed: *seed, Devices: 1, Scenarios: 1}
-	if ferr := tf.Finish(run, nil, res.Trace); ferr != nil {
-		return ferr
-	}
+	tel.Trace = res.Trace
 	return nil
 }

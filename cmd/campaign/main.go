@@ -25,21 +25,16 @@ import (
 	"io"
 	"os"
 
+	"connlab/cmd/internal/cli"
 	"connlab/internal/campaign"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
-	"connlab/internal/obs"
 	"connlab/internal/scenario"
 	"connlab/internal/telemetry"
 	"connlab/internal/victim"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("campaign", run) }
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
@@ -63,128 +58,76 @@ func run(args []string, stdout io.Writer) (err error) {
 	scenarioFlag := fs.String("scenario", "", "run a declarative scenario (embedded `name` or .scn file) instead of a preset")
 	canonical := fs.Bool("canonical", false, "print the byte-stable canonical report (no timings)")
 	jsonOut := fs.String("json", "", "write the full report (config included) as JSON to `file` (- for stdout)")
-	tf := telemetry.AddFlags(fs)
+	tel := cli.AddTelemetry(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	// Telemetry must be live before the engine is built: instrumented
-	// components take their metric handles at construction.
-	if err := tf.Start(); err != nil {
+	if err := tel.Start(&telemetry.RunInfo{Tool: "campaign"}, func() *telemetry.RunInfo {
+		return &telemetry.RunInfo{Tool: "campaign", RootSeed: *rootSeed, ReconSeed: *reconSeed}
+	}); err != nil {
 		return err
 	}
-	srv, err := obs.StartFlags(tf, "campaign", func() *telemetry.RunInfo {
-		return &telemetry.RunInfo{Tool: "campaign", RootSeed: *rootSeed, ReconSeed: *reconSeed}
-	})
+	defer tel.Finish(&err)
+
+	arch, err := isa.ParseArch(*archFlag)
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
-
-	// Flags left at their defaults act as "unset" for scenario filters.
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	arch := isa.Arch(*archFlag)
-	if arch != isa.ArchX86S && arch != isa.ArchARMS {
-		return fmt.Errorf("unknown arch %q", *archFlag)
+	kind, err := exploit.ParseKind(*kindFlag)
+	if err != nil {
+		return err
 	}
 	build := victim.BuildOpts{Patched: *patched}
-	switch *variant {
-	case "connman":
-	case "dnsmasq":
-		build.Variant = victim.VariantDnsmasq
-	default:
-		return fmt.Errorf("unknown variant %q", *variant)
+	if build.Variant, err = victim.ParseVariant(*variant); err != nil {
+		return err
 	}
-	prot := campaign.Protection{
-		WX: *wx, ASLR: *aslr, CFI: *cfi, Canary: *canary, DiversitySeed: *diversity,
-	}
-	kind := exploit.Kind(*kindFlag)
 
 	eng := campaign.New(campaign.Config{Workers: *workers, RootSeed: *rootSeed, ReconSeed: *reconSeed})
 	var rep *campaign.Report
 	var spec *scenario.Spec
 	if *scenarioFlag != "" {
-		co := scenario.CompileOpts{
+		spec, rep, err = cli.Scenario(eng, *scenarioFlag, scenario.CompileOpts{
 			PatchedEvery: *patchedEvery, Patched: *patched,
 			Canary: *canary, CFI: *cfi, DiversitySeed: *diversity,
-		}
-		if explicit["arch"] {
-			co.Arch = arch
-		}
-		if explicit["kind"] {
-			co.Kind = kind
-		}
-		if explicit["devices"] {
-			co.Devices = *devices
-		}
-		// A -scenario run is checked against the spec's own success
-		// predicates: the spec is executable documentation.
-		spec, rep, err = scenario.Run(eng, *scenarioFlag, co)
+			Arch: arch, Kind: kind, Devices: *devices,
+		}, fs)
 	} else {
 		var scenarios []campaign.Scenario
-		switch *preset {
-		case "fleet":
-			scenarios = []campaign.Scenario{{
-				Arch: arch, Kind: kind, Protection: prot, Build: build,
-				Devices: *devices, PatchedEvery: *patchedEvery, Pineapple: true,
-			}}
-		case "sweep":
-			for _, p := range campaign.PaperLevels() {
-				p.CFI = p.CFI || *cfi
-				p.Canary = p.Canary || *canary
-				p.DiversitySeed = *diversity
-				scenarios = append(scenarios, campaign.Scenario{
-					Arch: arch, Kind: kind, Protection: p, Build: build,
-					Devices: *devices, PatchedEvery: *patchedEvery, Pineapple: true,
-				})
-			}
-		case "matrix":
-			// The paper matrix is compiled from the embedded declarative
-			// spec for the variant — the same cells the old hand-written
-			// enumeration produced, pinned byte-identical by the scenario
-			// package's golden test.
-			matrix, err := scenario.Load(*variant)
-			if err != nil {
-				return err
-			}
-			if scenarios, err = scenario.Compile(matrix, scenario.CompileOpts{Patched: *patched}); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown preset %q", *preset)
+		scenarios, err = cli.Preset(*preset, campaign.Scenario{
+			Arch: arch, Kind: kind, Build: build, Devices: *devices, PatchedEvery: *patchedEvery,
+			Protection: campaign.Protection{
+				WX: *wx, ASLR: *aslr, CFI: *cfi, Canary: *canary, DiversitySeed: *diversity,
+			},
+		})
+		if err != nil {
+			return err
 		}
 		rep, err = eng.Run(scenarios)
 	}
-	if rep != nil {
-		if *canonical {
-			fmt.Fprint(stdout, rep.Canonical())
-		} else {
-			fmt.Fprintln(stdout, rep)
-			fmt.Fprint(stdout, rep.Table())
+	if rep == nil {
+		return err
+	}
+	if *canonical {
+		fmt.Fprint(stdout, rep.Canonical())
+	} else {
+		fmt.Fprintln(stdout, rep)
+		fmt.Fprint(stdout, rep.Table())
+	}
+	if *scenarioFlag != "" && err == nil && !*canonical {
+		fmt.Fprintf(stdout, "scenario %s: all device outcomes within spec predicates\n", spec.Name)
+	}
+	if *jsonOut != "" {
+		if jerr := writeReportJSON(*jsonOut, rep, stdout); jerr != nil && err == nil {
+			err = jerr
 		}
-		if *scenarioFlag != "" && err == nil && !*canonical {
-			fmt.Fprintf(stdout, "scenario %s: all device outcomes within spec predicates\n", spec.Name)
+	}
+	tel.Run, tel.Stages = rep.RunInfo("campaign"), rep.StageAggregates()
+	// Flight-recorder events ride in the device results; collect them
+	// for the trace export.
+	for si := range rep.Scenarios {
+		for di := range rep.Scenarios[si].Devices {
+			tel.Trace = append(tel.Trace, rep.Scenarios[si].Devices[di].Trace...)
 		}
-		if *jsonOut != "" {
-			if jerr := writeReportJSON(*jsonOut, rep, stdout); jerr != nil && err == nil {
-				err = jerr
-			}
-		}
-		// Flight-recorder events ride in the device results; collect them
-		// for the trace export.
-		var ctl []telemetry.ControlEvent
-		for si := range rep.Scenarios {
-			for di := range rep.Scenarios[si].Devices {
-				ctl = append(ctl, rep.Scenarios[si].Devices[di].Trace...)
-			}
-		}
-		if ferr := tf.Finish(rep.RunInfo("campaign"), rep.StageAggregates(), ctl); ferr != nil && err == nil {
-			err = ferr
-		}
-	} else if ferr := tf.Finish(&telemetry.RunInfo{Tool: "campaign"}, nil, nil); ferr != nil && err == nil {
-		err = ferr
 	}
 	return err
 }

@@ -14,24 +14,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
+	"connlab/cmd/internal/cli"
 	"connlab/internal/campaign"
 	"connlab/internal/dns"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
-	"connlab/internal/obs"
 	"connlab/internal/telemetry"
 	"connlab/internal/victim"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "connmansim:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("connmansim", run) }
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("connmansim", flag.ContinueOnError)
@@ -42,29 +36,19 @@ func run(args []string, stdout io.Writer) (err error) {
 	wx := fs.Bool("wx", false, "enable W⊕X")
 	aslr := fs.Bool("aslr", false, "enable ASLR")
 	seed := fs.Int64("seed", 1, "machine seed")
-	tf := telemetry.AddFlags(fs)
+	tel := cli.AddTelemetry(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	// Telemetry must be live before the daemon is built: instrumented
-	// components take their metric handles at construction.
-	if err := tf.Start(); err != nil {
+	if err := tel.Start(&telemetry.RunInfo{Tool: "connmansim", RootSeed: *seed, Devices: 1, Scenarios: 1}, nil); err != nil {
 		return err
 	}
-	srv, err := obs.StartFlags(tf, "connmansim", nil)
+	defer tel.Finish(&err)
+
+	arch, err := isa.ParseArch(*archFlag)
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
-	defer func() {
-		run := &telemetry.RunInfo{Tool: "connmansim", RootSeed: *seed, Devices: 1, Scenarios: 1}
-		if ferr := tf.Finish(run, nil, nil); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-
-	arch := isa.Arch(*archFlag)
 	opts := victim.BuildOpts{Patched: *patched}
 	d, err := victim.NewDaemon(arch, opts, kernel.Config{WX: *wx, ASLR: *aslr, Seed: *seed})
 	if err != nil {

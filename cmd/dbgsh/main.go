@@ -174,7 +174,10 @@ func run() error {
 	wx := flag.Bool("wx", false, "enable W⊕X")
 	flag.Parse()
 
-	arch := isa.Arch(*archFlag)
+	arch, err := isa.ParseArch(*archFlag)
+	if err != nil {
+		return err
+	}
 	proc, err := victim.Load(arch, victim.BuildOpts{}, kernel.Config{WX: *wx, Seed: 1})
 	if err != nil {
 		return err

@@ -12,52 +12,45 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
+	"connlab/cmd/internal/cli"
 	"connlab/internal/campaign"
 	"connlab/internal/dnsserver"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
 	"connlab/internal/netsim"
-	"connlab/internal/obs"
 	"connlab/internal/telemetry"
 	"connlab/internal/victim"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "dnsmitm:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("dnsmitm", run) }
 
-func run() (err error) {
-	archFlag := flag.String("arch", "x86s", "victim architecture: x86s or arms")
-	kindFlag := flag.String("kind", "code-injection", "exploit kind")
-	wx := flag.Bool("wx", false, "enable W⊕X on the device")
-	aslr := flag.Bool("aslr", false, "enable ASLR on the device")
-	tf := telemetry.AddFlags(flag.CommandLine)
-	flag.Parse()
-
-	// Telemetry must be live before the network is built: instrumented
-	// components take their metric handles at construction.
-	if err := tf.Start(); err != nil {
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("dnsmitm", flag.ContinueOnError)
+	fs.SetOutput(stdout)
+	archFlag := fs.String("arch", "x86s", "victim architecture: x86s or arms")
+	kindFlag := fs.String("kind", "code-injection", "exploit kind")
+	wx := fs.Bool("wx", false, "enable W⊕X on the device")
+	aslr := fs.Bool("aslr", false, "enable ASLR on the device")
+	tel := cli.AddTelemetry(fs)
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	srv, err := obs.StartFlags(tf, "dnsmitm", nil)
+	if err := tel.Start(&telemetry.RunInfo{Tool: "dnsmitm", Devices: 1, Scenarios: 1}, nil); err != nil {
+		return err
+	}
+	defer tel.Finish(&err)
+
+	arch, err := isa.ParseArch(*archFlag)
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
-	defer func() {
-		run := &telemetry.RunInfo{Tool: "dnsmitm", Devices: 1, Scenarios: 1}
-		if ferr := tf.Finish(run, nil, nil); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-
-	arch := isa.Arch(*archFlag)
+	kind, err := exploit.ParseKind(*kindFlag)
+	if err != nil {
+		return err
+	}
 	cfg := kernel.Config{WX: *wx, ASLR: *aslr, Seed: 2002}
 
 	// Attacker recon + payload.
@@ -66,11 +59,11 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	ex, err := exploit.Build(tgt, exploit.Kind(*kindFlag))
+	ex, err := exploit.Build(tgt, kind)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("payload: %s\n", ex.Description)
+	fmt.Fprintf(stdout, "payload: %s\n", ex.Description)
 
 	// Wired network: device <-> attacker resolver.
 	net := netsim.New()
@@ -107,10 +100,10 @@ func run() (err error) {
 	net.Run(64)
 
 	for _, e := range net.Events {
-		fmt.Println(" ", e)
+		fmt.Fprintln(stdout, " ", e)
 	}
 	outcome, detail := campaign.Classify(daemon.LastResult())
-	fmt.Printf("queries hijacked: %d\n", mitm.Queries)
-	fmt.Printf("device outcome:   %s (%s)\n", outcome, detail)
+	fmt.Fprintf(stdout, "queries hijacked: %d\n", mitm.Queries)
+	fmt.Fprintf(stdout, "device outcome:   %s (%s)\n", outcome, detail)
 	return nil
 }

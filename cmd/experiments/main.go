@@ -10,20 +10,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
+	"connlab/cmd/internal/cli"
 	"connlab/internal/core"
-	"connlab/internal/obs"
 	"connlab/internal/scenario"
 	"connlab/internal/telemetry"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("experiments", run) }
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
@@ -33,29 +27,16 @@ func run(args []string, stdout io.Writer) (err error) {
 	targetSeed := fs.Int64("target-seed", 2002, "target machine seed")
 	workers := fs.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
 	scenarioFlag := fs.String("scenario", "", "run a declarative scenario (embedded `name` or .scn file) instead of a paper experiment")
-	tf := telemetry.AddFlags(fs)
+	tel := cli.AddTelemetry(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	// Telemetry must be live before the lab is built: instrumented
-	// components take their metric handles at construction.
-	if err := tf.Start(); err != nil {
-		return err
-	}
-	srv, err := obs.StartFlags(tf, "experiments", func() *telemetry.RunInfo {
+	if err := tel.Start(&telemetry.RunInfo{Tool: "experiments"}, func() *telemetry.RunInfo {
 		return &telemetry.RunInfo{Tool: "experiments", RootSeed: *targetSeed, ReconSeed: *reconSeed}
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	defer srv.Close()
-	defer func() {
-		run := &telemetry.RunInfo{Tool: "experiments"}
-		if ferr := tf.Finish(run, nil, nil); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
+	defer tel.Finish(&err)
 
 	lab := core.NewLab()
 	lab.ReconSeed = *reconSeed
@@ -63,15 +44,8 @@ func run(args []string, stdout io.Writer) (err error) {
 	lab.Workers = *workers
 
 	if *scenarioFlag != "" {
-		_, rep, rerr := scenario.Run(lab.Engine(), *scenarioFlag, scenario.CompileOpts{})
-		if rep != nil {
-			fmt.Fprint(stdout, rep.Canonical())
-		}
-		if rerr != nil {
-			return rerr
-		}
-		fmt.Fprintf(stdout, "all device outcomes within spec predicates\n")
-		return nil
+		_, err := cli.RunScenario(stdout, lab.Engine(), *scenarioFlag, scenario.CompileOpts{}, fs)
+		return err
 	}
 
 	if *exp == "all" {

@@ -13,22 +13,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
+	"connlab/cmd/internal/cli"
 	"connlab/internal/gadget"
 	"connlab/internal/image"
 	"connlab/internal/isa"
-	"connlab/internal/obs"
 	"connlab/internal/telemetry"
 	"connlab/internal/victim"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "gadgetfind:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("gadgetfind", run) }
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("gadgetfind", flag.ContinueOnError)
@@ -36,34 +30,24 @@ func run(args []string, stdout io.Writer) (err error) {
 	archFlag := fs.String("arch", "x86s", "victim architecture: x86s or arms")
 	memstr := fs.String("memstr", "", "search for each character of this string")
 	variant := fs.String("variant", "connman", "victim variant: connman or dnsmasq")
-	tf := telemetry.AddFlags(fs)
+	tel := cli.AddTelemetry(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	// Telemetry must be live before the image is built: instrumented
-	// components take their metric handles at construction.
-	if err := tf.Start(); err != nil {
+	if err := tel.Start(&telemetry.RunInfo{Tool: "gadgetfind"}, nil); err != nil {
 		return err
 	}
-	srv, err := obs.StartFlags(tf, "gadgetfind", nil)
+	defer tel.Finish(&err)
+
+	arch, err := isa.ParseArch(*archFlag)
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
-	defer func() {
-		run := &telemetry.RunInfo{Tool: "gadgetfind"}
-		if ferr := tf.Finish(run, nil, nil); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-
-	arch := isa.Arch(*archFlag)
-	opts := victim.BuildOpts{}
-	if *variant == "dnsmasq" {
-		opts.Variant = victim.VariantDnsmasq
+	v, err := victim.ParseVariant(*variant)
+	if err != nil {
+		return err
 	}
-	u, err := victim.BuildProgram(arch, opts)
+	u, err := victim.BuildProgram(arch, victim.BuildOpts{Variant: v})
 	if err != nil {
 		return err
 	}

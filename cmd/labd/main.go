@@ -25,13 +25,12 @@ import (
 	"syscall"
 	"time"
 
+	"connlab/cmd/internal/cli"
 	"connlab/internal/campaign"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 	"connlab/internal/obs"
-	"connlab/internal/scenario"
 	"connlab/internal/telemetry"
-	"connlab/internal/victim"
 )
 
 func main() {
@@ -80,35 +79,19 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	}
 	telemetry.SetEventLevel(lvl)
 
-	arch := isa.Arch(*archFlag)
-	if arch != isa.ArchX86S && arch != isa.ArchARMS {
-		return fmt.Errorf("unknown arch %q", *archFlag)
+	arch, err := isa.ParseArch(*archFlag)
+	if err != nil {
+		return err
 	}
-	kind := exploit.Kind(*kindFlag)
-	var scenarios []campaign.Scenario
-	switch *preset {
-	case "fleet":
-		scenarios = []campaign.Scenario{{
-			Arch: arch, Kind: kind, Build: victim.BuildOpts{},
-			Devices: *devices, PatchedEvery: *patchedEvery, Pineapple: true,
-		}}
-	case "sweep":
-		for _, p := range campaign.PaperLevels() {
-			scenarios = append(scenarios, campaign.Scenario{
-				Arch: arch, Kind: kind, Protection: p, Build: victim.BuildOpts{},
-				Devices: *devices, PatchedEvery: *patchedEvery, Pineapple: true,
-			})
-		}
-	case "matrix":
-		spec, err := scenario.Load("connman")
-		if err != nil {
-			return err
-		}
-		if scenarios, err = scenario.Compile(spec, scenario.CompileOpts{}); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown preset %q", *preset)
+	kind, err := exploit.ParseKind(*kindFlag)
+	if err != nil {
+		return err
+	}
+	scenarios, err := cli.Preset(*preset, campaign.Scenario{
+		Arch: arch, Kind: kind, Devices: *devices, PatchedEvery: *patchedEvery,
+	})
+	if err != nil {
+		return err
 	}
 	totalDevices := 0
 	for _, s := range scenarios {

@@ -18,23 +18,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
+	"connlab/cmd/internal/cli"
 	"connlab/internal/campaign"
 	"connlab/internal/core"
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
-	"connlab/internal/obs"
 	"connlab/internal/scenario"
 	"connlab/internal/telemetry"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "pineapple:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("pineapple", run) }
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("pineapple", flag.ContinueOnError)
@@ -50,43 +44,30 @@ func run(args []string, stdout io.Writer) (err error) {
 	victimEvery := fs.Int("victim-every", 0, "every k-th station is a full victim device (scale scenario only)")
 	verbose := fs.Bool("v", false, "print the network event log")
 	scenarioFlag := fs.String("scenario", "", "run a declarative scenario (embedded `name` or .scn file) through the rogue AP")
-	tf := telemetry.AddFlags(fs)
+	tel := cli.AddTelemetry(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	// Telemetry must be live before the lab is built: instrumented
-	// components take their metric handles at construction.
-	if err := tf.Start(); err != nil {
+	if err := tel.Start(&telemetry.RunInfo{Tool: "pineapple", Devices: 1, Scenarios: 1}, nil); err != nil {
 		return err
 	}
-	srv, err := obs.StartFlags(tf, "pineapple", nil)
+	defer tel.Finish(&err)
+
+	arch, err := isa.ParseArch(*archFlag)
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
-	defer func() {
-		run := &telemetry.RunInfo{Tool: "pineapple", Devices: 1, Scenarios: 1}
-		if ferr := tf.Finish(run, nil, nil); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
-
+	kind, err := exploit.ParseKind(*kindFlag)
+	if err != nil {
+		return err
+	}
 	lab := core.NewLab()
-	cell := lab.Scenario(isa.Arch(*archFlag), exploit.Kind(*kindFlag), campaign.Protection{WX: *wx, ASLR: *aslr})
+	cell := lab.Scenario(arch, kind, campaign.Protection{WX: *wx, ASLR: *aslr})
 	if *scenarioFlag != "" {
 		// Every compiled cell delivers through the per-device rogue-AP
 		// world instead of handing the packet straight to the daemon.
-		_, rep, rerr := scenario.Run(lab.Engine(), *scenarioFlag, scenario.CompileOpts{Pineapple: true})
-		if rep != nil {
-			fmt.Fprint(stdout, rep.Canonical())
-			fmt.Fprintf(stdout, "lookups hijacked: %d\n", rep.Hijacked)
-		}
-		if rerr != nil {
-			return rerr
-		}
-		fmt.Fprintln(stdout, "all device outcomes within spec predicates")
-		return nil
+		_, err := cli.RunScenario(stdout, lab.Engine(), *scenarioFlag, scenario.CompileOpts{Pineapple: true}, fs)
+		return err
 	}
 	if *stations > 0 {
 		rep, err := lab.Engine().RunPineappleScale(campaign.ScaleConfig{

@@ -45,7 +45,11 @@ func expectMatrix(arch isa.Arch, kind exploit.Kind, p campaign.Protection) campa
 // match the paper's qualitative results cell by cell.
 func TestE8Matrix(t *testing.T) {
 	lab := NewLab()
-	rep, err := lab.Engine().Run(lab.matrixCells())
+	cells, err := lab.paperMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := lab.Engine().Run(cells)
 	if err != nil {
 		t.Fatalf("matrix: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
+	"connlab/internal/scenario"
 	"connlab/internal/victim"
 )
 
@@ -137,7 +138,11 @@ func (l *Lab) reportSingle(title string, arch isa.Arch, kind exploit.Kind, p cam
 func (l *Lab) reportE8() (string, error) {
 	var sb strings.Builder
 	sb.WriteString(header("E8 §III: attack x protection matrix (the paper's central result)"))
-	rep, err := l.Engine().Run(l.matrixCells())
+	cells, err := l.paperMatrix()
+	if err != nil {
+		return "", err
+	}
+	rep, err := l.Engine().Run(cells)
 	if err != nil {
 		return "", err
 	}
@@ -149,26 +154,24 @@ func (l *Lab) reportE8() (string, error) {
 	return sb.String(), nil
 }
 
-// matrixCells lists the §III matrix in arch → level → kind order. The
-// diagonal of working exploits and the off-diagonal failures (injection
-// vs W⊕X, ret2libc vs ASLR) are the paper's central result.
-func (l *Lab) matrixCells() []campaign.Scenario {
-	kinds := []exploit.Kind{
-		exploit.KindDoS,
-		exploit.KindCodeInjection,
-		exploit.KindRet2Libc,
-		exploit.KindRopExeclp,
-		exploit.KindRopMemcpy,
+// paperMatrix compiles the §III matrix from the embedded connman spec,
+// in its arch → level → kind order, with every cell on the lab's seeds
+// and builds. The diagonal of working exploits and the off-diagonal
+// failures (injection vs W⊕X, ret2libc vs ASLR) are the paper's central
+// result.
+func (l *Lab) paperMatrix() ([]campaign.Scenario, error) {
+	spec, err := scenario.Load("connman")
+	if err != nil {
+		return nil, err
 	}
-	var cells []campaign.Scenario
-	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
-		for _, p := range campaign.PaperLevels() {
-			for _, kind := range kinds {
-				cells = append(cells, l.Scenario(arch, kind, p))
-			}
-		}
+	cells, err := scenario.Compile(spec, scenario.CompileOpts{})
+	if err != nil {
+		return nil, err
 	}
-	return cells
+	for i, c := range cells {
+		cells[i] = l.Scenario(c.Arch, c.Kind, c.Protection)
+	}
+	return cells, nil
 }
 
 // reportE9 runs the Pineapple scenario on both architectures.

@@ -88,7 +88,11 @@ func TestStrategyForMatchesPaper(t *testing.T) {
 func TestMatrixDeterminism(t *testing.T) {
 	run := func() string {
 		lab := NewLab()
-		rep, err := lab.Engine().Run(lab.matrixCells())
+		cells, err := lab.paperMatrix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := lab.Engine().Run(cells)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,6 +34,14 @@ const (
 	ArchARMS Arch = "arms"
 )
 
+// ParseArch returns the architecture a command-line or spec name denotes.
+func ParseArch(s string) (Arch, error) {
+	if a := Arch(s); a == ArchX86S || a == ArchARMS {
+		return a, nil
+	}
+	return "", fmt.Errorf("unknown arch %q (want x86s or arms)", s)
+}
+
 // EventKind classifies why Step stopped (or what it reported).
 type EventKind uint8
 

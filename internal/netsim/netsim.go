@@ -326,12 +326,12 @@ func (n *Network) AddHost(name string, ip IP) (*Host, error) {
 	if _, dup := n.hosts[name]; dup {
 		return nil, fmt.Errorf("netsim: duplicate host %q", name)
 	}
+	if !ip.IsZero() && n.route(ip) != nil {
+		return nil, fmt.Errorf("netsim: address %s already in use", ip)
+	}
 	h := &Host{Name: name, net: n, IP: ip}
 	n.hosts[name] = h
 	if !ip.IsZero() {
-		if n.route(ip) != nil {
-			return nil, fmt.Errorf("netsim: address %s already in use", ip)
-		}
 		n.byIP[ip] = h
 	}
 	return h, nil

@@ -111,6 +111,25 @@ func TestBindErrors(t *testing.T) {
 	}
 }
 
+// TestAddHostRetryAfterRefusal: a host refused for a taken address
+// leaves its name free, so the same name can be added at a free one.
+func TestAddHostRetryAfterRefusal(t *testing.T) {
+	n := New()
+	if _, err := n.AddHost("a", IP{10, 0, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.AddHost("b", IP{10, 0, 0, 1}); err == nil {
+		t.Fatal("duplicate IP accepted")
+	}
+	b, err := n.AddHost("b", IP{10, 0, 0, 2})
+	if err != nil {
+		t.Fatalf("retry after a refused address: %v", err)
+	}
+	if got := n.route(IP{10, 0, 0, 2}); got != b {
+		t.Errorf("route(10.0.0.2) = %v, want the retried host", got)
+	}
+}
+
 // TestAssociatePicksStrongestThenName: a station joins the
 // strongest AP carrying its SSID, and an equal signal goes to the lower
 // AP name whatever order the APs were added in.

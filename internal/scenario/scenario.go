@@ -88,15 +88,6 @@ func RowFor(p campaign.Protection) (string, bool) {
 	return "", false
 }
 
-// knownKinds is the exploit-strategy vocabulary specs may use.
-var knownKinds = map[exploit.Kind]bool{
-	exploit.KindDoS:           true,
-	exploit.KindCodeInjection: true,
-	exploit.KindRet2Libc:      true,
-	exploit.KindRopExeclp:     true,
-	exploit.KindRopMemcpy:     true,
-}
-
 // knownOutcomes is the lowercase verdict vocabulary of expect lines.
 var knownOutcomes = map[string]bool{
 	"shell": true, "crash": true, "blocked": true,
@@ -326,22 +317,19 @@ func Parse(src []byte) (*Spec, error) {
 			if len(args) != 1 {
 				return nil, parseErr(lineNo, "variant wants one of connman, dnsmasq")
 			}
-			switch args[0] {
-			case "connman":
-				s.Variant = victim.VariantConnman
-			case "dnsmasq":
-				s.Variant = victim.VariantDnsmasq
-			default:
-				return nil, parseErr(lineNo, "unknown variant %q", args[0])
+			v, err := victim.ParseVariant(args[0])
+			if err != nil {
+				return nil, parseErr(lineNo, "%v", err)
 			}
+			s.Variant = v
 		case "arch":
 			if len(args) == 0 {
 				return nil, parseErr(lineNo, "arch wants at least one of x86s, arms")
 			}
 			for _, a := range args {
-				arch := isa.Arch(a)
-				if arch != isa.ArchX86S && arch != isa.ArchARMS {
-					return nil, parseErr(lineNo, "unknown arch %q", a)
+				arch, err := isa.ParseArch(a)
+				if err != nil {
+					return nil, parseErr(lineNo, "%v", err)
 				}
 				for _, have := range s.Arches {
 					if have == arch {
@@ -423,10 +411,13 @@ func Parse(src []byte) (*Spec, error) {
 			}
 			s.Devices = n
 		case "kind":
-			if len(args) != 1 || !knownKinds[exploit.Kind(args[0])] {
+			if len(args) != 1 {
 				return nil, parseErr(lineNo, "kind wants one of dos, code-injection, ret2libc, rop-execlp, rop-memcpy")
 			}
-			k := exploit.Kind(args[0])
+			k, err := exploit.ParseKind(args[0])
+			if err != nil {
+				return nil, parseErr(lineNo, "%v", err)
+			}
 			for _, have := range s.Kinds {
 				if have.Kind == k {
 					return nil, parseErr(lineNo, "duplicate kind %q", k)
@@ -472,7 +463,7 @@ func parseExpect(lineNo int, args []string) (ExpectLine, error) {
 		return el, parseErr(lineNo, "expect wants an arch (or *) and at least one row=outcome")
 	}
 	a := args[0]
-	if a != "*" && isa.Arch(a) != isa.ArchX86S && isa.Arch(a) != isa.ArchARMS {
+	if _, err := isa.ParseArch(a); a != "*" && err != nil {
 		return el, parseErr(lineNo, "expect arch must be x86s, arms, or *")
 	}
 	el.Arch = a

@@ -79,6 +79,16 @@ func (v Variant) String() string {
 	return "connman"
 }
 
+// ParseVariant returns the variant a command-line or spec name denotes.
+func ParseVariant(s string) (Variant, error) {
+	for _, v := range []Variant{VariantConnman, VariantDnsmasq} {
+		if s == v.String() {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown variant %q (want connman or dnsmasq)", s)
+}
+
 // Site selects where the vulnerable name buffer lives.
 type Site uint8
 

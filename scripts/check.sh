@@ -103,6 +103,8 @@ go run ./cmd/experiments -exp e10 | cmp - cmd/experiments/testdata/e10.golden
 # were recorded before the world was shared and must not move.
 go run ./cmd/experiments -exp e9 | cmp - cmd/experiments/testdata/e9.golden
 go run ./cmd/pineapple -v | cmp - cmd/pineapple/testdata/pineapple_v.golden
+# The wired MITM resolver: payload, network event log and verdict.
+go run ./cmd/dnsmitm | cmp - cmd/dnsmitm/testdata/x86s_code-injection.golden
 # Every other deterministic experiment report (e9scale prints wall
 # time) and the four example programs, recorded before internal/core's
 # wrappers were deleted: the lab's experiments run on campaign scenarios

@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBlockStep -fuzztime $(FUZZTIME) ./internal/isa/x86s/
 	$(GO) test -fuzz FuzzBlockStep -fuzztime $(FUZZTIME) ./internal/isa/arms/
 	$(GO) test -fuzz FuzzCopyLoop -fuzztime $(FUZZTIME) ./internal/isa/isatest/
+	$(GO) test -fuzz FuzzKeptTranslation -fuzztime $(FUZZTIME) ./internal/isa/isatest/
 	$(GO) test -fuzz FuzzMemoryOps -fuzztime $(FUZZTIME) ./internal/mem/
 	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/gadget/
 	$(GO) test -fuzz FuzzSlide -fuzztime $(FUZZTIME) ./internal/image/

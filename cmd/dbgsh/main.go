@@ -36,6 +36,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -45,8 +46,7 @@ import (
 	"strings"
 	"time"
 
-	"flag"
-
+	"connlab/cmd/internal/cli"
 	"connlab/internal/dbg"
 	"connlab/internal/dns"
 	"connlab/internal/exploit"
@@ -57,24 +57,21 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "telemetry" {
-		if err := telemetryCmd(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "dbgsh:", err)
-			os.Exit(1)
+	cli.Main("dbgsh", func(args []string, stdout io.Writer) error { return run(args, os.Stdin, stdout) })
+}
+
+// run dispatches the telemetry and scenario subcommands, and otherwise
+// runs the debugger over the commands read from stdin.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "telemetry":
+			return telemetryCmd(args[1:], stdout)
+		case "scenario":
+			return scenarioCmd(args[1:], stdout)
 		}
-		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "scenario" {
-		if err := scenarioCmd(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "dbgsh:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "dbgsh:", err)
-		os.Exit(1)
-	}
+	return debug(args, stdin, stdout)
 }
 
 // telemetryCmd renders a -metrics snapshot file for terminal
@@ -168,11 +165,17 @@ func watchTelemetry(addr string, interval time.Duration, polls int, stdout io.Wr
 	return nil
 }
 
-func run() error {
-	archFlag := flag.String("arch", "x86s", "architecture: x86s or arms")
-	crash := flag.Bool("crash", false, "stage the malicious oversized response")
-	wx := flag.Bool("wx", false, "enable W⊕X")
-	flag.Parse()
+// debug stages a DNS response for the victim, parks the CPU at
+// parse_response and runs the command loop.
+func debug(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dbgsh", flag.ContinueOnError)
+	fs.SetOutput(stdout)
+	archFlag := fs.String("arch", "x86s", "architecture: x86s or arms")
+	crash := fs.Bool("crash", false, "stage the malicious oversized response")
+	wx := fs.Bool("wx", false, "enable W⊕X")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	arch, err := isa.ParseArch(*archFlag)
 	if err != nil {
@@ -204,39 +207,40 @@ func run() error {
 	}
 
 	d := dbg.New(proc)
-	fmt.Printf("dbgsh: %s victim, packet staged at %#x (%d bytes), pc at parse_response\n",
+	fmt.Fprintf(stdout, "dbgsh: %s victim, packet staged at %#x (%d bytes), pc at parse_response\n",
 		arch, addr, len(pkt))
-	return repl(d, proc)
+	return repl(d, proc, stdin, stdout)
 }
 
-// repl runs the command loop until quit or EOF.
-func repl(d *dbg.Debugger, proc *kernel.Process) error {
-	sc := bufio.NewScanner(os.Stdin)
+// repl runs the command loop over stdin until quit or EOF.
+func repl(d *dbg.Debugger, proc *kernel.Process, stdin io.Reader, w io.Writer) error {
+	sc := bufio.NewScanner(stdin)
 	for {
-		fmt.Print("(dbg) ")
+		fmt.Fprint(w, "(dbg) ")
 		if !sc.Scan() {
-			fmt.Println()
+			fmt.Fprintln(w)
 			return sc.Err()
 		}
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 {
 			continue
 		}
-		if done := command(d, proc, fields); done {
+		if done := command(d, proc, fields, w); done {
 			return nil
 		}
 	}
 }
 
-// command executes one debugger command; it reports true on quit.
-func command(d *dbg.Debugger, proc *kernel.Process, fields []string) bool {
+// command executes one debugger command, writing to w; it reports true
+// on quit.
+func command(d *dbg.Debugger, proc *kernel.Process, fields []string, w io.Writer) bool {
 	arg := func(i int, def uint64) uint64 {
 		if i >= len(fields) {
 			return def
 		}
 		v, err := strconv.ParseUint(strings.TrimPrefix(fields[i], "0x"), 16, 64)
 		if err != nil {
-			fmt.Println("bad number:", fields[i])
+			fmt.Fprintln(w, "bad number:", fields[i])
 			return def
 		}
 		return v
@@ -246,96 +250,96 @@ func command(d *dbg.Debugger, proc *kernel.Process, fields []string) bool {
 		return true
 	case "b", "break":
 		if len(fields) < 2 {
-			fmt.Println("usage: b <symbol|hexaddr>")
+			fmt.Fprintln(w, "usage: b <symbol|hexaddr>")
 			return false
 		}
 		if err := d.BreakSym(fields[1]); err == nil {
-			fmt.Println("breakpoint at", fields[1])
+			fmt.Fprintln(w, "breakpoint at", fields[1])
 			return false
 		}
 		v, err := strconv.ParseUint(strings.TrimPrefix(fields[1], "0x"), 16, 32)
 		if err != nil {
-			fmt.Println("no such symbol and not an address:", fields[1])
+			fmt.Fprintln(w, "no such symbol and not an address:", fields[1])
 			return false
 		}
 		d.Break(uint32(v))
-		fmt.Printf("breakpoint at %#x\n", v)
+		fmt.Fprintf(w, "breakpoint at %#x\n", v)
 	case "c", "continue":
 		stop := d.Continue(kernel.DefaultInstrBudget)
 		if stop.Breakpoint {
-			fmt.Printf("breakpoint hit at %s\n", d.FuncOf(stop.Addr))
+			fmt.Fprintf(w, "breakpoint hit at %s\n", d.FuncOf(stop.Addr))
 		} else if stop.Result != nil {
-			fmt.Printf("terminal: %v\n", *stop.Result)
+			fmt.Fprintf(w, "terminal: %v\n", *stop.Result)
 		}
 	case "s", "step":
 		n := int(arg(1, 1))
 		for i := 0; i < n; i++ {
 			if res := d.StepInstr(); res != nil {
-				fmt.Printf("terminal: %v\n", *res)
+				fmt.Fprintf(w, "terminal: %v\n", *res)
 				return false
 			}
 		}
 		lines, _ := d.Disasm(proc.CPU().PC(), 1)
 		if len(lines) > 0 {
-			fmt.Println(lines[0])
+			fmt.Fprintln(w, lines[0])
 		}
 	case "regs":
-		fmt.Print(d.Regs())
+		fmt.Fprint(w, d.Regs())
 	case "x":
 		if len(fields) < 2 {
-			fmt.Println("usage: x <hexaddr> [n]")
+			fmt.Fprintln(w, "usage: x <hexaddr> [n]")
 			return false
 		}
 		a := uint32(arg(1, 0))
 		n := uint32(arg(2, 0x40))
 		b, err := d.ReadMem(a, n)
 		if err != nil {
-			fmt.Println("read:", err)
+			fmt.Fprintln(w, "read:", err)
 			return false
 		}
-		hexdump(a, b)
+		hexdump(w, a, b)
 	case "dis":
 		a := uint32(arg(1, uint64(proc.CPU().PC())))
 		n := int(arg(2, 8))
 		lines, err := d.Disasm(a, n)
 		if err != nil {
-			fmt.Println("disasm:", err)
+			fmt.Fprintln(w, "disasm:", err)
 			return false
 		}
 		for _, l := range lines {
-			fmt.Println(l)
+			fmt.Fprintln(w, l)
 		}
 	case "where":
 		pc := proc.CPU().PC()
-		fmt.Printf("pc = %#08x (%s), sp = %#08x\n", pc, d.FuncOf(pc), proc.CPU().SP())
+		fmt.Fprintf(w, "pc = %#08x (%s), sp = %#08x\n", pc, d.FuncOf(pc), proc.CPU().SP())
 	default:
-		fmt.Println("commands: b c s regs x dis where q")
+		fmt.Fprintln(w, "commands: b c s regs x dis where q")
 	}
 	return false
 }
 
-// hexdump prints a classic 16-byte-per-row dump.
-func hexdump(base uint32, b []byte) {
+// hexdump writes a classic 16-byte-per-row dump to w.
+func hexdump(w io.Writer, base uint32, b []byte) {
 	for i := 0; i < len(b); i += 16 {
 		end := i + 16
 		if end > len(b) {
 			end = len(b)
 		}
-		fmt.Printf("%08x  ", base+uint32(i))
+		fmt.Fprintf(w, "%08x  ", base+uint32(i))
 		for j := i; j < end; j++ {
-			fmt.Printf("%02x ", b[j])
+			fmt.Fprintf(w, "%02x ", b[j])
 		}
 		for j := end; j < i+16; j++ {
-			fmt.Print("   ")
+			fmt.Fprint(w, "   ")
 		}
-		fmt.Print(" |")
+		fmt.Fprint(w, " |")
 		for j := i; j < end; j++ {
 			c := b[j]
 			if c < 0x20 || c > 0x7E {
 				c = '.'
 			}
-			fmt.Printf("%c", c)
+			fmt.Fprintf(w, "%c", c)
 		}
-		fmt.Println("|")
+		fmt.Fprintln(w, "|")
 	}
 }

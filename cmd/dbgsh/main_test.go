@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -88,5 +89,40 @@ func TestTelemetryWatch(t *testing.T) {
 
 	if err := watchTelemetry("127.0.0.1:1", 0, 1, io.Discard); err == nil {
 		t.Error("expected an error for an unreachable server")
+	}
+}
+
+// TestDebuggerScript drives the debugger REPL from a script on the x86s
+// DoS payload: a symbol breakpoint is hit, the next continue runs into
+// the overflow's fault, and the registers show the copy that ran off the
+// stack's top.
+func TestDebuggerScript(t *testing.T) {
+	var out bytes.Buffer
+	script := "break get_name\ncontinue\nwhere\ncontinue\nregs\nquit\n"
+	if err := run([]string{"-arch", "x86s", "-crash"}, strings.NewReader(script), &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, want := range []string{
+		"dbgsh: x86s victim, packet staged at 0x9000000 (1946 bytes), pc at parse_response\n",
+		"(dbg) breakpoint at get_name\n",
+		"(dbg) breakpoint hit at get_name+0x0\n",
+		"(dbg) pc = 0x08048170 (get_name+0x0), sp = 0xbfff7ab8\n",
+		"(dbg) terminal: fault: memory fault: unmapped write at 0xbfff8000\n",
+		"edi  0xbfff8000\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("transcript lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestDebuggerFlags: the debugger's flags parse like every other
+// command's: -h and unknown flags are errors, which cli.Main turns into
+// exit status 1, and a bad -arch names the value.
+func TestDebuggerFlags(t *testing.T) {
+	for _, args := range [][]string{{"-h"}, {"-no-such-flag"}, {"-arch", "mips"}} {
+		if err := run(args, strings.NewReader(""), &bytes.Buffer{}); err == nil {
+			t.Errorf("run %v succeeded", args)
+		}
 	}
 }

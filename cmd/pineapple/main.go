@@ -65,8 +65,10 @@ func run(args []string, stdout io.Writer) (err error) {
 	cell := lab.Scenario(arch, kind, campaign.Protection{WX: *wx, ASLR: *aslr})
 	if *scenarioFlag != "" {
 		// Every compiled cell delivers through the per-device rogue-AP
-		// world instead of handing the packet straight to the daemon.
-		_, err := cli.RunScenario(stdout, lab.Engine(), *scenarioFlag, scenario.CompileOpts{Pineapple: true}, fs)
+		// world instead of handing the packet straight to the daemon. An
+		// explicitly set -arch or -kind narrows the spec, as in attack.
+		co := scenario.CompileOpts{Pineapple: true, Arch: arch, Kind: kind}
+		_, err := cli.RunScenario(stdout, lab.Engine(), *scenarioFlag, co, fs)
 		return err
 	}
 	if *stations > 0 {

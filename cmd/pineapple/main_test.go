@@ -48,3 +48,47 @@ func TestRunNoPayload(t *testing.T) {
 		t.Error("population run with no payload succeeded")
 	}
 }
+
+// TestRunScenarioNarrows: an explicitly set -arch or -kind narrows a
+// -scenario run to the spec's matching cells, as attack and campaign do;
+// left at their defaults, the whole spec runs.
+func TestRunScenarioNarrows(t *testing.T) {
+	cells := func(args ...string) []string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(append([]string{"-scenario", "heap-adjacent"}, args...), &out); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		var heads []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "[") {
+				heads = append(heads, strings.Fields(line)[1])
+			}
+		}
+		return heads
+	}
+	all := cells()
+	if len(all) != 12 {
+		t.Fatalf("whole spec ran %d cells, want 12: %v", len(all), all)
+	}
+	for _, c := range []struct {
+		args []string
+		keep func(cell string) bool
+	}{
+		{[]string{"-arch", "x86s"}, func(c string) bool { return strings.HasPrefix(c, "x86s/") }},
+		{[]string{"-kind", "dos"}, func(c string) bool { return strings.Contains(c, "/dos/") }},
+		{[]string{"-arch", "arms", "-kind", "code-injection"}, func(c string) bool {
+			return strings.HasPrefix(c, "arms/code-injection/")
+		}},
+	} {
+		var want []string
+		for _, cell := range all {
+			if c.keep(cell) {
+				want = append(want, cell)
+			}
+		}
+		if got := cells(c.args...); len(want) == 0 || strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%v ran %v, want %v", c.args, got, want)
+		}
+	}
+}

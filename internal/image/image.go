@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"connlab/internal/isa"
 	"connlab/internal/isa/arms"
@@ -52,7 +53,18 @@ type Function struct {
 	Name   string
 	Bytes  []byte
 	Relocs []Reloc
+	// key names Bytes as a mem.Piece: every link places the same bytes
+	// outside the relocated fields. 0 (a Function not built by a Unit)
+	// names nothing.
+	key uint64
 }
+
+// pieceKeys mints Function keys and the PLT stubs' keys.
+var pieceKeys atomic.Uint64
+
+// pltKey names the bytes of a PLT stub outside its GOT address, per
+// ISA.
+var pltKey = map[isa.Arch]uint64{isa.ArchX86S: pieceKeys.Add(1), isa.ArchARMS: pieceKeys.Add(1)}
 
 // Data is a named data definition. A nil Bytes with Size > 0 is a BSS
 // (zero-initialized) definition.
@@ -156,7 +168,7 @@ func (u *Unit) AddFuncX86(name string, a *x86s.Asm) *Unit {
 		u.setErr(fmt.Errorf("assemble %s: %w", name, err))
 		return u
 	}
-	fn := &Function{Name: name, Bytes: code.Bytes}
+	fn := &Function{Name: name, Bytes: code.Bytes, key: pieceKeys.Add(1)}
 	for _, r := range code.Relocs {
 		kind := RelocAbs32
 		if r.Kind == x86s.RelocRel32 {
@@ -179,7 +191,7 @@ func (u *Unit) AddFuncARM(name string, a *arms.Asm) *Unit {
 		u.setErr(fmt.Errorf("assemble %s: %w", name, err))
 		return u
 	}
-	fn := &Function{Name: name, Bytes: code.Bytes}
+	fn := &Function{Name: name, Bytes: code.Bytes, key: pieceKeys.Add(1)}
 	for _, r := range code.Relocs {
 		var kind RelocKind
 		switch r.Kind {
@@ -251,20 +263,21 @@ type Image struct {
 	// Layout records the bases the image was linked at.
 	Layout Layout
 
-	// sites are the .text offsets of every absolute address the link
-	// wrote (RelocAbs32, RelocWord32, RelocArmMovWT and the PLT stubs'
-	// GOT words): the only bytes a slide changes.
-	sites []slideSite
+	// sites are the .text ranges of every absolute address the link
+	// wrote, sorted by offset: a 32-bit little-endian word (RelocAbs32,
+	// RelocWord32, an x86s PLT stub's GOT word) or, 8 bytes long, the
+	// 16-bit halves of an arms movw/movt pair (RelocArmMovWT, an arms PLT
+	// stub). They are the only bytes a slide changes.
+	sites []mem.Site
+	// varying are the sites plus the relative branches between
+	// functions (RelocRel32, RelocArmBranch): every .text byte whose value
+	// depends on placement. pieces are .text's PLT stubs and functions.
+	// MapInto and MoveTo declare both to mem (see mem.Memory.Patch).
+	varying []mem.Site
+	pieces  []mem.Piece
 	// funcs are the sorted, distinct addresses of the .text and .plt
 	// symbols (see FuncEntries).
 	funcs []uint32
-}
-
-// slideSite is one absolute address in .text: a 32-bit little-endian
-// word, or (movWT) the 16-bit halves of an arms movw/movt pair.
-type slideSite struct {
-	off   uint32
-	movWT bool
 }
 
 // Slide returns the image moved by delta: equal, section for section and
@@ -284,6 +297,8 @@ func (img *Image) Slide(delta uint32) *Image {
 		GOT:      make(map[string]uint32, len(img.GOT)),
 		Layout:   img.Layout.Slide(delta),
 		sites:    img.sites,
+		varying:  img.varying,
+		pieces:   img.pieces,
 		funcs:    make([]uint32, len(img.funcs)),
 	}
 	for i, s := range img.Sections {
@@ -291,8 +306,8 @@ func (img *Image) Slide(delta uint32) *Image {
 		if s.Name == ".text" {
 			s.Data = slices.Clone(s.Data)
 			for _, site := range img.sites {
-				w := s.Data[site.off:]
-				if site.movWT {
+				w := s.Data[site.Off:]
+				if site.Len == movWTLen {
 					lo := binary.LittleEndian.Uint32(w)
 					hi := binary.LittleEndian.Uint32(w[4:])
 					v := (hi<<16 | lo&0xFFFF) + delta
@@ -375,7 +390,8 @@ func (img *Image) FuncAt(addr uint32) (Symbol, bool) {
 	return best, found
 }
 
-// MapInto maps every section of the image into an address space.
+// MapInto maps every section of the image into an address space, and
+// declares .text's varying sites and pieces (see mem.Memory.Patch).
 func (img *Image) MapInto(m *mem.Memory, namePrefix string) error {
 	for _, s := range img.Sections {
 		seg, err := m.Map(namePrefix+s.Name, s.Addr, uint32(len(s.Data)), s.Perm)
@@ -383,8 +399,31 @@ func (img *Image) MapInto(m *mem.Memory, namePrefix string) error {
 			return fmt.Errorf("map %s: %w", s.Name, err)
 		}
 		seg.Populate(0, s.Data)
+		if s.Name == ".text" {
+			if err := m.Patch(seg.Name, s.Data, img.varying, img.pieces); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
+}
+
+// MoveTo moves the sections MapInto mapped under namePrefix to where to
+// has them, for a to that is img slid (its unit and link options linked
+// at img's layout slid by some delta; see Slide): the sections move as
+// one group with mem.Memory.Move and only .text's slide sites are
+// rewritten, so no section is mapped or filled again and translations of
+// the text outlive the slide.
+func (img *Image) MoveTo(m *mem.Memory, namePrefix string, to *Image) error {
+	names := make([]string, len(to.Sections))
+	for i, s := range to.Sections {
+		names[i] = namePrefix + s.Name
+	}
+	text := to.Section(".text")
+	if err := m.Move(to.Sections[0].Addr, names...); err != nil {
+		return fmt.Errorf("move %s: %w", namePrefix+text.Name, err)
+	}
+	return m.Patch(namePrefix+text.Name, text.Data, to.varying, to.pieces)
 }
 
 // UnmapFrom removes the sections MapInto mapped under namePrefix.

@@ -1,7 +1,9 @@
 package image
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"connlab/internal/isa"
@@ -96,6 +98,9 @@ type Options struct {
 	// after permutation); nil means no padding.
 	Pad []int
 }
+
+// movWTLen is the length of an arms movw/movt slide site.
+const movWTLen = 8
 
 const (
 	x86PLTStubSize = 8
@@ -249,11 +254,12 @@ func Link(u *Unit, layout Layout, opts Options) (*Image, error) {
 	// PLT stubs; each one's GOT address is an absolute site.
 	for i, name := range imports {
 		off := uint32(i) * stubSize
+		img.pieces = append(img.pieces, mem.Piece{Off: off, Len: stubSize, Key: pltKey[u.Arch]})
 		copy(textData[off:], buildPLTStub(u.Arch, img.GOT[name]))
 		if u.Arch == isa.ArchX86S {
-			img.sites = append(img.sites, slideSite{off: off + 2})
+			img.sites = append(img.sites, mem.Site{Off: off + 2, Len: 4})
 		} else {
-			img.sites = append(img.sites, slideSite{off: off, movWT: true})
+			img.sites = append(img.sites, mem.Site{Off: off, Len: movWTLen})
 		}
 	}
 	// Functions with relocations applied, in place in the section.
@@ -264,7 +270,14 @@ func Link(u *Unit, layout Layout, opts Options) (*Image, error) {
 		if err := applyRelocs(img, fn, addrs[i], off, code); err != nil {
 			return nil, err
 		}
+		if fn.key != 0 && len(fn.Bytes) > 0 {
+			img.pieces = append(img.pieces, mem.Piece{Off: off, Len: uint32(len(fn.Bytes)), Key: fn.key})
+		}
 	}
+	bySite := func(a, b mem.Site) int { return cmp.Compare(a.Off, b.Off) }
+	slices.SortFunc(img.sites, bySite)
+	img.varying = append(img.varying, img.sites...)
+	slices.SortFunc(img.varying, bySite)
 	img.funcs = funcEntries(img.Symbols)
 
 	fillData := func(items []Data, base, end uint32, alignTo uint32) []byte {
@@ -334,7 +347,8 @@ func buildPLTStub(arch isa.Arch, got uint32) []byte {
 }
 
 // applyRelocs patches one function's code in place and records its
-// absolute sites (the function starts off bytes into .text) for Slide.
+// absolute sites (the function starts off bytes into .text) for Slide
+// and its relative ones in varying.
 func applyRelocs(img *Image, fn *Function, funcAddr, off uint32, code []byte) error {
 	for _, r := range fn.Relocs {
 		sym, ok := img.Symbols[r.Symbol]
@@ -348,20 +362,22 @@ func applyRelocs(img *Image, fn *Function, funcAddr, off uint32, code []byte) er
 		switch r.Kind {
 		case RelocAbs32, RelocWord32:
 			put32(code[r.Off:], target)
-			img.sites = append(img.sites, slideSite{off: off + uint32(r.Off)})
+			img.sites = append(img.sites, mem.Site{Off: off + uint32(r.Off), Len: 4})
 		case RelocRel32:
 			site := funcAddr + uint32(r.Off)
 			put32(code[r.Off:], target-(site+4))
+			img.varying = append(img.varying, mem.Site{Off: off + uint32(r.Off), Len: 4})
 		case RelocArmMovWT:
 			if err := arms.PatchMovWT(code, r.Off, target); err != nil {
 				return fmt.Errorf("link %s: %w", fn.Name, err)
 			}
-			img.sites = append(img.sites, slideSite{off: off + uint32(r.Off), movWT: true})
+			img.sites = append(img.sites, mem.Site{Off: off + uint32(r.Off), Len: movWTLen})
 		case RelocArmBranch:
 			site := funcAddr + uint32(r.Off)
 			if err := arms.PatchBranch(code, r.Off, site, target); err != nil {
 				return fmt.Errorf("link %s: %w", fn.Name, err)
 			}
+			img.varying = append(img.varying, mem.Site{Off: off + uint32(r.Off), Len: 4})
 		default:
 			return fmt.Errorf("link %s: unknown reloc kind %d", fn.Name, r.Kind)
 		}

@@ -10,7 +10,7 @@ import (
 // Block dispatch (see internal/isa/core.go): the shared isa.Core owns the
 // block cache, the chain bookkeeping and the hang proof; this file
 // supplies what only arms knows — each instruction's effects, its
-// translation, and the executor for translated blocks.
+// decode for translation, and the executor for translated blocks.
 
 // effects classifies in for the block cache (isa.Fx*). A conditional b
 // continues its block and b AL is followed. Besides the call, return and
@@ -42,39 +42,30 @@ func effects(in *Instr) uint8 {
 	return 0
 }
 
-// Translate implements isa.Machine. A word cut short by its segment's end
+// DecodeAt implements isa.Machine. A word cut short by its segment's end
 // is untranslatable.
-func (c *CPU) Translate(pc uint32, ins []isa.BlockInstr[Instr]) []isa.BlockInstr[Instr] {
-	var fx uint8
-	for p := pc; len(ins) < isa.MaxBlockInstrs; {
-		word, perm, ok := c.m.Code32(p)
-		if !ok {
-			var short bool
-			var f *mem.Fault
-			if word, perm, short, f = c.m.Fetch32(p); f != nil || short {
-				break
-			}
-		}
-		if perm&mem.PermWrite != 0 {
-			break
-		}
-		in, err := Decode(word)
-		if err != nil {
-			break
-		}
-		e := effects(&in)
-		fx |= e
-		ins = append(ins, isa.BlockInstr[Instr]{PC: p, Fx: fx, In: in})
-		if fx&isa.FxEnd != 0 {
-			break
-		}
-		if p += InstrSize; e&isa.FxJump != 0 {
-			if p += uint32(in.Rel) * InstrSize; isa.Holds(ins, p) {
-				break
-			}
+func (c *CPU) DecodeAt(pc uint32, in *Instr) (fx uint8, size, next uint32, ok bool) {
+	word, perm, hit := c.m.Code32(pc)
+	if !hit {
+		var short bool
+		var f *mem.Fault
+		if word, perm, short, f = c.m.Fetch32(pc); f != nil || short {
+			return 0, 0, 0, false
 		}
 	}
-	return ins
+	if perm&mem.PermWrite != 0 {
+		return 0, 0, 0, false
+	}
+	var err error
+	if *in, err = Decode(word); err != nil {
+		return 0, 0, 0, false
+	}
+	fx, size = effects(in), InstrSize
+	next = pc + size
+	if fx&isa.FxJump != 0 {
+		next += uint32(in.Rel) * InstrSize
+	}
+	return fx, size, next, true
 }
 
 // StepBlock implements isa.CPU.

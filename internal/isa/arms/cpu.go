@@ -32,7 +32,7 @@ var _ isa.CPU = (*CPU)(nil)
 // New returns a CPU executing from m with all registers zero.
 func New(m *mem.Memory) *CPU {
 	c := &CPU{m: m}
-	c.Init(c, m, 2) // word-aligned instructions
+	c.Init(c, m, 2, InstrSize) // word-aligned instructions
 	return c
 }
 

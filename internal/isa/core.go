@@ -1,6 +1,9 @@
 package isa
 
 import (
+	"math/bits"
+	"slices"
+
 	"connlab/internal/mem"
 	"connlab/internal/telemetry"
 )
@@ -62,11 +65,20 @@ import (
 // manufacture a fault object. An entry PC that cannot be translated
 // (writable, unfetchable or undecodable) is cached as an empty block, and
 // a dispatch starting there falls back to exactly one Step, which
-// reproduces the exact fault or illegal event. A slot orphaned by a
-// generation bump or by ResetBlocks keeps its instructions, and refilling
-// it for the same PC reuses them when mem.Memory.CodeGen has not moved:
-// the bump rules of that count guarantee the bytes a translation read
-// are unchanged. Dispatch and its counters still see the miss.
+// reproduces the exact fault or illegal event.
+//
+// A translation outlives the layout it was made in. A slot orphaned by a
+// generation bump or by ResetBlocks keeps its instructions, and a block
+// that lies in one function of a linked image (a mem.Piece) also enters
+// a per-Core library keyed by the function and the block's offset in it.
+// A refill reuses the slot's block where its bytes stand unchanged, and
+// otherwise moves the slot's or the library's block of the same function
+// and offset to where the function now lies, decoding again only the
+// instructions that may overlap a relocated field: an image slid by a
+// PIE or ASLR layout keeps its blocks in their slots, and a diversity
+// build, whose functions moved apart, finds them in the library.
+// bcEntry's doc is the exactness rule. Dispatch and its counters see
+// every refill as a miss and a translation, however it was served.
 //
 // The chain also proves hangs. Translation records on each instruction
 // the effects of the block's path up to and including it: FxStore when
@@ -135,16 +147,14 @@ func Holds[I any](ins []BlockInstr[I], pc uint32) bool {
 
 // Machine is what Core needs from its ISA outside the chain loop.
 type Machine[I any, S comparable] interface {
-	// Translate appends the block starting at pc to ins, each instruction
-	// carrying the union of the effects up to it, and returns it. The
-	// block continues past conditional branches at their fall-through and
-	// follows direct jumps (FxJump) to their target. It ends after an
-	// FxEnd instruction, after a direct jump whose target it already
-	// Holds, at MaxBlockInstrs, or before the first instruction that is
-	// not translatable: writable, unfetchable, or undecodable. That PC is
-	// left for Step to resolve, so an empty block marks pc itself
-	// untranslatable.
-	Translate(pc uint32, ins []BlockInstr[I]) []BlockInstr[I]
+	// DecodeAt decodes the instruction at pc for translation into in,
+	// returning its own effect bits, its length in bytes and the PC
+	// translation continues at (a direct jump's target, otherwise the
+	// next instruction). ok is false when pc is not translatable:
+	// writable, unfetchable or undecodable. The instruction must not
+	// depend on pc itself (branch targets are relative), so a
+	// translation moved with its bytes stays exact.
+	DecodeAt(pc uint32, in *I) (fx uint8, size, next uint32, ok bool)
 	// Step executes one instruction (the fallback for untranslatable PCs).
 	Step() Event
 	// ArchState returns the state the cycle detector compares:
@@ -153,17 +163,60 @@ type Machine[I any, S comparable] interface {
 }
 
 // bcEntry is one block-cache slot: the instructions translated starting
-// at pc in code generation code, valid for dispatch while the memory
-// generation is gen. gen 0 (the zero value) never matches a live Memory.
-// A matching entry with an empty ins slice is a negative result: the
-// entry PC is known untranslatable for this generation. A slot whose gen
-// no longer matches keeps pc, code and ins, and a refill at the same pc
-// in the same code generation reuses ins instead of translating again.
+// at pc, valid for dispatch while the memory generation is gen. gen 0
+// (the zero value) never matches a live Memory. A matching entry with an
+// empty ins slice is a negative result: the entry PC is known
+// untranslatable for this generation.
+//
+// A slot whose gen no longer matches keeps its translation, and a refill
+// serves it again without decoding while that is exact. Its key says
+// when:
+//
+//   - A block whose instructions all lie in one mem.Piece of a segment,
+//     and that ended on its own bytes (an FxEnd, a direct jump back into
+//     the block, or MaxBlockInstrs), read nothing but the piece's bytes.
+//     It keys to the piece: key is the piece's Key, base its address, at
+//     its offset in the segment and code the segment's Stamp. A refill
+//     at the same offset into a piece of the same Key, in any segment and
+//     at any address, serves the block moved there (every PC by the same
+//     distance): decoding is position-independent, and outside its sites
+//     a piece holds the bytes its key names, its sites where the key puts
+//     them. Unless the segment's stamp and the piece's offset are the
+//     block's, so that it reads the very bytes it was decoded from, each
+//     instruction that may overlap a site is decoded again and must end
+//     or continue the block exactly as before, or the block is
+//     translated afresh. Such blocks also enter the Core's library, which
+//     serves a piece met at another address (a function a diversity
+//     build moved, say) when its slot no longer holds it.
+//   - Any other block, including the negative result, keys to the
+//     memory's code generation alone (key 0).
+//
+// Either block is reused at the same pc while the code generation it
+// was last served in (cg, mem.Memory.CodeGen) stands: its bump rules
+// guarantee that no byte any translation read has changed.
+//
+// A segment slid by whole pages keeps every slot index, so its blocks
+// are found in their own slots.
 type bcEntry[I any] struct {
-	pc        uint32
-	gen, code uint64
-	ins       []BlockInstr[I]
+	pc, base, at   uint32
+	gen, code, key uint64
+	cg             uint64 // the code generation it was last served in
+	ins            []BlockInstr[I]
+	// sited has bit i set when ins[i] may overlap one of its piece's
+	// sites: the instructions a move decodes again.
+	sited uint64
 }
+
+// libKey names a block in the library: its piece's Key and its entry's
+// offset into the piece.
+type libKey struct {
+	key uint64
+	off uint32
+}
+
+// maxLib bounds a Core's library. A daemon runs a few hundred distinct
+// blocks of its program builds and libc.
+const maxLib = 1024
 
 // cycle is the Brent cycle detector: the state saved at a pure block
 // entry, the instruction count there, and Brent's step counter and power.
@@ -184,7 +237,8 @@ type Core[I any, S comparable] struct {
 	rec    *telemetry.ControlRecorder
 	mach   Machine[I, S]
 	space  *mem.Memory
-	shift  uint // log2 of the instruction alignment, for slot indexing
+	shift  uint   // log2 of the instruction alignment, for slot indexing
+	maxLen uint32 // the longest instruction encoding, in bytes
 
 	// The running dispatch: its memory generation, the instruction
 	// counts at which it started, wakes the cycle detector and ends, and
@@ -200,12 +254,14 @@ type Core[I any, S comparable] struct {
 	stats BlockStats
 	hang  Hang
 	bc    [bcSize]bcEntry[I]
+	lib   map[libKey]bcEntry[I] // piece-local blocks, by piece and offset
+	in    I                     // move's decode scratch
 }
 
 // Init binds the core to m, executing from space, whose instructions are
-// aligned to 1<<alignShift bytes.
-func (c *Core[I, S]) Init(m Machine[I, S], space *mem.Memory, alignShift uint) {
-	c.mach, c.space, c.shift = m, space, alignShift
+// aligned to 1<<alignShift bytes and at most maxLen bytes long.
+func (c *Core[I, S]) Init(m Machine[I, S], space *mem.Memory, alignShift uint, maxLen uint32) {
+	c.mach, c.space, c.shift, c.maxLen = m, space, alignShift, maxLen
 }
 
 // SetHooks implements CPU.
@@ -263,8 +319,8 @@ func (c *Core[I, S]) RecordSyscall(pc, nr uint32) {
 // ResetBlocks empties the block cache as dispatch and its counters see
 // it: every slot misses, exactly as in a new Core, so a recycled process
 // translates, hits and invalidates what a fresh one would. Each slot keeps
-// its translation, which Slow reuses instead of translating again while
-// the code generation has not moved (see bcEntry).
+// its translation, which Slow serves again, as it stands or moved, where
+// bcEntry's key allows.
 func (c *Core[I, S]) ResetBlocks() {
 	for i := range c.bc {
 		c.bc[i].gen = 0
@@ -407,13 +463,8 @@ func (c *Core[I, S]) Slow(pc uint32) ([]BlockInstr[I], Event) {
 			if e.pc == pc && e.gen != 0 {
 				c.stats.Invalidated++
 			}
-			if code := c.space.CodeGen(); e.pc != pc || e.code != code {
-				e.pc, e.code, e.ins = pc, code, c.mach.Translate(pc, e.ins[:0])
-			}
+			c.refill(e, pc)
 			e.gen = c.gen
-			if len(e.ins) > 0 {
-				c.stats.Translated++
-			}
 		}
 		if len(e.ins) == 0 {
 			return nil, c.mach.Step()
@@ -421,6 +472,147 @@ func (c *Core[I, S]) Slow(pc uint32) ([]BlockInstr[I], Event) {
 		return c.clip(e.ins), Event{}
 	}
 	return nil, c.Exit(Event{Kind: EventRetired, PC: pc})
+}
+
+// Translate appends the block starting at pc to ins, each instruction
+// carrying the union of the effects up to it, and returns it. The block
+// continues past conditional branches at their fall-through and follows
+// direct jumps (FxJump) to their target. It ends after an FxEnd
+// instruction, after a direct jump whose target it already Holds, at
+// MaxBlockInstrs, or before the first instruction that is not
+// translatable: writable, unfetchable, or undecodable. That PC is left for
+// Step to resolve, so an empty block marks pc itself untranslatable.
+func (c *Core[I, S]) Translate(pc uint32, ins []BlockInstr[I]) []BlockInstr[I] {
+	ins, _ = c.translate(pc, ins, 0, 0)
+	return ins
+}
+
+// translate is Translate, also reporting whether the block is local to
+// [lo, lo+n): every instruction lies in it and the block ended on its own
+// bytes (see bcEntry).
+func (c *Core[I, S]) translate(pc uint32, ins []BlockInstr[I], lo, n uint32) ([]BlockInstr[I], bool) {
+	local := n > 0
+	var fx uint8
+	for p := pc; len(ins) < MaxBlockInstrs; {
+		ins = append(ins, BlockInstr[I]{PC: p})
+		b := &ins[len(ins)-1]
+		e, size, next, ok := c.mach.DecodeAt(p, &b.In)
+		if !ok {
+			return ins[:len(ins)-1], false
+		}
+		local = local && uint64(p-lo)+uint64(size) <= uint64(n)
+		fx |= e
+		b.Fx = fx
+		if fx&FxEnd != 0 || e&FxJump != 0 && Holds(ins, next) {
+			break
+		}
+		p = next
+	}
+	return ins, local
+}
+
+// refill serves slot e at pc for a dispatch that missed it, as
+// bcEntry's key allows, and counts the block.
+func (c *Core[I, S]) refill(e *bcEntry[I], pc uint32) {
+	cg := c.space.CodeGen()
+	var how *uint64 // the counter for how e was served; nil: as it stood
+	if e.pc != pc || e.cg != cg {
+		how = c.serve(e, pc)
+	}
+	e.cg = cg
+	if len(e.ins) > 0 { // an empty block is no translation
+		c.stats.Translated++
+		if how != nil {
+			*how++
+		}
+	}
+}
+
+// serve refills e at pc in a code generation its block was not last
+// served in. It reuses the slot's block as it stands, moves it or the
+// library's, or decodes afresh, and returns nil, &stats.Rebased or
+// &stats.Decoded to say which.
+func (c *Core[I, S]) serve(e *bcEntry[I], pc uint32) *uint64 {
+	var p mem.Piece
+	var lo uint32
+	seg := c.space.Find(pc)
+	if seg != nil {
+		p, _ = seg.PieceAt(pc - seg.Base)
+		lo = seg.Base + p.Off
+	}
+	if off := pc - lo; p.Len > 0 {
+		if e.key == p.Key && e.pc-e.base == off {
+			if e.base == lo && e.at == p.Off && e.code == seg.Stamp() {
+				return nil
+			}
+			if c.move(e, e, seg, p) {
+				return &c.stats.Rebased
+			}
+		} else if k, ok := c.lib[libKey{p.Key, off}]; ok && c.move(e, &k, seg, p) {
+			return &c.stats.Rebased
+		}
+	}
+	ins, local := c.translate(pc, e.ins[:0], lo, p.Len)
+	*e = bcEntry[I]{pc: pc, ins: ins}
+	if local {
+		e.key, e.base, e.at, e.code = p.Key, lo, p.Off, seg.Stamp()
+		for i := range ins {
+			if seg.AtSite(ins[i].PC-seg.Base, c.maxLen) {
+				e.sited |= 1 << i
+			}
+		}
+		if c.lib == nil {
+			c.lib = make(map[libKey]bcEntry[I])
+		}
+		if len(c.lib) < maxLib {
+			k := *e
+			k.ins = slices.Clone(ins)
+			c.lib[libKey{p.Key, pc - lo}] = k
+		}
+	}
+	return &c.stats.Decoded
+}
+
+// move serves slot e with src's piece-local block (e's own, or a library
+// copy) moved to piece p of seg (see bcEntry). Unless seg's stamp and
+// the piece's offset are src's, each instruction that may overlap a site
+// is decoded again and must end or continue the block exactly as
+// Translate would; otherwise move reports false and the block must be
+// translated afresh.
+func (c *Core[I, S]) move(e, src *bcEntry[I], seg *mem.Segment, p mem.Piece) bool {
+	lo := seg.Base + p.Off
+	d := lo - src.base
+	same := src.code == seg.Stamp() && src.at == p.Off
+	if src != e {
+		e.ins = append(e.ins[:0], src.ins...)
+	}
+	ins := e.ins
+	e.pc, e.base, e.at, e.code, e.key, e.sited = src.pc+d, lo, p.Off, seg.Stamp(), p.Key, src.sited
+	for i := range ins {
+		ins[i].PC += d
+	}
+	if same {
+		return true
+	}
+	for m := e.sited; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		b := &ins[i]
+		fx, _, next, ok := c.mach.DecodeAt(b.PC, &c.in)
+		var prev uint8
+		if i > 0 {
+			prev = ins[i-1].Fx
+		}
+		if !ok || prev|fx != b.Fx {
+			return false
+		}
+		stop := b.Fx&FxEnd != 0 || fx&FxJump != 0 && Holds(ins[:i+1], next)
+		if i+1 < len(ins) && (stop || next != ins[i+1].PC) ||
+			i+1 == len(ins) && !stop && len(ins) < MaxBlockInstrs {
+			return false
+		}
+		b.In = c.in
+	}
+	return true
 }
 
 // watch feeds the cycle detector the entry at pc of the block ins, and

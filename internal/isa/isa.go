@@ -134,8 +134,14 @@ type Hooks interface {
 // accumulates across its lifetime. Consumers (the kernel's per-run
 // telemetry flush) take deltas.
 type BlockStats struct {
-	// Translated counts blocks decoded into the block cache.
+	// Translated counts the blocks refilled into the block cache after a
+	// miss: decoded afresh, rebased, or reused as kept (see Core.Slow),
+	// so it counts what a cache that keeps nothing would translate.
 	Translated uint64
+	// Decoded counts the Translated blocks decoded afresh, and Rebased
+	// those moved from where their segment used to lie; the rest reused a
+	// kept translation as it was.
+	Decoded, Rebased uint64
 	// Hits counts dispatches served by a still-valid cached block. A
 	// block that loops back to its own entry in place counts once.
 	Hits uint64
@@ -249,9 +255,9 @@ type CPU interface {
 	// the block cache as dispatch sees it. InstrCount keeps running
 	// (callers consume deltas), and so do the block counters: starting
 	// cold keeps each run's counter deltas independent of whatever image
-	// the CPU ran before. Translations the memory's code generation
-	// still vouches for are kept and reused without changing any counter
-	// (see Core.ResetBlocks).
+	// the CPU ran before. Translations are kept and served again, as
+	// they stand or moved, wherever that is exact; only the Decoded and
+	// Rebased counters show it (see Core.ResetBlocks).
 	ResetState()
 }
 

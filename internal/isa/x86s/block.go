@@ -8,7 +8,7 @@ import (
 // Block dispatch (see internal/isa/core.go): the shared isa.Core owns the
 // block cache, the chain bookkeeping and the hang proof; this file
 // supplies what only x86s knows — each instruction's effects, its
-// translation, and the executor for translated blocks.
+// decode for translation, and the executor for translated blocks.
 
 // effects classifies in for the block cache (isa.Fx*). Conditional
 // branches continue their block, jmp rel is followed, and every other
@@ -35,37 +35,28 @@ func effects(in *Instr) uint8 {
 	return 0
 }
 
-// Translate implements isa.Machine.
-func (c *CPU) Translate(pc uint32, ins []isa.BlockInstr[Instr]) []isa.BlockInstr[Instr] {
-	var fx uint8
-	for p := pc; len(ins) < isa.MaxBlockInstrs; {
-		window, perm, ok := c.m.CodeWindow(p, maxInstrLen)
-		if !ok {
-			var f *mem.Fault
-			if window, perm, f = c.m.FetchWindow(p, maxInstrLen); f != nil {
-				break
-			}
-		}
-		if perm&mem.PermWrite != 0 {
-			break
-		}
-		in, err := Decode(window)
-		if err != nil {
-			break
-		}
-		e := effects(&in)
-		fx |= e
-		ins = append(ins, isa.BlockInstr[Instr]{PC: p, Fx: fx, In: in})
-		if fx&isa.FxEnd != 0 {
-			break
-		}
-		if p += in.Size; e&isa.FxJump != 0 {
-			if p += uint32(in.Disp); isa.Holds(ins, p) {
-				break
-			}
+// DecodeAt implements isa.Machine.
+func (c *CPU) DecodeAt(pc uint32, in *Instr) (fx uint8, size, next uint32, ok bool) {
+	window, perm, hit := c.m.CodeWindow(pc, maxInstrLen)
+	if !hit {
+		var f *mem.Fault
+		if window, perm, f = c.m.FetchWindow(pc, maxInstrLen); f != nil {
+			return 0, 0, 0, false
 		}
 	}
-	return ins
+	if perm&mem.PermWrite != 0 {
+		return 0, 0, 0, false
+	}
+	var err error
+	if *in, err = Decode(window); err != nil {
+		return 0, 0, 0, false
+	}
+	fx, size = effects(in), in.Size
+	next = pc + size
+	if fx&isa.FxJump != 0 {
+		next += uint32(in.Disp)
+	}
+	return fx, size, next, true
 }
 
 // StepBlock implements isa.CPU.

@@ -32,7 +32,7 @@ var _ isa.CPU = (*CPU)(nil)
 // New returns a CPU executing from m with all registers zero.
 func New(m *mem.Memory) *CPU {
 	c := &CPU{m: m}
-	c.Init(c, m, 0) // byte-aligned instructions
+	c.Init(c, m, 0, maxInstrLen) // byte-aligned instructions
 	return c
 }
 

@@ -386,6 +386,9 @@ type layoutPlan struct {
 	progUnit, libcUnit *image.Unit
 	prog, libc         *image.Image
 	canary             uint32
+	// slideProg and slideLibc report a new image that is the current one
+	// slid: place moves it instead of remapping it.
+	slideProg, slideLibc bool
 }
 
 // plan replays cfg's seed through layoutFor and links whichever image the
@@ -417,6 +420,8 @@ func (p *Process) plan(progUnit, libcUnit *image.Unit, cfg Config) (layoutPlan, 
 	pl.canary = p.rng.Uint32()<<8 | 0
 	progLayout := image.DefaultProgramLayout(p.arch).Slide(pl.lay.ProgSlide)
 	if pl.prog == nil || pl.prog.Layout != progLayout || !sameLinkOpts(p.cfg.LinkOpts, cfg.LinkOpts) {
+		pl.slideProg = pl.prog != nil && sameLinkOpts(p.cfg.LinkOpts, cfg.LinkOpts) &&
+			pl.prog.Layout.Slide(progLayout.TextBase-pl.prog.Layout.TextBase) == progLayout
 		img, err := progUnit.Linked(progLayout, cfg.LinkOpts)
 		if err != nil {
 			return pl, fmt.Errorf("link program: %w", err)
@@ -424,6 +429,7 @@ func (p *Process) plan(progUnit, libcUnit *image.Unit, cfg Config) (layoutPlan, 
 		pl.prog = img
 	}
 	if pl.libc == nil || pl.libc.Layout.TextBase != pl.lay.LibcBase {
+		pl.slideLibc = pl.libc != nil
 		img, err := libcUnit.Linked(image.LibraryLayout(pl.lay.LibcBase), image.Options{})
 		if err != nil {
 			return pl, fmt.Errorf("link libc: %w", err)
@@ -446,32 +452,44 @@ func sameLinkOpts(a, b image.Options) bool {
 }
 
 // place lays the address space out as pl says, from a freshly mapped or
-// freshly reset state: it remaps the images that moved, slides the stack,
-// applies the W⊕X permissions, refills the GOT, seals the canary-free
-// baseline and seeds the canary.
+// freshly reset state: it moves the images that only slid, remaps the
+// others that changed, slides the stack, applies the W⊕X permissions,
+// refills the GOT, seals the canary-free baseline and seeds the canary.
 func (p *Process) place(cfg Config, pl layoutPlan) error {
 	m := p.m
 	remapProg, remapLibc := pl.prog != p.Prog, pl.libc != p.Libc
-	if remapProg && p.Prog != nil {
+	if remapProg && !pl.slideProg && p.Prog != nil {
 		p.Prog.UnmapFrom(m, "")
 	}
-	if remapLibc && p.Libc != nil {
+	if remapLibc && !pl.slideLibc && p.Libc != nil {
 		p.Libc.UnmapFrom(m, "libc")
 	}
 	if remapProg {
-		if err := pl.prog.MapInto(m, ""); err != nil {
+		var err error
+		if pl.slideProg {
+			err = p.Prog.MoveTo(m, "", pl.prog)
+		} else {
+			err = pl.prog.MapInto(m, "")
+		}
+		if err != nil {
 			return fmt.Errorf("map program: %w", err)
 		}
 	}
 	if remapLibc {
-		if err := pl.libc.MapInto(m, "libc"); err != nil {
+		var err error
+		if pl.slideLibc {
+			err = p.Libc.MoveTo(m, "libc", pl.libc)
+		} else {
+			err = pl.libc.MapInto(m, "libc")
+		}
+		if err != nil {
 			return fmt.Errorf("map libc: %w", err)
 		}
 	}
 	p.Prog, p.Libc = pl.prog, pl.libc
 	p.progUnit, p.libcUnit = pl.progUnit, pl.libcUnit
 
-	if err := m.Move("stack", pl.lay.StackTop-StackSize); err != nil {
+	if err := m.Move(pl.lay.StackTop-StackSize, "stack"); err != nil {
 		return fmt.Errorf("map stack: %w", err)
 	}
 	p.StackTop = pl.lay.StackTop

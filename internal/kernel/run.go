@@ -124,12 +124,16 @@ func (p *Process) accountRun(res RunResult) {
 	}
 	trCtr, bhCtr, invCtr, biCtr := telemetry.CtrX86BlockTranslate, telemetry.CtrX86BlockHit,
 		telemetry.CtrX86BlockInvalidate, telemetry.CtrX86BlockInstr
+	decCtr, rebCtr := telemetry.CtrX86BlockDecode, telemetry.CtrX86BlockRebase
 	if p.arch == isa.ArchARMS {
 		trCtr, bhCtr, invCtr, biCtr = telemetry.CtrARMSBlockTranslate, telemetry.CtrARMSBlockHit,
 			telemetry.CtrARMSBlockInvalidate, telemetry.CtrARMSBlockInstr
+		decCtr, rebCtr = telemetry.CtrARMSBlockDecode, telemetry.CtrARMSBlockRebase
 	}
 	bs := p.cpu.BlockStats()
 	t.Add(trCtr, bs.Translated-p.lastBlock.Translated)
+	t.Add(decCtr, bs.Decoded-p.lastBlock.Decoded)
+	t.Add(rebCtr, bs.Rebased-p.lastBlock.Rebased)
 	t.Add(bhCtr, bs.Hits-p.lastBlock.Hits)
 	t.Add(invCtr, bs.Invalidated-p.lastBlock.Invalidated)
 	t.Add(biCtr, bs.Instrs-p.lastBlock.Instrs)

@@ -59,7 +59,7 @@ func dirtyBigSegments(t *testing.T) (stack, heap unsafe.Pointer) {
 	}
 	m.Wrote(0x0900_4000, uint32(len(span)))
 	m.Seal()
-	if err := m.Move("stack", 0x7E00_0000); err != nil {
+	if err := m.Move(0x7E00_0000, "stack"); err != nil {
 		t.Fatal(err)
 	}
 	if f := m.WriteU32(0x7E00_0000+BigSegment-0x200, 0x12345678); f != nil {

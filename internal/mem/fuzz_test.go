@@ -2,12 +2,14 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
 // FuzzMemoryOps decodes its input into a sequence of layout changes (Map,
-// Unmap, Move, SetPerm, SetWX, Seal, Reset) and accesses of every width
-// and kind, and checks each access against a window-free oracle: a linear
+// Unmap, drop-and-remap, Move of one segment or a group, Patch, SetPerm,
+// SetWX, Seal, Reset) and accesses of every width and kind, and checks
+// each access against a window-free oracle: a linear
 // scan of Segments() applying the bounds, permission and W⊕X rules, with
 // values read straight from the segment's Data. Value, fault (kind,
 // access, address, segment) and every segment's DirtyRange must agree
@@ -19,7 +21,14 @@ import (
 // up to the segment's end, and stores through a write span reported with
 // Wrote must dirty exactly those bytes. Across every step that leaves
 // CodeGen unchanged, no non-writable segment may move, change its
-// permissions or bytes, and no segment may become non-writable.
+// permissions or bytes, and no segment may become non-writable. A Move
+// must succeed exactly when the oracle's overlap and wrap scan allows it
+// and then shift every moved segment by the same delta, bytes,
+// permissions and stamp unchanged. Every segment's Stamp must change
+// exactly when its permissions change or, while it is non-writable before
+// or after the step, its bytes do; a new segment's stamp is one never
+// seen before, and a stamp that changes other than by Patch voids the
+// segment's sites and pieces.
 func FuzzMemoryOps(f *testing.F) {
 	f.Add([]byte{
 		0, 0, 0, 3, 3, // map a at 0x1000, 0x100 bytes, rw-
@@ -93,13 +102,28 @@ func FuzzMemoryOps(f *testing.F) {
 		6,       // Reset restores a's bytes (CodeGen bumps)
 		2, 0, 4, // Move a to 0x1200 (CodeGen bumps)
 	})
+	f.Add([]byte{
+		0, 0, 0, 3, 5, // map a at 0x1000, 0x100 bytes, r-x
+		0, 1, 2, 3, 3, // map b at 0x1100, 0x100 bytes, rw-
+		30, 0, 0x10, 3, 1, 2, 3, 4, 5, 6, 7, 8, // Patch a (stamp moves)
+		30, 1, 0x10, 3, 1, 2, 3, 4, 5, 6, 7, 8, // Patch b (writable: stamp kept)
+		29, 0, 1, 4, // Move a and b to 0x1200 as a group
+		29, 0, 0, 6, // a named twice (fails)
+		2, 0, 5, // Move a to 0x1300 (overlaps b, fails)
+		28, 0, // drop a and remap it
+		5,                                // Seal
+		3, 0, 7, 12, 4, 0x10, 9, 9, 9, 9, // SetPerm a rwx, WriteU32
+		3, 0, 5, // SetPerm a r-x
+		6, // Reset restores a's bytes
+	})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		o := &oracle{t: t, m: New(), dirty: map[*Segment][2]uint32{}}
+		o := &oracle{t: t, m: New(), dirty: map[*Segment][2]uint32{}, seen: map[uint64]bool{}}
 		r := &opReader{in: in}
 		for step := 0; len(r.in) > 0; step++ {
-			code, fixed := o.m.CodeGen(), o.fixed()
-			o.step(step, r)
+			code, fixed, before := o.m.CodeGen(), o.fixed(), o.stamps()
+			patched := o.step(step, r)
 			o.checkDirty(step)
+			o.checkStamps(step, before, patched)
 			if o.m.CodeGen() == code {
 				o.checkFixed(step, fixed)
 			}
@@ -160,6 +184,53 @@ type oracle struct {
 	wx     bool
 	dirty  map[*Segment][2]uint32 // expected DirtyRange
 	sealed []*Segment             // segments at the last Seal, nil before
+	seen   map[uint64]bool        // every stamp a segment has shown
+}
+
+// stamped is a segment's stamp with the permissions and bytes it named.
+type stamped struct {
+	stamp uint64
+	perm  Perm
+	data  []byte
+}
+
+// stamps snapshots every segment's stamp, permissions and bytes.
+func (o *oracle) stamps() map[*Segment]stamped {
+	out := map[*Segment]stamped{}
+	for _, s := range o.m.Segments() {
+		out[s] = stamped{s.Stamp(), s.Perm, bytes.Clone(s.Data)}
+	}
+	return out
+}
+
+// checkStamps requires each segment's stamp to have changed exactly when
+// its permissions changed or, non-writable before or after the step, its
+// bytes did; a new segment's stamp to be one never seen; and a stamp
+// changed by anything but a Patch of that segment (patched) to have
+// voided its sites and pieces.
+func (o *oracle) checkStamps(step int, before map[*Segment]stamped, patched *Segment) {
+	for _, s := range o.m.Segments() {
+		was, ok := before[s]
+		if !ok {
+			if o.seen[s.Stamp()] {
+				o.t.Fatalf("step %d: new segment %s reuses stamp %d", step, s.Name, s.Stamp())
+			}
+		} else {
+			code := (was.perm&s.Perm)&PermWrite == 0
+			want := was.perm != s.Perm || code && !bytes.Equal(was.data, s.Data)
+			if got := s.Stamp() != was.stamp; got != want {
+				o.t.Fatalf("step %d: segment %s stamp changed=%v, want %v (perm %v -> %v)",
+					step, s.Name, got, want, was.perm, s.Perm)
+			}
+			if s.Stamp() != was.stamp && s.Stamp() != 0 && o.seen[s.Stamp()] {
+				o.t.Fatalf("step %d: segment %s went back to stamp %d", step, s.Name, s.Stamp())
+			}
+			if s.Stamp() != was.stamp && s != patched && (len(s.sites) > 0 || len(s.pieces) > 0) {
+				o.t.Fatalf("step %d: segment %s kept its sites and pieces across a new stamp", step, s.Name)
+			}
+		}
+		o.seen[s.Stamp()] = true
+	}
 }
 
 func (o *oracle) find(addr uint32) *Segment {
@@ -271,9 +342,72 @@ func le(b []byte) uint32 {
 	return v
 }
 
+// move is the reference for Memory.Move: it reports whether moving the
+// named segments as a group, the first to base, may succeed.
+func (o *oracle) move(base uint32, names ...string) bool {
+	var group []*Segment
+	for _, name := range names {
+		s := o.m.Segment(name)
+		for _, g := range group {
+			if g == s {
+				return false
+			}
+		}
+		if s == nil {
+			return false
+		}
+		group = append(group, s)
+	}
+	delta := base - group[0].Base
+	for _, s := range group {
+		to := uint64(s.Base + delta)
+		if to+uint64(s.Size()) >= 1<<32 { // Map refuses a range ending at 2³² too
+			return false
+		}
+		for _, other := range o.m.Segments() {
+			if !slices.Contains(group, other) && to < uint64(other.End()) && uint64(other.Base) < to+uint64(s.Size()) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkMove runs Memory.Move against the oracle: success exactly when it
+// allows, every moved segment shifted by the same delta, and nothing else
+// changed (stamps are checked after the step).
+func (o *oracle) checkMove(step int, base uint32, names ...string) {
+	want := o.move(base, names...)
+	bases, moved := map[*Segment]uint32{}, map[*Segment]bool{}
+	for _, s := range o.m.Segments() {
+		bases[s] = s.Base
+	}
+	for _, name := range names {
+		moved[o.m.Segment(name)] = want
+	}
+	var delta uint32
+	if first := o.m.Segment(names[0]); first != nil {
+		delta = base - first.Base
+	}
+	err := o.m.Move(base, names...)
+	if (err == nil) != want {
+		o.t.Fatalf("step %d: Move(%#x, %v) = %v, want success %v", step, base, names, err, want)
+	}
+	for _, s := range o.m.Segments() {
+		wantBase := bases[s]
+		if moved[s] {
+			wantBase += delta
+		}
+		if s.Base != wantBase {
+			o.t.Fatalf("step %d: segment %s at %#x after Move, want %#x", step, s.Name, s.Base, wantBase)
+		}
+	}
+}
+
 // step decodes and runs one operation, failing the test on any
-// divergence from the oracle.
-func (o *oracle) step(step int, r *opReader) {
+// divergence from the oracle. It returns the segment a Patch wrote, if
+// any.
+func (o *oracle) step(step int, r *opReader) (patched *Segment) {
 	t, m := o.t, o.m
 	fail := func(format string, args ...any) {
 		t.Helper()
@@ -322,7 +456,7 @@ func (o *oracle) step(step int, r *opReader) {
 		return s.Data[off:end]
 	}
 
-	switch op := r.byte() % 28; op {
+	switch op := r.byte() % 31; op {
 	case 0:
 		name, base, size, perm := r.name(), r.base(), fuzzSizes[r.byte()%8], Perm(r.byte()%8)
 		if s, err := m.Map(name, base, size, perm); err == nil {
@@ -331,7 +465,8 @@ func (o *oracle) step(step int, r *opReader) {
 	case 1:
 		m.Unmap(r.name())
 	case 2:
-		_ = m.Move(r.name(), r.base()) // overlaps and unknown names fail; the layout is what it is
+		name := r.name()
+		o.checkMove(step, r.base(), name)
 	case 3:
 		_ = m.SetPerm(r.name(), Perm(r.byte()%8))
 	case 4:
@@ -507,10 +642,48 @@ func (o *oracle) step(step int, r *opReader) {
 		if m.Wrote(addr, uint32(len(span))); len(span) > 0 {
 			write("Span", addr, span, nil)
 		}
+	case 28: // drop a segment and map it again where it was
+		if s := m.Segment(r.name()); s != nil {
+			m.Unmap(s.Name)
+			if _, err := m.Map(s.Name, s.Base, s.Size(), s.Perm); err != nil {
+				fail("remap %s: %v", s.Name, err)
+			}
+			o.dirty[m.Segment(s.Name)] = [2]uint32{s.Size(), 0}
+		}
+	case 29:
+		a, b := r.name(), r.name()
+		o.checkMove(step, r.base(), a, b)
+	case 30: // Patch one site with one piece over it
+		s := m.Segment(r.name())
+		off, n, b := uint32(r.byte()), uint32(r.byte()%8+1), r.bytes(8)
+		if s == nil || off+n > s.Size() {
+			break
+		}
+		img := bytes.Clone(s.Data)
+		copy(img[off:off+n], b)
+		changed := !bytes.Equal(s.Data[off:off+n], img[off:off+n])
+		site := []Site{{Off: off, Len: n}}
+		if err := m.Patch(s.Name, img, site, []Piece{{Off: off, Len: n, Key: 1}}); err != nil {
+			fail("Patch(%s, %#x+%d): %v", s.Name, off, n, err)
+		}
+		if !bytes.Equal(s.Data, img) {
+			fail("Patch(%s, %#x+%d) left % x", s.Name, off, n, s.Data[off:off+n])
+		}
+		if changed { // a store of the whole site
+			o.wrote(s, off, n)
+		}
+		if !s.AtSite(off, 1) || s.AtSite(off+n, 1) || off > 0 && s.AtSite(off-1, 1) {
+			fail("AtSite disagrees with the site %#x+%d", off, n)
+		}
+		if p, ok := s.PieceAt(off + n - 1); !ok || p.Off != off {
+			fail("PieceAt(%#x) = %+v, %v", off+n-1, p, ok)
+		}
+		patched = s
 	}
 	if m.WX() != o.wx {
 		fail("WX() = %v, want %v", m.WX(), o.wx)
 	}
+	return patched
 }
 
 // cstring is the reference ReadCString: segment by segment through the

@@ -290,13 +290,13 @@ func TestResealAndMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib.Populate(0, []byte{0xC3})
-	if err := m.Move("stack", 0x6000); err != nil {
+	if err := m.Move(0x6000, "stack"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Move("stack", 0x3F80); err == nil {
+	if err := m.Move(0x3F80, "stack"); err == nil {
 		t.Error("Move onto an overlapping range succeeded")
 	}
-	if err := m.Move("nope", 0x9000); err == nil {
+	if err := m.Move(0x9000, "nope"); err == nil {
 		t.Error("Move of an unknown segment succeeded")
 	}
 	m.Seal()
@@ -419,7 +419,7 @@ func TestWindowInvalidation(t *testing.T) {
 	t.Run("Move", func(t *testing.T) {
 		m := mapped(t, PermRW)
 		warm(t, m)
-		if err := m.Move("a", 0x5000); err != nil {
+		if err := m.Move(0x5000, "a"); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := m.Load8(0x1010); ok {

@@ -22,8 +22,10 @@ package mem
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -181,6 +183,67 @@ type Segment struct {
 	// the free list once the segment's Memory is unreachable (nil when
 	// the backing is not managed); Unmap calls it.
 	stopRelease func()
+
+	// stamp names the segment's code content (see Stamp); sites and
+	// pieces describe it (see Patch) until a change other than a Patch
+	// voids them.
+	stamp  uint64
+	stamps *uint64 // the Memory's stamp count (see Memory.stamps)
+	sites  []Site
+	pieces []Piece
+}
+
+// Site is a range of a segment's bytes whose value depends on where the
+// code around it was placed: an absolute address a slide rewrites, or a
+// relative branch to code that may move independently.
+type Site struct{ Off, Len uint32 }
+
+// Piece is a range of a segment's bytes that holds, outside its sites,
+// exactly the bytes Key names wherever the loader placed it, with its
+// sites at the offsets Key names too: one function of a linked image,
+// say, whose Key identifies the function and whose sites are its
+// relocated fields. Keys are process-wide, so equal keys name equal bytes
+// in any segment of any address space.
+type Piece struct {
+	Off, Len uint32
+	Key      uint64
+}
+
+// newStamp gives the segment a stamp never seen in its Memory.
+func (s *Segment) newStamp() {
+	*s.stamps++
+	s.stamp = *s.stamps
+}
+
+// restamp gives the segment a new stamp after a change to its bytes or
+// permissions other than a Patch, which voids its sites and pieces.
+func (s *Segment) restamp() {
+	s.newStamp()
+	s.sites, s.pieces = nil, nil
+}
+
+// Stamp names the segment's content as code: it changes exactly when the
+// segment's permissions change or, while it is non-writable before or
+// after the change, its bytes do (a store into a writable segment keeps
+// it; nothing translates writable code). A Move keeps it. isa.Core
+// reuses a translation of the segment's code as it stands while the
+// stamp stands.
+func (s *Segment) Stamp() uint64 { return s.stamp }
+
+// AtSite reports whether [off, off+n) overlaps one of the segment's
+// sites.
+func (s *Segment) AtSite(off, n uint32) bool {
+	i := sort.Search(len(s.sites), func(i int) bool { return s.sites[i].Off+s.sites[i].Len > off })
+	return i < len(s.sites) && uint64(s.sites[i].Off) < uint64(off)+uint64(n)
+}
+
+// PieceAt returns the piece that holds the byte at off, if any.
+func (s *Segment) PieceAt(off uint32) (Piece, bool) {
+	i := sort.Search(len(s.pieces), func(i int) bool { return s.pieces[i].Off+s.pieces[i].Len > off })
+	if i < len(s.pieces) && s.pieces[i].Off <= off {
+		return s.pieces[i], true
+	}
+	return Piece{}, false
 }
 
 // Size returns the segment length in bytes.
@@ -204,9 +267,17 @@ func (s *Segment) Contains(addr uint32) bool {
 // the loader's channel for filling text and read-only data) but recording
 // the write in the dirty tracking, so a later Seal knows the segment is no
 // longer the zero-fill Map produced. It must not be used once execution
-// has started: it does not bump the memory generation.
+// has started: it does not bump the memory generation. It changes the
+// stamp when it changes a byte.
 func (s *Segment) Populate(off uint32, b []byte) {
-	copy(s.Data[off:], b)
+	dst := s.Data[off:]
+	if len(b) < len(dst) {
+		dst = dst[:len(b)]
+	}
+	if !bytes.Equal(dst, b[:len(dst)]) {
+		copy(dst, b)
+		s.restamp()
+	}
 	if len(b) > 0 {
 		s.markDirty(off, uint32(len(b)))
 	}
@@ -342,18 +413,25 @@ type Memory struct {
 	// starts at 1 so a zero-valued block-cache entry never validates.
 	gen uint64
 
-	// code counts code generations, the coarser count translations are
-	// a function of: Map and Unmap bump it, and Move, SetPerm and Reset
-	// bump it only when they move, re-permit or restore bytes of a
-	// segment that is non-writable before or after the change. While it
-	// is unchanged, no non-writable segment's base, permissions or bytes
-	// change and no segment becomes non-writable, so the stack slide and
-	// the stack/heap RWX↔RW flips of a recycled process keep it. It
-	// starts at 1, like gen.
+	// code counts code generations, the coarse count a translation that
+	// does not lie in one piece of a segment is a function of: Map and
+	// Unmap bump it, and Move, SetPerm, Patch and Reset bump it only when
+	// they move, re-permit or rewrite bytes of a segment that is
+	// non-writable before or after the change. While it is unchanged, no
+	// non-writable segment's base, permissions or bytes change and no
+	// segment becomes non-writable, so the stack slide and the stack/heap
+	// RWX↔RW flips of a recycled process keep it. It starts at 1, like
+	// gen.
 	code uint64
 
 	// sealed is the Reset baseline captured by Seal, nil before sealing.
 	sealed []sealedSeg
+
+	// stamps counts the stamps minted for the segments (see
+	// Segment.Stamp), so a stamp names one content of one segment.
+	// Segments point at it, not at the Memory, whose collection returns
+	// their backings.
+	stamps *uint64
 }
 
 // window is one access kind's view of the segment that kind last reached:
@@ -369,7 +447,7 @@ type window struct {
 }
 
 // New returns an empty address space.
-func New() *Memory { return &Memory{gen: 1, code: 1} }
+func New() *Memory { return &Memory{gen: 1, code: 1, stamps: new(uint64)} }
 
 // SetWX enables or disables the W⊕X policy. With W⊕X on, Fetch from a
 // writable segment faults even if the segment claims PermExec; this mirrors
@@ -421,49 +499,114 @@ func (m *Memory) Map(name string, base, size uint32, perm Perm) (*Segment, error
 				name, base, size, s.Name, s.Base, s.Size())
 		}
 	}
+	if m.stamps == nil { // the zero Memory
+		m.stamps = new(uint64)
+	}
 	data, managed := newBacking(size)
-	seg := &Segment{Name: name, Base: base, Perm: perm, Data: data, usedLo: size}
+	seg := &Segment{Name: name, Base: base, Perm: perm, Data: data, usedLo: size, stamps: m.stamps}
 	seg.clean()
+	seg.restamp()
 	if managed {
 		seg.stopRelease = onCollect(m, seg)
 	}
 	m.segs = append(m.segs, seg)
-	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
+	slices.SortFunc(m.segs, byBase)
 	m.bump()
 	m.code++
 	return seg, nil
 }
 
-// Move rebases the named segment to base, keeping its contents, its dirty
-// tracking and its sealed baseline (offsets are segment-relative, so none
-// of them changes). The kernel slides a recycled process's stack to its
-// new ASLR position this way instead of mapping, and zero-filling, a fresh
-// megabyte. It fails, leaving the space unchanged, if the segment does not
-// exist or the new range would overlap another segment or wrap.
-func (m *Memory) Move(name string, base uint32) error {
-	s := m.Segment(name)
-	if s == nil {
-		return fmt.Errorf("move: no segment %q", name)
-	}
-	if base == s.Base {
-		return nil
-	}
-	size := s.Size()
-	if base+size < base {
-		return fmt.Errorf("move %s: range %#x+%#x wraps address space", name, base, size)
-	}
-	for _, o := range m.segs {
-		if o != s && base < o.End() && o.Base < base+size {
-			return fmt.Errorf("move %s to %#x+%#x: overlaps segment %s at %#x+%#x",
-				name, base, size, o.Name, o.Base, o.Size())
+// byBase orders segments by base address.
+func byBase(a, b *Segment) int { return cmp.Compare(a.Base, b.Base) }
+
+// Move moves the named segments as one group, the first to base and
+// every other by the same delta, keeping their contents, stamps, dirty
+// tracking and sealed baseline (offsets are segment-relative, so none of
+// them changes). The kernel slides a recycled process's stack to its new
+// ASLR position this way instead of mapping, and zero-filling, a fresh
+// megabyte, and an image's sections to its new PIE or ASLR base instead
+// of remapping them. It fails, leaving the space unchanged, if a segment
+// does not exist or is named twice, or a moved range would overlap a
+// segment outside the group or wrap.
+func (m *Memory) Move(base uint32, names ...string) error {
+	group := make([]*Segment, len(names))
+	for i, name := range names {
+		if group[i] = m.Segment(name); group[i] == nil {
+			return fmt.Errorf("move: no segment %q", name)
+		}
+		if slices.Index(group[:i], group[i]) >= 0 {
+			return fmt.Errorf("move: segment %q named twice", name)
 		}
 	}
-	s.Base = base
-	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
+	if len(group) == 0 || base == group[0].Base {
+		return nil
+	}
+	delta := base - group[0].Base
+	code := false
+	for _, s := range group {
+		to, size := s.Base+delta, s.Size()
+		if to+size < to {
+			return fmt.Errorf("move %s: range %#x+%#x wraps address space", s.Name, to, size)
+		}
+		for _, o := range m.segs {
+			if slices.Index(group, o) < 0 && to < o.End() && o.Base < to+size {
+				return fmt.Errorf("move %s to %#x+%#x: overlaps segment %s at %#x+%#x",
+					s.Name, to, size, o.Name, o.Base, o.Size())
+			}
+		}
+		code = code || s.Perm&PermWrite == 0
+	}
+	for _, s := range group {
+		s.Base += delta
+	}
+	slices.SortFunc(m.segs, byBase)
 	m.bump()
-	if s.Perm&PermWrite == 0 {
+	if code {
 		m.code++
 	}
+	return nil
+}
+
+// Patch writes b's bytes at each site into the named segment, whose
+// size b must have, bypassing permissions, and declares the segment's
+// sites and pieces: the loader's channel for describing an image it
+// mapped and for rewriting the addresses of one it slid with Move.
+// Sites and pieces must each be sorted by offset and disjoint, and b
+// must agree with the segment outside the sites. A patch that changes a
+// byte changes the stamp and, for a non-writable segment, the code
+// generation, and it is recorded in the dirty tracking like a store.
+// Whatever else changes the segment's bytes or permissions voids the
+// sites and pieces.
+func (m *Memory) Patch(name string, b []byte, sites []Site, pieces []Piece) error {
+	s := m.Segment(name)
+	if s == nil {
+		return fmt.Errorf("patch: no segment %q", name)
+	}
+	if len(b) != len(s.Data) {
+		return fmt.Errorf("patch %s: %d bytes for a %d-byte segment", name, len(b), len(s.Data))
+	}
+	for _, st := range sites {
+		if uint64(st.Off)+uint64(st.Len) > uint64(len(b)) {
+			return fmt.Errorf("patch %s: site %#x+%d outside the segment", name, st.Off, st.Len)
+		}
+	}
+	lo, hi := s.Size(), uint32(0)
+	for _, st := range sites {
+		end := st.Off + st.Len
+		if !bytes.Equal(s.Data[st.Off:end], b[st.Off:end]) {
+			copy(s.Data[st.Off:end], b[st.Off:end])
+			lo, hi = min(lo, st.Off), max(hi, end)
+		}
+	}
+	if hi > lo {
+		s.markDirty(lo, hi-lo)
+		m.bump()
+		if s.Perm&PermWrite == 0 {
+			s.newStamp()
+			m.code++
+		}
+	}
+	s.sites, s.pieces = sites, pieces
 	return nil
 }
 
@@ -524,6 +667,9 @@ func (m *Memory) SetPerm(name string, perm Perm) error {
 	}
 	if (s.Perm&perm)&PermWrite == 0 {
 		m.code++
+	}
+	if s.Perm != perm {
+		s.restamp()
 	}
 	s.Perm = perm
 	m.bump()
@@ -940,15 +1086,25 @@ func (m *Memory) Reset() bool {
 	}
 	for _, ss := range m.sealed {
 		s := ss.seg
-		if (s.Perm != ss.perm || s.dirtyHi > s.dirtyLo) && (s.Perm&ss.perm)&PermWrite == 0 {
+		code := (s.Perm&ss.perm)&PermWrite == 0
+		if (s.Perm != ss.perm || s.dirtyHi > s.dirtyLo) && code {
 			m.code++ // restores a non-writable segment's permissions or bytes
+		}
+		if s.Perm != ss.perm {
+			s.restamp()
 		}
 		s.Perm = ss.perm
 		if s.dirtyHi > s.dirtyLo {
 			dst := s.Data[s.dirtyLo:s.dirtyHi]
 			if ss.data == nil {
+				if code && slices.ContainsFunc(dst, func(b byte) bool { return b != 0 }) {
+					s.restamp()
+				}
 				clear(dst)
 			} else {
+				if code && !bytes.Equal(dst, ss.data[s.dirtyLo:s.dirtyHi]) {
+					s.restamp()
+				}
 				copy(dst, ss.data[s.dirtyLo:s.dirtyHi])
 			}
 		}
@@ -962,12 +1118,13 @@ func (m *Memory) Reset() bool {
 // style debugging and for diversity experiments that perturb one copy. The
 // clone starts unsealed and with a fresh generation.
 func (m *Memory) Clone() *Memory {
-	c := &Memory{wx: m.wx, gen: 1, code: 1, segs: make([]*Segment, len(m.segs))}
+	c := &Memory{wx: m.wx, gen: 1, code: 1, stamps: new(uint64), segs: make([]*Segment, len(m.segs))}
 	for i, s := range m.segs {
 		d := make([]byte, len(s.Data))
 		copy(d, s.Data)
-		cs := &Segment{Name: s.Name, Base: s.Base, Perm: s.Perm, Data: d}
+		cs := &Segment{Name: s.Name, Base: s.Base, Perm: s.Perm, Data: d, stamps: c.stamps}
 		cs.clean()
+		cs.restamp()
 		c.segs[i] = cs
 	}
 	return c

@@ -47,15 +47,23 @@ const (
 	// Basic-block translation per ISA (flushed per emulated run):
 	// blocks translated, dispatches served from the cache, cached blocks
 	// discarded for a stale memory generation, and instructions retired
-	// inside block dispatch (the rest went through single-step).
+	// inside block dispatch (the rest went through single-step). Of the
+	// blocks translated, decode counts those decoded afresh and rebase
+	// those moved with their slid segment (the rest reused a kept
+	// translation); the split depends on what a recycled daemon ran
+	// before, so it is scheduling-dependent in a campaign.
 	CtrX86BlockTranslate Counter = iota
 	CtrX86BlockHit
 	CtrX86BlockInvalidate
 	CtrX86BlockInstr
+	CtrX86BlockDecode
+	CtrX86BlockRebase
 	CtrARMSBlockTranslate
 	CtrARMSBlockHit
 	CtrARMSBlockInvalidate
 	CtrARMSBlockInstr
+	CtrARMSBlockDecode
+	CtrARMSBlockRebase
 	// Gadget scan index: content-addressed section scans computed vs
 	// served from cache.
 	CtrGadgetScanBuild
@@ -118,7 +126,9 @@ const (
 // Counter constants. The schema golden test pins them.
 var counterNames = [numCounters]string{
 	"x86s_block_translate", "x86s_block_hit", "x86s_block_invalidate", "x86s_block_instructions",
+	"x86s_block_decode", "x86s_block_rebase",
 	"arms_block_translate", "arms_block_hit", "arms_block_invalidate", "arms_block_instructions",
+	"arms_block_decode", "arms_block_rebase",
 	"gadget_scan_build", "gadget_scan_hit",
 	"recon_build", "recon_hit",
 	"payload_build", "payload_hit",

@@ -36,6 +36,11 @@ go test -run '^$' -fuzz FuzzBlockStep -fuzztime 5s ./internal/isa/arms
 # segment ends, caps and (on arms) registers, on both ISAs (the ISA is a
 # fuzzed input, so 10 s gives each about the 5 s of the smokes above).
 go test -run '^$' -fuzz FuzzCopyLoop -fuzztime 10s ./internal/isa/isatest
+# Kept, rebased and library translations against fresh ones: after maps,
+# unmaps, slides, moves, permission flips, stores, seals and resets of
+# both ISAs' victim images, every block a refill serves must equal a
+# fresh translation at its PC.
+go test -run '^$' -fuzz FuzzKeptTranslation -fuzztime 5s ./internal/isa/isatest
 # The memory accessors against a window-free oracle: values, faults and
 # dirty ranges must not depend on what the access windows hold.
 go test -run '^$' -fuzz FuzzMemoryOps -fuzztime 5s ./internal/mem

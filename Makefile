@@ -43,13 +43,15 @@ fuzz:
 	$(GO) test -fuzz FuzzMemoryOps -fuzztime $(FUZZTIME) ./internal/mem/
 	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/gadget/
 	$(GO) test -fuzz FuzzSlide -fuzztime $(FUZZTIME) ./internal/image/
+	$(GO) test -fuzz FuzzLinkOptions -fuzztime $(FUZZTIME) ./internal/image/
 	$(GO) test -fuzz FuzzZoneTrie -fuzztime $(FUZZTIME) ./internal/dnsserver/
 	$(GO) test -fuzz FuzzRouting -fuzztime $(FUZZTIME) ./internal/netsim/
 	$(GO) test -fuzz FuzzScenarioSpec -fuzztime $(FUZZTIME) ./internal/scenario/
 
-# Full benchmark run; writes ns/op and allocs/op per benchmark to
-# BENCH_10.json, then compares against the most recent earlier
-# BENCH_*.json and fails on a >10% ns/op regression (see scripts/bench.sh
-# for BENCHTIME/OUT/BASE/COMPARE overrides).
+# Paired benchmark run: builds HEAD's test binary and runs every
+# benchmark on it and on the working tree in alternating pairs, failing
+# on a >10% median per-pair ns/op regression (see scripts/bench.sh for
+# BASE=<revision or file>, BENCHTIME, COUNT, OUT and COMPARE overrides;
+# BASE=<file> or COMPARE=0 writes BENCH_10.json).
 bench:
 	sh scripts/bench.sh

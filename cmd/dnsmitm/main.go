@@ -85,7 +85,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	if _, err := dnsserver.RunProxy(deviceHost, daemon); err != nil {
 		return err
 	}
-	mitm, err := dnsserver.RunMITMWire(attackerHost, ex.AppendResponse)
+	mitm, err := dnsserver.RunMITMWire(attackerHost, ex.AppendAnswer)
 	if err != nil {
 		return err
 	}

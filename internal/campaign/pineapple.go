@@ -89,7 +89,7 @@ func (w *rogueWorld) arm(ex *exploit.Exploit, rogueSignal int) error {
 	if err != nil {
 		return err
 	}
-	if w.mitm, err = dnsserver.RunMITMWire(host, ex.AppendResponse); err != nil {
+	if w.mitm, err = dnsserver.RunMITMWire(host, ex.AppendAnswer); err != nil {
 		return err
 	}
 	w.addAP("pineapple", rogueSignal, w.roguePool, pineappleIP, pineappleIP)

@@ -220,6 +220,9 @@ func (e *Engine) RunPineappleScale(cfg ScaleConfig) (*ScaleReport, error) {
 	// The world's idle payload buffers go to the next world built in
 	// this process (a benchmark's next op); nothing outlives the run.
 	defer world.Release()
+	// Its host table and zone are sized for the population up front.
+	world.Grow(cfg.Stations)
+	world.zone.Grow(cfg.Stations, cfg.Stations*(stationQuerySize(cfg.Stations-1)-dns.HeaderSize-4))
 
 	// Population. Every VictimEvery-th station (capped) is a full
 	// device with its own campaign seed; the rest are light clients.

@@ -19,13 +19,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"connlab/internal/image"
 	"connlab/internal/isa"
 	"connlab/internal/isa/arms"
 	"connlab/internal/isa/x86s"
 	"connlab/internal/kernel"
+	"connlab/internal/seedrand"
 )
 
 // ErrShadowMismatch is wrapped into every return-edge violation.
@@ -40,10 +40,10 @@ var ErrBadJumpTarget = errors.New("indirect jump outside known function entries"
 // forward-edge checks against the loaded images.
 type ShadowStack struct {
 	stack []uint32
-	// entries are the armed images' sorted function entries (each
-	// image's FuncEntries, shared with it): the valid indirect-jump
-	// targets. Unarmed (nil) means jumps are not checked.
-	entries [][]uint32
+	// armed are the images whose function entries (FuncEntries) are the
+	// valid indirect-jump targets. Unarmed (nil) means jumps are not
+	// checked.
+	armed []*image.Image
 	// Violations counts vetoed transfers, for reporting.
 	Violations int
 }
@@ -65,13 +65,13 @@ func (s *ShadowStack) ResetCall(ret uint32) {
 // function entry points of the loaded program and libc (PLT stubs
 // included). This is the CFI CaRE-style policy for embedded binaries.
 func (s *ShadowStack) Arm(proc *kernel.Process) {
-	s.entries = append(s.entries[:0], proc.Prog.FuncEntries(), proc.Libc.FuncEntries())
+	s.armed = append(s.armed[:0], proc.Prog, proc.Libc)
 }
 
 // entry reports whether to is a function entry of an armed image.
 func (s *ShadowStack) entry(to uint32) bool {
-	for _, e := range s.entries {
-		if _, ok := slices.BinarySearch(e, to); ok {
+	for _, img := range s.armed {
+		if img.IsFuncEntry(to) {
 			return true
 		}
 	}
@@ -99,7 +99,7 @@ func (s *ShadowStack) OnControl(kind isa.ControlKind, from, to, ret uint32) erro
 		s.stack = s.stack[:len(s.stack)-1]
 		return nil
 	case isa.ControlJump:
-		if s.entries == nil {
+		if s.armed == nil {
 			return nil
 		}
 		if !s.entry(to) {
@@ -118,14 +118,16 @@ func (s *ShadowStack) Depth() int { return len(s.stack) }
 // DiversityOptions derives image link options that shuffle function order
 // and insert random padding — compile-time layout diversity. Two seeds
 // give two binaries whose gadgets sit at different addresses, so an
-// exploit harvested from one build misfires on another.
+// exploit harvested from one build misfires on another. The options are
+// the ones rand.New(rand.NewSource(seed)) draws, drawn without seeding
+// math/rand's register (see seedrand).
 func DiversityOptions(u *image.Unit, seed int64) image.Options {
-	rng := rand.New(rand.NewSource(seed))
+	src := seedrand.NewSource(seed)
 	n := len(u.Funcs)
-	order := rng.Perm(n)
+	order := src.Perm(n)
 	pad := make([]int, n)
 	for i := range pad {
-		pad[i] = rng.Intn(48)
+		pad[i] = src.Intn(48)
 	}
 	return image.Options{Order: order, Pad: pad}
 }

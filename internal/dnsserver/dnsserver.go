@@ -136,9 +136,11 @@ func (r *Resolver) handleSlow(dg netsim.Datagram) {
 
 // WireCrafter crafts a malicious response directly from the query's wire
 // bytes, appending to dst (an empty netsim buffer the response is sent
-// in). The exploit package's payloads plug in here through
-// exploit.Exploit.AppendResponse.
-type WireCrafter func(dst, query []byte) ([]byte, error)
+// in). The query comes parsed, its one question validated
+// (dns.View.CheckQuestion), so the crafter need not parse it again. The
+// exploit package's payloads plug in here through
+// exploit.Exploit.AppendAnswer.
+type WireCrafter func(dst []byte, query dns.View) ([]byte, error)
 
 // MITM is the attacker's server: it answers every query it sees with a
 // crafted response that mirrors the query (ID, question, flags) and
@@ -181,7 +183,7 @@ func (m *MITM) handle(dg netsim.Datagram) {
 	m.Queries++
 	telemetry.Inc(telemetry.CtrDNSHijacked)
 	buf := m.sock.Buffer(m.size)
-	out, err := m.CraftWire(buf, dg.Payload)
+	out, err := m.CraftWire(buf, v)
 	if err != nil {
 		m.Errors++
 		return

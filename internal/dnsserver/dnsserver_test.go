@@ -109,7 +109,7 @@ func TestMITMDeliversExploitThroughProxy(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := exploit.BuildDoS(isa.ArchX86S)
-	mitm, err := RunMITMWire(attacker, ex.AppendResponse)
+	mitm, err := RunMITMWire(attacker, ex.AppendAnswer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestCrashedProxyStopsServing(t *testing.T) {
 	if _, err := RunProxy(device, daemon); err != nil {
 		t.Fatal(err)
 	}
-	mitm, err := RunMITMWire(attacker, exploit.BuildDoS(isa.ArchX86S).AppendResponse)
+	mitm, err := RunMITMWire(attacker, exploit.BuildDoS(isa.ArchX86S).AppendAnswer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestServersIgnoreGarbage(t *testing.T) {
 func TestMITMCraftErrorCounted(t *testing.T) {
 	n := netsim.New()
 	h, _ := n.AddHost("srv", netsim.IP{10, 0, 0, 5})
-	m, err := RunMITMWire(h, func(dst, query []byte) ([]byte, error) {
+	m, err := RunMITMWire(h, func(dst []byte, query dns.View) ([]byte, error) {
 		return nil, errTest
 	})
 	if err != nil {
@@ -241,7 +241,7 @@ func TestProxyDropsUnsolicitedUpstreamResponses(t *testing.T) {
 func TestMITMAnswersRideInClassBuffers(t *testing.T) {
 	n := netsim.New()
 	h, _ := n.AddHost("srv", netsim.IP{10, 0, 0, 5})
-	if _, err := RunMITMWire(h, func(dst, query []byte) ([]byte, error) {
+	if _, err := RunMITMWire(h, func(dst []byte, query dns.View) ([]byte, error) {
 		return append(dst, make([]byte, 1400)...), nil
 	}); err != nil {
 		t.Fatal(err)

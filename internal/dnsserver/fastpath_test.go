@@ -139,7 +139,7 @@ func TestResolverFastPathMatchesSlowPath(t *testing.T) {
 func TestMITMWireDropsHeaderOnlyAndCompressed(t *testing.T) {
 	r := newFastpathRig(t)
 	ex := exploit.BuildDoS(isa.ArchX86S)
-	m, err := RunMITMWire(r.server, ex.AppendResponse)
+	m, err := RunMITMWire(r.server, ex.AppendAnswer)
 	if err != nil {
 		t.Fatal(err)
 	}

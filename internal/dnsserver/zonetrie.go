@@ -20,6 +20,7 @@ package dnsserver
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"connlab/internal/dns"
@@ -97,6 +98,15 @@ func ZoneTrieFromMap(m map[string][4]byte) (*ZoneTrie, error) {
 		}
 	}
 	return t, nil
+}
+
+// Grow makes room for names more names of keyBytes wire bytes in all,
+// so a zone built at a known size does not regrow its arenas as it
+// fills. A name adds at most two nodes (a split edge and its leaf) and
+// at most its own bytes of run.
+func (t *ZoneTrie) Grow(names, keyBytes int) {
+	t.nodes = slices.Grow(t.nodes, 2*names+1)
+	t.runs = slices.Grow(t.runs, keyBytes)
 }
 
 // Len reports the number of names in the zone.

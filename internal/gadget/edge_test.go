@@ -16,7 +16,6 @@ func imageFromBytes(arch isa.Arch, code []byte) *image.Image {
 		Sections: []image.Section{
 			{Name: ".text", Addr: 0x1000, Data: code, Perm: mem.PermRX},
 		},
-		Symbols: map[string]image.Symbol{},
 	}
 }
 
@@ -104,7 +103,6 @@ func TestMemStrSkipsNothing(t *testing.T) {
 			{Name: ".text", Addr: 0x1000, Data: []byte{0x90, 'Z', 0x90}, Perm: mem.PermRX},
 			{Name: ".rodata", Addr: 0x2000, Data: []byte("aZb"), Perm: mem.PermRead},
 		},
-		Symbols: map[string]image.Symbol{},
 	}
 	f := NewFinder(img)
 	addrs := f.MemStr('Z')

@@ -10,6 +10,8 @@
 package image
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -75,7 +77,8 @@ type Data struct {
 }
 
 // Unit is a relocatable compilation unit. A unit must not change once it
-// has been linked through Linked, which remembers its links.
+// has been linked: its first link builds the symbol table and data
+// sections every later link shares, and Linked remembers its links.
 type Unit struct {
 	Arch    isa.Arch
 	Funcs   []*Function
@@ -88,6 +91,10 @@ type Unit struct {
 	// links holds one base link per link-options content (see Linked).
 	linkMu sync.Mutex
 	links  map[string]*Image
+	// sharedLink is what every link of the unit shares, built by the
+	// first one (see unitLink).
+	sharedOnce sync.Once
+	sharedLink *unitLink
 }
 
 // maxUnitLinks bounds a unit's link memo: the options a unit is linked
@@ -102,9 +109,10 @@ const maxUnitLinks = 64
 // of the remembered one is linked in full. The image is shared and must
 // not be written.
 func (u *Unit) Linked(layout Layout, opts Options) (*Image, error) {
-	key := optionsKey(opts)
+	var buf [64]byte // the key of a unit of up to about 20 functions
+	key := appendOptionsKey(buf[:0], opts)
 	u.linkMu.Lock()
-	base := u.links[key]
+	base := u.links[string(key)]
 	u.linkMu.Unlock()
 	if base != nil {
 		d := layout.TextBase - base.Layout.TextBase
@@ -122,16 +130,15 @@ func (u *Unit) Linked(layout Layout, opts Options) (*Image, error) {
 		u.links = make(map[string]*Image)
 	}
 	if len(u.links) < maxUnitLinks {
-		u.links[key] = img
+		u.links[string(key)] = img
 	}
 	u.linkMu.Unlock()
 	return img, nil
 }
 
-// optionsKey encodes the content of opts: options with equal keys link
-// to equal images.
-func optionsKey(opts Options) string {
-	b := make([]byte, 0, 2+2*(len(opts.Order)+len(opts.Pad)))
+// appendOptionsKey appends the content of opts to b: options with equal
+// keys link to equal images.
+func appendOptionsKey(b []byte, opts Options) []byte {
 	if opts.Order != nil {
 		b = append(b, 'o')
 		for _, v := range opts.Order {
@@ -142,7 +149,7 @@ func optionsKey(opts Options) string {
 	for _, v := range opts.Pad {
 		b = binary.AppendVarint(b, int64(v))
 	}
-	return string(b)
+	return b
 }
 
 // NewUnit returns an empty unit for the given architecture.
@@ -249,42 +256,39 @@ type Section struct {
 	Perm mem.Perm
 }
 
+// Import is one function an image reaches through the PLT: its stub and
+// the GOT slot the loader fills with the library address.
+type Import struct {
+	Name     string
+	PLT, GOT uint32
+}
+
 // Image is a fully linked program or library. Images are immutable once
 // linked: a unit's links are shared by every process and worker that
-// loads it, so nothing may write an image's sections or maps.
+// loads it, so nothing may write an image's sections. Its symbols, PLT
+// stubs and GOT slots are read through Lookup, Symbols, FuncAt,
+// FuncEntries and Import: they live in the tables its link shares with
+// every slide of it (and, for the options-independent part, with every
+// link of its unit), moved by the image's slide. An Image not built by
+// Link (a literal wrapping bytes for the gadget scanner) has none.
 type Image struct {
 	Arch     isa.Arch
 	Sections []Section
-	Symbols  map[string]Symbol
-	// PLT maps an imported function name to its PLT stub address; GOT maps
-	// it to its GOT slot (which the loader fills with the library address).
-	PLT map[string]uint32
-	GOT map[string]uint32
 	// Layout records the bases the image was linked at.
 	Layout Layout
 
-	// sites are the .text ranges of every absolute address the link
-	// wrote, sorted by offset: a 32-bit little-endian word (RelocAbs32,
-	// RelocWord32, an x86s PLT stub's GOT word) or, 8 bytes long, the
-	// 16-bit halves of an arms movw/movt pair (RelocArmMovWT, an arms PLT
-	// stub). They are the only bytes a slide changes.
-	sites []mem.Site
-	// varying are the sites plus the relative branches between
-	// functions (RelocRel32, RelocArmBranch): every .text byte whose value
-	// depends on placement. pieces are .text's PLT stubs and functions.
-	// MapInto and MoveTo declare both to mem (see mem.Memory.Patch).
-	varying []mem.Site
-	pieces  []mem.Piece
-	// funcs are the sorted, distinct addresses of the .text and .plt
-	// symbols (see FuncEntries).
-	funcs []uint32
+	// t is the link the image is, or was slid from; delta is the slide
+	// (t.layout slid by delta is Layout).
+	t     *linkTables
+	delta uint32
 }
 
 // Slide returns the image moved by delta: equal, section for section and
-// map for map, to linking its unit again at Layout.Slide(delta) with the
-// same options. Relative references keep their bytes under a uniform
-// move, so only the recorded absolute sites are patched; the other
-// sections' bytes are shared with img. Slide(0) is img itself.
+// through every accessor, to linking its unit again at Layout.Slide(delta)
+// with the same options. Relative references keep their bytes under a
+// uniform move, so only the recorded absolute sites are patched; the
+// other sections' bytes and the link's tables are shared with img, and
+// the accessors add the slide. Slide(0) is img itself.
 func (img *Image) Slide(delta uint32) *Image {
 	if delta == 0 {
 		return img
@@ -292,20 +296,15 @@ func (img *Image) Slide(delta uint32) *Image {
 	out := &Image{
 		Arch:     img.Arch,
 		Sections: make([]Section, len(img.Sections)),
-		Symbols:  make(map[string]Symbol, len(img.Symbols)),
-		PLT:      make(map[string]uint32, len(img.PLT)),
-		GOT:      make(map[string]uint32, len(img.GOT)),
 		Layout:   img.Layout.Slide(delta),
-		sites:    img.sites,
-		varying:  img.varying,
-		pieces:   img.pieces,
-		funcs:    make([]uint32, len(img.funcs)),
+		t:        img.t,
+		delta:    img.delta + delta,
 	}
 	for i, s := range img.Sections {
 		s.Addr += delta
 		if s.Name == ".text" {
 			s.Data = slices.Clone(s.Data)
-			for _, site := range img.sites {
+			for _, site := range img.t.sites {
 				w := s.Data[site.Off:]
 				if site.Len == movWTLen {
 					lo := binary.LittleEndian.Uint32(w)
@@ -320,22 +319,6 @@ func (img *Image) Slide(delta uint32) *Image {
 		}
 		out.Sections[i] = s
 	}
-	for name, s := range img.Symbols {
-		s.Addr += delta
-		out.Symbols[name] = s
-	}
-	for name, a := range img.PLT {
-		out.PLT[name] = a + delta
-	}
-	for name, a := range img.GOT {
-		out.GOT[name] = a + delta
-	}
-	for i, a := range img.funcs {
-		out.funcs[i] = a + delta
-	}
-	if !slices.IsSorted(out.funcs) { // the move wrapped the address space
-		slices.Sort(out.funcs)
-	}
 	return out
 }
 
@@ -349,63 +332,181 @@ func (img *Image) Section(name string) *Section {
 	return nil
 }
 
+// addr returns the address of the unit's symbol r in img.
+func (img *Image) addr(r symRef) uint32 {
+	t := img.t
+	var a uint32
+	switch r.kind {
+	case symFunc:
+		a = t.funcAddr[r.fn]
+	case symTextStart:
+		a = t.textStart
+	case symTextEnd:
+		a = t.textEnd
+	case symPLT:
+		a = t.layout.TextBase + r.off
+	case symGOT:
+		a = t.layout.GOTBase + r.off
+	case symRO:
+		a = align(t.layout.RODataBase, 4) + r.off
+	case symData:
+		a = align(t.layout.DataBase, 4) + r.off
+	case symBSS:
+		a = align(t.layout.BSSBase, 4) + r.off
+	case symBSSStart:
+		a = t.layout.BSSBase
+	}
+	return a + img.delta
+}
+
+// symbol returns the unit's i-th symbol as it stands in img.
+func (img *Image) symbol(i int) Symbol {
+	ul := img.t.unit
+	r := ul.refs[i]
+	return Symbol{Name: ul.names[i], Addr: img.addr(r), Size: r.size, Section: kindSection[r.kind]}
+}
+
 // Lookup returns the address of a symbol.
 func (img *Image) Lookup(name string) (uint32, bool) {
-	s, ok := img.Symbols[name]
-	return s.Addr, ok
+	if img.t == nil {
+		return 0, false
+	}
+	i, ok := img.t.unit.index[name]
+	if !ok {
+		return 0, false
+	}
+	return img.addr(img.t.unit.refs[i]), true
+}
+
+// Symbols returns every symbol of the image, sorted by name, in a new
+// slice.
+func (img *Image) Symbols() []Symbol {
+	if img.t == nil {
+		return nil
+	}
+	out := make([]Symbol, len(img.t.unit.names))
+	for i := range out {
+		out[i] = img.symbol(i)
+	}
+	slices.SortFunc(out, func(a, b Symbol) int { return cmp.Compare(a.Name, b.Name) })
+	return out
+}
+
+// NumImports returns how many functions the image imports.
+func (img *Image) NumImports() int {
+	if img.t == nil {
+		return 0
+	}
+	return len(img.t.unit.imports)
+}
+
+// Import returns the i-th import, in name order, for i in
+// [0, NumImports()).
+func (img *Image) Import(i int) Import {
+	t := img.t
+	return Import{
+		Name: t.unit.imports[i],
+		PLT:  t.layout.TextBase + uint32(i)*t.unit.stubSize + img.delta,
+		GOT:  t.layout.GOTBase + uint32(4*i) + img.delta,
+	}
 }
 
 // FuncEntries returns the sorted, distinct addresses of the image's
 // function symbols (.text and .plt, section boundary markers included):
-// the entry points a forward-edge CFI check admits. The slice is shared
-// and must not be written.
-func (img *Image) FuncEntries() []uint32 { return img.funcs }
-
-// funcEntries collects FuncEntries from a symbol table.
-func funcEntries(syms map[string]Symbol) []uint32 {
-	var out []uint32
-	for _, s := range syms {
-		if s.Section == ".text" || s.Section == ".plt" {
-			out = append(out, s.Addr)
-		}
+// the entry points a forward-edge CFI check admits. A link's slice is
+// shared and must not be written; a slid image's is made on each call
+// (IsFuncEntry asks about one address without it).
+func (img *Image) FuncEntries() []uint32 {
+	if img.t == nil {
+		return nil
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	if img.delta == 0 {
+		return img.t.funcs
+	}
+	out := make([]uint32, len(img.t.funcs))
+	for i, a := range img.t.funcs {
+		out[i] = a + img.delta
+	}
+	if !slices.IsSorted(out) { // the slide wrapped the address space
+		slices.Sort(out)
+	}
+	return out
+}
+
+// IsFuncEntry reports whether addr is one of FuncEntries.
+func (img *Image) IsFuncEntry(addr uint32) bool {
+	if img.t == nil {
+		return false
+	}
+	_, ok := slices.BinarySearch(img.t.funcs, addr-img.delta)
+	return ok
 }
 
 // FuncAt returns the function symbol containing addr, if any.
 func (img *Image) FuncAt(addr uint32) (Symbol, bool) {
-	var best Symbol
-	found := false
-	for _, s := range img.Symbols {
-		if s.Section != ".text" && s.Section != ".plt" {
-			continue
+	if img.t == nil {
+		return Symbol{}, false
+	}
+	best, found := -1, uint32(0)
+	for i, r := range img.t.unit.refs {
+		if r.kind != symFunc && r.kind != symPLT {
+			continue // the boundary markers are empty
 		}
-		if addr >= s.Addr && addr < s.Addr+s.Size {
-			if !found || s.Addr > best.Addr {
-				best, found = s, true
+		a := img.addr(r)
+		if addr >= a && addr < a+r.size && (best < 0 || a > found) {
+			best, found = i, a
+		}
+	}
+	if best < 0 {
+		return Symbol{}, false
+	}
+	return img.symbol(best), true
+}
+
+// MapInto lays the image's sections out in an address space under
+// namePrefix, where old's are mapped (nil when none are), and declares
+// .text's varying sites and pieces (see mem.Memory.Patch). A section of
+// old that img has too — same name, address, permissions and bytes —
+// keeps its segment, and with it the segment's sealed baseline, dirty
+// tracking and stamp; old's other sections are unmapped, and img's
+// other sections are mapped and filled. Another link of the same unit
+// at the same layout (a new diversity build, say) thus replaces only
+// .text.
+func (img *Image) MapInto(m *mem.Memory, namePrefix string, old *Image) error {
+	if old != nil {
+		for _, o := range old.Sections {
+			if !img.has(o) {
+				m.Unmap(namePrefix + o.Name)
 			}
 		}
 	}
-	return best, found
-}
-
-// MapInto maps every section of the image into an address space, and
-// declares .text's varying sites and pieces (see mem.Memory.Patch).
-func (img *Image) MapInto(m *mem.Memory, namePrefix string) error {
 	for _, s := range img.Sections {
-		seg, err := m.Map(namePrefix+s.Name, s.Addr, uint32(len(s.Data)), s.Perm)
-		if err != nil {
-			return fmt.Errorf("map %s: %w", s.Name, err)
+		if old == nil || !old.has(s) {
+			seg, err := m.Map(namePrefix+s.Name, s.Addr, uint32(len(s.Data)), s.Perm)
+			if err != nil {
+				return fmt.Errorf("map %s: %w", s.Name, err)
+			}
+			seg.Populate(0, s.Data)
 		}
-		seg.Populate(0, s.Data)
 		if s.Name == ".text" {
-			if err := m.Patch(seg.Name, s.Data, img.varying, img.pieces); err != nil {
+			if err := m.Patch(namePrefix+s.Name, s.Data, img.t.varying, img.t.pieces); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// has reports whether img has a section with s's name, address,
+// permissions and bytes.
+func (img *Image) has(s Section) bool {
+	for _, o := range img.Sections {
+		if o.Name == s.Name && o.Addr == s.Addr && o.Perm == s.Perm && len(o.Data) == len(s.Data) &&
+			(len(o.Data) == 0 || &o.Data[0] == &s.Data[0] || bytes.Equal(o.Data, s.Data)) {
+			return true
+		}
+	}
+	return false
 }
 
 // MoveTo moves the sections MapInto mapped under namePrefix to where to
@@ -423,12 +524,5 @@ func (img *Image) MoveTo(m *mem.Memory, namePrefix string, to *Image) error {
 	if err := m.Move(to.Sections[0].Addr, names...); err != nil {
 		return fmt.Errorf("move %s: %w", namePrefix+text.Name, err)
 	}
-	return m.Patch(namePrefix+text.Name, text.Data, to.varying, to.pieces)
-}
-
-// UnmapFrom removes the sections MapInto mapped under namePrefix.
-func (img *Image) UnmapFrom(m *mem.Memory, namePrefix string) {
-	for _, s := range img.Sections {
-		m.Unmap(namePrefix + s.Name)
-	}
+	return m.Patch(namePrefix+text.Name, text.Data, to.t.varying, to.t.pieces)
 }

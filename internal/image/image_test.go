@@ -40,11 +40,11 @@ func TestLinkX86LayoutAndSymbols(t *testing.T) {
 			t.Errorf("missing symbol %q", sym)
 		}
 	}
-	if img.PLT["memcpy"] != layout.TextBase {
-		t.Errorf("plt stub at %#x, want text base", img.PLT["memcpy"])
+	if n := img.NumImports(); n != 1 {
+		t.Fatalf("%d imports, want 1", n)
 	}
-	if img.GOT["memcpy"] != layout.GOTBase {
-		t.Errorf("got slot at %#x, want got base", img.GOT["memcpy"])
+	if imp := img.Import(0); imp.Name != "memcpy" || imp.PLT != layout.TextBase || imp.GOT != layout.GOTBase {
+		t.Errorf("import %+v, want memcpy with its stub at the text base and its slot at the got base", imp)
 	}
 	// The PLT stub must be the jmp-through-GOT form.
 	text := img.Section(".text")
@@ -174,7 +174,7 @@ func TestMapIntoAndFuncAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mem.New()
-	if err := img.MapInto(m, ""); err != nil {
+	if err := img.MapInto(m, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.Segment(".text") == nil || m.Segment(".bss") == nil {

@@ -121,8 +121,196 @@ func fillByte(arch isa.Arch) byte {
 	return 0
 }
 
+// symKind says what a symbol's address is measured from.
+type symKind uint8
+
+const (
+	symFunc      symKind = iota // the link's placement of function fn
+	symPLT                      // Layout.TextBase
+	symGOT                      // Layout.GOTBase
+	symRO                       // Layout.RODataBase rounded up to 4
+	symData                     // Layout.DataBase rounded up to 4
+	symBSS                      // Layout.BSSBase rounded up to 4
+	symTextStart                // the link's first function slot
+	symTextEnd                  // the end of the link's last function
+	symBSSStart                 // Layout.BSSBase
+)
+
+// kindSection is the section a symbol of each kind belongs to.
+var kindSection = [...]string{
+	symFunc: ".text", symPLT: ".plt", symGOT: ".got", symRO: ".rodata", symData: ".data",
+	symBSS: ".bss", symTextStart: ".text", symTextEnd: ".text", symBSSStart: ".bss",
+}
+
+// symRef is one symbol of a unit, its address left as an offset from
+// what its kind names.
+type symRef struct {
+	kind symKind
+	fn   int32 // the function's index in Unit.Funcs, for symFunc
+	off  uint32
+	size uint32
+}
+
+// unitLink is what every link of a unit shares, whatever its options and
+// layout: the symbol table (names, sizes, sections, and each address as
+// an offset from a base or a function's slot), the sorted imports, every
+// relocation resolved against that table, and the bytes of the sections
+// function order does not move. Data placement rounds each item up to 4
+// from its section's base, so an item's offset from the base rounded up
+// to 4 is the same at every layout; the .rodata, .data and .bss bytes
+// are kept for a base 3 short of a multiple of 4 and sliced to the
+// layout's (see dataSection).
+type unitLink struct {
+	err      error
+	imports  []string // sorted; import i has PLT stub i and GOT slot i
+	stubSize uint32
+	names    []string // every symbol, in definition order
+	refs     []symRef // names[i]'s address
+	index    map[string]int32
+	// relocs[i][k] is the refs index of Funcs[i].Relocs[k]'s symbol.
+	relocs                 [][]int32
+	rodata, data, bss, got []byte // nil when the section is absent
+	// nSites, nVarying and nPieces are how many slide sites, varying
+	// sites and pieces every link records.
+	nSites, nVarying, nPieces int
+}
+
+// shared returns the unit's unitLink, built on its first link.
+func (u *Unit) shared() *unitLink {
+	u.sharedOnce.Do(func() { u.sharedLink = newUnitLink(u) })
+	return u.sharedLink
+}
+
+// newUnitLink builds u's unitLink, recording the first duplicate or
+// undefined symbol or malformed relocation as its error.
+func newUnitLink(u *Unit) *unitLink {
+	n := 2*len(u.Imports) + len(u.Funcs) + len(u.ROData) + len(u.RWData) + len(u.BSS) + 3
+	ul := &unitLink{
+		imports:  append([]string(nil), u.Imports...),
+		stubSize: x86PLTStubSize,
+		names:    make([]string, 0, n),
+		refs:     make([]symRef, 0, n),
+		index:    make(map[string]int32, n),
+	}
+	sort.Strings(ul.imports)
+	if u.Arch == isa.ArchARMS {
+		ul.stubSize = armPLTStubSize
+	}
+	def := func(name string, r symRef) {
+		if _, dup := ul.index[name]; dup {
+			ul.setErr(fmt.Errorf("link: duplicate symbol %q", name))
+			return
+		}
+		ul.index[name] = int32(len(ul.names))
+		ul.names = append(ul.names, name)
+		ul.refs = append(ul.refs, r)
+	}
+	for i, name := range ul.imports {
+		def(name+"@got", symRef{kind: symGOT, off: uint32(4 * i), size: 4})
+		def(name+"@plt", symRef{kind: symPLT, off: uint32(i) * ul.stubSize, size: ul.stubSize})
+	}
+	if len(ul.imports) > 0 {
+		ul.got = make([]byte, 4*len(ul.imports))
+	}
+	for i, fn := range u.Funcs {
+		def(fn.Name, symRef{kind: symFunc, fn: int32(i), size: uint32(len(fn.Bytes))})
+	}
+	place := func(items []Data, kind symKind) []byte {
+		if len(items) == 0 {
+			return nil
+		}
+		off := uint32(0)
+		for _, d := range items {
+			off = align(off, 4)
+			def(d.Name, symRef{kind: kind, off: off, size: d.Size})
+			off += d.Size
+		}
+		out := make([]byte, 3+off)
+		off = 0
+		for _, d := range items {
+			off = align(off, 4)
+			copy(out[3+off:], d.Bytes)
+			off += d.Size
+		}
+		return out
+	}
+	ul.rodata = place(u.ROData, symRO)
+	ul.data = place(u.RWData, symData)
+	ul.bss = place(u.BSS, symBSS)
+	def("__text_start", symRef{kind: symTextStart})
+	def("__text_end", symRef{kind: symTextEnd})
+	def("__bss_start", symRef{kind: symBSSStart})
+
+	ul.relocs = make([][]int32, len(u.Funcs))
+	ul.nSites, ul.nPieces = len(ul.imports), len(ul.imports)
+	for i, fn := range u.Funcs {
+		if fn.key != 0 && len(fn.Bytes) > 0 {
+			ul.nPieces++
+		}
+		ul.relocs[i] = make([]int32, len(fn.Relocs))
+		for k, r := range fn.Relocs {
+			if r.Kind == RelocRel32 || r.Kind == RelocArmBranch {
+				ul.nVarying++
+			} else {
+				ul.nSites++
+			}
+			j, ok := ul.index[r.Symbol]
+			switch {
+			case !ok:
+				ul.setErr(fmt.Errorf("link %s: undefined symbol %q", fn.Name, r.Symbol))
+			case r.Off < 0 || r.Off+4 > len(fn.Bytes):
+				ul.setErr(fmt.Errorf("link %s: reloc offset %d out of bounds", fn.Name, r.Off))
+			case r.Kind < RelocAbs32 || r.Kind > RelocWord32:
+				ul.setErr(fmt.Errorf("link %s: unknown reloc kind %d", fn.Name, r.Kind))
+			}
+			ul.relocs[i][k] = j
+		}
+	}
+	ul.nVarying += ul.nSites
+	return ul
+}
+
+func (ul *unitLink) setErr(err error) {
+	if ul.err == nil {
+		ul.err = err
+	}
+}
+
+// dataSection returns the bytes of a data section placed at base, from
+// the unit's copy for a base 3 short of a multiple of 4 (see unitLink).
+func dataSection(b []byte, base uint32) []byte { return b[3-(-base&3):] }
+
+// linkTables is what a link adds to its unit's unitLink: where its
+// options placed each function, at the layout it was linked at, and
+// .text's sites, varying sites and pieces. Slides of the link share it.
+type linkTables struct {
+	unit   *unitLink
+	layout Layout
+	// funcAddr[i] is Unit.Funcs[i]'s address.
+	funcAddr           []uint32
+	textStart, textEnd uint32
+	// sites are the .text ranges of every absolute address the link
+	// wrote, sorted by offset: a 32-bit little-endian word (RelocAbs32,
+	// RelocWord32, an x86s PLT stub's GOT word) or, 8 bytes long, the
+	// 16-bit halves of an arms movw/movt pair (RelocArmMovWT, an arms PLT
+	// stub). They are the only bytes a slide changes.
+	sites []mem.Site
+	// varying are the sites plus the relative branches between
+	// functions (RelocRel32, RelocArmBranch): every .text byte whose value
+	// depends on placement. pieces are .text's PLT stubs and functions.
+	// MapInto and MoveTo declare both to mem (see mem.Memory.Patch).
+	varying []mem.Site
+	pieces  []mem.Piece
+	// funcs are the sorted, distinct addresses of the .text and .plt
+	// symbols (see FuncEntries).
+	funcs []uint32
+}
+
 // Link resolves a unit at the given layout. Programs with imports need
-// Layout.GOTBase set; libraries must have no imports.
+// Layout.GOTBase set; libraries must have no imports. The unit's symbol
+// table, imports, resolved relocations and data sections are built on
+// its first link and shared by all of them (see unitLink), so a link
+// places and relocates only .text.
 func Link(u *Unit, layout Layout, opts Options) (*Image, error) {
 	if u.Err() != nil {
 		return nil, u.Err()
@@ -130,121 +318,55 @@ func Link(u *Unit, layout Layout, opts Options) (*Image, error) {
 	if len(u.Imports) > 0 && layout.GOTBase == 0 {
 		return nil, fmt.Errorf("link: unit has imports but layout has no GOT base")
 	}
-
-	nsym := 2*len(u.Imports) + len(u.Funcs) + len(u.ROData) + len(u.RWData) + len(u.BSS) + 3
-	img := &Image{
-		Arch:    u.Arch,
-		Symbols: make(map[string]Symbol, nsym),
-		PLT:     make(map[string]uint32, len(u.Imports)),
-		GOT:     make(map[string]uint32, len(u.Imports)),
-		Layout:  layout,
+	ul := u.shared()
+	if ul.err != nil {
+		return nil, ul.err
 	}
-	def := func(s Symbol) error {
-		if _, dup := img.Symbols[s.Name]; dup {
-			return fmt.Errorf("link: duplicate symbol %q", s.Name)
-		}
-		img.Symbols[s.Name] = s
-		return nil
-	}
-
-	// GOT and PLT slots, in sorted import order for determinism.
-	imports := append([]string(nil), u.Imports...)
-	sort.Strings(imports)
-	stubSize := uint32(x86PLTStubSize)
-	if u.Arch == isa.ArchARMS {
-		stubSize = armPLTStubSize
-	}
-	for i, name := range imports {
-		got := layout.GOTBase + uint32(4*i)
-		plt := layout.TextBase + uint32(i)*stubSize
-		img.GOT[name] = got
-		img.PLT[name] = plt
-		if err := def(Symbol{Name: name + "@got", Addr: got, Size: 4, Section: ".got"}); err != nil {
-			return nil, err
-		}
-		if err := def(Symbol{Name: name + "@plt", Addr: plt, Size: stubSize, Section: ".plt"}); err != nil {
-			return nil, err
-		}
-	}
-	pltSize := uint32(len(imports)) * stubSize
 
 	// Function placement.
-	funcs := u.Funcs
+	n := len(u.Funcs)
 	if opts.Order != nil {
-		if len(opts.Order) != len(funcs) {
-			return nil, fmt.Errorf("link: order has %d entries for %d funcs", len(opts.Order), len(funcs))
+		if len(opts.Order) != n {
+			return nil, fmt.Errorf("link: order has %d entries for %d funcs", len(opts.Order), n)
 		}
-		seen := make(map[int]bool, len(opts.Order))
-		reordered := make([]*Function, len(funcs))
-		for i, j := range opts.Order {
-			if j < 0 || j >= len(funcs) || seen[j] {
+		seen := make([]bool, n)
+		for _, j := range opts.Order {
+			if j < 0 || j >= n || seen[j] {
 				return nil, fmt.Errorf("link: order is not a permutation")
 			}
 			seen[j] = true
-			reordered[i] = funcs[j]
 		}
-		funcs = reordered
 	}
-
+	slot := func(i int) int { // the function placed i-th
+		if opts.Order != nil {
+			return opts.Order[i]
+		}
+		return i
+	}
+	t := &linkTables{unit: ul, layout: layout, funcAddr: make([]uint32, n),
+		sites: make([]mem.Site, 0, ul.nSites), varying: make([]mem.Site, 0, ul.nVarying),
+		pieces: make([]mem.Piece, 0, ul.nPieces)}
 	falign := uint32(x86FuncAlign)
 	if u.Arch == isa.ArchARMS {
 		falign = armFuncAlign
 	}
-	textStart := align(layout.TextBase+pltSize, falign)
-	cursor := textStart
-	addrs := make([]uint32, len(funcs))
-	for i, fn := range funcs {
+	t.textStart = align(layout.TextBase+uint32(len(ul.imports))*ul.stubSize, falign)
+	cursor := t.textStart
+	for i := 0; i < n; i++ {
 		if opts.Pad != nil && i < len(opts.Pad) {
 			cursor += uint32(opts.Pad[i])
 		}
 		cursor = align(cursor, falign)
-		addrs[i] = cursor
-		if err := def(Symbol{Name: fn.Name, Addr: cursor, Size: uint32(len(fn.Bytes)), Section: ".text"}); err != nil {
-			return nil, err
-		}
-		cursor += uint32(len(fn.Bytes))
+		j := slot(i)
+		t.funcAddr[j] = cursor
+		cursor += uint32(len(u.Funcs[j].Bytes))
 	}
-	textEnd := cursor
+	t.textEnd = cursor
+	img := &Image{Arch: u.Arch, Layout: layout, t: t}
 
-	// Data placement.
-	place := func(items []Data, base uint32, section string, alignTo uint32) (uint32, error) {
-		cur := base
-		for _, d := range items {
-			cur = align(cur, alignTo)
-			if err := def(Symbol{Name: d.Name, Addr: cur, Size: d.Size, Section: section}); err != nil {
-				return 0, err
-			}
-			cur += d.Size
-		}
-		return cur, nil
-	}
-	roEnd, err := place(u.ROData, layout.RODataBase, ".rodata", 4)
-	if err != nil {
-		return nil, err
-	}
-	dataEnd, err := place(u.RWData, layout.DataBase, ".data", 4)
-	if err != nil {
-		return nil, err
-	}
-	bssEnd, err := place(u.BSS, layout.BSSBase, ".bss", 4)
-	if err != nil {
-		return nil, err
-	}
-
-	// Section boundary symbols used by exploits and tests.
-	for _, s := range []Symbol{
-		{Name: "__text_start", Addr: textStart, Section: ".text"},
-		{Name: "__text_end", Addr: textEnd, Section: ".text"},
-		{Name: "__bss_start", Addr: layout.BSSBase, Section: ".bss"},
-	} {
-		if err := def(s); err != nil {
-			return nil, err
-		}
-	}
-
-	// Emit sections.
+	// Emit .text.
 	fill := fillByte(u.Arch)
-	textData := make([]byte, textEnd-layout.TextBase)
+	textData := make([]byte, t.textEnd-layout.TextBase)
 	if len(textData) > 0 {
 		textData[0] = fill
 		for i := 1; i < len(textData); i *= 2 {
@@ -252,134 +374,119 @@ func Link(u *Unit, layout Layout, opts Options) (*Image, error) {
 		}
 	}
 	// PLT stubs; each one's GOT address is an absolute site.
-	for i, name := range imports {
-		off := uint32(i) * stubSize
-		img.pieces = append(img.pieces, mem.Piece{Off: off, Len: stubSize, Key: pltKey[u.Arch]})
-		copy(textData[off:], buildPLTStub(u.Arch, img.GOT[name]))
+	for i := range ul.imports {
+		off := uint32(i) * ul.stubSize
+		t.pieces = append(t.pieces, mem.Piece{Off: off, Len: ul.stubSize, Key: pltKey[u.Arch]})
+		putPLTStub(u.Arch, textData[off:], layout.GOTBase+uint32(4*i))
 		if u.Arch == isa.ArchX86S {
-			img.sites = append(img.sites, mem.Site{Off: off + 2, Len: 4})
+			t.sites = append(t.sites, mem.Site{Off: off + 2, Len: 4})
 		} else {
-			img.sites = append(img.sites, mem.Site{Off: off, Len: movWTLen})
+			t.sites = append(t.sites, mem.Site{Off: off, Len: movWTLen})
 		}
 	}
 	// Functions with relocations applied, in place in the section.
-	for i, fn := range funcs {
-		off := addrs[i] - layout.TextBase
+	for i := 0; i < n; i++ {
+		j := slot(i)
+		fn := u.Funcs[j]
+		off := t.funcAddr[j] - layout.TextBase
 		code := textData[off : off+uint32(len(fn.Bytes))]
 		copy(code, fn.Bytes)
-		if err := applyRelocs(img, fn, addrs[i], off, code); err != nil {
+		if err := img.applyRelocs(fn, ul.relocs[j], off, code); err != nil {
 			return nil, err
 		}
 		if fn.key != 0 && len(fn.Bytes) > 0 {
-			img.pieces = append(img.pieces, mem.Piece{Off: off, Len: uint32(len(fn.Bytes)), Key: fn.key})
+			t.pieces = append(t.pieces, mem.Piece{Off: off, Len: uint32(len(fn.Bytes)), Key: fn.key})
 		}
 	}
 	bySite := func(a, b mem.Site) int { return cmp.Compare(a.Off, b.Off) }
-	slices.SortFunc(img.sites, bySite)
-	img.varying = append(img.varying, img.sites...)
-	slices.SortFunc(img.varying, bySite)
-	img.funcs = funcEntries(img.Symbols)
+	slices.SortFunc(t.sites, bySite)
+	t.varying = append(t.varying, t.sites...)
+	slices.SortFunc(t.varying, bySite)
+	// The entries in address order: PLT stubs, then the functions as
+	// placed; only a layout that wraps the address space needs the sort.
+	t.funcs = make([]uint32, 0, len(ul.imports)+n+2)
+	for i := range ul.imports {
+		t.funcs = append(t.funcs, layout.TextBase+uint32(i)*ul.stubSize)
+	}
+	t.funcs = append(t.funcs, t.textStart)
+	for i := 0; i < n; i++ {
+		t.funcs = append(t.funcs, t.funcAddr[slot(i)])
+	}
+	t.funcs = append(t.funcs, t.textEnd)
+	if !slices.IsSorted(t.funcs) {
+		slices.Sort(t.funcs)
+	}
+	t.funcs = slices.Compact(t.funcs)
 
-	fillData := func(items []Data, base, end uint32, alignTo uint32) []byte {
-		out := make([]byte, end-base)
-		cur := base
-		for _, d := range items {
-			cur = align(cur, alignTo)
-			copy(out[cur-base:], d.Bytes)
-			cur += d.Size
-		}
-		return out
+	img.Sections = make([]Section, 1, 5)
+	img.Sections[0] = Section{Name: ".text", Addr: layout.TextBase, Data: textData, Perm: mem.PermRX}
+	if ul.rodata != nil {
+		img.Sections = append(img.Sections, Section{Name: ".rodata", Addr: layout.RODataBase,
+			Data: dataSection(ul.rodata, layout.RODataBase), Perm: mem.PermRead})
 	}
-
-	img.Sections = append(img.Sections,
-		Section{Name: ".text", Addr: layout.TextBase, Data: textData, Perm: mem.PermRX})
-	if len(u.ROData) > 0 {
-		img.Sections = append(img.Sections, Section{
-			Name: ".rodata", Addr: layout.RODataBase,
-			Data: fillData(u.ROData, layout.RODataBase, roEnd, 4), Perm: mem.PermRead,
-		})
+	if ul.got != nil {
+		img.Sections = append(img.Sections, Section{Name: ".got", Addr: layout.GOTBase, Data: ul.got, Perm: mem.PermRW})
 	}
-	if len(imports) > 0 {
-		img.Sections = append(img.Sections, Section{
-			Name: ".got", Addr: layout.GOTBase,
-			Data: make([]byte, uint32(4*len(imports))), Perm: mem.PermRW,
-		})
+	if ul.data != nil {
+		img.Sections = append(img.Sections, Section{Name: ".data", Addr: layout.DataBase,
+			Data: dataSection(ul.data, layout.DataBase), Perm: mem.PermRW})
 	}
-	if len(u.RWData) > 0 {
-		img.Sections = append(img.Sections, Section{
-			Name: ".data", Addr: layout.DataBase,
-			Data: fillData(u.RWData, layout.DataBase, dataEnd, 4), Perm: mem.PermRW,
-		})
-	}
-	if len(u.BSS) > 0 {
-		img.Sections = append(img.Sections, Section{
-			Name: ".bss", Addr: layout.BSSBase,
-			Data: make([]byte, bssEnd-layout.BSSBase), Perm: mem.PermRW,
-		})
+	if ul.bss != nil {
+		img.Sections = append(img.Sections, Section{Name: ".bss", Addr: layout.BSSBase,
+			Data: dataSection(ul.bss, layout.BSSBase), Perm: mem.PermRW})
 	}
 	return img, nil
 }
 
-// buildPLTStub emits the jump-through-GOT stub for one import.
-func buildPLTStub(arch isa.Arch, got uint32) []byte {
+// putPLTStub writes the jump-through-GOT stub for one import at the start
+// of b.
+func putPLTStub(arch isa.Arch, b []byte, got uint32) {
 	if arch == isa.ArchX86S {
 		// jmp dword [got]; int3 padding.
-		return []byte{
-			0xFF, 0x25, byte(got), byte(got >> 8), byte(got >> 16), byte(got >> 24),
-			0xCC, 0xCC,
-		}
+		b[0], b[1] = 0xFF, 0x25
+		put32(b[2:], got)
+		b[6], b[7] = 0xCC, 0xCC
+		return
 	}
 	// movw r12,#lo ; movt r12,#hi ; ldr r12,[r12] ; bx r12
-	words := []uint32{
+	for i, w := range [...]uint32{
 		arms.Instr{Op: arms.OpMovW, Rd: arms.R12, Imm: int32(got & 0xFFFF)}.Word(),
 		arms.Instr{Op: arms.OpMovT, Rd: arms.R12, Imm: int32(got >> 16)}.Word(),
 		arms.Instr{Op: arms.OpLdr, Rd: arms.R12, Rn: arms.R12}.Word(),
 		arms.Instr{Op: arms.OpBX, Rd: arms.R12}.Word(),
+	} {
+		put32(b[4*i:], w)
 	}
-	out := make([]byte, 16)
-	for i, w := range words {
-		out[i*4] = byte(w)
-		out[i*4+1] = byte(w >> 8)
-		out[i*4+2] = byte(w >> 16)
-		out[i*4+3] = byte(w >> 24)
-	}
-	return out
 }
 
-// applyRelocs patches one function's code in place and records its
+// applyRelocs patches one function's code in place, its relocations'
+// symbols resolved to refs (see unitLink.relocs), and records its
 // absolute sites (the function starts off bytes into .text) for Slide
 // and its relative ones in varying.
-func applyRelocs(img *Image, fn *Function, funcAddr, off uint32, code []byte) error {
-	for _, r := range fn.Relocs {
-		sym, ok := img.Symbols[r.Symbol]
-		if !ok {
-			return fmt.Errorf("link %s: undefined symbol %q", fn.Name, r.Symbol)
-		}
-		target := sym.Addr + uint32(r.Addend)
-		if r.Off < 0 || r.Off+4 > len(code) {
-			return fmt.Errorf("link %s: reloc offset %d out of bounds", fn.Name, r.Off)
-		}
+func (img *Image) applyRelocs(fn *Function, refs []int32, off uint32, code []byte) error {
+	t := img.t
+	funcAddr := t.layout.TextBase + off
+	for k, r := range fn.Relocs {
+		target := img.addr(t.unit.refs[refs[k]]) + uint32(r.Addend)
 		switch r.Kind {
 		case RelocAbs32, RelocWord32:
 			put32(code[r.Off:], target)
-			img.sites = append(img.sites, mem.Site{Off: off + uint32(r.Off), Len: 4})
+			t.sites = append(t.sites, mem.Site{Off: off + uint32(r.Off), Len: 4})
 		case RelocRel32:
 			site := funcAddr + uint32(r.Off)
 			put32(code[r.Off:], target-(site+4))
-			img.varying = append(img.varying, mem.Site{Off: off + uint32(r.Off), Len: 4})
+			t.varying = append(t.varying, mem.Site{Off: off + uint32(r.Off), Len: 4})
 		case RelocArmMovWT:
 			if err := arms.PatchMovWT(code, r.Off, target); err != nil {
 				return fmt.Errorf("link %s: %w", fn.Name, err)
 			}
-			img.sites = append(img.sites, mem.Site{Off: off + uint32(r.Off), Len: movWTLen})
+			t.sites = append(t.sites, mem.Site{Off: off + uint32(r.Off), Len: movWTLen})
 		case RelocArmBranch:
 			site := funcAddr + uint32(r.Off)
 			if err := arms.PatchBranch(code, r.Off, site, target); err != nil {
 				return fmt.Errorf("link %s: %w", fn.Name, err)
 			}
-			img.varying = append(img.varying, mem.Site{Off: off + uint32(r.Off), Len: 4})
-		default:
-			return fmt.Errorf("link %s: unknown reloc kind %d", fn.Name, r.Kind)
+			t.varying = append(t.varying, mem.Site{Off: off + uint32(r.Off), Len: 4})
 		}
 	}
 	return nil

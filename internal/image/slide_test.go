@@ -2,9 +2,8 @@ package image_test
 
 import (
 	"bytes"
-	"maps"
+	"fmt"
 	"math/rand/v2"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -77,55 +76,116 @@ func buildsForSlide(t testing.TB, arch isa.Arch) []slideBuild {
 }
 
 // checkSlide requires b.base slid by delta to equal a fresh link of the
-// unit at the slid layout. It reports false when that layout does not
-// link (a GOT base that wrapped to zero).
-func checkSlide(t testing.TB, b slideBuild, delta uint32) bool {
+// unit at the slid layout (see imageDiff; FuncAt is asked at every
+// function byte when allBytes is set). It reports false when that layout
+// does not link (a GOT base that wrapped to zero).
+func checkSlide(t testing.TB, b slideBuild, delta uint32, allBytes bool) bool {
 	t.Helper()
 	want, err := image.Link(b.unit, b.layout.Slide(delta), b.opts)
 	if err != nil {
 		return false
 	}
-	got := b.base.Slide(delta)
-	if reflect.DeepEqual(got, want) {
-		return true
+	if d := imageDiff(b.base.Slide(delta), want, allBytes); d != "" {
+		t.Fatalf("%s by %#x: %s", b.name, delta, d)
 	}
+	// A slid image slid again must equal the relink too.
+	mid := delta / 2 &^ 0xFFF
+	if d := imageDiff(b.base.Slide(mid).Slide(delta-mid), want, false); d != "" {
+		t.Fatalf("%s by %#x then %#x: %s", b.name, mid, delta-mid, d)
+	}
+	return true
+}
+
+// imageDiff describes the first way got differs from want through the
+// accessors, or returns "": layout, sections (name, address, permissions,
+// bytes), every symbol (name, address, size, section) and its Lookup,
+// every import (PLT stub and GOT slot), the function entries and, for
+// every function and PLT stub, FuncAt at its first and last byte and the
+// bytes just outside it (at every byte with allBytes), and .text's slide
+// sites, varying sites and pieces.
+func imageDiff(got, want *image.Image, allBytes bool) string {
 	switch {
+	case got.Arch != want.Arch:
+		return fmt.Sprintf("arch %s, want %s", got.Arch, want.Arch)
 	case got.Layout != want.Layout:
-		t.Fatalf("%s by %#x: layout %+v, want %+v", b.name, delta, got.Layout, want.Layout)
+		return fmt.Sprintf("layout %+v, want %+v", got.Layout, want.Layout)
 	case len(got.Sections) != len(want.Sections):
-		t.Fatalf("%s by %#x: %d sections, want %d", b.name, delta, len(got.Sections), len(want.Sections))
+		return fmt.Sprintf("%d sections, want %d", len(got.Sections), len(want.Sections))
 	}
 	for i, g := range got.Sections {
 		w := want.Sections[i]
 		if g.Name != w.Name || g.Addr != w.Addr || g.Perm != w.Perm {
-			t.Fatalf("%s by %#x: section %d is %s@%#x %v, want %s@%#x %v",
-				b.name, delta, i, g.Name, g.Addr, g.Perm, w.Name, w.Addr, w.Perm)
+			return fmt.Sprintf("section %d is %s@%#x %v, want %s@%#x %v", i, g.Name, g.Addr, g.Perm, w.Name, w.Addr, w.Perm)
 		}
 		if !bytes.Equal(g.Data, w.Data) {
 			off := 0
 			for off < len(g.Data) && off < len(w.Data) && g.Data[off] == w.Data[off] {
 				off++
 			}
-			t.Fatalf("%s by %#x: section %s differs at offset %#x", b.name, delta, g.Name, off)
+			return fmt.Sprintf("section %s differs at offset %#x", g.Name, off)
 		}
 	}
-	switch {
-	case !maps.Equal(got.Symbols, want.Symbols):
-		t.Fatalf("%s by %#x: symbol maps differ", b.name, delta)
-	case !maps.Equal(got.PLT, want.PLT) || !maps.Equal(got.GOT, want.GOT):
-		t.Fatalf("%s by %#x: PLT/GOT maps differ", b.name, delta)
-	case !slices.Equal(got.FuncEntries(), want.FuncEntries()):
-		t.Fatalf("%s by %#x: function entries differ", b.name, delta)
+	gs, ws := got.Symbols(), want.Symbols()
+	if !slices.Equal(gs, ws) {
+		return fmt.Sprintf("symbols differ:\n got %+v\nwant %+v", gs, ws)
 	}
-	t.Fatalf("%s by %#x: slid image differs from the relink in its slide sites", b.name, delta)
-	return false
+	for _, s := range ws {
+		if a, ok := got.Lookup(s.Name); !ok || a != s.Addr {
+			return fmt.Sprintf("Lookup(%q) = %#x, %v, want %#x", s.Name, a, ok, s.Addr)
+		}
+	}
+	if got.NumImports() != want.NumImports() {
+		return fmt.Sprintf("%d imports, want %d", got.NumImports(), want.NumImports())
+	}
+	for i := 0; i < want.NumImports(); i++ {
+		if g, w := got.Import(i), want.Import(i); g != w {
+			return fmt.Sprintf("import %d is %+v, want %+v", i, g, w)
+		}
+	}
+	entries := want.FuncEntries()
+	if !slices.Equal(got.FuncEntries(), entries) {
+		return "function entries differ"
+	}
+	for _, e := range entries {
+		for _, a := range [...]uint32{e - 1, e, e + 1} {
+			if _, want := slices.BinarySearch(entries, a); got.IsFuncEntry(a) != want {
+				return fmt.Sprintf("IsFuncEntry(%#x) = %v, want %v", a, !want, want)
+			}
+		}
+	}
+	for _, s := range ws {
+		if s.Section != ".text" && s.Section != ".plt" || s.Size == 0 {
+			continue
+		}
+		at := []uint32{s.Addr - 1, s.Addr, s.Addr + s.Size - 1, s.Addr + s.Size}
+		if allBytes {
+			for off := uint32(1); off+1 < s.Size; off++ {
+				at = append(at, s.Addr+off)
+			}
+		}
+		for _, a := range at {
+			g, gok := got.FuncAt(a)
+			w, wok := want.FuncAt(a)
+			if g != w || gok != wok {
+				return fmt.Sprintf("FuncAt(%#x) = %+v, %v, want %+v, %v", a, g, gok, w, wok)
+			}
+		}
+	}
+	gsites, gvary, gpieces := image.Placement(got)
+	wsites, wvary, wpieces := image.Placement(want)
+	if !slices.Equal(gsites, wsites) || !slices.Equal(gvary, wvary) || !slices.Equal(gpieces, wpieces) {
+		return "slide sites, varying sites or pieces differ"
+	}
+	return ""
 }
 
 // TestSlideMatchesLink is the referee for Slide: for 10⁴ random
 // page-aligned deltas per ISA, sliding each build's link by the delta
 // must give exactly the image a full relink at the slid layout gives,
-// section for section, byte for byte and map for map, function entries
-// and slide sites included.
+// section for section, byte for byte and through every accessor (every
+// symbol, import and function entry, and FuncAt around every function,
+// at every byte of it for every 16th delta), slide sites included, and
+// so must sliding it there in two steps.
 func TestSlideMatchesLink(t *testing.T) {
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
 		builds := buildsForSlide(t, arch)
@@ -136,7 +196,7 @@ func TestSlideMatchesLink(t *testing.T) {
 			for i := 0; i < 10_000; i++ {
 				delta := rng.Uint32() &^ 0xFFF
 				for _, b := range builds {
-					if checkSlide(t, b, delta) {
+					if checkSlide(t, b, delta, i%16 == 0) {
 						checked++
 					}
 				}
@@ -169,8 +229,8 @@ func TestLinkedSlidesTheMemo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s layout %d: Linked differs from Link", arch, i)
+			if d := imageDiff(got, want, true); d != "" {
+				t.Errorf("%s layout %d: Linked differs from Link: %s", arch, i, d)
 			}
 			if i == 0 {
 				shared = got
@@ -190,7 +250,59 @@ func FuzzSlide(f *testing.F) {
 	builds := append(buildsForSlide(f, isa.ArchX86S), buildsForSlide(f, isa.ArchARMS)...)
 	f.Fuzz(func(t *testing.T, delta uint32) {
 		for _, b := range builds {
-			checkSlide(t, b, delta&^0xFFF)
+			checkSlide(t, b, delta&^0xFFF, true)
 		}
 	})
+}
+
+// TestSlideAllocs pins what a slide allocates: the image, its section
+// list and the patched .text, whatever the image's symbol count.
+func TestSlideAllocs(t *testing.T) {
+	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
+		for _, b := range buildsForSlide(t, arch) {
+			img := b.base.Slide(0x5000)
+			if n := testing.AllocsPerRun(100, func() { img.Slide(0x3000) }); n > 3 {
+				t.Errorf("%s %s: Slide allocates %v times, want at most 3", arch, b.name, n)
+			}
+		}
+	}
+}
+
+// TestLinkedConcurrent links one fresh unit from several goroutines at
+// once, as a campaign's workers do, through the memo and directly: the
+// unit's shared part is built by whichever link comes first, and every
+// memoized or slid image must equal a direct link (run it under -race).
+func TestLinkedConcurrent(t *testing.T) {
+	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
+		u, err := victim.BuildProgram(arch, victim.BuildOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := image.DefaultProgramLayout(arch)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for seed := int64(1); seed <= 8; seed++ {
+					opts := defense.DiversityOptions(u, seed)
+					lay := base.Slide(uint32(w+int(seed)) * 0x1000)
+					got, err := u.Linked(lay, opts)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want, err := image.Link(u, lay, opts)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if d := imageDiff(got, want, false); d != "" {
+						t.Errorf("%s seed %d, worker %d: %s", arch, seed, w, d)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
 }

@@ -163,10 +163,11 @@ type Machine[I any, S comparable] interface {
 }
 
 // bcEntry is one block-cache slot: the instructions translated starting
-// at pc, valid for dispatch while the memory generation is gen. gen 0
-// (the zero value) never matches a live Memory. A matching entry with an
-// empty ins slice is a negative result: the entry PC is known
-// untranslatable for this generation.
+// at pc, valid for dispatch while the memory generation, tagged with the
+// Core's reset epoch (see ResetBlocks), is gen. gen 0 (the zero value)
+// never matches a live Memory. A matching entry with an empty ins slice
+// is a negative result: the entry PC is known untranslatable for this
+// generation.
 //
 // A slot whose gen no longer matches keeps its translation, and a refill
 // serves it again without decoding while that is exact. Its key says
@@ -240,16 +241,21 @@ type Core[I any, S comparable] struct {
 	shift  uint   // log2 of the instruction alignment, for slot indexing
 	maxLen uint32 // the longest instruction encoding, in bytes
 
-	// The running dispatch: its memory generation, the instruction
-	// counts at which it started, wakes the cycle detector and ends, and
-	// the effect bits that disarm the detector (0 until it wakes). Once
-	// awake, last is the block the detector saw entered last, at
-	// instruction count lastAt.
+	// The running dispatch: its memory generation tagged with the reset
+	// epoch (epoch | generation), the instruction counts at which it
+	// started, wakes the cycle detector and ends, and the effect bits
+	// that disarm the detector (0 until it wakes). Once awake, last is
+	// the block the detector saw entered last, at instruction count
+	// lastAt.
 	gen, start, stop, limit uint64
 	impure                  uint8
 	d                       cycle[S]
 	last                    []BlockInstr[I]
 	lastAt                  uint64
+
+	// epoch counts ResetBlocks calls in units of epochUnit, above every
+	// memory generation: a slot tagged before the last reset is below it.
+	epoch uint64
 
 	stats BlockStats
 	hang  Hang
@@ -320,12 +326,20 @@ func (c *Core[I, S]) RecordSyscall(pc, nr uint32) {
 // it: every slot misses, exactly as in a new Core, so a recycled process
 // translates, hits and invalidates what a fresh one would. Each slot keeps
 // its translation, which Slow serves again, as it stands or moved, where
-// bcEntry's key allows.
+// bcEntry's key allows. It starts a new epoch instead of visiting the
+// slots: every slot tag below the epoch reads as never filled. Only when
+// the epoch count wraps, every 2²⁴ resets, are the tags cleared.
 func (c *Core[I, S]) ResetBlocks() {
-	for i := range c.bc {
-		c.bc[i].gen = 0
+	if c.epoch += epochUnit; c.epoch == 0 {
+		for i := range c.bc {
+			c.bc[i].gen = 0
+		}
 	}
 }
+
+// epochUnit is one reset epoch in a slot tag: memory generations (one
+// per layout or permission change) stay below it.
+const epochUnit = 1 << 40
 
 // Enter starts a dispatch of up to max instructions (at least one) in
 // memory generation gen. Every ISA's StepBlock is the same loop around
@@ -348,7 +362,7 @@ func (c *Core[I, S]) Enter(gen, max uint64) {
 	if max == 0 {
 		max = 1
 	}
-	c.gen, c.start, c.impure = gen, c.icount, 0
+	c.gen, c.start, c.impure = c.epoch|gen, c.icount, 0
 	c.limit = c.icount + max
 	if c.limit < c.icount { // saturate on wraparound
 		c.limit = ^uint64(0)
@@ -460,7 +474,7 @@ func (c *Core[I, S]) Slow(pc uint32) ([]BlockInstr[I], Event) {
 	case c.icount > c.start: // mid-chain: the next dispatch resolves pc
 	default:
 		if !cached {
-			if e.pc == pc && e.gen != 0 {
+			if e.pc == pc && e.gen > c.epoch { // filled since the last reset
 				c.stats.Invalidated++
 			}
 			c.refill(e, pc)

@@ -145,13 +145,18 @@ func keptRun[I any](t *testing.T, r *opReader, arch isa.Arch, newCPU func(*mem.M
 	m := mem.New()
 	c := newCPU(m)
 	slots := [2]*keptSlot{{prefix: ""}, {prefix: "libc"}}
+	unmap := func(img *image.Image, prefix string) {
+		for _, sec := range img.Sections {
+			m.Unmap(prefix + sec.Name)
+		}
+	}
 	remap := func(s *keptSlot, img *image.Image) {
 		if s.img != nil {
-			s.img.UnmapFrom(m, s.prefix)
+			unmap(s.img, s.prefix)
 		}
 		s.img, s.tainted = nil, false
-		if img.MapInto(m, s.prefix) != nil {
-			img.UnmapFrom(m, s.prefix) // a layout that overlaps: drop what mapped
+		if img.MapInto(m, s.prefix, nil) != nil {
+			unmap(img, s.prefix) // a layout that overlaps: drop what mapped
 			return
 		}
 		s.img = img
@@ -171,7 +176,7 @@ func keptRun[I any](t *testing.T, r *opReader, arch isa.Arch, newCPU func(*mem.M
 			remap(s, img.Slide(r.delta()))
 		case 1:
 			if s.img != nil {
-				s.img.UnmapFrom(m, s.prefix)
+				unmap(s.img, s.prefix)
 				s.img = nil
 			}
 		case 2: // slide in place, as a recycle does

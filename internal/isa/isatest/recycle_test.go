@@ -17,7 +17,9 @@ import (
 // next run translates the new bytes. A write that bypasses the accessors,
 // which runtime code must never make, is invisible to the code
 // generation; the kept translation still runs the old bytes, which is
-// how this test sees the reuse.
+// how this test sees the reuse. The cache reads cold after a recycle
+// however many recycles came before, past the wrap of ResetBlocks' epoch
+// count too.
 func TestRecycleKeepsTranslations(t *testing.T) {
 	a := x86s.NewAsm()
 	// The call keeps the loop out of the slot of the entry block, which
@@ -83,5 +85,19 @@ func TestRecycleKeepsTranslations(t *testing.T) {
 	recycle()
 	if got := run("patched", 250); got != cold {
 		t.Errorf("patched: counted %+v, a cold cache %+v", got, cold)
+	}
+	// ResetBlocks starts an epoch instead of visiting the slots; when the
+	// epoch count wraps (2²⁴ resets) it clears them, and the cache must
+	// still read as cold, no slot counted as invalidated.
+	for i := 0; i < 1<<24-1; i++ {
+		c.ResetBlocks()
+	}
+	recycle()
+	if got := run("epoch wrap", 250); got != cold {
+		t.Errorf("after the epoch wrap: counted %+v, a cold cache %+v", got, cold)
+	}
+	recycle()
+	if got := run("after the wrap", 250); got != cold {
+		t.Errorf("after the wrap: counted %+v, a cold cache %+v", got, cold)
 	}
 }

@@ -9,7 +9,6 @@ package kernel
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strconv"
 
@@ -18,6 +17,7 @@ import (
 	"connlab/internal/isa/arms"
 	"connlab/internal/isa/x86s"
 	"connlab/internal/mem"
+	"connlab/internal/seedrand"
 	"connlab/internal/telemetry"
 )
 
@@ -230,9 +230,9 @@ type Process struct {
 
 	stdout bytes.Buffer
 	shells []ShellSpawn
-	// rng is reseeded with each layout's seed. Its seedSource makes the
-	// reseed constant-time and allocation-free (see seedsrc.go).
-	rng    *rand.Rand
+	// rng is reseeded with each layout's seed. A seedrand.Source makes
+	// the reseed constant-time and allocation-free.
+	rng    seedrand.Source
 	budget uint64
 
 	// tel is the process's telemetry shard (nil while telemetry is
@@ -248,8 +248,9 @@ type Process struct {
 	attempt uint64
 
 	// canary is the guard value drawn for the current placement;
-	// guardAddr is where it was written (0 when the program declares no
-	// guard).
+	// guardAddr is where it was written, the program's guard symbol (0
+	// when the program declares no guard), looked up when the program
+	// image changes.
 	guardAddr uint32
 	canary    uint32
 }
@@ -269,7 +270,7 @@ type Layout struct {
 // the single source of layout-randomization policy: Load, Recycle and
 // LayoutFor all go through it. A cfg without PIE or ASLR draws nothing, so
 // rng may then be nil.
-func layoutFor(arch isa.Arch, cfg Config, rng *rand.Rand) Layout {
+func layoutFor(arch isa.Arch, cfg Config, rng *seedrand.Source) Layout {
 	var l Layout
 	if cfg.PIE {
 		l.ProgSlide = uint32(rng.Intn(0x800)) * Page
@@ -302,7 +303,7 @@ func layoutFor(arch isa.Arch, cfg Config, rng *rand.Rand) Layout {
 // the sample is identical to loading a full replica and reading the same
 // addresses.
 func LayoutFor(arch isa.Arch, cfg Config) Layout {
-	return layoutFor(arch, cfg, rand.New(newSeedSource(cfg.Seed)))
+	return layoutFor(arch, cfg, seedrand.NewSource(cfg.Seed))
 }
 
 // Load links the program unit (at its fixed non-PIE layout unless cfg.PIE)
@@ -406,12 +407,8 @@ func (p *Process) plan(progUnit, libcUnit *image.Unit, cfg Config) (layoutPlan, 
 	if libcUnit == p.libcUnit {
 		pl.libc = p.Libc
 	}
-	if p.rng == nil {
-		p.rng = rand.New(newSeedSource(cfg.Seed))
-	} else {
-		p.rng.Seed(cfg.Seed)
-	}
-	pl.lay = layoutFor(p.arch, cfg, p.rng)
+	p.rng.Seed(cfg.Seed)
+	pl.lay = layoutFor(p.arch, cfg, &p.rng)
 	// Canary guard: like glibc, a random value with a zero low byte (the
 	// zero byte terminates accidental string copies; the lab's
 	// length-prefixed overflow is unaffected, which is why canaries must
@@ -436,7 +433,11 @@ func (p *Process) plan(progUnit, libcUnit *image.Unit, cfg Config) (layoutPlan, 
 		}
 		pl.libc = img
 	}
-	for name := range pl.prog.GOT {
+	if pl.prog == p.Prog && pl.libc == p.Libc {
+		return pl, nil // checked when they were placed
+	}
+	for i := 0; i < pl.prog.NumImports(); i++ {
+		name := pl.prog.Import(i).Name
 		if _, ok := pl.libc.Lookup(name); !ok {
 			return pl, fmt.Errorf("load: import %q not provided by libc", name)
 		}
@@ -452,24 +453,20 @@ func sameLinkOpts(a, b image.Options) bool {
 }
 
 // place lays the address space out as pl says, from a freshly mapped or
-// freshly reset state: it moves the images that only slid, remaps the
-// others that changed, slides the stack, applies the W⊕X permissions,
+// freshly reset state: it moves the images that only slid, replaces the
+// sections that changed in the others (a section the new image shares
+// with the mapped one keeps its segment, baseline and stamp; see
+// image.Image.MapInto), slides the stack, applies the W⊕X permissions,
 // refills the GOT, seals the canary-free baseline and seeds the canary.
 func (p *Process) place(cfg Config, pl layoutPlan) error {
 	m := p.m
 	remapProg, remapLibc := pl.prog != p.Prog, pl.libc != p.Libc
-	if remapProg && !pl.slideProg && p.Prog != nil {
-		p.Prog.UnmapFrom(m, "")
-	}
-	if remapLibc && !pl.slideLibc && p.Libc != nil {
-		p.Libc.UnmapFrom(m, "libc")
-	}
 	if remapProg {
 		var err error
 		if pl.slideProg {
 			err = p.Prog.MoveTo(m, "", pl.prog)
 		} else {
-			err = pl.prog.MapInto(m, "")
+			err = pl.prog.MapInto(m, "", p.Prog)
 		}
 		if err != nil {
 			return fmt.Errorf("map program: %w", err)
@@ -480,7 +477,7 @@ func (p *Process) place(cfg Config, pl layoutPlan) error {
 		if pl.slideLibc {
 			err = p.Libc.MoveTo(m, "libc", pl.libc)
 		} else {
-			err = pl.libc.MapInto(m, "libc")
+			err = pl.libc.MapInto(m, "libc", p.Libc)
 		}
 		if err != nil {
 			return fmt.Errorf("map libc: %w", err)
@@ -488,6 +485,9 @@ func (p *Process) place(cfg Config, pl layoutPlan) error {
 	}
 	p.Prog, p.Libc = pl.prog, pl.libc
 	p.progUnit, p.libcUnit = pl.progUnit, pl.libcUnit
+	if remapProg {
+		p.guardAddr, _ = p.Prog.Lookup("__stack_chk_guard")
+	}
 
 	if err := m.Move(pl.lay.StackTop-StackSize, "stack"); err != nil {
 		return fmt.Errorf("map stack: %w", err)
@@ -509,9 +509,10 @@ func (p *Process) place(cfg Config, pl layoutPlan) error {
 
 	// GOT population: point every import at its libc definition.
 	if remapProg || remapLibc {
-		for name, got := range p.Prog.GOT {
-			addr, _ := p.Libc.Lookup(name)
-			if f := m.WriteU32(got, addr); f != nil {
+		for i := 0; i < p.Prog.NumImports(); i++ {
+			imp := p.Prog.Import(i)
+			addr, _ := p.Libc.Lookup(imp.Name)
+			if f := m.WriteU32(imp.GOT, addr); f != nil {
 				return fmt.Errorf("load: write got: %w", f)
 			}
 		}
@@ -533,12 +534,11 @@ func (p *Process) place(cfg Config, pl layoutPlan) error {
 	// place reseeds it from the new configuration's stream.
 	m.Seal()
 
-	p.guardAddr, p.canary = 0, pl.canary
-	if guard, ok := p.Prog.Lookup("__stack_chk_guard"); ok {
-		if f := m.WriteU32(guard, pl.canary); f != nil {
+	p.canary = pl.canary
+	if p.guardAddr != 0 {
+		if f := m.WriteU32(p.guardAddr, pl.canary); f != nil {
 			return fmt.Errorf("load: seed canary: %w", f)
 		}
-		p.guardAddr = guard
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"connlab/internal/isa"
 	"connlab/internal/isa/arms"
 	"connlab/internal/isa/x86s"
+	"connlab/internal/mem"
 )
 
 // recycleUnits returns the hello program extended with a second function
@@ -19,7 +20,8 @@ func recycleUnits(t *testing.T, arch isa.Arch) (prog, libc *image.Unit) {
 }
 
 // guardedHello is the hello program with pad nops opening main, a second
-// function and a stack-protector guard.
+// function, a stack-protector guard and a scratch BSS, so it has all five
+// sections.
 func guardedHello(t *testing.T, arch isa.Arch, pad int) *image.Unit {
 	t.Helper()
 	var prog *image.Unit
@@ -31,6 +33,7 @@ func guardedHello(t *testing.T, arch isa.Arch, pad int) *image.Unit {
 		prog.AddFuncX86("helper", x86s.NewAsm().Ret())
 	}
 	prog.AddData("__stack_chk_guard", make([]byte, 4))
+	prog.AddBSS("scratch", 64)
 	return prog
 }
 
@@ -55,7 +58,10 @@ func (h *countHooks) OnControl(isa.ControlKind, uint32, uint32, uint32) error {
 // recycled from one configuration into another must be observationally
 // identical to a fresh Load of the second — same segments (name, base,
 // permission, every byte), stack top, canary, GOT, run results and
-// stdout — whatever the two configurations' layouts and protections.
+// stdout — whatever the two configurations' layouts and protections, and
+// whatever the trial before wrote into the program's .got, .data and
+// .bss (a new diversity build keeps those segments, so Reset, not a
+// remap, must restore them).
 func TestRecycleMatchesFreshLoad(t *testing.T) {
 	diverse := image.Options{Order: []int{1, 0}, Pad: []int{48, 16}}
 	shuffled := image.Options{Order: []int{1, 0}, Pad: []int{0, 224}}
@@ -78,6 +84,10 @@ func TestRecycleMatchesFreshLoad(t *testing.T) {
 		{"diversity on", Config{Seed: 1}, Config{LinkOpts: diverse, Seed: 2}},
 		{"diversity changed", Config{LinkOpts: diverse, Seed: 2}, Config{LinkOpts: shuffled, Seed: 3}},
 		{"diversity off", Config{WX: true, LinkOpts: diverse, Seed: 2}, Config{WX: true, ASLR: true, Seed: 2}},
+		{"diversity changed wx aslr", Config{WX: true, ASLR: true, LinkOpts: diverse, Seed: 2},
+			Config{WX: true, ASLR: true, LinkOpts: shuffled, Seed: 3}},
+		{"diversity to pie", Config{LinkOpts: diverse, Seed: 2}, Config{ASLR: true, PIE: true, Seed: 5}},
+		{"pie to diversity", Config{ASLR: true, PIE: true, Seed: 5}, Config{WX: true, LinkOpts: shuffled, Seed: 6}},
 		{"cfi hooks on", Config{Seed: 1}, Config{Hooks: &countHooks{}, Seed: 1}},
 		{"cfi hooks off", Config{Hooks: &countHooks{}, Seed: 1}, Config{ASLR: true, PIE: true, Seed: 4}},
 	}
@@ -96,14 +106,15 @@ func TestRecycleMatchesFreshLoad(t *testing.T) {
 					if _, err := p.Call("main"); err != nil {
 						t.Fatalf("warmup call: %v", err)
 					}
+					scribbleData(t, p)
 					if !p.Recycle(to) {
 						t.Fatal("recycle refused")
 					}
 					// Scribble over the GOT and recycle in place: the
 					// baseline re-sealed for c.to, not the load's, must
 					// come back.
-					for _, slot := range p.Prog.GOT {
-						if f := p.Mem().WriteU32(slot, 0xDEADBEEF); f != nil {
+					for i := 0; i < p.Prog.NumImports(); i++ {
+						if f := p.Mem().WriteU32(p.Prog.Import(i).GOT, 0xDEADBEEF); f != nil {
 							t.Fatal(f)
 						}
 					}
@@ -133,6 +144,7 @@ func TestRecycleMatchesFreshLoad(t *testing.T) {
 
 					// And back: the baseline re-sealed for c.to must rewind
 					// into c.from as cleanly as the load's did.
+					scribbleData(t, p)
 					back := withOwnHooks(c.from)
 					if !p.Recycle(back) {
 						t.Fatal("recycle back refused")
@@ -145,6 +157,61 @@ func TestRecycleMatchesFreshLoad(t *testing.T) {
 				})
 			}
 			t.Run("cross-unit", func(t *testing.T) { recycleAcrossUnits(t, arch, libc) })
+		})
+	}
+}
+
+// scribbleData overwrites every byte of the program's .got, .data and
+// .bss through the accessors, as a trial's stores would.
+func scribbleData(t *testing.T, p *Process) {
+	t.Helper()
+	for _, name := range [...]string{".got", ".data", ".bss"} {
+		seg := p.Mem().Segment(name)
+		if seg == nil {
+			t.Fatalf("program has no %s", name)
+		}
+		if f := p.Mem().WriteBytes(seg.Base, bytes.Repeat([]byte{0xA5}, int(seg.Size()))); f != nil {
+			t.Fatal(f)
+		}
+	}
+}
+
+// TestDiversityRecycleKeepsSegments: recycling a process into another
+// diversity build of its unit at the same layout replaces .text alone;
+// every other program section keeps its *mem.Segment, and the process
+// still matches a fresh load.
+func TestDiversityRecycleKeepsSegments(t *testing.T) {
+	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
+		t.Run(string(arch), func(t *testing.T) {
+			prog, libc := recycleUnits(t, arch)
+			from := Config{WX: true, ASLR: true, LinkOpts: image.Options{Order: []int{1, 0}, Pad: []int{48, 16}}, Seed: 2}
+			to := Config{WX: true, ASLR: true, LinkOpts: image.Options{Order: []int{0, 1}, Pad: []int{0, 224}}, Seed: 3}
+			p, err := Load(prog, libc, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Call("main"); err != nil {
+				t.Fatal(err)
+			}
+			before := map[string]*mem.Segment{}
+			for _, s := range p.Mem().Segments() {
+				before[s.Name] = s
+			}
+			scribbleData(t, p)
+			if !p.Recycle(to) {
+				t.Fatal("recycle refused")
+			}
+			for _, sec := range p.Prog.Sections {
+				seg := p.Mem().Segment(sec.Name)
+				if kept := seg == before[sec.Name]; kept != (sec.Name != ".text") {
+					t.Errorf("%s: segment kept = %v", sec.Name, kept)
+				}
+			}
+			fresh, err := Load(prog, libc, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareProcesses(t, p, fresh)
 		})
 	}
 }
@@ -237,14 +304,15 @@ func compareProcesses(t *testing.T, p, fresh *Process) {
 	if p.canary != fresh.canary || p.guardAddr != fresh.guardAddr {
 		t.Errorf("canary %#x@%#x, fresh %#x@%#x", p.canary, p.guardAddr, fresh.canary, fresh.guardAddr)
 	}
-	if len(p.Prog.GOT) != len(fresh.Prog.GOT) {
-		t.Errorf("%d GOT slots, fresh %d", len(p.Prog.GOT), len(fresh.Prog.GOT))
+	if p.Prog.NumImports() != fresh.Prog.NumImports() {
+		t.Fatalf("%d GOT slots, fresh %d", p.Prog.NumImports(), fresh.Prog.NumImports())
 	}
-	for name, slot := range fresh.Prog.GOT {
-		want, _ := fresh.Mem().ReadU32(slot)
-		got, f := p.Mem().ReadU32(p.Prog.GOT[name])
-		if p.Prog.GOT[name] != slot || f != nil || got != want {
-			t.Errorf("GOT %s: %#x@%#x (%v), fresh %#x@%#x", name, got, p.Prog.GOT[name], f, want, slot)
+	for i := 0; i < fresh.Prog.NumImports(); i++ {
+		imp, fimp := p.Prog.Import(i), fresh.Prog.Import(i)
+		want, _ := fresh.Mem().ReadU32(fimp.GOT)
+		got, f := p.Mem().ReadU32(imp.GOT)
+		if imp != fimp || f != nil || got != want {
+			t.Errorf("GOT %s: %#x@%#x (%v), fresh %s: %#x@%#x", imp.Name, got, imp.GOT, f, fimp.Name, want, fimp.GOT)
 		}
 	}
 

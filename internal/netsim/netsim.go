@@ -321,6 +321,16 @@ func (n *Network) SetAttempt(id uint64) { n.attempt = id }
 // split into Step and Run calls.
 func (n *Network) Epochs() int { return n.epochs }
 
+// Grow makes room for hosts more hosts, so a world built at a known
+// population does not rehash its host table as it fills.
+func (n *Network) Grow(hosts int) {
+	m := make(map[string]*Host, len(n.hosts)+hosts)
+	for name, h := range n.hosts {
+		m[name] = h
+	}
+	n.hosts = m
+}
+
 // AddHost creates a host; ip may be zero for DHCP-configured hosts.
 func (n *Network) AddHost(name string, ip IP) (*Host, error) {
 	if _, dup := n.hosts[name]; dup {

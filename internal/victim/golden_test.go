@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 
@@ -41,14 +40,8 @@ func TestBuildGolden(t *testing.T) {
 						fmt.Fprintf(&got, "%s %s addr=%#x len=%d sha256=%x\n",
 							combo, sec.Name, sec.Addr, len(sec.Data), sha256.Sum256(sec.Data))
 					}
-					var names []string
-					for n := range img.Symbols {
-						names = append(names, n)
-					}
-					sort.Strings(names)
-					for _, n := range names {
-						s := img.Symbols[n]
-						fmt.Fprintf(&got, "%s sym %s addr=%#x size=%d sec=%s\n", combo, n, s.Addr, s.Size, s.Section)
+					for _, s := range img.Symbols() {
+						fmt.Fprintf(&got, "%s sym %s addr=%#x size=%d sec=%s\n", combo, s.Name, s.Addr, s.Size, s.Section)
 					}
 				}
 			}

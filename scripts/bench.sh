@@ -13,22 +13,28 @@
 # the estimator least polluted by noisy neighbors and keeps the 10%
 # regression guard meaningful.
 #
-# After writing OUT the script compares against the most recent other
-# BENCH_*.json (or an explicit BASE=file): it prints a per-benchmark
-# ns/op delta table and exits non-zero if any benchmark regressed more
-# than 10%. Benchmarks only in the baseline are listed as removed (not a
-# failure). COMPARE=0 skips the comparison.
+# Paired mode, the default: BASE names a git revision (HEAD when unset,
+# so the working tree is compared against its last commit; on a clean
+# tree pass BASE=HEAD~1). The script builds that revision's test binary
+# from `git archive` and runs every benchmark COUNT times on each side,
+# alternating which side goes first in each pair. The 10% guard is
+# applied to the median of the per-pair ns/op deltas, so host drift
+# between pairs cancels out; the table also shows each side's median.
+# Paired mode writes no JSON. Comparing against numbers recorded
+# earlier instead is not a test of a change on a host whose speed
+# drifts by 15-40% over minutes to an hour.
 #
-# Paired mode: when BASE names a git revision instead of a file, the
-# script builds that revision's test binary from `git archive` and runs
-# every benchmark COUNT times on each side, alternating which side goes
-# first in each pair. The 10% guard is applied to the median of the
-# per-pair ns/op deltas, so host drift between pairs cancels out; the
-# table also shows each side's median. Paired mode writes no JSON.
+# File mode: with BASE=<file>, or BASE= (empty) for the most recent
+# other BENCH_*.json, the script writes OUT and then compares against
+# that file: it prints a per-benchmark ns/op delta table and exits
+# non-zero if any benchmark regressed more than 10%. Benchmarks only in
+# the baseline are listed as removed (not a failure). COMPARE=0 writes
+# OUT and skips the comparison.
 #
-#   BENCHTIME=5s OUT=/tmp/bench.json sh scripts/bench.sh
-#   BASE=BENCH_2.json sh scripts/bench.sh
+#   sh scripts/bench.sh
 #   BASE=HEAD~1 COUNT=5 BENCHTIME=1s sh scripts/bench.sh
+#   BENCHTIME=5s OUT=/tmp/bench.json COMPARE=0 sh scripts/bench.sh
+#   BASE=BENCH_2.json sh scripts/bench.sh
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -37,13 +43,14 @@ BENCHTIME="${BENCHTIME:-2s}"
 COUNT="${COUNT:-3}"
 OUT="${OUT:-BENCH_10.json}"
 COMPARE="${COMPARE:-1}"
+BASE="${BASE-HEAD}"
 TMP="$(mktemp)"
 BIN="$(mktemp)"
 trap 'rm -f "$TMP" "$BIN"' EXIT
 
 go test -c -o "$BIN" .
 
-if [ -n "${BASE:-}" ] && [ ! -f "$BASE" ] && git rev-parse -q --verify "$BASE^{commit}" > /dev/null; then
+if [ "$COMPARE" != "0" ] && [ -n "$BASE" ] && [ ! -f "$BASE" ] && git rev-parse -q --verify "$BASE^{commit}" > /dev/null; then
     BASEDIR="$(mktemp -d)"
     BASEBIN="$(mktemp)"
     trap 'rm -rf "$TMP" "$BIN" "$BASEDIR" "$BASEBIN"' EXIT

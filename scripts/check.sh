@@ -47,6 +47,10 @@ go test -run '^$' -fuzz FuzzMemoryOps -fuzztime 5s ./internal/mem
 # An image slid by a fuzzed page-aligned delta must equal a relink at the
 # slid layout, for every victim, libc and diversity build on both ISAs.
 go test -run '^$' -fuzz FuzzSlide -fuzztime 5s ./internal/image
+# A link must equal the per-call link it replaced (kept as a test
+# reference), through every accessor, for fuzzed function orders, pads
+# and layouts over every victim build and libc of both ISAs.
+go test -run '^$' -fuzz FuzzLinkOptions -fuzztime 5s ./internal/image
 # The access-window hits must stay within the compiler's inline budget
 # and inline into both block executors: an edit that pushes one over the
 # budget would otherwise silently give the hot path's gain back.

@@ -38,9 +38,8 @@ type Protection struct {
 	// Canary builds the victim with stack protectors.
 	Canary bool
 	// DiversitySeed, when non-zero, links the victim with a seeded
-	// function-layout permutation (§IV diversity). The deployed bytes are
-	// the pristine build's: equivalent-instruction substitution
-	// (defense.EquivSubstitute) is not applied.
+	// function-layout permutation and padding (§IV diversity); the
+	// function bytes are the pristine build's.
 	DiversitySeed int64
 	// PIE additionally randomizes the program image (beyond the paper).
 	PIE bool

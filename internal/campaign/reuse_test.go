@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-	"time"
 
 	"connlab/internal/dns"
 	"connlab/internal/exploit"
@@ -71,20 +70,16 @@ func sweepRun(t *testing.T) (string, map[string]uint64) {
 	return rep.Canonical(), telemetry.TakeSnapshot().Counters
 }
 
-// TestSweepAfterCollectedEngine: victims of a second engine, loaded after
-// the first engine was dropped and collected, draw the stack and heap
-// backings the first one's daemons dirtied (returned re-zeroed by the
-// address spaces' cleanups) and the units' shared links. Neither may
-// show: the canonical report and every counter of work done equal the
-// first sweep's. Only the gadget-scan cache split differs, as that cache
-// outlives engines by design.
+// TestSweepAfterCollectedEngine: a second engine, run after the first
+// was dropped and collected, starts from the process-wide state the first
+// left behind (the units' shared links, the gadget-scan cache) but must
+// not show it: the canonical report and every counter of work done equal
+// the first sweep's. Only the gadget-scan cache split differs, as that
+// cache outlives engines by design.
 func TestSweepAfterCollectedEngine(t *testing.T) {
 	t.Cleanup(telemetry.Disable)
 	cold, coldCtr := sweepRun(t)
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-		time.Sleep(5 * time.Millisecond) // let the cleanups run
-	}
+	runtime.GC()
 	warm, warmCtr := sweepRun(t)
 	if cold != warm {
 		t.Errorf("canonical reports differ:\n%s\nvs\n%s", cold, warm)

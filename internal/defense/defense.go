@@ -7,9 +7,7 @@
 //     jump must target a known function entry;
 //   - compile-time artificial software diversity: function-layout
 //     shuffling and random inter-function padding (DiversityOptions),
-//     making each build's gadget addresses unique, plus
-//     equivalent-instruction substitution (EquivSubstitute), which the
-//     campaign's diversity builds do not deploy.
+//     making each build's gadget addresses unique.
 //
 // Stack canaries, the third classic mitigation, are a victim build option
 // (internal/victim BuildOpts.Canary) plus kernel guard seeding.
@@ -18,12 +16,9 @@ package defense
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"connlab/internal/image"
 	"connlab/internal/isa"
-	"connlab/internal/isa/arms"
-	"connlab/internal/isa/x86s"
 	"connlab/internal/kernel"
 	"connlab/internal/seedrand"
 )
@@ -130,115 +125,4 @@ func DiversityOptions(u *image.Unit, seed int64) image.Options {
 		pad[i] = src.Intn(48)
 	}
 	return image.Options{Order: order, Pad: pad}
-}
-
-// EquivSubstitute rewrites function bytes in place with randomly chosen
-// semantically equivalent encodings of the same length — the
-// equivalent-instruction randomization of §IV. Relocation sites are left
-// untouched. It returns how many instructions were rewritten.
-func EquivSubstitute(u *image.Unit, seed int64) (int, error) {
-	rng := rand.New(rand.NewSource(seed))
-	total := 0
-	for _, fn := range u.Funcs {
-		relocAt := func(off, size int) bool {
-			for _, r := range fn.Relocs {
-				if off < r.Off+8 && r.Off < off+size {
-					return true
-				}
-			}
-			return false
-		}
-		var n int
-		var err error
-		if u.Arch == isa.ArchARMS {
-			n, err = substituteARM(fn.Bytes, rng, relocAt)
-		} else {
-			n, err = substituteX86(fn.Bytes, rng, relocAt)
-		}
-		if err != nil {
-			return total, fmt.Errorf("substitute %s: %w", fn.Name, err)
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// substituteX86 walks the instruction stream applying same-length
-// substitutions: mov r,r has dual encodings (0x89 vs 0x8B with swapped
-// ModRM), and xor r,r ⇔ sub r,r both zero a register with identical flag
-// results.
-func substituteX86(code []byte, rng *rand.Rand, relocAt func(off, size int) bool) (int, error) {
-	off, n := 0, 0
-	for off < len(code) {
-		in, err := x86s.Decode(code[off:])
-		if err != nil {
-			// Inter-gap filler or data; stop rewriting this function.
-			return n, nil
-		}
-		size := int(in.Size)
-		if relocAt(off, size) || rng.Intn(2) == 0 {
-			off += size
-			continue
-		}
-		switch {
-		case in.Op == x86s.OpMovRR && size == 2:
-			// 0x89 encodes mov dst,src as /r src,dst; 0x8B mirrors it.
-			if code[off] == 0x89 {
-				code[off] = 0x8B
-				code[off+1] = 0xC0 | byte(in.R1&7)<<3 | byte(in.R2&7)
-			} else {
-				code[off] = 0x89
-				code[off+1] = 0xC0 | byte(in.R2&7)<<3 | byte(in.R1&7)
-			}
-			n++
-		case in.Op == x86s.OpAluRR && !in.MemOperand && in.R1 == in.R2 &&
-			(in.Alu == x86s.AluXor || in.Alu == x86s.AluSub):
-			if in.Alu == x86s.AluXor {
-				code[off] = 0x29 // sub r, r
-			} else {
-				code[off] = 0x31 // xor r, r
-			}
-			n++
-		}
-		off += size
-	}
-	return n, nil
-}
-
-// substituteARM applies mov rd, rn ⇔ add rd, rn, #0 ⇔ orr rd, rn, rn for
-// non-pc registers.
-func substituteARM(code []byte, rng *rand.Rand, relocAt func(off, size int) bool) (int, error) {
-	n := 0
-	for off := 0; off+4 <= len(code); off += 4 {
-		w := uint32(code[off]) | uint32(code[off+1])<<8 | uint32(code[off+2])<<16 | uint32(code[off+3])<<24
-		in, err := arms.Decode(w)
-		if err != nil {
-			continue
-		}
-		if relocAt(off, 4) || rng.Intn(2) == 0 {
-			continue
-		}
-		var out arms.Instr
-		switch {
-		case in.Op == arms.OpMovR && in.Rd != arms.PC && in.Rn != arms.PC:
-			if rng.Intn(2) == 0 {
-				out = arms.Instr{Op: arms.OpAddI, Rd: in.Rd, Rn: in.Rn, Imm: 0}
-			} else {
-				out = arms.Instr{Op: arms.OpOrrR, Rd: in.Rd, Rn: in.Rn, Rm: in.Rn}
-			}
-		case in.Op == arms.OpAddI && in.Imm == 0 && in.Rd != arms.PC && in.Rn != arms.PC:
-			out = arms.Instr{Op: arms.OpMovR, Rd: in.Rd, Rn: in.Rn}
-		case in.Op == arms.OpOrrR && in.Rn == in.Rm && in.Rd != arms.PC && in.Rn != arms.PC:
-			out = arms.Instr{Op: arms.OpMovR, Rd: in.Rd, Rn: in.Rn}
-		default:
-			continue
-		}
-		ww := out.Word()
-		code[off] = byte(ww)
-		code[off+1] = byte(ww >> 8)
-		code[off+2] = byte(ww >> 16)
-		code[off+3] = byte(ww >> 24)
-		n++
-	}
-	return n, nil
 }

@@ -140,22 +140,15 @@ func TestDiversityShufflesGadgets(t *testing.T) {
 	}
 }
 
-// TestDiversifiedBuildStillWorks: a shuffled, padded, substituted victim
-// must still parse benign traffic — diversity is only useful if it
-// preserves semantics.
+// TestDiversifiedBuildStillWorks: a shuffled, padded victim must still
+// parse benign traffic — diversity is only useful if it preserves
+// semantics.
 func TestDiversifiedBuildStillWorks(t *testing.T) {
 	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
 		t.Run(string(arch), func(t *testing.T) {
 			u, err := victim.BuildProgram(arch, victim.BuildOpts{})
 			if err != nil {
 				t.Fatalf("build: %v", err)
-			}
-			n, err := EquivSubstitute(u, 7)
-			if err != nil {
-				t.Fatalf("substitute: %v", err)
-			}
-			if n == 0 {
-				t.Error("no instructions substituted")
 			}
 			cfg := kernel.Config{Seed: 5, LinkOpts: DiversityOptions(u, 7)}
 			libc, err := image.BuildLibc(arch)

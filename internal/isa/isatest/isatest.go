@@ -19,7 +19,6 @@ package isatest
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
 	"connlab/internal/isa"
@@ -142,9 +141,6 @@ func CompareState(t testing.TB, ref, blk isa.CPU) {
 // to agree for every segment — the cheap per-dispatch memory check.
 func compareDirty(t testing.TB, ref, blk *mem.Memory) {
 	t.Helper()
-	// Big segments' bytes must not outlive their Memory (mem.Segment).
-	defer runtime.KeepAlive(blk)
-	defer runtime.KeepAlive(ref)
 	rs, bs := ref.Segments(), blk.Segments()
 	if len(rs) != len(bs) {
 		t.Errorf("segment count: single-step %d, block %d", len(rs), len(bs))
@@ -170,9 +166,6 @@ func compareDirty(t testing.TB, ref, blk *mem.Memory) {
 // segment geometry, permissions, and every byte.
 func CompareMem(t testing.TB, ref, blk *mem.Memory) {
 	t.Helper()
-	// Big segments' bytes must not outlive their Memory (mem.Segment).
-	defer runtime.KeepAlive(blk)
-	defer runtime.KeepAlive(ref)
 	rs, bs := ref.Segments(), blk.Segments()
 	if len(rs) != len(bs) {
 		t.Errorf("segment count: single-step %d, block %d", len(rs), len(bs))

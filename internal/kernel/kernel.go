@@ -29,11 +29,37 @@ const Sentinel uint32 = 0xDEAD0000
 // Page is the allocation granule for ASLR slides.
 const Page = 0x1000
 
-// StackSize is the size of the mapped stack region.
-const StackSize = 1 << 20
+// StackSize is the size of the mapped stack region: a small device's
+// stack, of which a trial's deepest frames use a few KiB.
+const StackSize = 64 << 10
 
-// HeapSize is the size of the mapped scratch-heap region.
-const HeapSize = 1 << 20
+// The scratch heap. Its first bytes are the staging area: HeapBase is
+// where a daemon copies an inbound packet before calling the parser. A
+// program unit that declares HeapCursor, the heap-site victims' bump
+// allocator, also owns the arena [ArenaOffset, ArenaOffset+ArenaSize)
+// past the staging area, whose base its code bakes in as an immediate;
+// its heap reaches the arena's end. Any other program gets HeapSize.
+const (
+	// HeapSize is the heap of a program without an arena.
+	HeapSize = 64 << 10
+	// ArenaOffset is the arena's offset from the heap base.
+	ArenaOffset = 0x80000
+	// ArenaSize is the arena's size: room for a response of well over 64
+	// answers, each a name buffer and a callback record.
+	ArenaSize = 0x80000
+	// HeapCursor is the data symbol that declares the arena.
+	HeapCursor = "heap_cursor"
+)
+
+// heapSize returns the size of prog's scratch heap.
+func heapSize(prog *image.Unit) uint32 {
+	for _, d := range prog.RWData {
+		if d.Name == HeapCursor {
+			return ArenaOffset + ArenaSize
+		}
+	}
+	return HeapSize
+}
 
 // HeapBaseFor returns the fixed base of the scratch heap for arch. The
 // heap is never slid by ASLR (matching 32-bit brk heaps of non-PIE
@@ -311,7 +337,7 @@ func LayoutFor(arch isa.Arch, cfg Config) Layout {
 // fills the GOT, maps the stack, and seeds the canary guard if the program
 // declares one. Placement itself is the shared plan/place pair Recycle
 // also uses; Load only adds the first allocation: the address space, the
-// megabyte stack and heap, and the CPU.
+// stack and the heap (sized by heapSize), and the CPU.
 func Load(prog *image.Unit, libc *image.Unit, cfg Config) (*Process, error) {
 	m := mem.New()
 	// The stack is mapped at its unslid position; place moves it to the
@@ -324,7 +350,7 @@ func Load(prog *image.Unit, libc *image.Unit, cfg Config) (*Process, error) {
 	// is executable unless W⊕X is on: 32-bit Linux of the paper's era made
 	// brk/mmap data executable too, which is what heap-resident shellcode
 	// relies on.
-	if _, err := m.Map("heap", HeapBaseFor(prog.Arch), HeapSize, mem.PermRWX); err != nil {
+	if _, err := m.Map("heap", HeapBaseFor(prog.Arch), heapSize(prog), mem.PermRWX); err != nil {
 		return nil, fmt.Errorf("map heap: %w", err)
 	}
 
@@ -353,20 +379,21 @@ func (p *Process) Recycle(cfg Config) bool {
 }
 
 // RecycleWith rewinds the process to the state a fresh Load(prog, libc,
-// cfg) would produce, keeping the address space, the megabyte stack and
-// heap, and the CPU: memory resets to the sealed baseline, the CPU to
+// cfg) would produce, keeping the address space, the stack and heap,
+// and the CPU: memory resets to the sealed baseline, the CPU to
 // power-on state, and plan and place lay the process out for cfg,
 // relinking only the images that moved or whose unit changed. The units
 // may differ from the ones the process was loaded from (another build of
 // the same program, say), but must be of the process's ISA.
 //
 // It reports false, leaving the process untouched, when the units are of
-// another ISA, memory cannot be reset (a segment was mapped or unmapped
-// since the last seal) or cfg does not link. A layout that links but
-// cannot be mapped, which a fresh Load rejects too, also reports false
-// and leaves the process unusable.
+// another ISA, prog needs a heap of another size (see HeapCursor), memory
+// cannot be reset (a segment was mapped or unmapped since the last seal)
+// or cfg does not link. A layout that links but cannot be mapped, which a
+// fresh Load rejects too, also reports false and leaves the process
+// unusable.
 func (p *Process) RecycleWith(prog, libc *image.Unit, cfg Config) bool {
-	if prog.Arch != p.arch || libc.Arch != p.arch {
+	if prog.Arch != p.arch || libc.Arch != p.arch || heapSize(prog) != heapSize(p.progUnit) {
 		return false
 	}
 	pl, err := p.plan(prog, libc, cfg)

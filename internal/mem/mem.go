@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // Perm is a bitmask of segment permissions.
@@ -160,12 +159,6 @@ func AppendAddr(b []byte, v uint32) []byte {
 // accessors. Base and Perm change only through Memory.Move and
 // Memory.SetPerm, which clear the access windows that were checked
 // against them.
-//
-// The Data of a big segment (BigSegment bytes or more) is a recycled
-// backing: it must be written only through the accessors and Populate
-// (a direct store would survive into the next address space that draws
-// it), and it must not be used once its Memory is unreachable, when the
-// backing returns to the free list (see Map).
 type Segment struct {
 	Name string
 	Base uint32
@@ -175,14 +168,6 @@ type Segment struct {
 	// dirtyLo/dirtyHi is the half-open byte range written through the
 	// Memory accessors since the last Seal/Reset (lo > hi means clean).
 	dirtyLo, dirtyHi uint32
-	// usedLo/usedHi is the union of the dirty ranges clean folded in at
-	// each Seal/Reset: with the live dirty range, every byte that may be
-	// nonzero. It is what a big segment's backing re-zeroes.
-	usedLo, usedHi uint32
-	// stopRelease cancels the cleanup that returns a managed backing to
-	// the free list once the segment's Memory is unreachable (nil when
-	// the backing is not managed); Unmap calls it.
-	stopRelease func()
 
 	// stamp names the segment's code content (see Stamp); sites and
 	// pieces describe it (see Patch) until a change other than a Patch
@@ -293,93 +278,10 @@ func (s *Segment) markDirty(off, n uint32) {
 	}
 }
 
-// clean folds the dirty watermarks into the used range and resets them
-// to the empty range.
+// clean resets the dirty watermarks to the empty range.
 func (s *Segment) clean() {
-	if s.dirtyHi > s.dirtyLo {
-		s.usedLo = min(s.usedLo, s.dirtyLo)
-		s.usedHi = max(s.usedHi, s.dirtyHi)
-	}
 	s.dirtyLo = s.Size()
 	s.dirtyHi = 0
-}
-
-// BigSegment is the size from which Map draws a segment's backing from a
-// process-wide free list instead of allocating and zeroing it: the
-// kernel's megabyte stacks and heaps, which a trial dirties only a few
-// kilobytes of.
-const BigSegment = 1 << 20
-
-// maxBackings bounds the big backings the free list manages, whether
-// held by a live segment, waiting for its Memory's cleanup, or free, to
-// 32 (32 MiB, the stacks and heaps of 16 daemons; a sweep's engine loads
-// 4); past it, Map allocates plain backings the GC reclaims as usual.
-// Every managed backing counts as live heap, and one whose cleanup is
-// pending stays reachable through the GC cycle that finds its Memory
-// dead, so the bound is what keeps the heap the GC paces against, and
-// with it the peak RSS, from growing with the address spaces a process
-// drops between two collections.
-const maxBackings = 32
-
-// backings is the free list of all-zero big backings ready for Map.
-var backings struct {
-	sync.Mutex
-	free    [][]byte
-	managed int // backings handed out with a cleanup, plus the free ones
-}
-
-// newBacking returns an all-zero backing of size bytes. managed reports
-// a big backing the caller must arrange to return with recycleBacking:
-// a recycled one, or a new one while the free list manages fewer than
-// maxBackings.
-func newBacking(size uint32) (b []byte, managed bool) {
-	if size < BigSegment {
-		return make([]byte, size), false
-	}
-	backings.Lock()
-	for i := len(backings.free) - 1; i >= 0; i-- {
-		if b = backings.free[i]; uint32(len(b)) == size {
-			last := len(backings.free) - 1
-			backings.free[i] = backings.free[last]
-			backings.free[last] = nil
-			backings.free = backings.free[:last]
-			backings.Unlock()
-			return b, true
-		}
-	}
-	managed = backings.managed < maxBackings
-	if managed {
-		backings.managed++
-	}
-	backings.Unlock()
-	return make([]byte, size), managed
-}
-
-// recycleBacking is the cleanup of a managed segment whose Memory was
-// collected: it re-zeroes every byte the segment ever dirtied, so the
-// backing is all zero again, and returns it to the free list.
-func recycleBacking(s *Segment) {
-	s.clean()
-	if s.usedHi > s.usedLo {
-		clear(s.Data[s.usedLo:s.usedHi])
-	}
-	backings.Lock()
-	backings.free = append(backings.free, s.Data)
-	backings.Unlock()
-}
-
-// unmanage takes an unmapped segment's backing off the free list's
-// books: its caller may still hold the segment, so the backing is left
-// to the GC.
-func (s *Segment) unmanage() {
-	if s.stopRelease == nil {
-		return
-	}
-	s.stopRelease()
-	s.stopRelease = nil
-	backings.Lock()
-	backings.managed--
-	backings.Unlock()
 }
 
 // sealedSeg is one segment's baseline for Reset. data is nil when the
@@ -429,8 +331,8 @@ type Memory struct {
 
 	// stamps counts the stamps minted for the segments (see
 	// Segment.Stamp), so a stamp names one content of one segment.
-	// Segments point at it, not at the Memory, whose collection returns
-	// their backings.
+	// Segments point at the count, the only part of the Memory a stamp
+	// needs.
 	stamps *uint64
 }
 
@@ -480,12 +382,6 @@ func (m *Memory) CodeGen() uint64 { return m.code }
 
 // Map creates a zero-filled segment. It fails if the range overlaps an
 // existing segment or wraps the 32-bit address space.
-//
-// A big segment's backing comes from a process-wide free list when one
-// is there, so a fresh address space does not zero megabytes: once the
-// Memory is unreachable, a cleanup clears only the bytes the segment
-// ever dirtied and returns the backing. Every backing handed out is all
-// zero, so reuse and GC timing cannot show in any result.
 func (m *Memory) Map(name string, base, size uint32, perm Perm) (*Segment, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("map %s: zero size", name)
@@ -502,13 +398,9 @@ func (m *Memory) Map(name string, base, size uint32, perm Perm) (*Segment, error
 	if m.stamps == nil { // the zero Memory
 		m.stamps = new(uint64)
 	}
-	data, managed := newBacking(size)
-	seg := &Segment{Name: name, Base: base, Perm: perm, Data: data, usedLo: size, stamps: m.stamps}
+	seg := &Segment{Name: name, Base: base, Perm: perm, Data: make([]byte, size), stamps: m.stamps}
 	seg.clean()
 	seg.restamp()
-	if managed {
-		seg.stopRelease = onCollect(m, seg)
-	}
 	m.segs = append(m.segs, seg)
 	slices.SortFunc(m.segs, byBase)
 	m.bump()
@@ -524,7 +416,7 @@ func byBase(a, b *Segment) int { return cmp.Compare(a.Base, b.Base) }
 // tracking and sealed baseline (offsets are segment-relative, so none of
 // them changes). The kernel slides a recycled process's stack to its new
 // ASLR position this way instead of mapping, and zero-filling, a fresh
-// megabyte, and an image's sections to its new PIE or ASLR base instead
+// stack, and an image's sections to its new PIE or ASLR base instead
 // of remapping them. It fails, leaving the space unchanged, if a segment
 // does not exist or is named twice, or a moved range would overlap a
 // segment outside the group or wrap.
@@ -615,7 +507,6 @@ func (m *Memory) Patch(name string, b []byte, sites []Site, pieces []Piece) erro
 func (m *Memory) Unmap(name string) {
 	for i, s := range m.segs {
 		if s.Name == name {
-			s.unmanage()
 			m.segs = append(m.segs[:i], m.segs[i+1:]...)
 			m.bump()
 			m.code++
@@ -1021,8 +912,8 @@ func (m *Memory) ReadCString(addr, max uint32) (string, *Fault) {
 // Seal relies on the dirty tracking instead of scanning: a segment no
 // accessor or Populate call has touched since the last Seal or Reset
 // still equals its previous baseline or, never sealed, the zero fill Map
-// gave it. Only dirty ranges are copied, so the megabyte stack and heap
-// are sealed without being scanned or copied.
+// gave it. Only dirty ranges are copied, so the stack and heap are
+// sealed without being scanned or copied.
 func (m *Memory) Seal() {
 	old := m.sealed
 	if !m.sameSegments() {
@@ -1067,9 +958,8 @@ func (m *Memory) Sealed() bool { return m.sealed != nil }
 
 // Reset restores the address space to the sealed baseline: every
 // accessor-written byte range is restored (or re-zeroed, for segments that
-// were all-zero at Seal time — the stack/heap fast path, which avoids
-// re-clearing a megabyte of stack that a trial only scribbled a few
-// kilobytes of), and sealed permissions return. It reports false — leaving
+// were all-zero at Seal time — the stack/heap fast path, which clears
+// only the bytes a trial scribbled on instead of the whole segment), and sealed permissions return. It reports false — leaving
 // the space untouched — if Seal was never called or the segment set has
 // changed since (a mapped or unmapped segment cannot be reconciled).
 //

@@ -33,15 +33,11 @@ type Fragment struct {
 	ARM  func(BuildOpts) *arms.Asm
 }
 
-// heapArenaOffset places the emulated allocator's arena inside the
-// kernel's scratch-heap segment, past the region HandleResponse stages
-// inbound packets in.
-const heapArenaOffset = 0x80000
-
-// heapArenaBase returns the fixed arena base the heap-site fragments
-// bake into their immediates (the heap is never slid by ASLR).
+// heapArenaBase returns the fixed base of the emulated allocator's arena
+// (kernel.ArenaOffset) that the heap-site fragments bake into their
+// immediates (the heap is never slid by ASLR).
 func heapArenaBase(arch isa.Arch) uint32 {
-	return kernel.HeapBaseFor(arch) + heapArenaOffset
+	return kernel.HeapBaseFor(arch) + kernel.ArenaOffset
 }
 
 // heapRecordSize is the adjacent callback record the heap-site parse_rr
@@ -62,7 +58,7 @@ func buildProgramX86(opts BuildOpts) *image.Unit {
 	u := image.NewUnit(isa.ArchX86S)
 	u.Import("memcpy", "memset", "strlen", "execlp", "exit", "write")
 	if opts.Site == SiteHeap {
-		u.AddData("heap_cursor", leU32(heapArenaBase(isa.ArchX86S)))
+		u.AddData(kernel.HeapCursor, leU32(heapArenaBase(isa.ArchX86S)))
 	}
 	for _, f := range fragmentsX86(opts) {
 		u.AddFuncX86(f.Name, f.X86(opts))
@@ -74,7 +70,7 @@ func buildProgramARM(opts BuildOpts) *image.Unit {
 	u := image.NewUnit(isa.ArchARMS)
 	u.Import("memcpy", "memset", "strlen", "execlp", "exit", "write")
 	if opts.Site == SiteHeap {
-		u.AddData("heap_cursor", leU32(heapArenaBase(isa.ArchARMS)))
+		u.AddData(kernel.HeapCursor, leU32(heapArenaBase(isa.ArchARMS)))
 	}
 	for _, f := range fragmentsARM(opts) {
 		u.AddFuncARM(f.Name, f.ARM(opts))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"connlab/internal/dns"
 	"connlab/internal/isa"
 	"connlab/internal/kernel"
 	"connlab/internal/victim"
@@ -121,6 +122,37 @@ func TestHeapAdjacentOverflow(t *testing.T) {
 			}
 			if res.Status == kernel.StatusReturned || !d.Crashed() {
 				t.Fatalf("overflow packet did not crash heap build: %v", res)
+			}
+		})
+	}
+}
+
+// TestHeapArenaCapacity: the heap-site parser allocates a name buffer and
+// a callback record per answer and rewinds only per request, so a benign
+// response with 64 A records fills more of the arena than a 32 KiB one
+// holds. The daemon must return normally from it on both ISAs.
+func TestHeapArenaCapacity(t *testing.T) {
+	q := dns.NewQuery(0x64, "arena.example", dns.TypeA)
+	resp := dns.NewResponse(q)
+	for i := 0; i < 64; i++ {
+		resp.Answers = append(resp.Answers, dns.A("arena.example", 60, [4]byte{10, 0, 1, byte(i)}))
+	}
+	pkt, err := resp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
+		t.Run(string(arch), func(t *testing.T) {
+			d, err := victim.NewDaemon(arch, victim.BuildOpts{Site: victim.SiteHeap}, kernel.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := d.HandleResponse(pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Status != kernel.StatusReturned || d.Crashed() {
+				t.Fatalf("64-answer benign response crashed the heap build: %v", res)
 			}
 		})
 	}

@@ -92,6 +92,11 @@ for s in $(go run ./cmd/dbgsh scenario list | awk '{print $1}'); do
     go run ./cmd/dbgsh scenario dump "$s" > /dev/null
 done
 go run ./cmd/campaign -preset matrix -canonical | cmp - internal/scenario/testdata/paper_matrix.golden
+# The full reports of the specs no other cmp covers; heap-adjacent's
+# victim is the one whose heap is sized to hold the allocator's arena.
+for s in heap-adjacent offbyone-fp dnsmasq; do
+    go run ./cmd/campaign -scenario "$s" -canonical | cmp - "cmd/campaign/testdata/scenario_$s.golden"
+done
 # A real CLI transcript: the W⊕X+ASLR ROP attack on ARM must stay
 # byte-identical to the recorded one.
 go run ./cmd/attack -arch arms -kind rop-memcpy -wx -aslr | cmp - cmd/attack/testdata/arms_rop-memcpy_wx_aslr.golden

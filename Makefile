@@ -1,12 +1,14 @@
 # Tier-1 verification for connlab. `make check` is what CI and the
-# roadmap mean by "tier-1": vet, build, the full test suite, and the
-# race detector over the concurrent packages.
+# roadmap mean by "tier-1": it runs scripts/check.sh, which adds the
+# fuzz smokes, the inlining checks and every golden transcript `cmp` to
+# the fmt, vet, build, test and race targets below.
 
 GO ?= go
 
 .PHONY: check fmt vet build test race fuzz bench
 
-check: fmt vet build test race
+check:
+	sh scripts/check.sh
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -534,7 +534,6 @@ func (e *Engine) Run(scenarios []Scenario) (*Report, error) {
 				errs = append(errs, fmt.Errorf("%s device %d: %s", sr.Label, di, d.Err))
 			}
 		}
-		sr.aggregateStages()
 		rep.add(sr)
 	}
 	telemetry.LogEvent(telemetry.EvInfo, "campaign", "run done", "",

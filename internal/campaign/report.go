@@ -61,32 +61,6 @@ type ScenarioResult struct {
 	Owned, Crashed, Blocked, Survived, BuildFail, Errors int
 	// Hijacked sums MITM-answered lookups across the fleet.
 	Hijacked int
-	// ParseInstr is the fleet's emulated-parse cost distribution in
-	// instructions per device — deterministic for a given seed set, so it
-	// is comparable across worker counts (unlike wall time).
-	ParseInstr telemetry.Pct
-	// StageWall holds per-stage wall-time percentiles across the fleet
-	// (nanoseconds), keyed by StageNames. Scheduling-dependent; excluded
-	// from Canonical.
-	StageWall map[string]telemetry.Pct `json:",omitempty"`
-}
-
-// aggregateStages fills ParseInstr and StageWall from the fleet results.
-func (sr *ScenarioResult) aggregateStages() {
-	instr := make([]uint64, 0, len(sr.Devices))
-	var stage [NumStages][]int64
-	for di := range sr.Devices {
-		d := &sr.Devices[di]
-		instr = append(instr, d.Run.Instructions)
-		for s := 0; s < NumStages; s++ {
-			stage[s] = append(stage[s], d.StageNs[s])
-		}
-	}
-	sr.ParseInstr = telemetry.Percentiles(instr)
-	sr.StageWall = make(map[string]telemetry.Pct, NumStages)
-	for s := 0; s < NumStages; s++ {
-		sr.StageWall[StageNames[s]] = telemetry.PercentilesNs(stage[s])
-	}
 }
 
 // count tallies one device outcome.
@@ -216,17 +190,34 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// StageAggregates converts the per-scenario stage statistics into the
-// telemetry snapshot's scenario entries.
+// StageAggregates computes the telemetry snapshot's per-scenario entries
+// from the device results: each fleet's emulated-parse cost distribution
+// in instructions per device (deterministic for a given seed set, so
+// comparable across worker counts) and its per-stage wall-time
+// percentiles in nanoseconds, keyed by StageNames (scheduling-dependent).
+// Nothing computes them unless a telemetry snapshot asks.
 func (r *Report) StageAggregates() []telemetry.ScenarioStages {
 	out := make([]telemetry.ScenarioStages, 0, len(r.Scenarios))
 	for si := range r.Scenarios {
 		sr := &r.Scenarios[si]
+		instr := make([]uint64, len(sr.Devices))
+		var stage [NumStages][]int64
+		for di := range sr.Devices {
+			d := &sr.Devices[di]
+			instr[di] = d.Run.Instructions
+			for s := range stage {
+				stage[s] = append(stage[s], d.StageNs[s])
+			}
+		}
+		wall := make(map[string]telemetry.Pct, NumStages)
+		for s := range stage {
+			wall[StageNames[s]] = telemetry.PercentilesNs(stage[s])
+		}
 		out = append(out, telemetry.ScenarioStages{
 			Label:       sr.Label,
 			Devices:     len(sr.Devices),
-			ParseInstr:  sr.ParseInstr,
-			StageWallNs: sr.StageWall,
+			ParseInstr:  telemetry.Percentiles(instr),
+			StageWallNs: wall,
 		})
 	}
 	return out

@@ -465,14 +465,24 @@ func (img *Image) FuncAt(addr uint32) (Symbol, bool) {
 
 // MapInto lays the image's sections out in an address space under
 // namePrefix, where old's are mapped (nil when none are), and declares
-// .text's varying sites and pieces (see mem.Memory.Patch). A section of
-// old that img has too — same name, address, permissions and bytes —
-// keeps its segment, and with it the segment's sealed baseline, dirty
-// tracking and stamp; old's other sections are unmapped, and img's
-// other sections are mapped and filled. Another link of the same unit
-// at the same layout (a new diversity build, say) thus replaces only
-// .text.
+// .text's varying sites and pieces (see mem.Memory.Patch). What is kept
+// depends on how the two images relate:
+//
+//   - img is old slid (both share their link's tables; see Slide): the
+//     sections move as one group with mem.Memory.Move and only .text's
+//     slide sites are rewritten, so no section is mapped or filled again,
+//     every segment keeps its sealed baseline, dirty tracking and stamp
+//     (.text's changes with its sites), and translations of the text
+//     outlive the slide. It does not allocate unless it fails.
+//   - Otherwise a section of old that img has too (same name, address,
+//     permissions and bytes) keeps its segment, and with it the same
+//     state; old's other sections are unmapped, and img's other sections
+//     are mapped and filled. Another link of the same unit at the same
+//     layout (a new diversity build, say) thus replaces only .text.
 func (img *Image) MapInto(m *mem.Memory, namePrefix string, old *Image) error {
+	if old != nil && old.t != nil && old.t == img.t {
+		return img.moveFrom(m, namePrefix)
+	}
 	if old != nil {
 		for _, o := range old.Sections {
 			if !img.has(o) {
@@ -509,20 +519,18 @@ func (img *Image) has(s Section) bool {
 	return false
 }
 
-// MoveTo moves the sections MapInto mapped under namePrefix to where to
-// has them, for a to that is img slid (its unit and link options linked
-// at img's layout slid by some delta; see Slide): the sections move as
-// one group with mem.Memory.Move and only .text's slide sites are
-// rewritten, so no section is mapped or filled again and translations of
-// the text outlive the slide.
-func (img *Image) MoveTo(m *mem.Memory, namePrefix string, to *Image) error {
-	names := make([]string, len(to.Sections))
-	for i, s := range to.Sections {
-		names[i] = namePrefix + s.Name
+// moveFrom moves the segments under namePrefix that hold a slide of img
+// to where img has them, as one group, and patches .text's sites. A
+// link's first section is its .text.
+func (img *Image) moveFrom(m *mem.Memory, namePrefix string) error {
+	var buf [8]*mem.Segment // a link has at most five sections
+	group := buf[:0]
+	for _, s := range img.Sections {
+		group = append(group, m.Segment(namePrefix+s.Name))
 	}
-	text := to.Section(".text")
-	if err := m.Move(to.Sections[0].Addr, names...); err != nil {
-		return fmt.Errorf("move %s: %w", namePrefix+text.Name, err)
+	text := img.Sections[0]
+	if err := m.Move(text.Addr, group...); err != nil {
+		return fmt.Errorf("move %s: %w", text.Name, err)
 	}
-	return m.Patch(namePrefix+text.Name, text.Data, to.t.varying, to.t.pieces)
+	return m.Patch(group[0].Name, text.Data, img.t.varying, img.t.pieces)
 }

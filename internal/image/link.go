@@ -298,7 +298,7 @@ type linkTables struct {
 	// varying are the sites plus the relative branches between
 	// functions (RelocRel32, RelocArmBranch): every .text byte whose value
 	// depends on placement. pieces are .text's PLT stubs and functions.
-	// MapInto and MoveTo declare both to mem (see mem.Memory.Patch).
+	// MapInto declares both to mem (see mem.Memory.Patch).
 	varying []mem.Site
 	pieces  []mem.Piece
 	// funcs are the sorted, distinct addresses of the .text and .plt

@@ -11,6 +11,7 @@ import (
 	"connlab/internal/defense"
 	"connlab/internal/image"
 	"connlab/internal/isa"
+	"connlab/internal/mem"
 	"connlab/internal/victim"
 )
 
@@ -263,6 +264,50 @@ func TestSlideAllocs(t *testing.T) {
 			img := b.base.Slide(0x5000)
 			if n := testing.AllocsPerRun(100, func() { img.Slide(0x3000) }); n > 3 {
 				t.Errorf("%s %s: Slide allocates %v times, want at most 3", arch, b.name, n)
+			}
+		}
+	}
+}
+
+// TestMapIntoSlideAllocs: placing a slide of the libc that is mapped, as
+// an ASLR recycle does, moves its segments where the slide has them and
+// allocates nothing.
+func TestMapIntoSlideAllocs(t *testing.T) {
+	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
+		u, err := image.BuildLibc(arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lay := image.LibraryLayout(image.DefaultLibcBase(arch))
+		base, err := u.Linked(lay, image.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := base.Slide(0x10000), base.Slide(0x30000)
+		m := mem.New()
+		if err := a.MapInto(m, "libc", nil); err != nil {
+			t.Fatal(err)
+		}
+		segs := m.Segments()
+		var failed error
+		n := testing.AllocsPerRun(100, func() {
+			if err := b.MapInto(m, "libc", a); err != nil {
+				failed = err
+			}
+			if err := a.MapInto(m, "libc", b); err != nil {
+				failed = err
+			}
+		})
+		if failed != nil {
+			t.Fatalf("%s: slide: %v", arch, failed)
+		}
+		if n != 0 {
+			t.Errorf("%s: a libc slide allocates %v times, want 0", arch, n)
+		}
+		for i, s := range m.Segments() {
+			if s != segs[i] || s.Base != a.Sections[i].Addr || !bytes.Equal(s.Data, a.Sections[i].Data) {
+				t.Errorf("%s: %s at %#x after the slides, want the segment mapped at %#x with %s's bytes",
+					arch, s.Name, s.Base, a.Sections[i].Addr, a.Sections[i].Name)
 			}
 		}
 	}

@@ -70,7 +70,7 @@ func (c *CPU) DecodeAt(pc uint32, in *Instr) (fx uint8, size, next uint32, ok bo
 
 // StepBlock implements isa.CPU.
 func (c *CPU) StepBlock(max uint64) isa.Event {
-	c.Enter(c.m.Gen(), max)
+	c.Enter(max)
 	for {
 		ins := c.Next(c.regs[PC])
 		if ins == nil {

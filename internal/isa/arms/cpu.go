@@ -160,7 +160,7 @@ func (c *CPU) Step() isa.Event {
 	// A word inside the fetch window resolves inline; otherwise Fetch32
 	// makes one combined segment/permission/bounds check. A short fetch
 	// (segment ends mid-word) is an illegal instruction, exactly like a
-	// truncated Fetch window.
+	// truncated FetchWindow.
 	word, _, ok := c.m.Code32(pc)
 	if !ok {
 		w, _, short, f := c.m.Fetch32(pc)

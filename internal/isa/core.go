@@ -12,11 +12,13 @@ import (
 // pre-decoded once into a flat []BlockInstr and executed by the ISA's own
 // tight loop (its execBlock), which skips the per-instruction fetch,
 // decode and event construction Step pays. Validity is keyed to
-// mem.Memory.Gen(), loaded once per dispatch: nothing inside a dispatch
-// can move it, since stores into non-writable segments fault and
-// Map/Unmap/Move/SetPerm/Reset only happen between CPU calls. Writable (RWX)
-// code is never translated, so self-modifying shellcode always takes the
-// single-step path and sees its own stores immediately.
+// mem.Memory.CodeGen(), loaded once per dispatch: nothing inside a
+// dispatch can move it, since stores into non-writable segments fault and
+// Map/Unmap/Move/SetPerm/Patch/Reset only happen between CPU calls. A
+// layout change that touches writable segments only (the stack sliding,
+// or flipping between RW and RWX) keeps it, and with it every slot.
+// Writable (RWX) code is never translated, so self-modifying shellcode
+// always takes the single-step path and sees its own stores immediately.
 //
 // Blocks are superblocks. A conditional branch does not end one:
 // translation continues at its fall-through, and when the branch is
@@ -68,7 +70,7 @@ import (
 // reproduces the exact fault or illegal event.
 //
 // A translation outlives the layout it was made in. A slot orphaned by a
-// generation bump or by ResetBlocks keeps its instructions, and a block
+// code generation bump or by ResetBlocks keeps its instructions, and a block
 // that lies in one function of a linked image (a mem.Piece) also enters
 // a per-Core library keyed by the function and the block's offset in it.
 // A refill reuses the slot's block where its bytes stand unchanged, and
@@ -163,15 +165,18 @@ type Machine[I any, S comparable] interface {
 }
 
 // bcEntry is one block-cache slot: the instructions translated starting
-// at pc, valid for dispatch while the memory generation, tagged with the
-// Core's reset epoch (see ResetBlocks), is gen. gen 0 (the zero value)
+// at pc, valid for dispatch while gen, the code generation
+// (mem.Memory.CodeGen) it was last served in tagged with the Core's reset
+// epoch (see ResetBlocks), is the dispatch's. gen 0 (the zero value)
 // never matches a live Memory. A matching entry with an empty ins slice
 // is a negative result: the entry PC is known untranslatable for this
 // generation.
 //
 // A slot whose gen no longer matches keeps its translation, and a refill
-// serves it again without decoding while that is exact. Its key says
-// when:
+// serves it again without decoding while that is exact. A tag that
+// differs only in its epoch serves the block as it stands: the code
+// generation's bump rules guarantee that no byte any translation read has
+// changed. Otherwise its key says when:
 //
 //   - A block whose instructions all lie in one mem.Piece of a segment,
 //     and that ended on its own bytes (an FxEnd, a direct jump back into
@@ -190,18 +195,13 @@ type Machine[I any, S comparable] interface {
 //     serves a piece met at another address (a function a diversity
 //     build moved, say) when its slot no longer holds it.
 //   - Any other block, including the negative result, keys to the
-//     memory's code generation alone (key 0).
-//
-// Either block is reused at the same pc while the code generation it
-// was last served in (cg, mem.Memory.CodeGen) stands: its bump rules
-// guarantee that no byte any translation read has changed.
+//     code generation in its tag alone (key 0).
 //
 // A segment slid by whole pages keeps every slot index, so its blocks
 // are found in their own slots.
 type bcEntry[I any] struct {
 	pc, base, at   uint32
 	gen, code, key uint64
-	cg             uint64 // the code generation it was last served in
 	ins            []BlockInstr[I]
 	// sited has bit i set when ins[i] may overlap one of its piece's
 	// sites: the instructions a move decodes again.
@@ -241,8 +241,8 @@ type Core[I any, S comparable] struct {
 	shift  uint   // log2 of the instruction alignment, for slot indexing
 	maxLen uint32 // the longest instruction encoding, in bytes
 
-	// The running dispatch: its memory generation tagged with the reset
-	// epoch (epoch | generation), the instruction counts at which it
+	// The running dispatch: its code generation tagged with the reset
+	// epoch (epoch | CodeGen), the instruction counts at which it
 	// started, wakes the cycle detector and ends, and the effect bits
 	// that disarm the detector (0 until it wakes). Once awake, last is
 	// the block the detector saw entered last, at instruction count
@@ -254,7 +254,7 @@ type Core[I any, S comparable] struct {
 	lastAt                  uint64
 
 	// epoch counts ResetBlocks calls in units of epochUnit, above every
-	// memory generation: a slot tagged before the last reset is below it.
+	// code generation: a slot tagged before the last reset is below it.
 	epoch uint64
 
 	stats BlockStats
@@ -337,15 +337,15 @@ func (c *Core[I, S]) ResetBlocks() {
 	}
 }
 
-// epochUnit is one reset epoch in a slot tag: memory generations (one
-// per layout or permission change) stay below it.
+// epochUnit is one reset epoch in a slot tag: code generations stay
+// below it.
 const epochUnit = 1 << 40
 
 // Enter starts a dispatch of up to max instructions (at least one) in
-// memory generation gen. Every ISA's StepBlock is the same loop around
-// its own execBlock:
+// the memory's current code generation. Every ISA's StepBlock is the same
+// loop around its own execBlock:
 //
-//	c.Enter(c.m.Gen(), max)
+//	c.Enter(max)
 //	for {
 //		ins := c.Next(pc)
 //		if ins == nil {
@@ -358,11 +358,11 @@ const epochUnit = 1 << 40
 //			return c.Exit(ev)
 //		}
 //	}
-func (c *Core[I, S]) Enter(gen, max uint64) {
+func (c *Core[I, S]) Enter(max uint64) {
 	if max == 0 {
 		max = 1
 	}
-	c.gen, c.start, c.impure = c.epoch|gen, c.icount, 0
+	c.gen, c.start, c.impure = c.epoch|c.space.CodeGen(), c.icount, 0
 	c.limit = c.icount + max
 	if c.limit < c.icount { // saturate on wraparound
 		c.limit = ^uint64(0)
@@ -526,14 +526,12 @@ func (c *Core[I, S]) translate(pc uint32, ins []BlockInstr[I], lo, n uint32) ([]
 }
 
 // refill serves slot e at pc for a dispatch that missed it, as
-// bcEntry's key allows, and counts the block.
+// bcEntry's tag and key allow, and counts the block.
 func (c *Core[I, S]) refill(e *bcEntry[I], pc uint32) {
-	cg := c.space.CodeGen()
 	var how *uint64 // the counter for how e was served; nil: as it stood
-	if e.pc != pc || e.cg != cg {
+	if e.pc != pc || e.gen%epochUnit != c.gen%epochUnit {
 		how = c.serve(e, pc)
 	}
-	e.cg = cg
 	if len(e.ins) > 0 { // an empty block is no translation
 		c.stats.Translated++
 		if how != nil {

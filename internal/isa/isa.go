@@ -145,8 +145,8 @@ type BlockStats struct {
 	// Hits counts dispatches served by a still-valid cached block. A
 	// block that loops back to its own entry in place counts once.
 	Hits uint64
-	// Invalidated counts cached blocks discarded because the memory
-	// generation moved under them (SetPerm/Unmap/Map/Reset).
+	// Invalidated counts cached blocks discarded because the code
+	// generation moved under them (see mem.Memory.CodeGen).
 	Invalidated uint64
 	// Instrs counts instructions retired inside block dispatch (the
 	// remainder of InstrCount went through single-step paths), including
@@ -215,7 +215,7 @@ type CPU interface {
 	// everything it ran retired (max ran out, or the chain reached a PC it
 	// does not translate mid-dispatch), or the fault/syscall/illegal event
 	// that ended it early. Blocks are decoded
-	// from non-writable code only and keyed to Mem().Gen(), so W⊕X,
+	// from non-writable code only and keyed to Mem().CodeGen(), so W⊕X,
 	// Map/Unmap/Move/SetPerm/Reset invalidation and self-modifying-code
 	// semantics are identical to Step's. Hooks and the recorder observe every control
 	// transfer and syscall entry in the same order, with the same

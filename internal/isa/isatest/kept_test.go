@@ -19,7 +19,7 @@ import (
 // dispatch entry refills a slot exactly as StepBlock's first Slow does.
 type keptCore[I any] interface {
 	ResetBlocks()
-	Enter(gen, max uint64)
+	Enter(max uint64)
 	Slow(pc uint32) ([]isa.BlockInstr[I], isa.Event)
 	Translate(pc uint32, ins []isa.BlockInstr[I]) []isa.BlockInstr[I]
 }
@@ -186,17 +186,17 @@ func keptRun[I any](t *testing.T, r *opReader, arch isa.Arch, newCPU func(*mem.M
 			to := s.img.Slide(r.delta())
 			if s.tainted {
 				remap(s, to)
-			} else if s.img.MoveTo(m, s.prefix, to) == nil {
+			} else if to.MapInto(m, s.prefix, s.img) == nil {
 				s.img = to
 			}
 		case 3: // move the sections without patching the sites
 			if s.img != nil {
-				names := make([]string, len(s.img.Sections))
+				group := make([]*mem.Segment, len(s.img.Sections))
 				for i, sc := range s.img.Sections {
-					names[i] = s.prefix + sc.Name
+					group[i] = m.Segment(s.prefix + sc.Name)
 				}
-				if text := m.Segment(names[0]); text != nil {
-					_ = m.Move(text.Base+r.delta(), names...)
+				if group[0] != nil {
+					_ = m.Move(group[0].Base+r.delta(), group...)
 				}
 			}
 		case 4:
@@ -242,7 +242,7 @@ func checkKept[I any](t *testing.T, c keptCore[I], m *mem.Memory, slots [2]*kept
 			continue // dispatch would single-step it
 		}
 		c.ResetBlocks()
-		c.Enter(m.Gen(), 1<<20)
+		c.Enter(1 << 20)
 		if got, _ := c.Slow(pc); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: block served at %#x differs from a fresh translation:\n got %s\nwant %s",
 				step, pc, keptDump(got), keptDump(want))

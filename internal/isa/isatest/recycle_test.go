@@ -101,3 +101,75 @@ func TestRecycleKeepsTranslations(t *testing.T) {
 		t.Errorf("after the wrap: counted %+v, a cold cache %+v", got, cold)
 	}
 }
+
+// TestWritableLayoutKeepsSlots: a layout change that touches writable
+// segments only keeps the code generation, so between two dispatches it
+// keeps every slot. After a stack slide, and after the stack flips to
+// RWX and back to RW, a run of the copy loops is all hits, with nothing
+// translated (but its entry) or invalidated, on both ISAs. Re-permitting the code, even
+// to the permissions it has, still invalidates every block.
+func TestWritableLayoutKeepsSlots(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) (isa.CPU, isa.CPU)
+	}{
+		{"x86s", x86CopyLoops},
+		{"arms", armCopyLoops},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c := tc.build(t)
+			m := c.Mem()
+			sp := uint32(stackBase + spOff)
+			run := func(name string) isa.BlockStats {
+				t.Helper()
+				before := c.BlockStats()
+				c.SetPC(codeBase)
+				c.SetSP(sp)
+				if f := m.WriteU32(sp, sentinel); f != nil { // x86s returns through it
+					t.Fatal(f)
+				}
+				ev := c.StepBlock(NoCap)
+				for ; ev.Kind != isa.EventFault; ev = c.StepBlock(NoCap) {
+				}
+				if ev.PC != sentinel {
+					t.Fatalf("%s: faulted at %#x, want the sentinel", name, ev.PC)
+				}
+				bs := c.BlockStats()
+				return isa.BlockStats{
+					Translated:  bs.Translated - before.Translated,
+					Hits:        bs.Hits - before.Hits,
+					Invalidated: bs.Invalidated - before.Invalidated,
+				}
+			}
+			// The entry block shares its slot with the sentinel's negative
+			// entry, so every run translates it again.
+			cold := run("cold")
+			warm := run("warm")
+			if cold.Translated < 2 || warm.Translated != 1 || warm.Hits != cold.Translated+cold.Hits-1 {
+				t.Fatalf("cold run %+v, warm run %+v: want the warm run all hits but the entry", cold, warm)
+			}
+			if err := m.Move(stackBase+0x10000, m.Segment("stack")); err != nil {
+				t.Fatal(err)
+			}
+			sp += 0x10000
+			if got := run("stack slid"); got != warm {
+				t.Errorf("after a stack slide: %+v, want %+v", got, warm)
+			}
+			for _, perm := range []mem.Perm{mem.PermRWX, mem.PermRW} {
+				if err := m.SetPerm("stack", perm); err != nil {
+					t.Fatal(err)
+				}
+				if got := run("stack " + perm.String()); got != warm {
+					t.Errorf("after the stack became %v: %+v, want %+v", perm, got, warm)
+				}
+			}
+			if err := m.SetPerm("text", mem.PermRX); err != nil {
+				t.Fatal(err)
+			}
+			if got := run("text re-permitted"); got.Translated != cold.Translated || got.Invalidated != warm.Hits {
+				t.Errorf("after the text was re-permitted: %+v, want %d translated and %d invalidated",
+					got, cold.Translated, warm.Hits)
+			}
+		})
+	}
+}

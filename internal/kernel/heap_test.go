@@ -74,7 +74,7 @@ func processState(p *Process) (gen uint64, segs []segmentState) {
 	for _, s := range p.Mem().Segments() {
 		segs = append(segs, segmentState{s.Name, s.Base, s.Perm.String(), bytes.Clone(s.Data)})
 	}
-	return p.Mem().Gen(), segs
+	return p.Mem().CodeGen(), segs
 }
 
 // TestRecycleRefusesOtherHeapSize: a process recycled between a program

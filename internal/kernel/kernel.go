@@ -414,9 +414,6 @@ type layoutPlan struct {
 	progUnit, libcUnit *image.Unit
 	prog, libc         *image.Image
 	canary             uint32
-	// slideProg and slideLibc report a new image that is the current one
-	// slid: place moves it instead of remapping it.
-	slideProg, slideLibc bool
 }
 
 // plan replays cfg's seed through layoutFor and links whichever image the
@@ -444,8 +441,6 @@ func (p *Process) plan(progUnit, libcUnit *image.Unit, cfg Config) (layoutPlan, 
 	pl.canary = p.rng.Uint32()<<8 | 0
 	progLayout := image.DefaultProgramLayout(p.arch).Slide(pl.lay.ProgSlide)
 	if pl.prog == nil || pl.prog.Layout != progLayout || !sameLinkOpts(p.cfg.LinkOpts, cfg.LinkOpts) {
-		pl.slideProg = pl.prog != nil && sameLinkOpts(p.cfg.LinkOpts, cfg.LinkOpts) &&
-			pl.prog.Layout.Slide(progLayout.TextBase-pl.prog.Layout.TextBase) == progLayout
 		img, err := progUnit.Linked(progLayout, cfg.LinkOpts)
 		if err != nil {
 			return pl, fmt.Errorf("link program: %w", err)
@@ -453,7 +448,6 @@ func (p *Process) plan(progUnit, libcUnit *image.Unit, cfg Config) (layoutPlan, 
 		pl.prog = img
 	}
 	if pl.libc == nil || pl.libc.Layout.TextBase != pl.lay.LibcBase {
-		pl.slideLibc = pl.libc != nil
 		img, err := libcUnit.Linked(image.LibraryLayout(pl.lay.LibcBase), image.Options{})
 		if err != nil {
 			return pl, fmt.Errorf("link libc: %w", err)
@@ -480,33 +474,21 @@ func sameLinkOpts(a, b image.Options) bool {
 }
 
 // place lays the address space out as pl says, from a freshly mapped or
-// freshly reset state: it moves the images that only slid, replaces the
-// sections that changed in the others (a section the new image shares
-// with the mapped one keeps its segment, baseline and stamp; see
-// image.Image.MapInto), slides the stack, applies the W⊕X permissions,
+// freshly reset state: it places each new image over the mapped one
+// (image.Image.MapInto moves an image that only slid and otherwise
+// replaces the sections that changed, so the segments kept keep their
+// baselines and stamps), slides the stack, applies the W⊕X permissions,
 // refills the GOT, seals the canary-free baseline and seeds the canary.
 func (p *Process) place(cfg Config, pl layoutPlan) error {
 	m := p.m
 	remapProg, remapLibc := pl.prog != p.Prog, pl.libc != p.Libc
 	if remapProg {
-		var err error
-		if pl.slideProg {
-			err = p.Prog.MoveTo(m, "", pl.prog)
-		} else {
-			err = pl.prog.MapInto(m, "", p.Prog)
-		}
-		if err != nil {
+		if err := pl.prog.MapInto(m, "", p.Prog); err != nil {
 			return fmt.Errorf("map program: %w", err)
 		}
 	}
 	if remapLibc {
-		var err error
-		if pl.slideLibc {
-			err = p.Libc.MoveTo(m, "libc", pl.libc)
-		} else {
-			err = pl.libc.MapInto(m, "libc", p.Libc)
-		}
-		if err != nil {
+		if err := pl.libc.MapInto(m, "libc", p.Libc); err != nil {
 			return fmt.Errorf("map libc: %w", err)
 		}
 	}
@@ -516,7 +498,7 @@ func (p *Process) place(cfg Config, pl layoutPlan) error {
 		p.guardAddr, _ = p.Prog.Lookup("__stack_chk_guard")
 	}
 
-	if err := m.Move(pl.lay.StackTop-StackSize, "stack"); err != nil {
+	if err := m.Move(pl.lay.StackTop-StackSize, m.Segment("stack")); err != nil {
 		return fmt.Errorf("map stack: %w", err)
 	}
 	p.StackTop = pl.lay.StackTop

@@ -216,6 +216,84 @@ func TestDiversityRecycleKeepsSegments(t *testing.T) {
 	}
 }
 
+// TestSlidRecycleKeepsSegments: a PIE or ASLR recycle that only slides
+// the program and libc moves their segments instead of remapping them.
+// Every program and libc segment keeps its *mem.Segment and its sealed
+// baseline (the bytes a trial scribbles over come back on the next
+// recycle), and every one whose bytes the slide leaves alone keeps its
+// stamp; the process still matches a fresh Load.
+func TestSlidRecycleKeepsSegments(t *testing.T) {
+	cases := []struct {
+		name     string
+		from, to Config
+	}{
+		{"aslr", Config{ASLR: true, Seed: 1}, Config{ASLR: true, Seed: 2}},
+		{"aslr on", Config{Seed: 1}, Config{ASLR: true, WX: true, Seed: 3}},
+		{"pie", Config{ASLR: true, PIE: true, Seed: 5}, Config{ASLR: true, PIE: true, Seed: 6}},
+		{"pie off", Config{ASLR: true, PIE: true, Seed: 5}, Config{Seed: 5}},
+	}
+	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
+		prog, libc := recycleUnits(t, arch)
+		for _, c := range cases {
+			t.Run(string(arch)+"/"+c.name, func(t *testing.T) {
+				p, err := Load(prog, libc, c.from)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Call("main"); err != nil {
+					t.Fatal(err)
+				}
+				type seg struct {
+					s     *mem.Segment
+					base  uint32
+					stamp uint64
+					data  []byte
+				}
+				before := map[string]seg{}
+				for _, s := range p.Mem().Segments() {
+					before[s.Name] = seg{s, s.Base, s.Stamp(), bytes.Clone(s.Data)}
+				}
+				scribbleData(t, p)
+				if !p.Recycle(c.to) {
+					t.Fatal("recycle refused")
+				}
+				moved := false
+				for _, s := range p.Mem().Segments() {
+					b, ok := before[s.Name]
+					if s.Name == "stack" || s.Name == "heap" {
+						continue
+					}
+					moved = moved || ok && s.Base != b.base
+					switch {
+					case !ok || s != b.s:
+						t.Errorf("%s: remapped, want the segment moved", s.Name)
+					case bytes.Equal(s.Data, b.data) && s.Stamp() != b.stamp:
+						t.Errorf("%s: stamp %d -> %d with its bytes unchanged", s.Name, b.stamp, s.Stamp())
+					}
+				}
+				if !moved {
+					t.Fatal("no image moved: the case tests nothing")
+				}
+				scribbleData(t, p)
+				if !p.Recycle(c.to) {
+					t.Fatal("same-config recycle refused")
+				}
+				compareProcesses(t, p, loadFor(t, prog, libc, c.to))
+			})
+		}
+	}
+}
+
+// loadFor loads prog and libc under cfg, failing the test on error.
+func loadFor(t *testing.T, prog, libc *image.Unit, cfg Config) *Process {
+	t.Helper()
+	p, err := Load(prog, libc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // recycleAcrossUnits walks one process through builds of the same
 // program, the way the campaign's per-ISA daemon pool does: a plain
 // build without a guard, a canary build (guard and a second function), a

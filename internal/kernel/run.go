@@ -181,30 +181,14 @@ func (p *Process) runLoop() RunResult {
 		} else {
 			ev = cpu.StepBlock(p.budget - (cpu.InstrCount() - start))
 		}
-		switch ev.Kind {
-		case isa.EventRetired:
+		if ev.Kind == isa.EventRetired {
 			if ev.PC == Sentinel {
 				return p.finish(RunResult{Status: StatusReturned, RetVal: p.retVal(), PC: Sentinel,
 					Instructions: cpu.InstrCount() - start})
 			}
-		case isa.EventSyscall:
-			if res, done := p.syscall(); done {
-				res.Instructions = cpu.InstrCount() - start
-				return p.finish(res)
-			}
-			if cpu.PC() == Sentinel {
-				return p.finish(RunResult{Status: StatusReturned, RetVal: p.retVal(), PC: Sentinel,
-					Instructions: cpu.InstrCount() - start})
-			}
-		case isa.EventFault:
-			return p.finish(RunResult{Status: StatusFault, Fault: ev.Fault, Illegal: ev.Illegal, PC: ev.PC,
-				Instructions: cpu.InstrCount() - start})
-		case isa.EventCFIViolation:
-			return p.finish(RunResult{Status: StatusCFI, PC: ev.PC, Reason: ev.Reason,
-				Instructions: cpu.InstrCount() - start})
-		default:
-			return p.finish(RunResult{Status: StatusFault, PC: ev.PC, Illegal: true,
-				Instructions: cpu.InstrCount() - start})
+		} else if res, done := p.terminal(ev); done {
+			res.Instructions = cpu.InstrCount() - start
+			return p.finish(res)
 		}
 		if cpu.InstrCount()-start >= p.budget {
 			return p.finish(RunResult{
@@ -214,6 +198,31 @@ func (p *Process) runLoop() RunResult {
 			})
 		}
 	}
+}
+
+// terminal maps the event that ended a step or a dispatch to the
+// process's result, servicing a system call: done reports a terminal
+// state, and is false when execution goes on. Run and StepHandled share
+// it; Run checks a retired event for the sentinel inline first, since
+// nearly every event it sees is one.
+func (p *Process) terminal(ev isa.Event) (res RunResult, done bool) {
+	switch ev.Kind {
+	case isa.EventRetired:
+		if ev.PC != Sentinel {
+			return RunResult{}, false
+		}
+	case isa.EventSyscall:
+		if res, done = p.syscall(); done || p.cpu.PC() != Sentinel {
+			return res, done
+		}
+	case isa.EventFault:
+		return RunResult{Status: StatusFault, Fault: ev.Fault, Illegal: ev.Illegal, PC: ev.PC}, true
+	case isa.EventCFIViolation:
+		return RunResult{Status: StatusCFI, PC: ev.PC, Reason: ev.Reason}, true
+	default:
+		return RunResult{Status: StatusFault, PC: ev.PC, Illegal: true}, true
+	}
+	return RunResult{Status: StatusReturned, RetVal: p.retVal(), PC: Sentinel}, true
 }
 
 // hangSince returns the CPU's last cycle proof, rebased to the call, if
@@ -235,22 +244,7 @@ func (p *Process) StepHandled() (RunResult, bool) {
 	if p.cpu.PC() == Sentinel {
 		return RunResult{Status: StatusReturned, RetVal: p.retVal(), PC: Sentinel}, true
 	}
-	ev := p.cpu.Step()
-	switch ev.Kind {
-	case isa.EventRetired:
-		if ev.PC == Sentinel {
-			return RunResult{Status: StatusReturned, RetVal: p.retVal(), PC: Sentinel}, true
-		}
-		return RunResult{}, false
-	case isa.EventSyscall:
-		return p.syscall()
-	case isa.EventFault:
-		return RunResult{Status: StatusFault, Fault: ev.Fault, Illegal: ev.Illegal, PC: ev.PC}, true
-	case isa.EventCFIViolation:
-		return RunResult{Status: StatusCFI, PC: ev.PC, Reason: ev.Reason}, true
-	default:
-		return RunResult{Status: StatusFault, PC: ev.PC, Illegal: true}, true
-	}
+	return p.terminal(p.cpu.Step())
 }
 
 // retVal reads the ABI return-value register.

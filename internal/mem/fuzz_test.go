@@ -389,7 +389,11 @@ func (o *oracle) checkMove(step int, base uint32, names ...string) {
 	if first := o.m.Segment(names[0]); first != nil {
 		delta = base - first.Base
 	}
-	err := o.m.Move(base, names...)
+	group := make([]*Segment, len(names))
+	for i, name := range names {
+		group[i] = o.m.Segment(name)
+	}
+	err := o.m.Move(base, group...)
 	if (err == nil) != want {
 		o.t.Fatalf("step %d: Move(%#x, %v) = %v, want success %v", step, base, names, err, want)
 	}
@@ -511,19 +515,12 @@ func (o *oracle) step(step int, r *opReader) (patched *Segment) {
 		write("WriteU32", addr, b, m.WriteU32(addr, le(b)))
 	case 13, 14:
 		addr, n := r.addr(), r.length()
-		var got []byte
-		var perm Perm
-		var f *Fault
-		if op == 13 {
-			got, f = m.Fetch(addr, n)
-		} else {
-			got, perm, f = m.FetchWindow(addr, n)
-		}
+		got, perm, f := m.FetchWindow(addr, n)
 		s, off, want := o.check(addr, 1, AccessExec)
 		if !sameFault(f, want) {
 			fail("fetch(%#x, %d) fault %v, want %v", addr, n, f, want)
 		}
-		if want == nil && (!bytes.Equal(got, code(s, off, n)) || op == 14 && perm != s.Perm) {
+		if want == nil && (!bytes.Equal(got, code(s, off, n)) || perm != s.Perm) {
 			fail("fetch(%#x, %d) = % x %v, want % x %v", addr, n, got, perm, code(s, off, n), s.Perm)
 		}
 	case 15:

@@ -144,47 +144,48 @@ func TestUnmapEdgeCases(t *testing.T) {
 	}
 }
 
-// TestGenBumpsOnLayoutChanges pins the generation counter contract the
-// block cache relies on: Map, Unmap, SetPerm and Reset each bump it; plain
-// loads/stores do not.
+// TestGenBumpsOnLayoutChanges pins the code generation contract the
+// block cache relies on: Map, Unmap and a SetPerm that makes a segment
+// non-writable each bump it; plain loads/stores do not.
 func TestGenBumpsOnLayoutChanges(t *testing.T) {
 	m := New()
-	if m.Gen() == 0 {
+	if m.CodeGen() == 0 {
 		t.Fatal("generation must start nonzero")
 	}
-	g := m.Gen()
+	g := m.CodeGen()
 	if _, err := m.Map("a", 0x1000, 0x1000, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	if m.Gen() == g {
+	if m.CodeGen() == g {
 		t.Error("Map did not bump generation")
 	}
-	g = m.Gen()
+	g = m.CodeGen()
 	if f := m.WriteU32(0x1000, 42); f != nil {
 		t.Fatal(f)
 	}
 	if _, f := m.ReadU32(0x1000); f != nil {
 		t.Fatal(f)
 	}
-	if m.Gen() != g {
+	if m.CodeGen() != g {
 		t.Error("plain accesses must not bump generation")
 	}
 	if err := m.SetPerm("a", PermRX); err != nil {
 		t.Fatal(err)
 	}
-	if m.Gen() == g {
+	if m.CodeGen() == g {
 		t.Error("SetPerm did not bump generation")
 	}
-	g = m.Gen()
+	g = m.CodeGen()
 	m.Unmap("a")
-	if m.Gen() == g {
+	if m.CodeGen() == g {
 		t.Error("Unmap did not bump generation")
 	}
 }
 
 // TestSealReset covers the recycle path: accessor writes since Seal are
 // rolled back (copy-restore for populated segments, zero-fill for
-// untouched ones), permissions return, and the generation bumps.
+// untouched ones), permissions return, and, since the text comes back
+// non-writable, the code generation bumps.
 func TestSealReset(t *testing.T) {
 	m := New()
 	text, err := m.Map("text", 0x1000, 0x100, PermRX)
@@ -199,13 +200,7 @@ func TestSealReset(t *testing.T) {
 	if m.Reset() {
 		t.Fatal("Reset before Seal must report false")
 	}
-	if m.Sealed() {
-		t.Fatal("Sealed before Seal")
-	}
 	m.Seal()
-	if !m.Sealed() {
-		t.Fatal("Sealed() false after Seal")
-	}
 
 	// Scribble over the stack and flip the text permissions.
 	if f := m.WriteU32(0x8010, 0xDEADBEEF); f != nil {
@@ -221,11 +216,11 @@ func TestSealReset(t *testing.T) {
 		t.Fatal(f)
 	}
 
-	g := m.Gen()
+	g := m.CodeGen()
 	if !m.Reset() {
 		t.Fatal("Reset failed")
 	}
-	if m.Gen() == g {
+	if m.CodeGen() == g {
 		t.Error("Reset did not bump generation")
 	}
 	if v, _ := m.ReadU32(0x8010); v != 0 {
@@ -290,14 +285,25 @@ func TestResealAndMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib.Populate(0, []byte{0xC3})
-	if err := m.Move(0x6000, "stack"); err != nil {
+	if err := m.Move(0x6000, m.Segment("stack")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Move(0x3F80, "stack"); err == nil {
+	if err := m.Move(0x3F80, m.Segment("stack")); err == nil {
 		t.Error("Move onto an overlapping range succeeded")
 	}
-	if err := m.Move(0x9000, "nope"); err == nil {
+	if err := m.Move(0x9000, m.Segment("nope")); err == nil {
 		t.Error("Move of an unknown segment succeeded")
+	}
+	gone, err := m.Map("gone", 0x9000, 0x100, PermRW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Unmap("gone")
+	if err := m.Move(0xA000, gone); err == nil || gone.Base != 0x9000 {
+		t.Errorf("Move of an unmapped segment: %v, base %#x", err, gone.Base)
+	}
+	if err := m.Move(0x7000, m.Segment("stack"), m.Segment("stack")); err == nil {
+		t.Error("Move of a group naming the stack twice succeeded")
 	}
 	m.Seal()
 
@@ -419,7 +425,7 @@ func TestWindowInvalidation(t *testing.T) {
 	t.Run("Move", func(t *testing.T) {
 		m := mapped(t, PermRW)
 		warm(t, m)
-		if err := m.Move(0x5000, "a"); err != nil {
+		if err := m.Move(0x5000, m.Segment("a")); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := m.Load8(0x1010); ok {
@@ -526,7 +532,6 @@ func TestAccessorsDoNotAllocate(t *testing.T) {
 		func(addr uint32) { v32, _ = m.ReadU32(addr) },
 		func(addr uint32) { _ = m.WriteU32(addr, v32) },
 		func(addr uint32) { _ = m.WriteBytes(addr, buf) },
-		func(addr uint32) { win, _ = m.Fetch(addr, 8) },
 		func(addr uint32) { win, _, _ = m.FetchWindow(addr, 8) },
 		func(addr uint32) { v32, _, _, _ = m.Fetch32(addr) },
 		func(addr uint32) { win = m.Span(addr, 0x20, AccessRead) },

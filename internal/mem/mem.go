@@ -154,11 +154,11 @@ func AppendAddr(b []byte, v uint32) []byte {
 //
 // Data is exported for loaders and tests that populate a segment in place
 // before execution starts. Mutating Data directly at runtime bypasses both
-// the dirty-range tracking Reset relies on and the Gen counter translated
-// blocks key their validity to; runtime stores must go through the Memory
-// accessors. Base and Perm change only through Memory.Move and
-// Memory.SetPerm, which clear the access windows that were checked
-// against them.
+// the dirty-range tracking Reset relies on and the code generation
+// translated blocks key their validity to (see Memory.CodeGen); runtime
+// stores must go through the Memory accessors. Base and Perm change only
+// through Memory.Move and Memory.SetPerm, which clear the access windows
+// that were checked against them.
 type Segment struct {
 	Name string
 	Base uint32
@@ -252,7 +252,7 @@ func (s *Segment) Contains(addr uint32) bool {
 // the loader's channel for filling text and read-only data) but recording
 // the write in the dirty tracking, so a later Seal knows the segment is no
 // longer the zero-fill Map produced. It must not be used once execution
-// has started: it does not bump the memory generation. It changes the
+// has started: it does not bump the code generation. It changes the
 // stamp when it changes a byte.
 func (s *Segment) Populate(off uint32, b []byte) {
 	dst := s.Data[off:]
@@ -302,28 +302,23 @@ type Memory struct {
 	segs []*Segment // sorted by Base
 	wx   bool
 
-	// win[a] is the access window of kind a (see window). Every
-	// generation bump clears all of them and SetWX clears the fetch
-	// window, so a window never outlives the layout, permissions or
-	// policy it was checked against.
+	// win[a] is the access window of kind a (see window). Every layout
+	// or permission change (Map, Unmap, Move, SetPerm, Reset) clears all
+	// of them and SetWX clears the fetch window, so a window never
+	// outlives the layout, permissions or policy it was checked against.
 	win [4]window
 
-	// gen counts layout/permission generations: Map, Unmap, Move, SetPerm
-	// and Reset bump it. isa.Core keys its translated blocks to it — while
-	// gen is unchanged, the bytes of a non-writable segment cannot change
-	// (a write needs PermWrite, and changing permissions bumps gen). It
-	// starts at 1 so a zero-valued block-cache entry never validates.
-	gen uint64
-
-	// code counts code generations, the coarse count a translation that
-	// does not lie in one piece of a segment is a function of: Map and
-	// Unmap bump it, and Move, SetPerm, Patch and Reset bump it only when
-	// they move, re-permit or rewrite bytes of a segment that is
+	// code counts code generations, the one generation of the space: Map
+	// and Unmap bump it, and Move, SetPerm, Patch and Reset bump it only
+	// when they move, re-permit or rewrite bytes of a segment that is
 	// non-writable before or after the change. While it is unchanged, no
 	// non-writable segment's base, permissions or bytes change and no
-	// segment becomes non-writable, so the stack slide and the stack/heap
-	// RWX↔RW flips of a recycled process keep it. It starts at 1, like
-	// gen.
+	// segment becomes non-writable, so no byte a translation read has
+	// changed (a write needs PermWrite, and nothing translates writable
+	// code), while the stack slide and the stack/heap RWX↔RW flips of a
+	// recycled process keep it. isa.Core keys its translated blocks to
+	// it. It starts at 1 so a zero-valued block-cache entry never
+	// validates.
 	code uint64
 
 	// sealed is the Reset baseline captured by Seal, nil before sealing.
@@ -349,35 +344,27 @@ type window struct {
 }
 
 // New returns an empty address space.
-func New() *Memory { return &Memory{gen: 1, code: 1, stamps: new(uint64)} }
+func New() *Memory { return &Memory{code: 1, stamps: new(uint64)} }
 
-// SetWX enables or disables the W⊕X policy. With W⊕X on, Fetch from a
-// writable segment faults even if the segment claims PermExec; this mirrors
-// kernels that refuse writable+executable mappings.
+// SetWX enables or disables the W⊕X policy. With W⊕X on, an instruction
+// fetch from a writable segment faults even if the segment claims
+// PermExec; this mirrors kernels that refuse writable+executable
+// mappings.
 func (m *Memory) SetWX(on bool) {
 	m.wx = on
 	m.win[AccessExec] = window{}
 }
 
-// bump starts a new layout/permission generation and drops every access
-// window checked against the old one.
-func (m *Memory) bump() {
-	m.gen++
-	m.win = [4]window{}
-}
+// relayout drops every access window, after a layout or permission
+// change the windows were not checked against.
+func (m *Memory) relayout() { m.win = [4]window{} }
 
 // WX reports whether the W⊕X policy is enabled.
 func (m *Memory) WX() bool { return m.wx }
 
-// Gen returns the current layout/permission generation. isa.Core's block
-// cache compares it to decide whether previously translated instruction
-// bytes can still be trusted.
-func (m *Memory) Gen() uint64 { return m.gen }
-
 // CodeGen returns the current code generation (see Memory.code): a
-// translation made while it had this value is still exact. isa.Core
-// reuses a slot's instructions when the generation moved but the code
-// generation did not.
+// translation made while it had this value is still exact. isa.Core's
+// block cache tags each dispatch with it.
 func (m *Memory) CodeGen() uint64 { return m.code }
 
 // Map creates a zero-filled segment. It fails if the range overlaps an
@@ -403,7 +390,7 @@ func (m *Memory) Map(name string, base, size uint32, perm Perm) (*Segment, error
 	seg.restamp()
 	m.segs = append(m.segs, seg)
 	slices.SortFunc(m.segs, byBase)
-	m.bump()
+	m.relayout()
 	m.code++
 	return seg, nil
 }
@@ -411,23 +398,23 @@ func (m *Memory) Map(name string, base, size uint32, perm Perm) (*Segment, error
 // byBase orders segments by base address.
 func byBase(a, b *Segment) int { return cmp.Compare(a.Base, b.Base) }
 
-// Move moves the named segments as one group, the first to base and
+// Move moves the segments of group as one group, the first to base and
 // every other by the same delta, keeping their contents, stamps, dirty
 // tracking and sealed baseline (offsets are segment-relative, so none of
 // them changes). The kernel slides a recycled process's stack to its new
 // ASLR position this way instead of mapping, and zero-filling, a fresh
 // stack, and an image's sections to its new PIE or ASLR base instead
 // of remapping them. It fails, leaving the space unchanged, if a segment
-// does not exist or is named twice, or a moved range would overlap a
-// segment outside the group or wrap.
-func (m *Memory) Move(base uint32, names ...string) error {
-	group := make([]*Segment, len(names))
-	for i, name := range names {
-		if group[i] = m.Segment(name); group[i] == nil {
-			return fmt.Errorf("move: no segment %q", name)
+// is nil (a name Segment did not find), not mapped in m or given twice,
+// or a moved range would overlap a segment outside the group or wrap. It
+// does not allocate unless it fails.
+func (m *Memory) Move(base uint32, group ...*Segment) error {
+	for i, s := range group {
+		if s == nil || !slices.Contains(m.segs, s) {
+			return fmt.Errorf("move: segment %d of the group is not mapped", i)
 		}
-		if slices.Index(group[:i], group[i]) >= 0 {
-			return fmt.Errorf("move: segment %q named twice", name)
+		if slices.Contains(group[:i], s) {
+			return fmt.Errorf("move: segment %q given twice", s.Name)
 		}
 	}
 	if len(group) == 0 || base == group[0].Base {
@@ -441,7 +428,7 @@ func (m *Memory) Move(base uint32, names ...string) error {
 			return fmt.Errorf("move %s: range %#x+%#x wraps address space", s.Name, to, size)
 		}
 		for _, o := range m.segs {
-			if slices.Index(group, o) < 0 && to < o.End() && o.Base < to+size {
+			if !slices.Contains(group, o) && to < o.End() && o.Base < to+size {
 				return fmt.Errorf("move %s to %#x+%#x: overlaps segment %s at %#x+%#x",
 					s.Name, to, size, o.Name, o.Base, o.Size())
 			}
@@ -452,7 +439,7 @@ func (m *Memory) Move(base uint32, names ...string) error {
 		s.Base += delta
 	}
 	slices.SortFunc(m.segs, byBase)
-	m.bump()
+	m.relayout()
 	if code {
 		m.code++
 	}
@@ -492,7 +479,6 @@ func (m *Memory) Patch(name string, b []byte, sites []Site, pieces []Piece) erro
 	}
 	if hi > lo {
 		s.markDirty(lo, hi-lo)
-		m.bump()
 		if s.Perm&PermWrite == 0 {
 			s.newStamp()
 			m.code++
@@ -508,7 +494,7 @@ func (m *Memory) Unmap(name string) {
 	for i, s := range m.segs {
 		if s.Name == name {
 			m.segs = append(m.segs[:i], m.segs[i+1:]...)
-			m.bump()
+			m.relayout()
 			m.code++
 			return
 		}
@@ -563,7 +549,7 @@ func (m *Memory) SetPerm(name string, perm Perm) error {
 		s.restamp()
 	}
 	s.Perm = perm
-	m.bump()
+	m.relayout()
 	return nil
 }
 
@@ -830,22 +816,17 @@ func (m *Memory) WriteU32(addr uint32, v uint32) *Fault {
 	return nil
 }
 
-// Fetch reads up to n instruction bytes at addr, enforcing execute
-// permission and the W⊕X policy. Fewer than n bytes may be returned when
-// the segment ends before addr+n; callers decode what they receive.
+// FetchWindow reads up to n instruction bytes at addr, enforcing execute
+// permission and the W⊕X policy, and returns them with the containing
+// segment's permissions. Fewer than n bytes may be returned when the
+// segment ends before addr+n; callers decode what they receive. Block
+// translators use the permissions to decide whether the bytes are
+// immutable while CodeGen is unchanged (they are exactly when the segment
+// is not writable).
 //
 // The returned slice aliases the segment's storage (no copy): callers must
 // only read it and must not retain it across stores. Both CPU decoders
 // consume the window immediately.
-func (m *Memory) Fetch(addr, n uint32) ([]byte, *Fault) {
-	w, _, f := m.FetchWindow(addr, n)
-	return w, f
-}
-
-// FetchWindow is Fetch plus the containing segment's permissions, which
-// block translators use to decide whether the returned bytes are immutable
-// while Gen() is unchanged (they are exactly when the segment is not
-// writable).
 func (m *Memory) FetchWindow(addr, n uint32) ([]byte, Perm, *Fault) {
 	s, off, f := m.check(addr, 1, AccessExec)
 	if f != nil {
@@ -862,7 +843,7 @@ func (m *Memory) FetchWindow(addr, n uint32) ([]byte, Perm, *Fault) {
 // (arms): one combined segment/bounds/permission check, no allocation.
 // short=true (with no fault) means the segment ended within the
 // instruction word, which callers report as an illegal instruction — the
-// same outcome a truncated Fetch window produces. perm is the containing
+// same outcome a truncated FetchWindow produces. perm is the containing
 // segment's permissions, for block translators (see FetchWindow).
 func (m *Memory) Fetch32(addr uint32) (word uint32, perm Perm, short bool, f *Fault) {
 	s, off, f := m.check(addr, 1, AccessExec)
@@ -953,9 +934,6 @@ func (m *Memory) sameSegments() bool {
 	return true
 }
 
-// Sealed reports whether Seal has captured a baseline.
-func (m *Memory) Sealed() bool { return m.sealed != nil }
-
 // Reset restores the address space to the sealed baseline: every
 // accessor-written byte range is restored (or re-zeroed, for segments that
 // were all-zero at Seal time — the stack/heap fast path, which clears
@@ -963,10 +941,10 @@ func (m *Memory) Sealed() bool { return m.sealed != nil }
 // the space untouched — if Seal was never called or the segment set has
 // changed since (a mapped or unmapped segment cannot be reconciled).
 //
-// Reset bumps Gen, so block translations revalidate and the access
-// windows, checked against the permissions it restores, are cleared; it
-// bumps CodeGen only when it restores the permissions or bytes of a
-// segment that is non-writable before or after. Writes that bypassed the
+// Reset clears the access windows, checked against the permissions it
+// restores; it bumps CodeGen, so block translations revalidate, only when
+// it restores the permissions or bytes of a segment that is non-writable
+// before or after. Writes that bypassed the
 // accessors (direct Segment.Data stores) are invisible to the dirty
 // tracking and survive a Reset; runtime code must not do that (see
 // Segment).
@@ -1000,22 +978,6 @@ func (m *Memory) Reset() bool {
 		}
 		s.clean()
 	}
-	m.bump()
+	m.relayout()
 	return true
-}
-
-// Clone returns a deep copy of the address space, used for snapshot/restore
-// style debugging and for diversity experiments that perturb one copy. The
-// clone starts unsealed and with a fresh generation.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{wx: m.wx, gen: 1, code: 1, stamps: new(uint64), segs: make([]*Segment, len(m.segs))}
-	for i, s := range m.segs {
-		d := make([]byte, len(s.Data))
-		copy(d, s.Data)
-		cs := &Segment{Name: s.Name, Base: s.Base, Perm: s.Perm, Data: d, stamps: c.stamps}
-		cs.clean()
-		cs.restamp()
-		c.segs[i] = cs
-	}
-	return c
 }

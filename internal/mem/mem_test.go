@@ -91,7 +91,7 @@ func TestFaultKinds(t *testing.T) {
 		t.Errorf("text write fault = %v", f)
 	}
 	// Exec from non-exec segment.
-	if _, f := m.Fetch(0x4000, 4); f == nil || f.Access != AccessExec {
+	if _, _, f := m.FetchWindow(0x4000, 4); f == nil || f.Access != AccessExec {
 		t.Errorf("data fetch fault = %v", f)
 	}
 	// Access spanning past segment end.
@@ -112,25 +112,25 @@ func TestWXPolicy(t *testing.T) {
 		t.Fatal(f)
 	}
 	// Stack is RWX: executable while W⊕X is off.
-	if _, f := m.Fetch(0x8000, 1); f != nil {
+	if _, _, f := m.FetchWindow(0x8000, 1); f != nil {
 		t.Fatalf("fetch from rwx stack without W⊕X: %v", f)
 	}
 	m.SetWX(true)
 	if !m.WX() {
 		t.Fatal("WX not reported")
 	}
-	if _, f := m.Fetch(0x8000, 1); f == nil || f.Kind != FaultProtection {
+	if _, _, f := m.FetchWindow(0x8000, 1); f == nil || f.Kind != FaultProtection {
 		t.Fatalf("W⊕X did not block writable fetch: %v", f)
 	}
 	// Pure RX text still executes.
-	if _, f := m.Fetch(0x1000, 1); f != nil {
+	if _, _, f := m.FetchWindow(0x1000, 1); f != nil {
 		t.Fatalf("W⊕X blocked text fetch: %v", f)
 	}
 }
 
 func TestFetchTruncatesAtSegmentEnd(t *testing.T) {
 	m := newTestMem(t)
-	b, f := m.Fetch(0x1FFC, 16)
+	b, _, f := m.FetchWindow(0x1FFC, 16)
 	if f != nil {
 		t.Fatal(f)
 	}
@@ -168,7 +168,7 @@ func TestUnmapAndSetPerm(t *testing.T) {
 	if err := m.SetPerm("stack", PermRW); err != nil {
 		t.Fatal(err)
 	}
-	if _, f := m.Fetch(0x8000, 1); f == nil {
+	if _, _, f := m.FetchWindow(0x8000, 1); f == nil {
 		t.Error("fetch after dropping exec permission succeeded")
 	}
 	if err := m.SetPerm("gone", PermRW); err == nil {
@@ -197,29 +197,6 @@ func TestReadCString(t *testing.T) {
 	}
 	if _, f := m.ReadCString(0x4FF0, 64); f == nil {
 		t.Error("ReadCString past segment end succeeded")
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	m := newTestMem(t)
-	if f := m.WriteU32(0x4000, 0x11111111); f != nil {
-		t.Fatal(f)
-	}
-	c := m.Clone()
-	if f := c.WriteU32(0x4000, 0x22222222); f != nil {
-		t.Fatal(f)
-	}
-	v, _ := m.ReadU32(0x4000)
-	if v != 0x11111111 {
-		t.Errorf("clone write leaked into original: %#x", v)
-	}
-	cv, _ := c.ReadU32(0x4000)
-	if cv != 0x22222222 {
-		t.Errorf("clone value = %#x", cv)
-	}
-	m.SetWX(true)
-	if c.WX() {
-		t.Error("clone shares WX flag")
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: formatting, vet, build, full test suite, race
-# detector over the concurrent packages. Equivalent to `make check` for
-# environments without make.
+# detector over the concurrent packages, then the fuzz smokes, the
+# inlining checks and the golden transcripts every CLI must reproduce
+# byte for byte. `make check` runs this script.
 set -eux
 
 cd "$(dirname "$0")/.."
